@@ -276,7 +276,8 @@ def _run_custom(config: ScenarioConfig, out: Path) -> dict:
         rng = trajectory_generator(base_seed, idx)
         traj = evolve(FieldState.vacuum(grid), couplings, disp, bath=bath,
                       drive=drive, dt=dt, n_steps=n_steps, observers=observers,
-                      record_every=int(integ.get("record_every", 1)), rng=rng)
+                      record_every=int(integ.get("record_every", 1)), rng=rng,
+                      absorber=absorber)
         if mean_records is None:
             times = traj.times
             mean_records = {k: np.asarray(v, dtype=float)

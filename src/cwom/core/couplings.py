@@ -29,6 +29,7 @@ from dataclasses import dataclass
 EVEN_NAMES = ("g_ppp", "g_mmp", "g_mpm")
 ODD_NAMES = ("g_ppm", "g_mpp", "g_mmm")
 REAL_NAMES = ("g_ppp", "g_mmp", "g_ppm", "g_mmm")
+DERIVATIVE_NAMES = ("g_mmp", "g_mpm", "g_ppm", "g_mpp", "g_mmm")
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,11 @@ class CouplingSet:
     @property
     def is_zero(self) -> bool:
         return all(getattr(self, n) == 0 for n in EVEN_NAMES + ODD_NAMES)
+
+    @property
+    def is_pointwise(self) -> bool:
+        """No derivative coupling is non-zero: only g_ppp may act."""
+        return all(getattr(self, n) == 0 for n in DERIVATIVE_NAMES)
 
     def magnitude_scale(self, k_max: float) -> float:
         """Crude Hz*m^(1/2)-equivalent magnitude at wavenumber scale k_max.

@@ -16,11 +16,14 @@ class Grid1D:
     ``n_points`` must be a power of two so transform round-trips are exact
     and fast. The wavenumber axis follows the standard discrete-transform
     ordering: ``k_axis[0] = 0`` and ``max |k| = pi/dx``.
+    ``derivative_weight`` is the first-derivative multiplier ``1j * k_axis``
+    with the Nyquist mode zeroed (see :mod:`cwom.core.spectral`).
     """
 
     n_points: int
     dx: float
     k_axis: np.ndarray = field(init=False, repr=False, compare=False)
+    derivative_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not _is_power_of_two(self.n_points):
@@ -30,6 +33,10 @@ class Grid1D:
         k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
         k.flags.writeable = False
         object.__setattr__(self, "k_axis", k)
+        w = 1j * k
+        w[self.n_points // 2] = 0.0
+        w.flags.writeable = False
+        object.__setattr__(self, "derivative_weight", w)
 
     @property
     def length(self) -> float:

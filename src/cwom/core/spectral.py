@@ -4,7 +4,9 @@ Derivatives are evaluated mode-by-mode as (ik)^order, which realizes the
 derivative couplings exactly for every represented wavenumber. For odd
 orders the Nyquist mode weight is set to zero; this keeps the derivative
 of a real field real and makes the discrete integration-by-parts identity
-sum(f dg) = -sum(df g) exact, which the interaction terms rely on.
+sum(f dg) = -sum(df g) exact, which the interaction terms rely on. The
+first-derivative weight is precomputed once per grid
+(``Grid1D.derivative_weight``).
 """
 
 import numpy as np
@@ -29,9 +31,7 @@ def spectral_derivative(field: np.ndarray, grid: Grid1D, order: int = 1) -> np.n
     field = np.asarray(field)
     if field.shape[-1] != grid.n_points:
         raise ValueError("field length must equal grid.n_points")
-    weight = (1j * grid.k_axis) ** order
-    if order % 2 == 1:
-        weight[grid.n_points // 2] = 0.0
+    weight = grid.derivative_weight if order == 1 else (1j * grid.k_axis) ** order
     return np.fft.ifft(weight * np.fft.fft(field, axis=-1), axis=-1)
 
 

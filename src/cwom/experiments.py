@@ -362,8 +362,9 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
 
     errors, errors_plain = [], []
     dxs = []
-    if kind == "site":
-        ref = continuum_run(CouplingSet.simple(g_cont))
+    # the pointwise model is the same for every size (2 g_link sqrt(dx) =
+    # g_cont): the site reference and the link study's plain reference
+    ref = continuum_run(CouplingSet.simple(g_cont))
     for n_sites in sizes:
         dxl = length / n_sites
         dxs.append(dxl)
@@ -393,12 +394,11 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
             final, _ = simulate_array(config, init, dt, n_steps)
             cont = to_continuum(final.a, final.b, dxl)
             ref_full = continuum_run(link_effective_couplings(g_link, dxl))
-            ref_plain = continuum_run(CouplingSet.simple(2.0 * g_link * np.sqrt(dxl)))
             link_stride = sites * stride + stride // 2
             err = (np.linalg.norm(cont.a - ref_full.a[::stride])
                    + np.linalg.norm(cont.b - ref_full.b[link_stride])) / np.sqrt(n_sites)
-            err_plain = (np.linalg.norm(cont.a - ref_plain.a[::stride])
-                         + np.linalg.norm(cont.b - ref_plain.b[link_stride])) \
+            err_plain = (np.linalg.norm(cont.a - ref.a[::stride])
+                         + np.linalg.norm(cont.b - ref.b[link_stride])) \
                 / np.sqrt(n_sites)
             errors.append(err)
             errors_plain.append(err_plain)

@@ -137,8 +137,8 @@ class LatticeStepper:
         self.config = config
         self.dt = dt
         self.sampling = sampling
-        self._half_a = np.exp(-0.5j * config.photon_band() * dt)
-        self._half_b = np.exp(-0.5j * config.phonon_band() * dt)
+        self._half = np.exp(-0.5j * np.stack((config.photon_band(),
+                                               config.phonon_band())) * dt)
 
     def _interaction(self, a, b):
         cfg = self.config
@@ -158,10 +158,13 @@ class LatticeStepper:
             db -= 0.5 * cfg.Gamma * b
         return da, db
 
+    def _free_half(self, state: LatticeState):
+        state.a, state.b = np.fft.ifft(
+            self._half * np.fft.fft(np.stack((state.a, state.b)), axis=-1), axis=-1)
+
     def step_inplace(self, state: LatticeState, rng=None, step_index: int = 0):
         dt = self.dt
-        state.a = np.fft.ifft(self._half_a * np.fft.fft(state.a))
-        state.b = np.fft.ifft(self._half_b * np.fft.fft(state.b))
+        self._free_half(state)
         a0, b0 = state.a, state.b
         k1a, k1b = self._interaction(a0, b0)
         k2a, k2b = self._interaction(a0 + 0.5 * dt * k1a, b0 + 0.5 * dt * k1b)
@@ -182,8 +185,7 @@ class LatticeStepper:
                     rng.standard_normal(n) + 1j * rng.standard_normal(n))
         if not (np.all(np.isfinite(state.a)) and np.all(np.isfinite(state.b))):
             raise DivergenceError(step_index, state.time, np.inf, np.inf)
-        state.a = np.fft.ifft(self._half_a * np.fft.fft(state.a))
-        state.b = np.fft.ifft(self._half_b * np.fft.fft(state.b))
+        self._free_half(state)
         state.time += dt
         return state
 

@@ -197,6 +197,21 @@ class TestCliRuns:
         assert (out1 / "final_state.snap").read_bytes() \
             != (out2 / "final_state.snap").read_bytes()
 
+    def test_custom_absorber_setting_reaches_the_run(self, tmp_path):
+        # long enough for the driven wave to cross the far-end absorber
+        driven = GOOD_CONFIG.replace("t_total = 20.0 s", "t_total = 40.0 s")
+        reports = {}
+        for setting in ("on", "off"):
+            cfg = tmp_path / f"{setting}.cfg"
+            cfg.write_text(driven.replace("absorber = on", f"absorber = {setting}"))
+            out = tmp_path / setting
+            assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+            reports[setting] = json.loads((out / "report.json").read_text())
+        assert (tmp_path / "on" / "final_state.snap").read_bytes() \
+            != (tmp_path / "off" / "final_state.snap").read_bytes()
+        assert reports["on"]["final_photon_number"] \
+            < reports["off"]["final_photon_number"]
+
     def test_dt_override_lands_in_effective_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(GOOD_CONFIG)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cwom import CouplingSet, FieldState, Grid1D, interaction_rhs, spectral_derivative
-from cwom.core.interaction import interaction_energy_density, total_energy
+from cwom.core.interaction import (interaction_energy_density, phonon_channel,
+                                   photon_channel, total_energy)
 from cwom import DispersionSpec
 
 from conftest import random_band_limited
@@ -175,6 +176,78 @@ class TestInvariants:
         e = total_energy(state, cs, DispersionSpec.polynomial([0.0, 1.0, 0.3]),
                          DispersionSpec.flat(2.0))
         assert np.isfinite(e)
+
+
+def _rel(x, ref):
+    scale = np.linalg.norm(ref)
+    return np.linalg.norm(x - ref) / scale if scale else np.linalg.norm(x)
+
+
+FUSED_CASES = {
+    "pointwise": CouplingSet.simple(1.3),
+    "even": CouplingSet.even(g_ppp=0.9, g_mmp=-0.2, g_mpm=0.1 + 0.3j),
+    "odd": CouplingSet.odd(g_ppm=0.7, g_mpp=-0.3 + 0.2j, g_mmm=0.15),
+    "mixed": CouplingSet(g_ppp=0.5, g_mmp=0.3, g_mpm=0.2 - 0.1j, g_ppm=0.4,
+                         g_mpp=0.2j, g_mmm=-0.1, sector="mixed",
+                         broken_inversion_symmetry=True),
+    "zero": CouplingSet(),
+}
+
+
+class TestFusedRhs:
+    """interaction_rhs sums every derivative in k-space; the bilinear
+    channel functions are the term-by-term reference."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_matches_channels(self, n, name, rng):
+        cs = FUSED_CASES[name]
+        grid = Grid1D(n, 0.1)
+        # full-band random fields: the Nyquist mode is populated too
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = 0.6 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        state = FieldState(grid, a, b)
+        da, db = interaction_rhs(state, cs)
+        ref_a = photon_channel(a, state.displacement(), cs, grid)
+        ref_b = phonon_channel(np.conj(a), a, cs, grid)
+        assert _rel(da, ref_a) < 1e-13
+        assert _rel(db, ref_b) < 1e-13
+        if cs.is_zero:
+            assert not np.any(da) and not np.any(db)
+
+
+def _energy_density_reference(state, c):
+    grid = state.grid
+    a = state.a
+    u = state.displacement()
+    da = spectral_derivative(a, grid, 1)
+    du = spectral_derivative(u, grid, 1)
+    dens = np.zeros(grid.n_points, dtype=np.complex128)
+    dens += c.g_ppp * np.abs(a) ** 2 * u
+    dens += c.g_mmp * np.abs(da) ** 2 * u
+    dens += 2.0 * np.real(c.g_mpm * np.conj(da) * a * du)
+    dens += c.g_ppm * np.abs(a) ** 2 * du
+    dens += 2.0 * np.real(c.g_mpp * np.conj(da) * a) * u
+    dens += c.g_mmm * np.abs(da) ** 2 * du
+    return np.real(dens)
+
+
+class TestEnergyObserver:
+    @pytest.mark.parametrize("name", ["pointwise", "even", "odd", "mixed"])
+    def test_matches_full_formula(self, name, grid256, rng):
+        cs = FUSED_CASES[name]
+        state = random_state(grid256, rng)
+        disp_a = DispersionSpec.polynomial([0.0, 1.0, 0.3])
+        disp_b = DispersionSpec.flat(2.0)
+        dens_ref = _energy_density_reference(state, cs)
+        assert _rel(interaction_energy_density(state, cs), dens_ref) < 1e-13
+        fa, fb = np.fft.fft(state.a), np.fft.fft(state.b)
+        free = (np.sum(disp_a.values_on(grid256) * np.abs(fa) ** 2)
+                + np.sum(disp_b.values_on(grid256) * np.abs(fb) ** 2)) \
+            * grid256.dx / grid256.n_points
+        e_ref = float(np.real(free)) - float(np.sum(dens_ref) * grid256.dx)
+        e = total_energy(state, cs, disp_a, disp_b)
+        assert abs(e - e_ref) <= 1e-13 * abs(e_ref)
 
 
 class TestFieldState:

@@ -6,6 +6,7 @@ import pytest
 from cwom import FieldState, Grid1D
 from cwom.core.spectral import mode_amplitudes
 from cwom.dynamics import trajectory_generator
+from cwom import experiments
 from cwom.experiments import array_convergence_study
 from cwom.lattice import (ArrayConfig, LatticeState, LatticeStepper,
                           band_structure, from_continuum,
@@ -162,3 +163,20 @@ class TestConvergence:
     def test_scaled_site_coupling_keeps_continuum_fixed(self):
         assert np.isclose(site_coupling_from_continuum(0.05, 0.25),
                           0.05 / 0.5)
+
+    def test_link_study_runs_pointwise_reference_once(self, monkeypatch):
+        # one link-effective reference per size plus one shared pointwise
+        # reference: 2 g_link sqrt(dx) = g_cont does not depend on dx
+        calls = []
+        evolve = experiments.evolve
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args[1])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "evolve", counting_evolve)
+        sizes = (16, 32)
+        res = array_convergence_study(kind="link", sizes=sizes, T=0.05, n_ref=64)
+        assert len(calls) == len(sizes) + 1
+        assert sum(c.is_pointwise for c in calls) == 1
+        assert np.all(np.isfinite(res.errors_pointwise_model))
