@@ -1,10 +1,11 @@
 """Scenario configuration: sectioned key-value files with explicit units.
 
 Every physical quantity carries a unit suffix checked against the schema
-(`Gamma = 6.28e6 /s`); dimensionless keys use no suffix. Unknown sections
-or keys are rejected, and validation reports every offending entry at
-once rather than stopping at the first. Unit bugs dominate this domain,
-so the parser refuses to guess.
+(`Gamma = 6.28e6 /s`); dimensionless keys use no suffix. Enumerated keys
+(dispersion kind, drive mode, absorber, sampling) accept only their
+declared values. Unknown sections or keys are rejected, and validation
+reports every offending entry at once rather than stopping at the first.
+Unit bugs dominate this domain, so the parser refuses to guess.
 """
 
 from dataclasses import dataclass, field
@@ -13,17 +14,20 @@ from pathlib import Path
 SCENARIOS = ("custom", "comb", "backward_gain", "intermodal_swap",
              "array_convergence", "regime_sweep")
 
-# value kinds: float / int / complex / str / list (comma-separated floats)
-# unit "1" marks dimensionless numerics; None marks enums/strings.
+DISPERSION_KINDS = ("linear", "flat", "polynomial")
+
+# value kinds: float / int / complex / str / enum / list (comma-separated
+# floats). The second slot is the unit: "1" marks dimensionless numerics,
+# None free strings; for enum it is the tuple of allowed values.
 SCHEMA = {
     "scenario": {"name": ("str", None)},
     "grid": {"n_points": ("int", "1"), "dx": ("float", "m")},
     "photon": {
-        "kind": ("str", None), "velocity": ("float", "m/s"),
+        "kind": ("enum", DISPERSION_KINDS), "velocity": ("float", "m/s"),
         "omega0": ("float", "rad/s"), "coeffs": ("list", "SI"),
     },
     "phonon": {
-        "kind": ("str", None), "velocity": ("float", "m/s"),
+        "kind": ("enum", DISPERSION_KINDS), "velocity": ("float", "m/s"),
         "omega0": ("float", "rad/s"), "coeffs": ("list", "SI"),
     },
     "couplings": {
@@ -35,16 +39,16 @@ SCHEMA = {
     "bath": {
         "kappa": ("float", "/s"), "gamma_mech": ("float", "/s"),
         "n_th": ("float", "1"), "temperature": ("float", "K"),
-        "omega_ref": ("float", "rad/s"), "sampling": ("str", None),
+        "omega_ref": ("float", "rad/s"), "sampling": ("enum", ("none", "wigner")),
     },
     "drive": {
-        "mode": ("str", None), "alpha_in": ("complex", "s^(-1/2)"),
+        "mode": ("enum", ("none", "endfire")), "alpha_in": ("complex", "s^(-1/2)"),
         "omega_L": ("float", "rad/s"), "k_L": ("float", "rad/m"),
         "inlet_cell": ("int", "1"), "kappa_ex": ("float", "/s"),
     },
     "integration": {
         "dt": ("float", "s"), "t_total": ("float", "s"),
-        "record_every": ("int", "1"), "absorber": ("str", None),
+        "record_every": ("int", "1"), "absorber": ("enum", ("on", "off")),
         "absorber_opacity": ("float", "1"), "absorber_speed": ("float", "m/s"),
     },
     "ensemble": {"trajectories": ("int", "1"), "base_seed": ("int", "1")},
@@ -119,6 +123,13 @@ def _parse_value(section, key, raw, problems):
     raw = raw.strip()
     if kind == "str":
         return raw
+    if kind == "enum":
+        allowed = unit
+        if raw in allowed:
+            return raw
+        problems.append(f"[{section}] {key}: {raw!r} is not one of "
+                        f"{', '.join(allowed)}")
+        return None
     parts = raw.split()
     if unit == "1" or unit is None:
         token, given_unit = parts[0], (parts[1] if len(parts) > 1 else None)
@@ -204,7 +215,7 @@ def serialize_config(config: ScenarioConfig) -> str:
         lines.append(f"[{section}]")
         for key, value in config.sections[section].items():
             kind, unit = SCHEMA[section][key]
-            if kind == "str":
+            if kind in ("str", "enum"):
                 lines.append(f"{key} = {value}")
                 continue
             if kind == "list":

@@ -52,6 +52,16 @@ class DivergenceError(RuntimeError):
             f"max|a| = {max_a:.3e}, max|b| = {max_b:.3e}; "
             "reduce dt or check the stability bound")
 
+    @classmethod
+    def from_fields(cls, step_index: int, time: float, a, b) -> "DivergenceError":
+        """Report the largest finite |a| and |b|; inf where none is finite."""
+        return cls(step_index, time, _max_finite_abs(a), _max_finite_abs(b))
+
+
+def _max_finite_abs(values) -> float:
+    finite = values[np.isfinite(values)]
+    return float(np.max(np.abs(finite))) if finite.size else np.inf
+
 
 @dataclass(frozen=True)
 class DispersionPair:
@@ -154,12 +164,8 @@ class Stepper:
         state.time += self.dt
         if not (np.isfinite(state.a[0]) and np.isfinite(state.b[0])) \
                 or not state.is_finite():
-            finite_a = state.a[np.isfinite(state.a)]
-            finite_b = state.b[np.isfinite(state.b)]
-            raise DivergenceError(
-                step_index, state.time,
-                float(np.max(np.abs(finite_a))) if finite_a.size else np.inf,
-                float(np.max(np.abs(finite_b))) if finite_b.size else np.inf)
+            raise DivergenceError.from_fields(step_index, state.time, state.a,
+                                              state.b)
         return state
 
 

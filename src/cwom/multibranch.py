@@ -17,6 +17,14 @@ retains counter-rotating channels at the cost of resolving them in dt.
 
 Branch equations reuse the pointwise coupling only; derivative couplings
 are a single-branch feature of the core interaction.
+
+The stepper integrates one stacked array of shape (n_branches + 1, n),
+branch rows first and the phonon row last. A free half-step is a single
+batched forward/inverse transform pair over the rows that evolve (frozen
+branches are skipped), so a step costs 4 transforms however many
+branches there are; the RK4 substep updates all rows in whole-array
+expressions. ``MultiBranchState`` keeps the per-field view
+(``fields``, ``b``) for callers.
 """
 
 from dataclasses import dataclass
@@ -168,7 +176,16 @@ def _snap(x: float, tol: float = 1e-9) -> float:
 
 
 class MultiBranchStepper:
-    """Strang-split integrator over branch + phonon envelopes."""
+    """Strang-split integrator over the stacked branch + phonon state.
+
+    A step works on one complex array ``y`` of shape (n_branches + 1, n):
+    the branch rows in order, then the phonon row. Each free half-step is
+    one batched forward/inverse transform pair over the live rows; frozen
+    branches never pass through the transform. The RK4 substep evaluates
+    every row at once, with frozen rows held by a zero derivative. Noise
+    draws, source deposits and the absorber follow in that order, so a
+    seeded Generator replays the run bit-for-bit.
+    """
 
     def __init__(self, system: MultiBranchSystem, dt: float):
         if dt <= 0:
@@ -176,109 +193,94 @@ class MultiBranchStepper:
         self.system = system
         self.dt = dt
         grid = system.grid
-        self._half = [dispersion_phase(b.dispersion, grid, 0.5 * dt)
-                      for b in system.branches]
-        self._half_b = dispersion_phase(system.phonon.dispersion, grid, 0.5 * dt)
+        branches = system.branches
+        self._half = np.stack(
+            [dispersion_phase(b.dispersion, grid, 0.5 * dt) for b in branches]
+            + [dispersion_phase(system.phonon.dispersion, grid, 0.5 * dt)])
+        live = [j for j, b in enumerate(branches) if not b.frozen]
+        # rows the half-steps and the absorber act on
+        self._live = (slice(None) if len(live) == len(branches)
+                      else np.array(live + [len(branches)]))
+        self._half = self._half[self._live]
+        self._photon_terms = [(ch.j, ch.l, 1j * ch.g, ch.conjugate_b, ch.W,
+                               ch.spatial)
+                              for ch in system.photon_channels
+                              if not branches[ch.j].frozen]
+        self._phonon_terms = [(ch.j, ch.l, 1j * ch.g, ch.W, ch.spatial)
+                              for ch in system.phonon_channels]
+        # (row, damping rate, thermal occupation) of each damped row, in
+        # the order of the Wigner noise draws
+        self._damped = [(j, branches[j].kappa, 0.0) for j in live
+                        if branches[j].kappa]
+        if system.phonon.gamma:
+            self._damped.append((len(branches), system.phonon.gamma,
+                                 system.phonon.n_th))
+        self._wigner = system.sampling == "wigner"
         self._decay = (system.absorber.decay_factors(dt)
                        if system.absorber is not None else None)
         self._deposits = []
-        for idx, branch in enumerate(system.branches):
+        for idx, branch in enumerate(branches):
             if branch.drive is not None:
                 frame = Frame(branch.frame_omega, branch.frame_k)
                 self._deposits.append(
                     (idx, DepositPlan(grid, branch.dispersion, branch.drive,
                                       frame, dt)))
 
-    def _rhs(self, fields, b, t):
-        sysd = self.system
-        dfields = [None if br.frozen else np.zeros_like(fields[0])
-                   for br in sysd.branches]
-        db = np.zeros_like(b)
-        for ch in sysd.photon_channels:
-            if sysd.branches[ch.j].frozen:
-                continue
-            u_part = np.conj(b) if ch.conjugate_b else b
-            term = 1j * ch.g * fields[ch.l] * u_part
-            if ch.spatial is not None:
-                term = term * ch.spatial
-            if ch.W != 0.0:
-                term = term * np.exp(-1j * ch.W * t)
-            dfields[ch.j] += term
-        for ch in sysd.phonon_channels:
-            term = 1j * ch.g * np.conj(fields[ch.j]) * fields[ch.l]
-            if ch.spatial is not None:
-                term = term * ch.spatial
-            if ch.W != 0.0:
-                term = term * np.exp(-1j * ch.W * t)
-            db += term
-        for j, br in enumerate(sysd.branches):
-            if dfields[j] is not None and br.kappa:
-                dfields[j] -= 0.5 * br.kappa * fields[j]
-        if sysd.phonon.gamma:
-            db -= 0.5 * sysd.phonon.gamma * b
-        return dfields, db
+    def _rhs(self, y, t):
+        """Interaction + damping derivative of every row of ``y``."""
+        dy = np.zeros(y.shape, dtype=y.dtype)
+        b = y[-1]
+        b_conj = np.conj(b)
+        for j, l, coef, conjugate_b, W, spatial in self._photon_terms:
+            term = coef * y[l] * (b_conj if conjugate_b else b)
+            if spatial is not None:
+                term *= spatial
+            if W != 0.0:
+                term *= np.exp(-1j * W * t)
+            dy[j] += term
+        for j, l, coef, W, spatial in self._phonon_terms:
+            term = coef * np.conj(y[j]) * y[l]
+            if spatial is not None:
+                term *= spatial
+            if W != 0.0:
+                term *= np.exp(-1j * W * t)
+            dy[-1] += term
+        for row, rate, _ in self._damped:
+            dy[row] -= 0.5 * rate * y[row]
+        return dy
+
+    def _free_half(self, y):
+        y[self._live] = apply_phase(y[self._live], self._half)
 
     def step_inplace(self, state: MultiBranchState, rng=None, step_index: int = 0):
-        sysd = self.system
+        grid = self.system.grid
         dt = self.dt
-        for j, br in enumerate(sysd.branches):
-            if not br.frozen:
-                state.fields[j] = apply_phase(state.fields[j], self._half[j])
-        state.b = apply_phase(state.b, self._half_b)
+        t = state.time
+        y = np.stack(state.fields + [state.b])
+        self._free_half(y)
 
-        f0, b0, t = state.fields, state.b, state.time
+        k1 = self._rhs(y, t)
+        k2 = self._rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = self._rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = self._rhs(y + dt * k3, t + dt)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        def add(fields, b, dfields, db, w):
-            return ([f if df is None else f + w * df
-                     for f, df in zip(fields, dfields)], b + w * db)
-
-        k1f, k1b = self._rhs(f0, b0, t)
-        f_, b_ = add(f0, b0, k1f, k1b, 0.5 * dt)
-        k2f, k2b = self._rhs(f_, b_, t + 0.5 * dt)
-        f_, b_ = add(f0, b0, k2f, k2b, 0.5 * dt)
-        k3f, k3b = self._rhs(f_, b_, t + 0.5 * dt)
-        f_, b_ = add(f0, b0, k3f, k3b, dt)
-        k4f, k4b = self._rhs(f_, b_, t + dt)
-        new_fields = []
-        for j in range(len(f0)):
-            if k1f[j] is None:
-                new_fields.append(f0[j])
-            else:
-                new_fields.append(f0[j] + dt / 6.0 * (k1f[j] + 2 * k2f[j]
-                                                      + 2 * k3f[j] + k4f[j]))
-        state.fields = new_fields
-        state.b = b0 + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
-
-        if sysd.sampling == "wigner":
-            for j, br in enumerate(sysd.branches):
-                if br.kappa and not br.frozen:
-                    state.fields[j] += dt * sample_noise_field(
-                        sysd.grid, br.kappa, 0.0, dt, rng)
-            if sysd.phonon.gamma:
-                state.b += dt * sample_noise_field(
-                    sysd.grid, sysd.phonon.gamma, sysd.phonon.n_th, dt, rng)
+        if self._wigner:
+            for row, rate, n_th in self._damped:
+                y[row] += dt * sample_noise_field(grid, rate, n_th, dt, rng)
         for idx, plan in self._deposits:
-            holder = FieldState(sysd.grid, state.fields[idx], state.b,
-                                time=state.time)
-            plan.apply(holder, rng=rng, vacuum_noise=sysd.sampling == "wigner")
-            state.fields[idx] = holder.a
+            # the deposit adds to holder.a in place, i.e. to the row of y
+            holder = FieldState(grid, y[idx], y[-1], time=t)
+            plan.apply(holder, rng=rng, vacuum_noise=self._wigner)
         if self._decay is not None:
-            for j, br in enumerate(sysd.branches):
-                if not br.frozen:
-                    state.fields[j] *= self._decay
-            state.b *= self._decay
+            y[self._live] *= self._decay
 
-        for j in range(len(sysd.branches)):
-            if not np.isfinite(state.fields[j][0]):
-                raise DivergenceError(step_index, state.time, np.inf, np.inf)
-        for f in state.fields + [state.b]:
-            if not np.all(np.isfinite(f)):
-                raise DivergenceError(step_index, state.time, np.inf, np.inf)
+        if not np.isfinite(y).all():
+            raise DivergenceError.from_fields(step_index, t, y[:-1], y[-1])
 
-        for j, br in enumerate(sysd.branches):
-            if not br.frozen:
-                state.fields[j] = apply_phase(state.fields[j], self._half[j])
-        state.b = apply_phase(state.b, self._half_b)
+        self._free_half(y)
+        state.fields = list(y[:-1])
+        state.b = y[-1]
         state.time += dt
         return state
 

@@ -1,4 +1,4 @@
-"""k-space scattering vertex amplitudes and multi-branch bookkeeping.
+"""k-space scattering vertex amplitudes.
 
 Translating the real-space couplings to k-space with the substitutions
 a -> a_k, a+ -> a+_{k+q}, u -> u_q, dx a -> ik a_k, dx a+ -> -i(k+q) a+,
@@ -16,12 +16,9 @@ term carries an odd number of derivatives. The plane-wave evolution test
 in the suite checks every constant against the real-space interaction.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core.couplings import CouplingSet
-from .core.dispersion import DispersionSpec
 
 
 def vertex_amplitude(couplings: CouplingSet, k, q):
@@ -55,39 +52,3 @@ def backward_amplitude(couplings: CouplingSet, k):
     k = np.asarray(k, dtype=float)
     return vertex_amplitude(couplings, k, -2.0 * k)
 
-
-@dataclass(frozen=True)
-class BranchSet:
-    """Several optical branches coupled to one phonon field.
-
-    ``g0_matrix[j, l]`` is the bare coupling (Hz m^(1/2)) for scattering a
-    photon from branch l to branch j; Hermitian symmetry
-    g0*(l, j) = g0(j, l) is required so the interaction is self-adjoint.
-    """
-
-    branches: tuple
-    g0_matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        g = np.asarray(self.g0_matrix, dtype=complex)
-        n = len(self.branches)
-        if g.shape != (n, n):
-            raise ValueError("g0_matrix must be square over the branch list")
-        if not np.allclose(g, g.conj().T, rtol=1e-12, atol=0.0):
-            raise ValueError("g0_matrix must be Hermitian: g0*(l,j) = g0(j,l)")
-        g.flags.writeable = False
-        object.__setattr__(self, "g0_matrix", g)
-        object.__setattr__(self, "branches", tuple(self.branches))
-
-    @property
-    def n_branches(self) -> int:
-        return len(self.branches)
-
-    def dispersion(self, j: int) -> DispersionSpec:
-        return self.branches[j][0]
-
-    def label(self, j: int) -> str:
-        return self.branches[j][1]
-
-    def coupling(self, j: int, l: int) -> complex:
-        return complex(self.g0_matrix[j, l])

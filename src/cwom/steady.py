@@ -247,8 +247,9 @@ def linearized_rhs(fluct: FluctuationState, steady: SteadyState,
 class LinearizedStepper:
     """Strang integrator for the doubled fluctuation system.
 
-    No drive enters here: fluctuation boundaries are drive-free by
-    construction.
+    Each free half-step is one batched transform pair over the stacked
+    (da, da*, db, db*) array. No drive enters here: fluctuation boundaries
+    are drive-free by construction.
     """
 
     def __init__(self, steady: SteadyState, couplings: CouplingSet,
@@ -259,19 +260,17 @@ class LinearizedStepper:
         self.bath = bath
         self.dt = dt
         grid = steady.grid
-        self._half_a = dispersion_phase(dispersions.photon, grid, 0.5 * dt)
-        self._half_b = dispersion_phase(dispersions.phonon, grid, 0.5 * dt)
-        self._half_a_conj = conjugate_dispersion_phase(dispersions.photon, grid,
-                                                       0.5 * dt)
-        self._half_b_conj = conjugate_dispersion_phase(dispersions.phonon, grid,
-                                                       0.5 * dt)
+        # phase rows in the (da, da*, db, db*) order of the stacked half-step
+        self._half = np.stack((
+            dispersion_phase(dispersions.photon, grid, 0.5 * dt),
+            conjugate_dispersion_phase(dispersions.photon, grid, 0.5 * dt),
+            dispersion_phase(dispersions.phonon, grid, 0.5 * dt),
+            conjugate_dispersion_phase(dispersions.phonon, grid, 0.5 * dt)))
         self._decay = absorber.decay_factors(dt) if absorber is not None else None
 
     def _free_half(self, f: FluctuationState):
-        f.da = apply_phase(f.da, self._half_a)
-        f.da_conj = apply_phase(f.da_conj, self._half_a_conj)
-        f.db = apply_phase(f.db, self._half_b)
-        f.db_conj = apply_phase(f.db_conj, self._half_b_conj)
+        f.da, f.da_conj, f.db, f.db_conj = apply_phase(
+            np.stack((f.da, f.da_conj, f.db, f.db_conj)), self._half)
 
     def step_inplace(self, f: FluctuationState):
         dt = self.dt

@@ -88,6 +88,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="warpdrive"):
             parse_config_text(bad)
 
+    def test_enum_values_all_reported(self):
+        bad = (GOOD_CONFIG.replace("mode = endfire", "mode = endfier")
+               .replace("absorber = on", "absorber = yes")
+               .replace("kind = flat", "kind = flatt")
+               .replace("sampling = none", "sampling = wignr"))
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(bad)
+        text = str(err.value)
+        for token in ("endfier", "yes", "flatt", "wignr"):
+            assert token in text
+        assert len(err.value.problems) == 4
+
     def test_serialize_round_trip(self):
         cfg = parse_config_text(GOOD_CONFIG)
         again = parse_config_text(serialize_config(cfg))
@@ -167,6 +179,18 @@ class TestCliRuns:
         rc = main(["run", "--config", str(cfg), "--validate-only"])
         assert rc == 2
         assert "dx" in capsys.readouterr().err
+
+    def test_invalid_enum_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("mode = endfire", "mode = endfier")
+                       .replace("absorber = on", "absorber = yes"))
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        err = capsys.readouterr().err
+        assert "endfier" in err and "yes" in err
+        cfg.write_text(GOOD_CONFIG.replace("kind = linear", "kind = lineer"))
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        assert "lineer" in capsys.readouterr().err
 
     def test_missing_scenario_and_config_rejected(self):
         assert main(["run"]) == 2

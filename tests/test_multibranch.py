@@ -1,12 +1,16 @@
 """Two-branch envelope dynamics: swap oscillation, spatial strong-coupling
-profile against the matrix exponential, and Manley-Rowe flux bookkeeping.
+profile against the matrix exponential, Manley-Rowe flux bookkeeping, the
+full (non-rotating-wave) channel set, Wigner replay, a pinned mixed run and
+the divergence report.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from cwom import DispersionSpec, Grid1D
-from cwom.dynamics import EndfireDrive, make_absorber
+from cwom.dynamics import DivergenceError, EndfireDrive, make_absorber
 from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
                               MultiBranchSystem, PhononConfig, evolve_multibranch)
 from cwom.strongcoupling import build_matrix, eigenvalues
@@ -208,3 +212,125 @@ class TestSystemValidation:
         assert len(rwa.photon_channels) < len(full.photon_channels)
         assert all(ch.resonant for ch in rwa.photon_channels)
         assert all(ch.resonant for ch in rwa.phonon_channels)
+
+
+def mixed_system(sampling):
+    """Frozen pump, driven damped signal, damped thermal phonon, absorber."""
+    grid = Grid1D(128, 1.0)
+    branches = (
+        BranchConfig("pump", DispersionSpec.flat(0.0), frozen=True),
+        BranchConfig("signal", DispersionSpec.linear(2.0), frame_omega=5.0,
+                     kappa=0.04, drive=EndfireDrive(alpha_in=0.5, inlet_cell=8)),
+    )
+    phonon = PhononConfig(DispersionSpec.linear(1.0), frame_omega=5.0,
+                          gamma=0.03, n_th=0.2)
+    g0 = np.array([[0.0, 0.07], [0.07, 0.0]])
+    absorber = make_absorber(grid, speed=2.0, width_fraction=0.1, opacity=10.0)
+    system = MultiBranchSystem(grid, branches, phonon, g0, rotating_wave=True,
+                               sampling=sampling, absorber=absorber)
+    state = MultiBranchState(grid, [np.full(128, 1.0 + 0.5j),
+                                    np.zeros(128, complex)],
+                             np.zeros(128, complex))
+    return system, state
+
+
+def run_steps(system, state, dt, n_steps, seed=None):
+    rng = np.random.default_rng(seed) if seed is not None else None
+    work = state.copy()
+    stepper = MultiBranchStepper(system, dt)
+    for i in range(n_steps):
+        stepper.step_inplace(work, rng=rng, step_index=i)
+    return work
+
+
+class TestFullChannelSet:
+    def test_closed_photon_number_drift_is_high_order(self):
+        # rotating_wave=False keeps every channel: some carry a time phase
+        # W, some a spatial phase K, two are resonant. The photon coupling
+        # matrix is Hermitian for any b, so sum_j N_j is conserved by the
+        # exact flow; the split step's drift must be small and shrink fast.
+        grid = Grid1D(32, 1.0)
+        dk = grid.dk
+        branches = (BranchConfig("a", DispersionSpec.linear(1.0)),
+                    BranchConfig("b", DispersionSpec.linear(-0.5),
+                                 frame_omega=1.5, frame_k=dk))
+        phonon = PhononConfig(DispersionSpec.flat(0.3), frame_omega=1.5,
+                              frame_k=dk)
+        g = 0.3 * np.exp(0.6j)
+        g0 = np.array([[0.2, g], [np.conj(g), -0.1]])
+        system = MultiBranchSystem(grid, branches, phonon, g0,
+                                   rotating_wave=False)
+        channels = system.photon_channels
+        assert any(ch.W != 0.0 for ch in channels)
+        assert any(ch.spatial is not None for ch in channels)
+        assert any(ch.resonant for ch in channels)
+        x = grid.x_axis
+        state = MultiBranchState(
+            grid, [np.exp(1j * dk * x) * (1 + 0.3 * np.cos(dk * x)),
+                   0.7 * np.exp(-2j * dk * x) + 0.2],
+            0.8 * np.exp(3j * dk * x) + 0.4)
+
+        def drift(dt):
+            final = run_steps(system, state, dt, int(round(10.0 / dt)))
+            n0 = state.photon_number(0) + state.photon_number(1)
+            return abs(final.photon_number(0) + final.photon_number(1) - n0) / n0
+
+        coarse, fine = drift(0.02), drift(0.01)
+        assert coarse < 1e-8, coarse
+        assert fine * 8.0 < coarse, (coarse, fine)
+
+
+class TestWignerSampling:
+    def test_seed_replays_and_frozen_row_is_untouched(self):
+        system, state = mixed_system("wigner")
+        first = run_steps(system, state, 0.05, 60, seed=11)
+        second = run_steps(system, state, 0.05, 60, seed=11)
+        other = run_steps(system, state, 0.05, 60, seed=12)
+        for j in range(2):
+            assert np.array_equal(first.fields[j], second.fields[j])
+        assert np.array_equal(first.b, second.b)
+        assert not np.array_equal(first.b, other.b)  # noise was drawn
+        assert np.array_equal(first.fields[0], state.fields[0])
+
+
+class TestPinnedMixedRun:
+    # Recorded from the per-field form of the stepper (each field
+    # transformed and integrated on its own): frozen pump, Wigner noise,
+    # end-fire deposit with inlet vacuum, absorber, seed 5, 200 steps.
+    CELLS = (6, 12, 20, 60, 120)
+    SIGNAL = ((0.30353362517629434 + 0.15718171086001684j),
+              (-0.31510363735534724 - 0.4491496504324417j),
+              (0.16959517169960803 - 0.5137508706577555j),
+              (0.19887059660901596 - 0.03676709034873724j),
+              (0.04850254092901782 - 0.12508020591741767j))
+    PHONON = ((-0.0809163825203951 - 0.14990108788107054j),
+              (0.3455179854112602 + 0.10325053191305157j),
+              (0.2894038553953233 - 0.032202269414653026j),
+              (-0.356191751168052 + 0.29436147017339326j),
+              (0.04027897413822759 + 0.034724084277526386j))
+
+    def test_matches_recorded_values(self):
+        system, state = mixed_system("wigner")
+        final = run_steps(system, state, 0.05, 200, seed=5)
+        cells = list(self.CELLS)
+        for got, want in ((final.fields[1][cells], self.SIGNAL),
+                          (final.b[cells], self.PHONON)):
+            want = np.asarray(want)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), got
+
+
+class TestDivergenceReport:
+    def test_nan_reports_finite_maxima(self):
+        grid = Grid1D(16, 1.0)
+        system = swap_system(grid, 1e-3, Omega=4.0, frozen_pump=True)
+        pump = np.full(16, 10.0, complex)
+        pump[3] = np.nan
+        state = MultiBranchState(grid, [pump, np.full(16, 1.0, complex)],
+                                 np.zeros(16, complex))
+        with pytest.raises(DivergenceError) as err:
+            evolve_multibranch(system, state, dt=0.01, n_steps=5)
+        assert err.value.step_index == 0
+        found = re.search(r"max\|a\| = (\S+), max\|b\| = (\S+);", str(err.value))
+        max_a, max_b = float(found.group(1)), float(found.group(2))
+        assert max_a == pytest.approx(10.0, rel=1e-3)
+        assert np.isfinite(max_b)

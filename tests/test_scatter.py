@@ -5,9 +5,8 @@ plane-wave cross-check against the real-space interaction.
 import numpy as np
 import pytest
 
-from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D, interaction_rhs
-from cwom.scatter import (BranchSet, backward_amplitude, forward_amplitude,
-                          vertex_amplitude)
+from cwom import CouplingSet, FieldState, Grid1D, interaction_rhs
+from cwom.scatter import backward_amplitude, forward_amplitude, vertex_amplitude
 
 
 class TestWorkedValues:
@@ -86,19 +85,3 @@ class TestSpectralCrossCheck:
         assert abs(got_plus - want_plus) < 1e-10 * scale
         assert abs(got_minus - want_minus) < 1e-10 * scale
 
-
-class TestBranchSet:
-    def test_hermitian_enforced(self, grid64):
-        disp = DispersionSpec.linear(1.0)
-        with pytest.raises(ValueError):
-            BranchSet(branches=((disp, "1"), (disp, "2")),
-                      g0_matrix=[[0.0, 1.0], [2.0, 0.0]])
-
-    def test_valid_two_branch(self):
-        disp = DispersionSpec.linear(1.0)
-        g = 1e3 * np.exp(0.3j)
-        bs = BranchSet(branches=((disp, "pump"), (disp, "signal")),
-                       g0_matrix=[[0.0, np.conj(g)], [g, 0.0]])
-        assert bs.n_branches == 2
-        assert bs.coupling(1, 0) == g
-        assert bs.label(0) == "pump"
