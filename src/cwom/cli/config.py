@@ -2,14 +2,18 @@
 
 Every physical quantity carries a unit suffix checked against the schema
 (`Gamma = 6.28e6 /s`); dimensionless keys use no suffix. Enumerated keys
-(dispersion kind, drive mode, absorber, sampling) accept only their
-declared values. Unknown sections or keys are rejected, and validation
-reports every offending entry at once rather than stopping at the first.
+(dispersion kind, coupling sector, drive mode, absorber, sampling, array
+coupling kind) accept only their declared values. Unknown sections or
+keys are rejected, and validation reports every offending entry at once
+rather than stopping at the first.
 Unit bugs dominate this domain, so the parser refuses to guess.
 """
 
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..core.couplings import SECTORS
+from ..lattice import COUPLING_KINDS
 
 SCENARIOS = ("custom", "comb", "backward_gain", "intermodal_swap",
              "array_convergence", "regime_sweep")
@@ -31,7 +35,7 @@ SCHEMA = {
         "omega0": ("float", "rad/s"), "coeffs": ("list", "SI"),
     },
     "couplings": {
-        "sector": ("str", None),
+        "sector": ("enum", SECTORS),
         "g_ppp": ("float", "Hz*m^(1/2)"), "g_mmp": ("float", "Hz*m^(5/2)"),
         "g_mpm": ("complex", "Hz*m^(5/2)"), "g_ppm": ("float", "Hz*m^(3/2)"),
         "g_mpp": ("complex", "Hz*m^(3/2)"), "g_mmm": ("float", "Hz*m^(7/2)"),
@@ -80,7 +84,7 @@ SCHEMA = {
         "orders": ("int", "1"), "periods": ("float", "1"),
     },
     "array": {
-        "kind": ("str", None), "sizes": ("list", "1"),
+        "kind": ("enum", COUPLING_KINDS), "sizes": ("list", "1"),
         "length": ("float", "m"), "curvature": ("float", "m^2/s"),
         "g_cont": ("float", "Hz*m^(1/2)"), "t_total": ("float", "s"),
         "n_ref": ("int", "1"),

@@ -3,9 +3,6 @@
     cwom run --scenario regime_sweep --output out/
     cwom run --config my_run.cfg --output out/ --seed 7 --trajectories 16
     cwom run --config my_run.cfg --validate-only
-
-Thread count for ensemble execution can be overridden with the
-CWOM_THREADS environment variable.
 """
 
 import argparse

@@ -30,6 +30,7 @@ EVEN_NAMES = ("g_ppp", "g_mmp", "g_mpm")
 ODD_NAMES = ("g_ppm", "g_mpp", "g_mmm")
 REAL_NAMES = ("g_ppp", "g_mmp", "g_ppm", "g_mmm")
 DERIVATIVE_NAMES = ("g_mmp", "g_mpm", "g_ppm", "g_mpp", "g_mmm")
+SECTORS = ("even", "odd", "mixed")
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,3 @@ class FieldState:
 
     def copy(self) -> "FieldState":
         return replace(self, a=self.a.copy(), b=self.b.copy())
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b)))

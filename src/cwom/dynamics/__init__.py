@@ -7,16 +7,16 @@ from .boundary import (AbsorberProfile, BoundaryError, DepositPlan,
 from .drive import DriveSpec, EndfireDrive, SideDrive
 from .rng import trajectory_generator
 from .stepper import (DispersionPair, DivergenceError, Stepper, Trajectory,
-                      default_workers, evolve, make_energy_observer,
+                      evolve, make_energy_observer,
                       observe_phonon_number, observe_photon_number,
-                      observe_snapshot, run_ensemble, stability_bound, step)
+                      observe_snapshot, run_ensemble, stability_bound)
 
 __all__ = [
     "BathSpec", "sample_noise_field", "AbsorberProfile", "BoundaryError",
     "DepositPlan", "ResolutionWarning", "absorbing_layer", "boundary_velocity",
     "inject_boundary", "make_absorber", "DriveSpec", "EndfireDrive", "SideDrive",
     "trajectory_generator", "DispersionPair", "DivergenceError", "Stepper",
-    "Trajectory", "default_workers", "evolve", "make_energy_observer",
+    "Trajectory", "evolve", "make_energy_observer",
     "observe_phonon_number", "observe_photon_number", "observe_snapshot",
-    "run_ensemble", "stability_bound", "step",
+    "run_ensemble", "stability_bound",
 ]

@@ -1,27 +1,32 @@
-"""Time evolution: Strang-split spectral integrator with damping, drive,
-and Langevin noise.
+"""Time evolution: one Strang split-step core with damping, drive, and
+Langevin noise, and the waveguide model built on it.
 
-Step layout (one dt):
+Step layout (one dt), shared by every solver in the package:
 
-    half free evolution (exact k-space rotation of both fields)
+    half free evolution (exact k-space rotation of the live rows)
     middle substep over dt:
         RK4 on interaction + damping + side drive   (4th order, explicit)
-        Euler-Maruyama bulk noise increments        (if sampling)
-        end-fire source deposit + inlet vacuum      (if driven)
+        Euler-Maruyama noise increments             (if Wigner sampling)
+        end-fire source deposits + inlet vacuum     (if driven)
         absorbing-layer decay                       (if configured)
+        finiteness guard
     half free evolution
 
 The splitting is symmetric, hence 2nd order overall (Strang, SIAM J.
 Numer. Anal. 5, 506 (1968)); the explicit middle substep keeps the
-non-diagonal derivative couplings away from any implicit solve. Each half
-step is one batched forward/inverse transform pair over the stacked
-(a, b) array. Each RK4 stage evaluates the fused interaction right-hand
+non-diagonal derivative couplings away from any implicit solve.
+:class:`SplitStepper` runs this step on one stacked complex array of shape
+(rows, n): each half step is one batched forward/inverse transform pair
+over the live rows, and the RK4 substep is whole-array arithmetic on the
+right-hand side a model fills row by row. The waveguide model
+:class:`Stepper` stacks (a, b); the multi-branch, lattice and linearized
+models (``multibranch``, ``lattice``, ``steady``) are its siblings. Each
+RK4 stage of :class:`Stepper` evaluates the fused interaction right-hand
 side: 8 transforms when derivative couplings are present, none for a
 pointwise set. All stochastic draws come from one Generator in a fixed
 order, so a seed pins the whole trajectory bit-for-bit.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -37,8 +42,6 @@ from .bath import BathSpec, sample_noise_field
 from .boundary import AbsorberProfile, DepositPlan
 from .drive import DriveSpec, EndfireDrive, SideDrive
 from .rng import trajectory_generator
-
-THREADS_ENV_VAR = "CWOM_THREADS"
 
 
 class DivergenceError(RuntimeError):
@@ -61,6 +64,108 @@ class DivergenceError(RuntimeError):
 def _max_finite_abs(values) -> float:
     finite = values[np.isfinite(values)]
     return float(np.max(np.abs(finite))) if finite.size else np.inf
+
+
+@dataclass
+class Trajectory:
+    """Observables recorded along one run, plus the final state."""
+
+    times: np.ndarray
+    records: dict
+    final_state: object
+    dt: float = 0.0
+    n_steps: int = 0
+
+
+class SplitStepper:
+    """Strang step over a stacked complex state ``y`` of shape (rows, n).
+
+    A model subclass calls ``__init__`` first (it validates dt), then sets
+    ``_half``, the half-step phase rows of ``y[live]``. It supplies
+    ``_rhs(y, t)``, the interaction + damping derivative of every row as
+    one (rows, n) array, and may override ``_pack``/``_unpack`` (default:
+    a state with fields ``a`` and ``b``), ``photon_rows`` (the leading rows
+    the divergence report counts as photon fields), and its kick: by
+    default Wigner noise on the ``_damped`` rows (row, rate, occupation),
+    then the ``_deposits`` (row, DepositPlan). Rows outside ``live`` (frozen
+    fields) skip the half steps and the absorber.
+    """
+
+    photon_rows = 1
+    _damped = ()
+    _deposits = ()
+
+    def __init__(self, grid, dt: float, live=slice(None),
+                 absorber: AbsorberProfile = None, wigner: bool = False):
+        if dt is None or dt <= 0:
+            raise ValueError("dt must be positive")
+        self.grid = grid
+        self.dt = dt
+        self._live = live
+        self._wigner = wigner
+        self._decay = absorber.decay_factors(dt) if absorber is not None else None
+
+    def _pack(self, state):
+        return np.stack((state.a, state.b))
+
+    def _unpack(self, y, state):
+        state.a, state.b = y
+
+    def _kick(self, y, t, rng):
+        dt = self.dt
+        if self._wigner:
+            for row, rate, occupation in self._damped:
+                y[row] += dt * sample_noise_field(self.grid, rate, occupation, dt, rng)
+        for row, plan in self._deposits:
+            # the deposit adds to holder.a in place, i.e. to the row of y
+            holder = FieldState(self.grid, y[row], y[-1], time=t)
+            plan.apply(holder, rng=rng, vacuum_noise=self._wigner)
+
+    def step_inplace(self, state, rng=None, step_index: int = 0):
+        if self._wigner and rng is None:
+            raise ValueError("Wigner sampling requires an rng")
+        dt, t, live = self.dt, state.time, self._live
+        y = self._pack(state)
+        y[live] = apply_phase(y[live], self._half)
+
+        k1 = self._rhs(y, t)
+        k2 = self._rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = self._rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = self._rhs(y + dt * k3, t + dt)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        self._kick(y, t, rng)
+        if self._decay is not None:
+            y[live] *= self._decay
+
+        if not np.isfinite(y).all():
+            p = self.photon_rows
+            raise DivergenceError.from_fields(step_index, t, y[:p], y[p:])
+
+        y[live] = apply_phase(y[live], self._half)
+        self._unpack(y, state)
+        state.time += dt
+        return state
+
+    def run(self, state, n_steps: int, observers: dict = None,
+            record_every: int = 1, rng: np.random.Generator = None) -> Trajectory:
+        """Step a copy of ``state`` ``n_steps`` times, recording observers.
+
+        The initial state is recorded first, then every ``record_every``
+        steps and after the last step. Observers are callables state ->
+        value, keyed by name.
+        """
+        observers = observers or {}
+        work = state.copy()
+        times = [work.time]
+        records = {name: [obs(work)] for name, obs in observers.items()}
+        for i in range(n_steps):
+            self.step_inplace(work, rng=rng, step_index=i)
+            if (i + 1) % record_every == 0 or i == n_steps - 1:
+                times.append(work.time)
+                for name, obs in observers.items():
+                    records[name].append(obs(work))
+        return Trajectory(times=np.asarray(times), records=records,
+                          final_state=work, dt=self.dt, n_steps=n_steps)
 
 
 @dataclass(frozen=True)
@@ -89,109 +194,43 @@ def stability_bound(state: FieldState, couplings: CouplingSet,
     return 0.5 / top
 
 
-class Stepper:
-    """Precomputed single-trajectory integrator for one configuration."""
+class Stepper(SplitStepper):
+    """Precomputed single-trajectory integrator for one configuration.
+
+    Rows of the stacked state: photon field a, phonon field b.
+    """
 
     def __init__(self, grid, couplings: CouplingSet, dispersions: DispersionPair,
                  bath: BathSpec = None, drive: DriveSpec = None,
                  absorber: AbsorberProfile = None, dt: float = None,
                  frame: Frame = None):
-        if dt is None or dt <= 0:
-            raise ValueError("dt must be positive")
-        self.grid = grid
+        self.bath = bath if bath is not None else BathSpec()
+        super().__init__(grid, dt, absorber=absorber,
+                         wigner=self.bath.is_stochastic)
         self.couplings = couplings
         self.dispersions = dispersions
-        self.bath = bath if bath is not None else BathSpec()
         self.drive = drive
         self.absorber = absorber
-        self.dt = dt
         self._half = np.stack((dispersion_phase(dispersions.photon, grid, 0.5 * dt),
                                dispersion_phase(dispersions.phonon, grid, 0.5 * dt)))
-        self._decay = absorber.decay_factors(dt) if absorber is not None else None
-        self._deposit = None
+        self._damped = [d for d in ((0, self.bath.kappa, 0.0),
+                                    (1, self.bath.gamma_mech, self.bath.n_th))
+                        if d[1]]
         if isinstance(drive, EndfireDrive):
-            self._deposit = DepositPlan(grid, dispersions.photon, drive,
-                                        frame if frame is not None else Frame.lab(),
-                                        dt)
+            self._deposits = [(0, DepositPlan(
+                grid, dispersions.photon, drive,
+                frame if frame is not None else Frame.lab(), dt))]
 
-    # -- middle substep -------------------------------------------------
-
-    def _deterministic_rhs(self, a, b, t):
-        state = FieldState(self.grid, a, b, time=t)
-        da, db = interaction_rhs(state, self.couplings)
-        if self.bath.kappa:
-            da = da - 0.5 * self.bath.kappa * a
-        if self.bath.gamma_mech:
-            db = db - 0.5 * self.bath.gamma_mech * b
+    def _rhs(self, y, t):
+        dy = np.empty_like(y)
+        dy[0], dy[1] = interaction_rhs(FieldState(self.grid, y[0], y[1], time=t),
+                                       self.couplings)
+        for row, rate, _ in self._damped:
+            dy[row] -= 0.5 * rate * y[row]
         if isinstance(self.drive, SideDrive):
-            da = da + np.sqrt(self.drive.kappa_ex) * self.drive.profile(
+            dy[0] += np.sqrt(self.drive.kappa_ex) * self.drive.profile(
                 self.grid.x_axis, t)
-        return da, db
-
-    def _middle(self, state: FieldState, rng):
-        dt = self.dt
-        a, b, t = state.a, state.b, state.time
-        k1a, k1b = self._deterministic_rhs(a, b, t)
-        k2a, k2b = self._deterministic_rhs(a + 0.5 * dt * k1a, b + 0.5 * dt * k1b,
-                                           t + 0.5 * dt)
-        k3a, k3b = self._deterministic_rhs(a + 0.5 * dt * k2a, b + 0.5 * dt * k2b,
-                                           t + 0.5 * dt)
-        k4a, k4b = self._deterministic_rhs(a + dt * k3a, b + dt * k3b, t + dt)
-        state.a = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        state.b = b + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
-
-        if self.bath.is_stochastic:
-            if self.bath.kappa:
-                state.a += dt * sample_noise_field(self.grid, self.bath.kappa,
-                                                   0.0, dt, rng)
-            if self.bath.gamma_mech:
-                state.b += dt * sample_noise_field(self.grid, self.bath.gamma_mech,
-                                                   self.bath.n_th, dt, rng)
-        if self._deposit is not None:
-            self._deposit.apply(state, rng=rng,
-                                vacuum_noise=self.bath.is_stochastic)
-        if self._decay is not None:
-            state.a *= self._decay
-            state.b *= self._decay
-
-    def _free_half(self, state: FieldState):
-        state.a, state.b = apply_phase(np.stack((state.a, state.b)), self._half)
-
-    def step_inplace(self, state: FieldState, rng=None, step_index: int = 0):
-        self._free_half(state)
-        self._middle(state, rng)
-        self._free_half(state)
-        state.time += self.dt
-        if not (np.isfinite(state.a[0]) and np.isfinite(state.b[0])) \
-                or not state.is_finite():
-            raise DivergenceError.from_fields(step_index, state.time, state.a,
-                                              state.b)
-        return state
-
-
-def step(state: FieldState, couplings: CouplingSet, dispersions: DispersionPair,
-         bath: BathSpec = None, drive: DriveSpec = None, dt: float = None,
-         rng: np.random.Generator = None,
-         absorber: AbsorberProfile = None) -> FieldState:
-    """Advance one Strang step and return the new state.
-
-    Deterministic given the rng state; raises :class:`DivergenceError` on
-    non-finite fields.
-    """
-    stepper = Stepper(state.grid, couplings, dispersions, bath=bath, drive=drive,
-                      absorber=absorber, dt=dt, frame=state.frame)
-    return stepper.step_inplace(state.copy(), rng=rng)
-
-
-@dataclass
-class Trajectory:
-    """Observables recorded along one run, plus the final state."""
-
-    times: np.ndarray
-    records: dict
-    final_state: FieldState
-    dt: float = 0.0
-    n_steps: int = 0
+        return dy
 
 
 def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPair,
@@ -207,29 +246,24 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     bath = bath if bath is not None else BathSpec()
-    observers = observers or {}
-    work = state.copy()
-    if n_steps > 0:
-        if dt is None or dt <= 0:
-            raise ValueError("dt must be positive")
-        if enforce_stability:
-            bound = stability_bound(work, couplings, dispersions, bath)
-            if dt > bound:
-                raise ValueError(
-                    f"dt = {dt:.3e} s exceeds the stability bound {bound:.3e} s; "
-                    "reduce dt or pass enforce_stability=False")
-        stepper = Stepper(work.grid, couplings, dispersions, bath=bath, drive=drive,
-                          absorber=absorber, dt=dt, frame=work.frame)
-    times = [work.time]
-    records = {name: [obs(work)] for name, obs in observers.items()}
-    for i in range(n_steps):
-        stepper.step_inplace(work, rng=rng, step_index=i)
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            times.append(work.time)
-            for name, obs in observers.items():
-                records[name].append(obs(work))
-    return Trajectory(times=np.asarray(times), records=records, final_state=work,
-                      dt=dt or 0.0, n_steps=n_steps)
+    if n_steps == 0:
+        work = state.copy()
+        return Trajectory(times=np.asarray([work.time]),
+                          records={name: [obs(work)]
+                                   for name, obs in (observers or {}).items()},
+                          final_state=work, dt=dt or 0.0)
+    if dt is None or dt <= 0:
+        raise ValueError("dt must be positive")
+    if enforce_stability:
+        bound = stability_bound(state, couplings, dispersions, bath)
+        if dt > bound:
+            raise ValueError(
+                f"dt = {dt:.3e} s exceeds the stability bound {bound:.3e} s; "
+                "reduce dt or pass enforce_stability=False")
+    stepper = Stepper(state.grid, couplings, dispersions, bath=bath, drive=drive,
+                      absorber=absorber, dt=dt, frame=state.frame)
+    return stepper.run(state, n_steps, observers=observers,
+                       record_every=record_every, rng=rng)
 
 
 # -- standard observers ----------------------------------------------------
@@ -255,26 +289,14 @@ def observe_snapshot(state: FieldState) -> FieldState:
 
 # -- ensembles --------------------------------------------------------------
 
-def default_workers() -> int:
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def run_ensemble(run_one: Callable[[np.random.Generator, int], object],
                  n_trajectories: int, base_seed: int,
-                 workers: int = None) -> list:
+                 workers: int = 1) -> list:
     """Run ``run_one(rng, index)`` for each trajectory with its own stream.
 
     Streams are keyed by (base_seed, index); results come back ordered by
     index regardless of scheduling, so fixed seeds replay identically.
     """
-    if workers is None:
-        workers = default_workers()
     indices = range(n_trajectories)
     if workers <= 1:
         return [run_one(trajectory_generator(base_seed, i), i) for i in indices]

@@ -99,15 +99,13 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
     absorber = make_absorber(grid, speed=v_fast, width_fraction=0.1, opacity=10.0)
     system = MultiBranchSystem(grid, branches, phonon, g0, rotating_wave=True,
                                absorber=absorber)
-    state = MultiBranchState.vacuum(grid, 2)
-    stepper = MultiBranchStepper(system, dt)
     # The phonon field relaxes gain length by gain length, so the cw
     # steady state needs several phonon lifetimes per accumulated e-fold,
     # not just a few transit times.
     settle = (n_transits * grid.length / min(v1, v2)
               + (6.0 * target_efolds + 8.0) / Gamma)
-    for i in range(int(np.ceil(settle / dt))):
-        stepper.step_inplace(state, step_index=i)
+    state = MultiBranchStepper(system, dt).run(
+        MultiBranchState.vacuum(grid, 2), int(np.ceil(settle / dt))).final_state
 
     x = grid.x_axis
     omega2 = omega1 - Omega_sym
@@ -284,9 +282,7 @@ def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
                              np.zeros(n_points, complex))
     dt = 0.9 * 0.5 / (max(v2, vb) * np.pi / grid.dx)
     n_steps = int(np.ceil(2.6 * grid.length / (min(v2, vb) * dt)))
-    stepper = MultiBranchStepper(system, dt)
-    for i in range(n_steps):
-        stepper.step_inplace(state, step_index=i)
+    state = MultiBranchStepper(system, dt).run(state, n_steps).final_state
 
     report = classify(g12, v2, vb, gamma2, gamma_b)
     x0 = 40

@@ -20,6 +20,11 @@ with no first-derivative (odd-sector) photon terms: they cancel by the
 inversion symmetry of the link geometry. The prefactors complete the
 expansion in closed form; the array-vs-continuum convergence study in the
 test suite confirms them numerically at second order.
+
+:class:`LatticeStepper` is a model of the shared split-step core
+(:class:`cwom.dynamics.stepper.SplitStepper`) over the stacked (a, b)
+site amplitudes: the tunneling bands give the exact half-step phases, and
+its kick draws per-site Wigner noise.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +34,8 @@ import numpy as np
 from .core.couplings import CouplingSet
 from .core.fields import FieldState
 from .core.grid import Grid1D
-from .dynamics.stepper import DivergenceError
+from .dynamics.bath import SAMPLING_MODES
+from .dynamics.stepper import SplitStepper
 
 COUPLING_KINDS = ("site", "link")
 
@@ -126,68 +132,45 @@ def _link_rhs(a, b, g0):
     return da, db
 
 
-class LatticeStepper:
-    """Strang-split integrator for the array: exact tunneling half-steps in
-    k-space, explicit RK4 interaction + damping, Euler-Maruyama site noise.
+class LatticeStepper(SplitStepper):
+    """Split-step model of the array: exact tunneling half-steps in k-space,
+    explicit RK4 interaction + damping, Euler-Maruyama site noise.
+
+    Rows of the stacked state: site photon amplitudes, site phonon
+    amplitudes.
     """
 
     def __init__(self, config: ArrayConfig, dt: float, sampling: str = "none"):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if sampling not in SAMPLING_MODES:
+            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
+        super().__init__(None, dt, wigner=sampling == "wigner")
         self.config = config
-        self.dt = dt
-        self.sampling = sampling
         self._half = np.exp(-0.5j * np.stack((config.photon_band(),
                                                config.phonon_band())) * dt)
+        self._damped = [d for d in ((0, config.kappa, 0.0),
+                                    (1, config.Gamma, config.n_th)) if d[1]]
 
-    def _interaction(self, a, b):
+    def _rhs(self, y, t):
         cfg = self.config
-        da = np.zeros_like(a)
-        db = np.zeros_like(b)
-        if cfg.g0_site:
-            sa, sb = _site_rhs(a, b, cfg.g0_site)
-            da += sa
-            db += sb
-        if cfg.g0_link:
-            la, lb = _link_rhs(a, b, cfg.g0_link)
-            da += la
-            db += lb
-        if cfg.kappa:
-            da -= 0.5 * cfg.kappa * a
-        if cfg.Gamma:
-            db -= 0.5 * cfg.Gamma * b
-        return da, db
+        dy = np.zeros_like(y)
+        for g0, rhs in ((cfg.g0_site, _site_rhs), (cfg.g0_link, _link_rhs)):
+            if g0:
+                da, db = rhs(y[0], y[1], g0)
+                dy[0] += da
+                dy[1] += db
+        for row, rate, _ in self._damped:
+            dy[row] -= 0.5 * rate * y[row]
+        return dy
 
-    def _free_half(self, state: LatticeState):
-        state.a, state.b = np.fft.ifft(
-            self._half * np.fft.fft(np.stack((state.a, state.b)), axis=-1), axis=-1)
-
-    def step_inplace(self, state: LatticeState, rng=None, step_index: int = 0):
-        dt = self.dt
-        self._free_half(state)
-        a0, b0 = state.a, state.b
-        k1a, k1b = self._interaction(a0, b0)
-        k2a, k2b = self._interaction(a0 + 0.5 * dt * k1a, b0 + 0.5 * dt * k1b)
-        k3a, k3b = self._interaction(a0 + 0.5 * dt * k2a, b0 + 0.5 * dt * k2b)
-        k4a, k4b = self._interaction(a0 + dt * k3a, b0 + dt * k3b)
-        state.a = a0 + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        state.b = b0 + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
-        if self.sampling == "wigner" and rng is not None:
-            n = self.config.n_sites
+    def _kick(self, y, t, rng):
+        if not self._wigner:
+            return
+        dt, n = self.dt, self.config.n_sites
+        for row, rate, occupation in self._damped:
             # per-site input-output noise: variance (n + 1/2)/dt per step
-            if self.config.kappa:
-                sig = np.sqrt(0.5 / (2.0 * dt))
-                state.a += dt * np.sqrt(self.config.kappa) * sig * (
-                    rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            if self.config.Gamma:
-                sig = np.sqrt((self.config.n_th + 0.5) / (2.0 * dt))
-                state.b += dt * np.sqrt(self.config.Gamma) * sig * (
-                    rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        if not (np.all(np.isfinite(state.a)) and np.all(np.isfinite(state.b))):
-            raise DivergenceError(step_index, state.time, np.inf, np.inf)
-        self._free_half(state)
-        state.time += dt
-        return state
+            sig = np.sqrt((occupation + 0.5) / (2.0 * dt))
+            y[row] += dt * np.sqrt(rate) * sig * (
+                rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def simulate_array(config: ArrayConfig, initial: LatticeState, dt: float,
@@ -196,16 +179,22 @@ def simulate_array(config: ArrayConfig, initial: LatticeState, dt: float,
     """Integrate the discrete model; optionally record site snapshots.
 
     Returns (final_state, snapshots) with snapshots a list of
-    (time, a_sites, b_sites) tuples when ``record_every`` > 0.
+    (time, a_sites, b_sites) tuples after every ``record_every`` steps
+    when ``record_every`` > 0.
     """
-    state = initial.copy()
     stepper = LatticeStepper(config, dt, sampling=sampling)
-    snapshots = []
-    for i in range(n_steps):
-        stepper.step_inplace(state, rng=rng, step_index=i)
-        if record_every and (i + 1) % record_every == 0:
-            snapshots.append((state.time, state.a.copy(), state.b.copy()))
-    return state, snapshots
+    if not record_every:
+        return stepper.run(initial, n_steps, rng=rng).final_state, []
+    traj = stepper.run(initial, n_steps, observers={"snap": _snapshot},
+                       record_every=record_every, rng=rng)
+    snapshots = traj.records["snap"][1:]
+    if n_steps % record_every:
+        snapshots.pop()  # the final state, recorded off the cadence
+    return traj.final_state, snapshots
+
+
+def _snapshot(state: LatticeState):
+    return state.time, state.a.copy(), state.b.copy()
 
 
 def to_continuum(a_sites, b_sites, dx_lattice: float) -> FieldState:

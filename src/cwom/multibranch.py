@@ -18,13 +18,13 @@ retains counter-rotating channels at the cost of resolving them in dt.
 Branch equations reuse the pointwise coupling only; derivative couplings
 are a single-branch feature of the core interaction.
 
-The stepper integrates one stacked array of shape (n_branches + 1, n),
-branch rows first and the phonon row last. A free half-step is a single
-batched forward/inverse transform pair over the rows that evolve (frozen
-branches are skipped), so a step costs 4 transforms however many
-branches there are; the RK4 substep updates all rows in whole-array
-expressions. ``MultiBranchState`` keeps the per-field view
-(``fields``, ``b``) for callers.
+:class:`MultiBranchStepper` is a model of the shared split-step core
+(:class:`cwom.dynamics.stepper.SplitStepper`): its stacked state has
+shape (n_branches + 1, n), branch rows first and the phonon row last.
+Frozen branches are left out of the live rows, so they skip the free
+half steps and the absorber and carry a zero derivative; a step costs 4
+transforms however many branches there are. ``MultiBranchState`` keeps
+the per-field view (``fields``, ``b``) for callers.
 """
 
 from dataclasses import dataclass
@@ -33,13 +33,12 @@ from typing import Optional
 import numpy as np
 
 from .core.dispersion import DispersionSpec
-from .core.fields import FieldState, Frame
+from .core.fields import Frame
 from .core.grid import Grid1D
-from .core.spectral import apply_phase, dispersion_phase
-from .dynamics.bath import sample_noise_field
+from .core.spectral import dispersion_phase
 from .dynamics.boundary import AbsorberProfile, DepositPlan
 from .dynamics.drive import EndfireDrive
-from .dynamics.stepper import DivergenceError
+from .dynamics.stepper import SplitStepper
 
 
 @dataclass(frozen=True)
@@ -175,56 +174,51 @@ def _snap(x: float, tol: float = 1e-9) -> float:
     return 0.0 if abs(x) < tol else x
 
 
-class MultiBranchStepper:
-    """Strang-split integrator over the stacked branch + phonon state.
+class MultiBranchStepper(SplitStepper):
+    """Split-step model of the stacked branch + phonon state.
 
-    A step works on one complex array ``y`` of shape (n_branches + 1, n):
-    the branch rows in order, then the phonon row. Each free half-step is
-    one batched forward/inverse transform pair over the live rows; frozen
-    branches never pass through the transform. The RK4 substep evaluates
-    every row at once, with frozen rows held by a zero derivative. Noise
-    draws, source deposits and the absorber follow in that order, so a
-    seeded Generator replays the run bit-for-bit.
+    Rows: the branches in order, then the phonon. The right-hand side
+    holds frozen rows by a zero derivative; the damped rows (each
+    non-frozen branch with kappa, then the phonon with gamma) draw Wigner
+    noise in that order, then each driven branch takes its deposit.
     """
 
     def __init__(self, system: MultiBranchSystem, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self.system = system
-        self.dt = dt
-        grid = system.grid
         branches = system.branches
-        self._half = np.stack(
-            [dispersion_phase(b.dispersion, grid, 0.5 * dt) for b in branches]
-            + [dispersion_phase(system.phonon.dispersion, grid, 0.5 * dt)])
         live = [j for j, b in enumerate(branches) if not b.frozen]
-        # rows the half-steps and the absorber act on
-        self._live = (slice(None) if len(live) == len(branches)
-                      else np.array(live + [len(branches)]))
-        self._half = self._half[self._live]
+        super().__init__(system.grid, dt,
+                         live=(slice(None) if len(live) == len(branches)
+                               else np.array(live + [len(branches)])),
+                         absorber=system.absorber,
+                         wigner=system.sampling == "wigner")
+        self.system = system
+        self.photon_rows = len(branches)
+        self._half = np.stack(
+            [dispersion_phase(b.dispersion, system.grid, 0.5 * dt) for b in branches]
+            + [dispersion_phase(system.phonon.dispersion, system.grid, 0.5 * dt)]
+        )[self._live]
         self._photon_terms = [(ch.j, ch.l, 1j * ch.g, ch.conjugate_b, ch.W,
                                ch.spatial)
                               for ch in system.photon_channels
                               if not branches[ch.j].frozen]
         self._phonon_terms = [(ch.j, ch.l, 1j * ch.g, ch.W, ch.spatial)
                               for ch in system.phonon_channels]
-        # (row, damping rate, thermal occupation) of each damped row, in
-        # the order of the Wigner noise draws
         self._damped = [(j, branches[j].kappa, 0.0) for j in live
                         if branches[j].kappa]
         if system.phonon.gamma:
             self._damped.append((len(branches), system.phonon.gamma,
                                  system.phonon.n_th))
-        self._wigner = system.sampling == "wigner"
-        self._decay = (system.absorber.decay_factors(dt)
-                       if system.absorber is not None else None)
-        self._deposits = []
-        for idx, branch in enumerate(branches):
-            if branch.drive is not None:
-                frame = Frame(branch.frame_omega, branch.frame_k)
-                self._deposits.append(
-                    (idx, DepositPlan(grid, branch.dispersion, branch.drive,
-                                      frame, dt)))
+        self._deposits = [
+            (j, DepositPlan(system.grid, b.dispersion, b.drive,
+                            Frame(b.frame_omega, b.frame_k), dt))
+            for j, b in enumerate(branches) if b.drive is not None]
+
+    def _pack(self, state: MultiBranchState):
+        return np.stack(state.fields + [state.b])
+
+    def _unpack(self, y, state: MultiBranchState):
+        state.fields = list(y[:-1])
+        state.b = y[-1]
 
     def _rhs(self, y, t):
         """Interaction + damping derivative of every row of ``y``."""
@@ -248,59 +242,3 @@ class MultiBranchStepper:
         for row, rate, _ in self._damped:
             dy[row] -= 0.5 * rate * y[row]
         return dy
-
-    def _free_half(self, y):
-        y[self._live] = apply_phase(y[self._live], self._half)
-
-    def step_inplace(self, state: MultiBranchState, rng=None, step_index: int = 0):
-        grid = self.system.grid
-        dt = self.dt
-        t = state.time
-        y = np.stack(state.fields + [state.b])
-        self._free_half(y)
-
-        k1 = self._rhs(y, t)
-        k2 = self._rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = self._rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = self._rhs(y + dt * k3, t + dt)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-        if self._wigner:
-            for row, rate, n_th in self._damped:
-                y[row] += dt * sample_noise_field(grid, rate, n_th, dt, rng)
-        for idx, plan in self._deposits:
-            # the deposit adds to holder.a in place, i.e. to the row of y
-            holder = FieldState(grid, y[idx], y[-1], time=t)
-            plan.apply(holder, rng=rng, vacuum_noise=self._wigner)
-        if self._decay is not None:
-            y[self._live] *= self._decay
-
-        if not np.isfinite(y).all():
-            raise DivergenceError.from_fields(step_index, t, y[:-1], y[-1])
-
-        self._free_half(y)
-        state.fields = list(y[:-1])
-        state.b = y[-1]
-        state.time += dt
-        return state
-
-
-def evolve_multibranch(system: MultiBranchSystem, state: MultiBranchState,
-                       dt: float, n_steps: int, observers: dict = None,
-                       record_every: int = 1, rng=None):
-    """Run the multibranch stepper; same recording contract as evolve()."""
-    from .dynamics.stepper import Trajectory
-
-    observers = observers or {}
-    work = state.copy()
-    stepper = MultiBranchStepper(system, dt)
-    times = [work.time]
-    records = {name: [obs(work)] for name, obs in observers.items()}
-    for i in range(n_steps):
-        stepper.step_inplace(work, rng=rng, step_index=i)
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            times.append(work.time)
-            for name, obs in observers.items():
-                records[name].append(obs(work))
-    return Trajectory(times=np.asarray(times), records=records, final_state=work,
-                      dt=dt, n_steps=n_steps)

@@ -14,6 +14,9 @@ conjugate partners tracked explicitly rather than assuming conjugacy. The
 linearization is generated mechanically from the bilinear interaction
 kernels, so every coupling constant of the full model is linearized, not
 only the pointwise one. Fluctuation boundaries carry no drive term.
+:class:`LinearizedStepper` integrates the doubled system as a model of the
+shared split-step core (:class:`cwom.dynamics.stepper.SplitStepper`), with
+rows (da, da*, db, db*).
 """
 
 from dataclasses import dataclass
@@ -25,11 +28,11 @@ from .core.couplings import CouplingSet
 from .core.fields import FieldState, Frame
 from .core.grid import Grid1D
 from .core.interaction import phonon_channel, photon_channel
-from .core.spectral import apply_phase, conjugate_dispersion_phase, dispersion_phase
+from .core.spectral import conjugate_dispersion_phase, dispersion_phase
 from .dynamics.bath import BathSpec
 from .dynamics.boundary import AbsorberProfile
 from .dynamics.drive import DriveSpec, EndfireDrive, SideDrive
-from .dynamics.stepper import DispersionPair, Stepper
+from .dynamics.stepper import DispersionPair, SplitStepper, Stepper
 
 
 class SteadyStateError(RuntimeError):
@@ -244,58 +247,41 @@ def linearized_rhs(fluct: FluctuationState, steady: SteadyState,
     return dda, dda_c, ddb, ddb_c
 
 
-class LinearizedStepper:
-    """Strang integrator for the doubled fluctuation system.
+class LinearizedStepper(SplitStepper):
+    """Split-step model of the doubled fluctuation system.
 
-    Each free half-step is one batched transform pair over the stacked
-    (da, da*, db, db*) array. No drive enters here: fluctuation boundaries
-    are drive-free by construction.
+    Rows of the stacked state: da, da*, db, db*. No drive and no noise
+    enter here: fluctuation boundaries are drive-free by construction.
     """
+
+    photon_rows = 2
 
     def __init__(self, steady: SteadyState, couplings: CouplingSet,
                  dispersions: DispersionPair, bath: BathSpec, dt: float,
                  absorber: AbsorberProfile = None):
+        super().__init__(steady.grid, dt, absorber=absorber)
         self.steady = steady
         self.couplings = couplings
         self.bath = bath
-        self.dt = dt
         grid = steady.grid
-        # phase rows in the (da, da*, db, db*) order of the stacked half-step
         self._half = np.stack((
             dispersion_phase(dispersions.photon, grid, 0.5 * dt),
             conjugate_dispersion_phase(dispersions.photon, grid, 0.5 * dt),
             dispersion_phase(dispersions.phonon, grid, 0.5 * dt),
             conjugate_dispersion_phase(dispersions.phonon, grid, 0.5 * dt)))
-        self._decay = absorber.decay_factors(dt) if absorber is not None else None
 
-    def _free_half(self, f: FluctuationState):
-        f.da, f.da_conj, f.db, f.db_conj = apply_phase(
-            np.stack((f.da, f.da_conj, f.db, f.db_conj)), self._half)
+    def _pack(self, f: FluctuationState):
+        return np.stack((f.da, f.da_conj, f.db, f.db_conj))
 
-    def step_inplace(self, f: FluctuationState):
-        dt = self.dt
-        self._free_half(f)
-        y0 = (f.da, f.da_conj, f.db, f.db_conj)
+    def _unpack(self, y, f: FluctuationState):
+        f.da, f.da_conj, f.db, f.db_conj = y
 
-        def rhs(y, t):
-            probe = FluctuationState(f.grid, *y, time=t)
-            return linearized_rhs(probe, self.steady, self.couplings, self.bath)
-
-        k1 = rhs(y0, f.time)
-        k2 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)), f.time + 0.5 * dt)
-        k3 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)), f.time + 0.5 * dt)
-        k4 = rhs(tuple(y + dt * k for y, k in zip(y0, k3)), f.time + dt)
-        out = tuple(y + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                    for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
-        f.da, f.da_conj, f.db, f.db_conj = out
-        if self._decay is not None:
-            f.da *= self._decay
-            f.da_conj *= self._decay
-            f.db *= self._decay
-            f.db_conj *= self._decay
-        self._free_half(f)
-        f.time += dt
-        return f
+    def _rhs(self, y, t):
+        dy = np.empty_like(y)
+        dy[0], dy[1], dy[2], dy[3] = linearized_rhs(
+            FluctuationState(self.grid, *y, time=t), self.steady, self.couplings,
+            self.bath)
+        return dy
 
 
 def evolve_linearized(fluct: FluctuationState, steady: SteadyState,
@@ -304,7 +290,4 @@ def evolve_linearized(fluct: FluctuationState, steady: SteadyState,
                       absorber: AbsorberProfile = None) -> FluctuationState:
     stepper = LinearizedStepper(steady, couplings, dispersions, bath, dt,
                                 absorber=absorber)
-    work = fluct.copy()
-    for _ in range(n_steps):
-        stepper.step_inplace(work)
-    return work
+    return stepper.run(fluct, n_steps).final_state

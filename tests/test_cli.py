@@ -192,6 +192,18 @@ class TestCliRuns:
                      str(tmp_path / "out")]) == 2
         assert "lineer" in capsys.readouterr().err
 
+    def test_sector_and_array_kind_typos_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("sector = even", "sector = evn"))
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        assert "evn" in capsys.readouterr().err
+        cfg.write_text("[scenario]\nname = array_convergence\n\n"
+                       "[array]\nkind = lnk\n")
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert "lnk" in capsys.readouterr().err
+
     def test_missing_scenario_and_config_rejected(self):
         assert main(["run"]) == 2
 

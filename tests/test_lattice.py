@@ -1,11 +1,13 @@
 """Discrete-array model: bands, mappings, conservation, link symmetry."""
 
+import re
+
 import numpy as np
 import pytest
 
 from cwom import FieldState, Grid1D
 from cwom.core.spectral import mode_amplitudes
-from cwom.dynamics import trajectory_generator
+from cwom.dynamics import DivergenceError, trajectory_generator
 from cwom import experiments
 from cwom.experiments import array_convergence_study
 from cwom.lattice import (ArrayConfig, LatticeState, LatticeStepper,
@@ -180,3 +182,63 @@ class TestConvergence:
         assert len(calls) == len(sizes) + 1
         assert sum(c.is_pointwise for c in calls) == 1
         assert np.all(np.isfinite(res.errors_pointwise_model))
+
+
+class TestPinnedLinkRun:
+    # Recorded from the per-model stepper: link coupling, next-nearest
+    # photon hopping, phonon hopping, damping, a photon frame offset.
+    CELLS = (0, 7, 19, 30, 47)
+    PHOTON = ((-0.1263192340115444 + 1.1585247734512312j),
+              (0.16997503970052935 + 0.22721924035917598j),
+              (0.33563775064675727 + 0.3378295686869395j),
+              (0.28384725844585895 - 0.21872501585545878j),
+              (0.01654026395824067 + 1.1653760819292067j))
+    PHONON = ((0.14087942229632489 - 0.16416860199416683j),
+              (0.2722534656839072 - 1.9848868605051193j),
+              (-2.8540724324387376 + 0.664061138706511j),
+              (0.36375829954675654 - 0.9384955794981544j),
+              (1.268266626456819 - 0.4563392797209893j))
+
+    def test_matches_recorded_values(self):
+        rng = np.random.default_rng(7)
+        config = ArrayConfig(n_sites=48, dx_lattice=0.5, J={1: 0.4, 2: 0.05},
+                             K={1: 0.1}, g0_link=0.2, kappa=0.02, Gamma=0.03,
+                             omega_frame=0.2)
+        init = LatticeState(rng.normal(size=48) + 1j * rng.normal(size=48),
+                            0.4 * (rng.normal(size=48) + 1j * rng.normal(size=48)))
+        final, _ = simulate_array(config, init, dt=2e-2, n_steps=400)
+        cells = list(self.CELLS)
+        for got, want in ((final.a[cells], self.PHOTON),
+                          (final.b[cells], self.PHONON)):
+            want = np.asarray(want)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), got
+
+
+class TestInputChecks:
+    def test_unknown_sampling_rejected(self):
+        config = ArrayConfig(n_sites=8, dx_lattice=1.0, Gamma=1.0, n_th=0.5)
+        with pytest.raises(ValueError, match="sampling"):
+            LatticeStepper(config, 0.01, sampling="wignr")
+
+    def test_wigner_sampling_without_rng_rejected(self):
+        config = ArrayConfig(n_sites=8, dx_lattice=1.0, Gamma=1.0, n_th=0.5)
+        init = LatticeState(np.zeros(8, complex), np.zeros(8, complex))
+        with pytest.raises(ValueError, match="rng"):
+            simulate_array(config, init, 0.01, 10, sampling="wigner", rng=None)
+
+
+class TestDivergenceReport:
+    def test_local_overflow_reports_finite_maxima(self):
+        # |a|^2 overflows on one site, so db turns NaN there during the
+        # middle substep; every other site stays finite
+        config = ArrayConfig(n_sites=16, dx_lattice=1.0, g0_site=1.0)
+        a = np.ones(16, complex)
+        a[3] = 1e160
+        init = LatticeState(a, np.zeros(16, complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                simulate_array(config, init, 1e-3, 5)
+        assert err.value.step_index == 0
+        found = re.search(r"max\|a\| = (\S+), max\|b\| = (\S+);", str(err.value))
+        assert np.isfinite(float(found.group(1)))
+        assert np.isfinite(float(found.group(2)))

@@ -12,7 +12,7 @@ import pytest
 from cwom import DispersionSpec, Grid1D
 from cwom.dynamics import DivergenceError, EndfireDrive, make_absorber
 from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
-                              MultiBranchSystem, PhononConfig, evolve_multibranch)
+                              MultiBranchSystem, PhononConfig)
 from cwom.strongcoupling import build_matrix, eigenvalues
 
 
@@ -328,7 +328,7 @@ class TestDivergenceReport:
         state = MultiBranchState(grid, [pump, np.full(16, 1.0, complex)],
                                  np.zeros(16, complex))
         with pytest.raises(DivergenceError) as err:
-            evolve_multibranch(system, state, dt=0.01, n_steps=5)
+            MultiBranchStepper(system, dt=0.01).run(state, n_steps=5)
         assert err.value.step_index == 0
         found = re.search(r"max\|a\| = (\S+), max\|b\| = (\S+);", str(err.value))
         max_a, max_b = float(found.group(1)), float(found.group(2))

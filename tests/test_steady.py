@@ -9,7 +9,7 @@ from cwom.dynamics import (BathSpec, DispersionPair, EndfireDrive, SideDrive,
 from cwom.steady import (FluctuationState, LinearizedStepper, SteadyState,
                          SteadyStateError, evolve_linearized, find_steady_state,
                          linearized_rhs, mean_field_residual)
-from cwom.dynamics.stepper import Stepper
+from cwom.dynamics.stepper import DivergenceError, Stepper
 
 
 def uniform_steady_setup(grid, g0=0.05, A=2.0, Omega0=1.0, kappa=0.3, gamma=0.5):
@@ -250,3 +250,51 @@ class TestLinearizedOperator:
                                 n_steps=200)
         assert np.max(np.abs(out.da_conj - np.conj(out.da))) < 1e-10
         assert np.max(np.abs(out.db_conj - np.conj(out.db))) < 1e-10
+
+
+    def test_non_finite_fluctuation_raises(self):
+        grid = Grid1D(32, 1.0)
+        steady, couplings, bath, _, Omega0 = uniform_steady_setup(grid)
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(Omega0))
+        da = np.zeros(32, complex)
+        da[5] = np.nan
+        f0 = FluctuationState.from_classical(grid, da, np.zeros(32))
+        with pytest.raises(DivergenceError) as err:
+            evolve_linearized(f0, steady, couplings, disp, bath, dt=0.01, n_steps=10)
+        assert err.value.step_index == 0
+
+class TestPinnedLinearizedRun:
+    # Recorded from the per-model stepper: even derivative couplings
+    # linearized about a modulated background, damping, absorber.
+    CELLS = (3, 30, 64, 100, 125)
+    PHOTON = ((-1.3587103668497251 - 0.9582194020898267j),
+              (-0.8322320718239948 - 0.08428500598574362j),
+              (0.17403654010777247 - 0.18449085519651595j),
+              (-0.23017979067744448 - 0.3968665620101151j),
+              (-0.2003163444942122 + 0.16941865315279916j))
+    PHONON = ((-1.9290494265343043 - 0.8685726060320278j),
+              (-0.0829705252029761 + 0.24027927139322536j),
+              (0.7865947390400059 + 0.5892893210330291j),
+              (-0.1452576332570411 + 0.10138217278083356j),
+              (0.1282158639309392 - 0.419238860950472j))
+
+    def test_matches_recorded_values(self):
+        grid = Grid1D(128, 0.7)
+        rng = np.random.default_rng(8)
+        steady = SteadyState.from_fields(
+            grid, 1.2 + 0.2 * np.cos(grid.dk * grid.x_axis), np.full(128, 0.1j),
+            0.08)
+        f0 = FluctuationState.from_classical(
+            grid, rng.normal(size=128) + 1j * rng.normal(size=128),
+            rng.normal(size=128) + 1j * rng.normal(size=128))
+        couplings = CouplingSet.even(g_ppp=0.08, g_mmp=0.02, g_mpm=0.01)
+        disp = DispersionPair(DispersionSpec.polynomial([0.0, 0.8, 0.1]),
+                              DispersionSpec.polynomial([1.0, 0.0, 0.05]))
+        out = evolve_linearized(f0, steady, couplings, disp,
+                                BathSpec(kappa=0.3, gamma_mech=0.5), dt=0.01,
+                                n_steps=300, absorber=make_absorber(grid, speed=0.8))
+        cells = list(self.CELLS)
+        for got, want in ((out.da[cells], self.PHOTON),
+                          (out.db[cells], self.PHONON)):
+            want = np.asarray(want)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), got

@@ -1,13 +1,16 @@
 """Strang integrator behavior: exactness limits, decay, order, replay."""
 
+import re
+
 import numpy as np
 import pytest
 
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
 from cwom.core.interaction import total_energy
-from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError, Stepper,
-                           evolve, make_energy_observer, observe_photon_number,
-                           run_ensemble, stability_bound, step)
+from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
+                           EndfireDrive, SideDrive, Stepper, evolve, make_absorber,
+                           make_energy_observer, observe_photon_number,
+                           run_ensemble, stability_bound)
 
 from conftest import random_band_limited
 
@@ -27,9 +30,10 @@ class TestFreeEvolution:
                         0.3 * np.exp(1j * k2 * grid64.x_axis))
         dt = 1e-3
         n0a, n0b = st.photon_number(), st.phonon_number()
-        out = st
+        out = st.copy()
+        stepper = Stepper(grid64, CouplingSet(), disp, dt=dt)
         for i in range(50):
-            out = step(out, CouplingSet(), disp, dt=dt)
+            stepper.step_inplace(out)
             assert abs(out.photon_number() - n0a) < 1e-12 * n0a
             assert abs(out.phonon_number() - n0b) < 1e-12 * max(n0b, 1e-30)
         t = out.time
@@ -158,3 +162,68 @@ class TestEvolveMachinery:
         bound = stability_bound(st, couplings, disp, BathSpec())
         with pytest.raises(ValueError, match="stability bound"):
             evolve(st, couplings, disp, dt=3.0 * bound, n_steps=10)
+
+
+class TestPinnedDrivenRun:
+    # Recorded from the per-model stepper: even derivative couplings with a
+    # complex g_mpm, Wigner noise, end-fire drive with inlet vacuum,
+    # absorber, seed 11, 200 steps.
+    CELLS = (6, 12, 40, 90, 120)
+    PHOTON = ((0.5441487638749719 + 0.7355740051679096j),
+              (0.4519897277076831 + 0.9559953169934415j),
+              (-0.19116236596643754 - 0.19800382505278j),
+              (0.6548006709636612 + 0.24161021847824682j),
+              (-0.17695179744704848 + 0.05229473454831296j))
+    PHONON = ((0.42231700714127585 - 0.5153097624208359j),
+              (0.672205555471982 - 0.23828096787311528j),
+              (0.34151492770488256 - 0.24774631015914667j),
+              (-0.4752306928393779 - 0.4188144958704245j),
+              (0.07417135323144229 - 0.005834546205727931j))
+
+    def test_matches_recorded_values(self):
+        grid = Grid1D(128, 0.5)
+        rng = np.random.default_rng(3)
+        a0 = 0.3 * (rng.normal(size=128) + 1j * rng.normal(size=128))
+        b0 = 0.2 * (rng.normal(size=128) + 1j * rng.normal(size=128))
+        disp = DispersionPair(DispersionSpec.linear(1.0),
+                              DispersionSpec.polynomial([2.0, 0.1, 0.05]))
+        couplings = CouplingSet.even(g_ppp=0.2, g_mmp=0.01, g_mpm=0.004 + 0.002j)
+        bath = BathSpec(kappa=0.05, gamma_mech=0.08, n_th=0.3, sampling="wigner")
+        traj = evolve(FieldState(grid, a0, b0), couplings, disp, bath=bath,
+                      drive=EndfireDrive(alpha_in=0.4, inlet_cell=6), dt=0.05,
+                      n_steps=200, absorber=make_absorber(grid, speed=1.0),
+                      rng=np.random.default_rng(11))
+        cells = list(self.CELLS)
+        for got, want in ((traj.final_state.a[cells], self.PHOTON),
+                          (traj.final_state.b[cells], self.PHONON)):
+            want = np.asarray(want)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), got
+
+
+class TestInputChecks:
+    def test_wigner_sampling_without_rng_rejected(self, grid64):
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(1.0))
+        bath = BathSpec(gamma_mech=1.0, n_th=0.5, sampling="wigner")
+        stepper = Stepper(grid64, CouplingSet(), disp, bath=bath, dt=1e-2)
+        with pytest.raises(ValueError, match="rng"):
+            stepper.step_inplace(FieldState.vacuum(grid64))
+
+
+class TestDivergenceReport:
+    def test_one_cell_nan_reports_finite_maxima(self, grid64):
+        # the side drive puts a NaN into one cell of a during the middle
+        # substep; the report must name the largest finite |a|, not inf
+        def profile(x, t):
+            out = np.zeros(x.size, complex)
+            out[3] = np.nan
+            return out
+
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(0.0))
+        stepper = Stepper(grid64, CouplingSet(), disp,
+                          drive=SideDrive(kappa_ex=1.0, profile=profile), dt=1e-2)
+        state = FieldState(grid64, np.full(64, 2.0 + 0j), np.full(64, 0.5 + 0j))
+        with pytest.raises(DivergenceError) as err:
+            stepper.step_inplace(state)
+        found = re.search(r"max\|a\| = (\S+), max\|b\| = (\S+);", str(err.value))
+        assert float(found.group(1)) == pytest.approx(2.0, rel=1e-3)
+        assert float(found.group(2)) == pytest.approx(0.5, rel=1e-3)
