@@ -4,8 +4,8 @@ Every physical quantity carries a unit suffix checked against the schema
 (`Gamma = 6.28e6 /s`); dimensionless keys use no suffix. Enumerated keys
 (dispersion kind, coupling sector, drive mode, absorber, sampling, array
 coupling kind) accept only their declared values. Unknown sections or
-keys are rejected, and validation reports every offending entry at once
-rather than stopping at the first.
+keys are rejected, step counts must be positive, and validation reports
+every offending entry at once rather than stopping at the first.
 Unit bugs dominate this domain, so the parser refuses to guess.
 """
 
@@ -48,7 +48,7 @@ SCHEMA = {
     "drive": {
         "mode": ("enum", ("none", "endfire")), "alpha_in": ("complex", "s^(-1/2)"),
         "omega_L": ("float", "rad/s"), "k_L": ("float", "rad/m"),
-        "inlet_cell": ("int", "1"), "kappa_ex": ("float", "/s"),
+        "inlet_cell": ("int", "1"),
     },
     "integration": {
         "dt": ("float", "s"), "t_total": ("float", "s"),
@@ -90,6 +90,9 @@ SCHEMA = {
         "n_ref": ("int", "1"),
     },
 }
+
+# int keys that count steps and must be at least 1
+POSITIVE_INTS = {("integration", "record_every")}
 
 
 class ConfigError(ValueError):
@@ -152,7 +155,12 @@ def _parse_value(section, key, raw, problems):
             return None
     try:
         if kind == "int":
-            return int(token)
+            value = int(token)
+            if (section, key) in POSITIVE_INTS and value < 1:
+                problems.append(f"[{section}] {key}: must be at least 1, "
+                                f"got {value}")
+                return None
+            return value
         if kind == "float":
             return float(token)
         if kind == "complex":

@@ -24,7 +24,7 @@ g_mpm and g_mpp carry an explicit h.c. partner and may be complex; the
 other four multiply self-adjoint densities and must be real.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 EVEN_NAMES = ("g_ppp", "g_mmp", "g_mpm")
 ODD_NAMES = ("g_ppm", "g_mpp", "g_mmm")
@@ -41,6 +41,10 @@ class CouplingSet:
     with ``broken_inversion_symmetry=True``; the sector choice is a
     modelling decision (it tracks which definition of the 1D displacement
     field is in force), so it is explicit config, never inferred.
+
+    ``is_zero`` (no constant is non-zero) and ``is_pointwise`` (no
+    derivative constant is non-zero: only g_ppp may act) are settled once
+    at construction; the integrators read them on every step.
     """
 
     g_ppp: float = 0.0
@@ -51,6 +55,8 @@ class CouplingSet:
     g_mmm: float = 0.0
     sector: str = "even"
     broken_inversion_symmetry: bool = False
+    is_zero: bool = field(init=False, repr=False, compare=False)
+    is_pointwise: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in REAL_NAMES:
@@ -73,6 +79,9 @@ class CouplingSet:
                     "mixed sector couplings require broken_inversion_symmetry=True")
         else:
             raise ValueError(f"unknown sector {self.sector!r}")
+        object.__setattr__(self, "is_pointwise",
+                           all(getattr(self, n) == 0 for n in DERIVATIVE_NAMES))
+        object.__setattr__(self, "is_zero", self.is_pointwise and self.g_ppp == 0)
 
     @staticmethod
     def even(g_ppp: float = 0.0, g_mmp: float = 0.0, g_mpm: complex = 0.0) -> "CouplingSet":
@@ -86,15 +95,6 @@ class CouplingSet:
     def simple(g0: float) -> "CouplingSet":
         """The minimal model: a single even pointwise coupling g0."""
         return CouplingSet.even(g_ppp=g0)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(getattr(self, n) == 0 for n in EVEN_NAMES + ODD_NAMES)
-
-    @property
-    def is_pointwise(self) -> bool:
-        """No derivative coupling is non-zero: only g_ppp may act."""
-        return all(getattr(self, n) == 0 for n in DERIVATIVE_NAMES)
 
     def magnitude_scale(self, k_max: float) -> float:
         """Crude Hz*m^(1/2)-equivalent magnitude at wavenumber scale k_max.

@@ -213,8 +213,17 @@ def total_energy(state: FieldState, couplings: CouplingSet,
     a is shared between the free part and the derivative D a.
     """
     grid = state.grid
-    wa = dispersion_a.values_on(grid)
-    wb = dispersion_b.values_on(grid)
+    return energy_from_bands(state, couplings, dispersion_a.values_on(grid),
+                             dispersion_b.values_on(grid))
+
+
+def energy_from_bands(state: FieldState, couplings: CouplingSet,
+                      wa: np.ndarray, wb: np.ndarray) -> float:
+    """:func:`total_energy` with the photon and phonon dispersion rows
+    omega(k), Omega(k) already evaluated on ``state.grid.k_axis``, so a
+    recording observer evaluates them once per run, not once per record.
+    """
+    grid = state.grid
     fa = np.fft.fft(state.a)
     fb = np.fft.fft(state.b)
     # Parseval: sum_x conj(f) (W f) dx = sum_k W |F_k|^2 dx / n

@@ -101,18 +101,24 @@ class DepositPlan:
         self.kernel_cells = cells
         self.kernel = window / khat
 
-    def apply(self, state: FieldState, rng: np.random.Generator = None,
+    def apply(self, a: np.ndarray, time: float, rng: np.random.Generator = None,
               vacuum_noise: bool = False):
-        s = self.drive.amplitude(state.time)
+        """Add one step's source (and inlet vacuum) to the photon row ``a``.
+
+        ``a`` is written in place: the integrators pass the photon row of
+        their stacked state, so no field container is built per deposit.
+        ``time`` is the step's start time, at which the drive is sampled.
+        """
+        s = self.drive.amplitude(time)
         if self.detuning != 0.0:
-            s = s * np.exp(-1j * self.detuning * state.time)
+            s = s * np.exp(-1j * self.detuning * time)
         if s != 0.0:
-            state.a[self.kernel_cells] += self.scale * s * self.kernel
+            a[self.kernel_cells] += self.scale * s * self.kernel
         if vacuum_noise:
             if rng is None:
                 raise BoundaryError("vacuum noise injection requires an rng")
             xi = self.noise_sigma * (rng.standard_normal() + 1j * rng.standard_normal())
-            state.a[self.drive.inlet_cell] += self.scale * xi
+            a[self.drive.inlet_cell] += self.scale * xi
 
 
 def inject_boundary(state: FieldState, drive: EndfireDrive,
@@ -126,7 +132,7 @@ def inject_boundary(state: FieldState, drive: EndfireDrive,
     equal-time correlator diagonal downstream. Mutates ``state.a``.
     """
     plan = DepositPlan(state.grid, dispersion, drive, state.frame, dt)
-    plan.apply(state, rng=rng, vacuum_noise=vacuum_noise)
+    plan.apply(state.a, state.time, rng=rng, vacuum_noise=vacuum_noise)
     return state
 
 

@@ -20,11 +20,19 @@ non-diagonal derivative couplings away from any implicit solve.
 over the live rows, and the RK4 substep is whole-array arithmetic on the
 right-hand side a model fills row by row. The waveguide model
 :class:`Stepper` stacks (a, b); the multi-branch, lattice and linearized
-models (``multibranch``, ``lattice``, ``steady``) are its siblings. Each
-RK4 stage of :class:`Stepper` evaluates the fused interaction right-hand
-side: 8 transforms when derivative couplings are present, none for a
-pointwise set. All stochastic draws come from one Generator in a fixed
-order, so a seed pins the whole trajectory bit-for-bit.
+models (``multibranch``, ``lattice``, ``steady``) are its siblings.
+
+What one RK4 stage of :class:`Stepper` costs is settled in its
+constructor, by coupling class:
+
+    derivative couplings   fused interaction right-hand side, 8 transforms
+    pointwise (g_ppp only) interaction right-hand side, no transform
+    all zero               no interaction call: the damping rows only
+
+plus, with a side drive, one profile evaluation on cell positions taken
+once. Source deposits write straight into the photon row of the stacked
+state. All stochastic draws come from one Generator in a fixed order, so
+a seed pins the whole trajectory bit-for-bit.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +44,7 @@ import numpy as np
 from ..core.couplings import CouplingSet
 from ..core.dispersion import DispersionSpec
 from ..core.fields import FieldState, Frame
-from ..core.interaction import interaction_rhs, total_energy
+from ..core.interaction import energy_from_bands, interaction_rhs
 from ..core.spectral import apply_phase, dispersion_phase
 from .bath import BathSpec, sample_noise_field
 from .boundary import AbsorberProfile, DepositPlan
@@ -117,9 +125,7 @@ class SplitStepper:
             for row, rate, occupation in self._damped:
                 y[row] += dt * sample_noise_field(self.grid, rate, occupation, dt, rng)
         for row, plan in self._deposits:
-            # the deposit adds to holder.a in place, i.e. to the row of y
-            holder = FieldState(self.grid, y[row], y[-1], time=t)
-            plan.apply(holder, rng=rng, vacuum_noise=self._wigner)
+            plan.apply(y[row], t, rng=rng, vacuum_noise=self._wigner)
 
     def step_inplace(self, state, rng=None, step_index: int = 0):
         if self._wigner and rng is None:
@@ -151,9 +157,11 @@ class SplitStepper:
         """Step a copy of ``state`` ``n_steps`` times, recording observers.
 
         The initial state is recorded first, then every ``record_every``
-        steps and after the last step. Observers are callables state ->
-        value, keyed by name.
+        steps (a positive integer) and after the last step. Observers are
+        callables state -> value, keyed by name.
         """
+        if record_every < 1:
+            raise ValueError(f"record_every must be >= 1, got {record_every}")
         observers = observers or {}
         work = state.copy()
         times = [work.time]
@@ -197,7 +205,9 @@ def stability_bound(state: FieldState, couplings: CouplingSet,
 class Stepper(SplitStepper):
     """Precomputed single-trajectory integrator for one configuration.
 
-    Rows of the stacked state: photon field a, phonon field b.
+    Rows of the stacked state: photon field a, phonon field b. What an RK4
+    stage needs is settled here: whether the coupling set acts at all,
+    and the side drive's sqrt(kappa_ex), profile and cell positions.
     """
 
     def __init__(self, grid, couplings: CouplingSet, dispersions: DispersionPair,
@@ -220,16 +230,22 @@ class Stepper(SplitStepper):
             self._deposits = [(0, DepositPlan(
                 grid, dispersions.photon, drive,
                 frame if frame is not None else Frame.lab(), dt))]
+        self._interacting = not couplings.is_zero
+        self._side = ((np.sqrt(drive.kappa_ex), drive.profile, grid.x_axis)
+                      if isinstance(drive, SideDrive) else None)
 
     def _rhs(self, y, t):
-        dy = np.empty_like(y)
-        dy[0], dy[1] = interaction_rhs(FieldState(self.grid, y[0], y[1], time=t),
-                                       self.couplings)
+        if self._interacting:
+            dy = np.empty_like(y)
+            dy[0], dy[1] = interaction_rhs(
+                FieldState(self.grid, y[0], y[1], time=t), self.couplings)
+        else:
+            dy = np.zeros(y.shape, dtype=y.dtype)
         for row, rate, _ in self._damped:
             dy[row] -= 0.5 * rate * y[row]
-        if isinstance(self.drive, SideDrive):
-            dy[0] += np.sqrt(self.drive.kappa_ex) * self.drive.profile(
-                self.grid.x_axis, t)
+        if self._side is not None:
+            scale, profile, x = self._side
+            dy[0] += scale * profile(x, t)
         return dy
 
 
@@ -238,7 +254,8 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
            n_steps: int = 0, observers: dict = None, record_every: int = 1,
            rng: np.random.Generator = None, absorber: AbsorberProfile = None,
            enforce_stability: bool = True) -> Trajectory:
-    """Run ``n_steps`` steps, recording observers every ``record_every`` steps.
+    """Run ``n_steps`` steps, recording observers every ``record_every`` steps
+    (a positive integer).
 
     The initial state is recorded first, so ``n_steps=0`` echoes the input.
     Observers are callables state -> value, keyed by name.
@@ -278,8 +295,16 @@ def observe_phonon_number(state: FieldState) -> float:
 
 def make_energy_observer(couplings: CouplingSet,
                          dispersions: DispersionPair) -> Callable[[FieldState], float]:
+    """Observer of ``total_energy``; the dispersion rows are evaluated once
+    per grid, not on every record."""
+    bands = {}
+
     def _obs(state: FieldState) -> float:
-        return total_energy(state, couplings, dispersions.photon, dispersions.phonon)
+        grid = state.grid
+        if grid not in bands:
+            bands[grid] = (dispersions.photon.values_on(grid),
+                           dispersions.phonon.values_on(grid))
+        return energy_from_bands(state, couplings, *bands[grid])
     return _obs
 
 

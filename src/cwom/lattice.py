@@ -116,22 +116,6 @@ class LatticeState:
         return LatticeState(self.a.copy(), self.b.copy(), self.time)
 
 
-def _site_rhs(a, b, g0):
-    u = b + np.conj(b)
-    return 1j * g0 * u * a, 1j * g0 * np.abs(a) ** 2
-
-
-def _link_rhs(a, b, g0):
-    # u_j lives on the link between sites j and j+1
-    u = b + np.conj(b)
-    a_next = np.roll(a, -1)
-    a_prev = np.roll(a, 1)
-    u_prev = np.roll(u, 1)
-    da = 1j * g0 * (a_next * u + a_prev * u_prev)
-    db = 1j * g0 * (np.conj(a_next) * a + np.conj(a) * a_next)
-    return da, db
-
-
 class LatticeStepper(SplitStepper):
     """Split-step model of the array: exact tunneling half-steps in k-space,
     explicit RK4 interaction + damping, Euler-Maruyama site noise.
@@ -149,15 +133,31 @@ class LatticeStepper(SplitStepper):
                                                config.phonon_band())) * dt)
         self._damped = [d for d in ((0, config.kappa, 0.0),
                                     (1, config.Gamma, config.n_th)) if d[1]]
+        sites = np.arange(config.n_sites)
+        self._next = np.roll(sites, -1)  # a[self._next][j] = a[j + 1]
+        self._prev = np.roll(sites, 1)
 
     def _rhs(self, y, t):
-        cfg = self.config
-        dy = np.zeros_like(y)
-        for g0, rhs in ((cfg.g0_site, _site_rhs), (cfg.g0_link, _link_rhs)):
-            if g0:
-                da, db = rhs(y[0], y[1], g0)
+        """Site and link interaction plus damping, written into one array."""
+        site, link = self.config.g0_site, self.config.g0_link
+        a, b = y
+        u = b + np.conj(b)
+        dy = np.empty_like(y)
+        if site:
+            dy[0] = 1j * site * u * a
+            dy[1] = 1j * site * np.abs(a) ** 2
+        if link:
+            # u_j lives on the link between sites j and j+1
+            a_next = a[self._next]
+            da = 1j * link * (a_next * u + (a * u)[self._prev])
+            db = 1j * link * (np.conj(a_next) * a + np.conj(a) * a_next)
+            if site:
                 dy[0] += da
                 dy[1] += db
+            else:
+                dy[0], dy[1] = da, db
+        elif not site:
+            dy.fill(0.0)
         for row, rate, _ in self._damped:
             dy[row] -= 0.5 * rate * y[row]
         return dy

@@ -204,6 +204,25 @@ class TestCliRuns:
         assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
         assert "lnk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_record_every_exits_two(self, tmp_path, capsys, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("record_every = 50",
+                                           f"record_every = {value}"))
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "record_every" in err and "Traceback" not in err
+
+    def test_side_drive_kappa_ex_is_an_unknown_key(self, tmp_path, capsys):
+        # no scenario builds a side drive, so the key must not be accepted
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("inlet_cell = 4",
+                                           "inlet_cell = 4\nkappa_ex = 0.3 /s"))
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert "unknown key 'kappa_ex'" in capsys.readouterr().err
+
     def test_missing_scenario_and_config_rejected(self):
         assert main(["run"]) == 2
 

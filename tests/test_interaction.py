@@ -9,6 +9,7 @@ from cwom import CouplingSet, FieldState, Grid1D, interaction_rhs, spectral_deri
 from cwom.core.interaction import (interaction_energy_density, phonon_channel,
                                    photon_channel, total_energy)
 from cwom import DispersionSpec
+from cwom.dynamics import DispersionPair, make_energy_observer
 
 from conftest import random_band_limited
 
@@ -248,6 +249,23 @@ class TestEnergyObserver:
         e_ref = float(np.real(free)) - float(np.sum(dens_ref) * grid256.dx)
         e = total_energy(state, cs, disp_a, disp_b)
         assert abs(e - e_ref) <= 1e-13 * abs(e_ref)
+
+    @pytest.mark.parametrize("name", ["pointwise", "even", "mixed"])
+    def test_recording_observer_evaluates_bands_once(self, name, grid64, rng,
+                                                     monkeypatch):
+        cs = FUSED_CASES[name]
+        disp = DispersionPair(DispersionSpec.polynomial([0.0, 1.0, 0.3]),
+                              DispersionSpec.flat(2.0))
+        states = [random_state(grid64, rng) for _ in range(3)]
+        want = [total_energy(st, cs, disp.photon, disp.phonon) for st in states]
+        calls = []
+        values_on = DispersionSpec.values_on
+        monkeypatch.setattr(DispersionSpec, "values_on",
+                            lambda self, grid: calls.append(grid)
+                            or values_on(self, grid))
+        observer = make_energy_observer(cs, disp)
+        assert [observer(st) for st in states] == want
+        assert len(calls) == 2
 
 
 class TestFieldState:

@@ -215,6 +215,14 @@ class TestPinnedLinkRun:
 
 
 class TestInputChecks:
+    def test_record_every_zero_means_no_snapshots_negative_rejected(self):
+        config = ArrayConfig(n_sites=8, dx_lattice=1.0, J={1: 0.3}, g0_site=0.1)
+        init = LatticeState(np.ones(8, complex), np.zeros(8, complex))
+        final, snaps = simulate_array(config, init, 0.01, 5, record_every=0)
+        assert snaps == [] and final.time == pytest.approx(0.05)
+        with pytest.raises(ValueError, match="record_every"):
+            simulate_array(config, init, 0.01, 5, record_every=-2)
+
     def test_unknown_sampling_rejected(self):
         config = ArrayConfig(n_sites=8, dx_lattice=1.0, Gamma=1.0, n_th=0.5)
         with pytest.raises(ValueError, match="sampling"):

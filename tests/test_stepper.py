@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
-from cwom.core.interaction import total_energy
+from cwom.core.interaction import interaction_rhs, total_energy
 from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
                            EndfireDrive, SideDrive, Stepper, evolve, make_absorber,
                            make_energy_observer, observe_photon_number,
@@ -200,6 +200,88 @@ class TestPinnedDrivenRun:
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), got
 
 
+class TestPinnedZeroCouplingRuns:
+    # Recorded from the stepper that called interaction_rhs and built a
+    # FieldState holder per deposit: zero coupling set, seeds 21 and 22.
+
+    def test_damped_thermal_phonons(self):
+        # C6(a) shape: Wigner bulk noise on a damped, uncoupled phonon field
+        want = np.asarray(((0.9964289619588684 + 0.5351781744309064j),
+                           (0.8543734284476465 + 0.24345609790972067j),
+                           (-0.5393995002587418 - 1.6081440526166202j),
+                           (0.2636304268906715 - 0.826193737139229j),
+                           (-2.115664734345462 - 0.5742474599204388j)))
+        grid = Grid1D(32, 0.5)
+        bath = BathSpec(gamma_mech=1.0, n_th=0.7, sampling="wigner")
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(2.0))
+        traj = evolve(FieldState.vacuum(grid), CouplingSet(), disp, bath=bath,
+                      dt=0.02, n_steps=300, rng=np.random.default_rng(21))
+        got = traj.final_state.b[[1, 8, 15, 22, 31]]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), got
+        assert not np.any(traj.final_state.a)
+
+    def test_endfire_vacuum_deposit_with_absorber(self):
+        # C6(b) shape: inlet vacuum deposited at the end-fire source, absorber
+        want = np.asarray(((-0.06433293423801309 - 0.9129726823835853j),
+                           (0.37445931318750336 - 0.5154423794223443j),
+                           (-0.9445415504006859 - 0.36361141855824824j),
+                           (-0.5169146282580721 + 0.12665812139853994j),
+                           (-0.018144561170207324 + 0.012436594854934424j)))
+        grid = Grid1D(128, 1.0)
+        c = 2.0
+        disp = DispersionPair(DispersionSpec.linear(c), DispersionSpec.flat(0.0))
+        dt = 0.9 * 0.5 / (c * np.pi / grid.dx)
+        stepper = Stepper(grid, CouplingSet(), disp, BathSpec(sampling="wigner"),
+                          EndfireDrive(alpha_in=0.0, inlet_cell=4),
+                          make_absorber(grid, speed=c, width_fraction=0.1), dt)
+        state = FieldState.vacuum(grid)
+        rng = np.random.default_rng(22)
+        for i in range(400):
+            stepper.step_inplace(state, rng=rng, step_index=i)
+        got = state.a[[5, 20, 40, 55, 110]]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), got
+        assert not np.any(state.b)
+
+
+class TestRightHandSide:
+    # the stepper settles in its constructor which terms a stage evaluates;
+    # every coupling class must still give interaction + damping + drive
+    SETS = {
+        "zero": CouplingSet(),
+        "pointwise": CouplingSet.simple(0.3),
+        "even": CouplingSet.even(g_ppp=0.2, g_mmp=0.01, g_mpm=0.004 + 0.002j),
+        "odd": CouplingSet.odd(g_ppm=0.05, g_mpp=0.01 - 0.02j, g_mmm=0.003),
+        "mixed": CouplingSet(g_ppp=0.1, g_mmp=0.01, g_mpm=0.003j, g_ppm=0.02,
+                             g_mpp=0.01 + 0.01j, g_mmm=0.002, sector="mixed",
+                             broken_inversion_symmetry=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    @pytest.mark.parametrize("side", [False, True])
+    def test_equals_interaction_plus_damping_plus_drive(self, grid64, rng,
+                                                        name, side):
+        couplings = self.SETS[name]
+        disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(2.0))
+        bath = BathSpec(kappa=0.3, gamma_mech=0.7)
+
+        def profile(x, t):
+            return np.exp(-((x - 3.0) / 0.5) ** 2) * np.exp(-0.4j * t)
+
+        drive = SideDrive(kappa_ex=0.8, profile=profile) if side else None
+        stepper = Stepper(grid64, couplings, disp, bath=bath, drive=drive, dt=1e-3)
+        y = np.stack((random_band_limited(grid64, rng, amplitude=0.5),
+                      random_band_limited(grid64, rng, amplitude=0.3)))
+        t = 0.37
+        da, db = interaction_rhs(FieldState(grid64, y[0], y[1], time=t), couplings)
+        want_a = da - 0.5 * bath.kappa * y[0]
+        want_b = db - 0.5 * bath.gamma_mech * y[1]
+        if side:
+            want_a = want_a + np.sqrt(0.8) * profile(grid64.x_axis, t)
+        got = stepper._rhs(y, t)
+        assert np.array_equal(got[0], want_a)
+        assert np.array_equal(got[1], want_b)
+
+
 class TestInputChecks:
     def test_wigner_sampling_without_rng_rejected(self, grid64):
         disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(1.0))
@@ -207,6 +289,17 @@ class TestInputChecks:
         stepper = Stepper(grid64, CouplingSet(), disp, bath=bath, dt=1e-2)
         with pytest.raises(ValueError, match="rng"):
             stepper.step_inplace(FieldState.vacuum(grid64))
+
+    @pytest.mark.parametrize("record_every", [0, -1])
+    def test_non_positive_record_every_rejected(self, grid64, record_every):
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(1.0))
+        state = FieldState.vacuum(grid64)
+        with pytest.raises(ValueError, match="record_every"):
+            evolve(state, CouplingSet(), disp, dt=0.1, n_steps=3,
+                   record_every=record_every)
+        stepper = Stepper(grid64, CouplingSet(), disp, dt=0.1)
+        with pytest.raises(ValueError, match="record_every"):
+            stepper.run(state, 3, record_every=record_every)
 
 
 class TestDivergenceReport:
