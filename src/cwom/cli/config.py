@@ -4,8 +4,10 @@ Every physical quantity carries a unit suffix checked against the schema
 (`Gamma = 6.28e6 /s`); dimensionless keys use no suffix. Enumerated keys
 (dispersion kind, coupling sector, drive mode, absorber, sampling, array
 coupling kind) accept only their declared values. Unknown sections or
-keys are rejected, step counts must be positive, and validation reports
-every offending entry at once rather than stopping at the first.
+keys are rejected, step and trajectory counts and dt must be positive and
+seeds non-negative, and validation reports every offending entry at once
+rather than stopping at the first. Command-line overrides pass the same
+range checks (:func:`check_ranges`).
 Unit bugs dominate this domain, so the parser refuses to guess.
 """
 
@@ -91,8 +93,11 @@ SCHEMA = {
     },
 }
 
-# int keys that count steps and must be at least 1
-POSITIVE_INTS = {("integration", "record_every")}
+# int keys that count steps or runs and must be at least 1
+POSITIVE_INTS = {("integration", "record_every"), ("ensemble", "trajectories")}
+# keys with another lower bound: an RNG seed, the integrator step
+NON_NEGATIVE_INTS = {("ensemble", "base_seed")}
+POSITIVE_FLOATS = {("integration", "dt")}
 
 
 class ConfigError(ValueError):
@@ -154,15 +159,13 @@ def _parse_value(section, key, raw, problems):
                             f"match expected {unit!r}")
             return None
     try:
-        if kind == "int":
-            value = int(token)
-            if (section, key) in POSITIVE_INTS and value < 1:
-                problems.append(f"[{section}] {key}: must be at least 1, "
-                                f"got {value}")
+        if kind in ("int", "float"):
+            value = int(token) if kind == "int" else float(token)
+            problem = _range_problem(section, key, value)
+            if problem:
+                problems.append(problem)
                 return None
             return value
-        if kind == "float":
-            return float(token)
         if kind == "complex":
             return complex(token)
         if kind == "list":
@@ -172,6 +175,28 @@ def _parse_value(section, key, raw, problems):
         return None
     problems.append(f"[{section}] {key}: unknown kind {kind!r}")
     return None
+
+
+def _range_problem(section, key, value):
+    where = (section, key)
+    if where in POSITIVE_INTS and value < 1:
+        return f"[{section}] {key}: must be at least 1, got {value}"
+    if where in NON_NEGATIVE_INTS and value < 0:
+        return f"[{section}] {key}: must be at least 0, got {value}"
+    if where in POSITIVE_FLOATS and not value > 0:
+        return f"[{section}] {key}: must be positive, got {value}"
+    return None
+
+
+def check_ranges(sections: dict) -> None:
+    """Apply the parser's range checks to section values set without
+    parsing (command-line overrides); raises :class:`ConfigError` listing
+    every offending entry."""
+    problems = [problem for section, kv in sections.items()
+                for key, value in kv.items()
+                if (problem := _range_problem(section, key, value))]
+    if problems:
+        raise ConfigError(problems)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:

@@ -9,7 +9,8 @@ import argparse
 import sys
 
 from ..dynamics.stepper import DivergenceError
-from .config import SCENARIOS, ConfigError, ScenarioConfig, load_config
+from .config import (SCENARIOS, ConfigError, ScenarioConfig, check_ranges,
+                     load_config)
 from .scenarios import run_scenario
 
 EXIT_OK = 0
@@ -59,6 +60,7 @@ def _load(args) -> ScenarioConfig:
     if args.dt_override is not None:
         overrides.setdefault("integration", {})["dt"] = args.dt_override
     if overrides:
+        check_ranges(overrides)
         config = config.merged(overrides)
     return config
 

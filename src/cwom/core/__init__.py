@@ -7,13 +7,12 @@ from .grid import Grid1D
 from .interaction import (interaction_energy_density, interaction_rhs,
                           phonon_channel, photon_channel, total_energy)
 from .spectral import (apply_dispersion, apply_phase, conjugate_dispersion_phase,
-                       dispersion_phase, field_from_modes, mode_amplitudes,
-                       spectral_derivative)
+                       dispersion_phase, mode_amplitudes, spectral_derivative)
 
 __all__ = [
     "CouplingSet", "DispersionSpec", "FieldState", "Frame", "Grid1D",
     "interaction_energy_density", "interaction_rhs", "phonon_channel",
     "photon_channel", "total_energy", "apply_dispersion", "apply_phase",
-    "conjugate_dispersion_phase", "dispersion_phase", "field_from_modes",
-    "mode_amplitudes", "spectral_derivative",
+    "conjugate_dispersion_phase", "dispersion_phase", "mode_amplitudes",
+    "spectral_derivative",
 ]

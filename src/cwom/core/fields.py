@@ -22,10 +22,6 @@ class Frame:
     def rotating(omega: float, k: float) -> "Frame":
         return Frame(omega, k)
 
-    @property
-    def is_lab(self) -> bool:
-        return self.omega == 0.0 and self.k == 0.0
-
 
 @dataclass
 class FieldState:

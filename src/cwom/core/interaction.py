@@ -37,7 +37,15 @@ The identity D(conj a) = conj(D a) holds to rounding because the
 first-derivative weight ik maps to its own conjugate under k -> -k for
 every mode except Nyquist, which is its own mirror image and whose weight
 is zeroed. A set with only g_ppp needs no transform at all.
+
+The fused kernel :func:`fused_rhs` works on (..., n) arrays with the
+constants resolved once into a :class:`CouplingTerms` table: Python
+scalars for one set, (B, 1) columns for a batch of B sets of one class,
+whose rows then match each set's own evaluation bit for bit.
+:func:`interaction_rhs` is the one-state wrapper around it.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,6 +141,68 @@ def phonon_channel(fdag: np.ndarray, f: np.ndarray, couplings: CouplingSet,
     return out
 
 
+_TERM_NAMES = ("g_ppp", "g_mmp", "g_mpm", "g_ppm", "g_mpp", "g_mmm")
+
+
+@dataclass(frozen=True)
+class CouplingTerms:
+    """The constants the fused right-hand side multiplies, resolved once.
+
+    ``kind`` is "zero", "pointwise" (g_ppp only) or "derivative". For one
+    :class:`CouplingSet` each constant is the set's Python scalar; for a
+    batch of B sets, stepped as (B, n) field arrays, it is a (B, 1) column.
+    A constant that is zero in every row is None and its terms are
+    skipped; a zero in some rows only adds exact zeros to those rows. The
+    conjugates of g_mpm and g_mpp are taken here, not per evaluation.
+    """
+
+    kind: str
+    g_ppp: object = None
+    g_mmp: object = None
+    g_mpm: object = None
+    g_ppm: object = None
+    g_mpp: object = None
+    g_mmm: object = None
+    g_mpm_c: object = None
+    g_mpp_c: object = None
+
+    @classmethod
+    def resolve(cls, couplings) -> "CouplingTerms":
+        """Terms of one CouplingSet, or of a sequence of them as a batch.
+
+        A batch must share one coupling class: the pointwise evaluation
+        rounds differently from the fused one, so a mixed batch could not
+        reproduce each set's own run and is rejected.
+        """
+        if isinstance(couplings, CouplingSet):
+            kind = _coupling_class(couplings)
+            values = {name: getattr(couplings, name) or None for name in _TERM_NAMES}
+        else:
+            sets = list(couplings)
+            if not sets:
+                raise ValueError("a coupling batch needs at least one set")
+            kinds = [_coupling_class(c) for c in sets]
+            if len(set(kinds)) > 1:
+                raise ValueError(
+                    f"a coupling batch must share one class, got {kinds}; "
+                    "step each class as its own batch")
+            kind = kinds[0]
+            values = {}
+            for name in _TERM_NAMES:
+                col = np.array([getattr(c, name) for c in sets])[:, None]
+                values[name] = col if np.any(col != 0) else None
+        g_mpm, g_mpp = values["g_mpm"], values["g_mpp"]
+        return cls(kind=kind, **values,
+                   g_mpm_c=None if g_mpm is None else np.conj(g_mpm),
+                   g_mpp_c=None if g_mpp is None else np.conj(g_mpp))
+
+
+def _coupling_class(couplings: CouplingSet) -> str:
+    if couplings.is_zero:
+        return "zero"
+    return "pointwise" if couplings.is_pointwise else "derivative"
+
+
 def interaction_rhs(state: FieldState, couplings: CouplingSet):
     """Interaction-only (da/dt, db/dt) for the current field state.
 
@@ -140,39 +210,48 @@ def interaction_rhs(state: FieldState, couplings: CouplingSet):
     derivatives are spectral, so the k-space scattering vertex is realized
     exactly mode by mode. Equal, to rounding, to
     ``photon_channel(a, u)`` and ``phonon_channel(conj(a), a)``; see the
-    module docstring for the fused evaluation.
+    module docstring for the fused evaluation, :func:`fused_rhs`.
     """
-    c = couplings
-    a = state.a
-    if c.is_zero:
+    return fused_rhs(state.a, state.b, state.grid.derivative_weight,
+                     CouplingTerms.resolve(couplings))
+
+
+def fused_rhs(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
+              terms: CouplingTerms):
+    """Interaction-only (da/dt, db/dt) of (..., n) photon and phonon arrays.
+
+    ``weight`` is the grid's first-derivative weight and ``terms`` the
+    resolved coupling constants; a batch's (B, 1) columns act row by row
+    on (B, n) arrays, and each row equals the run of its own set.
+    """
+    t = terms
+    if t.kind == "zero":
         return np.zeros_like(a), np.zeros_like(a)
-    u = state.displacement()
+    u = b + np.conj(b)
     ac = np.conj(a)
-    if c.is_pointwise:
-        return (1j * c.g_ppp) * u * a, (1j * c.g_ppp) * ac * a
-    w = state.grid.derivative_weight
-    da, du = np.fft.ifft(w * np.fft.fft(np.stack((a, u)), axis=-1), axis=-1)
+    if t.kind == "pointwise":
+        return (1j * t.g_ppp) * u * a, (1j * t.g_ppp) * ac * a
+    da, du = np.fft.ifft(weight * np.fft.fft(np.stack((a, u)), axis=-1), axis=-1)
     dac = np.conj(da)
-    gmpm_c, gmpp_c = np.conj(c.g_mpm), np.conj(c.g_mpp)
     # photon: da/dt = i (pointwise) - i D(outer); phonon likewise
-    photon_point = _weighted_sum(((c.g_ppp, u, a), (gmpm_c, da, du),
-                                  (c.g_ppm, a, du), (gmpp_c, da, u)))
-    photon_outer = _weighted_sum(((c.g_mmp, u, da), (c.g_mpm, a, du),
-                                  (c.g_mpp, a, u), (c.g_mmm, da, du)))
-    phonon_point = _weighted_sum(((c.g_ppp, ac, a), (c.g_mmp, dac, da),
-                                  (c.g_mpp, dac, a), (gmpp_c, ac, da)))
-    phonon_outer = _weighted_sum(((c.g_mpm, dac, a), (gmpm_c, ac, da),
-                                  (c.g_ppm, ac, a), (c.g_mmm, dac, da)))
+    photon_point = _weighted_sum(((t.g_ppp, u, a), (t.g_mpm_c, da, du),
+                                  (t.g_ppm, a, du), (t.g_mpp_c, da, u)))
+    photon_outer = _weighted_sum(((t.g_mmp, u, da), (t.g_mpm, a, du),
+                                  (t.g_mpp, a, u), (t.g_mmm, da, du)))
+    phonon_point = _weighted_sum(((t.g_ppp, ac, a), (t.g_mmp, dac, da),
+                                  (t.g_mpp, dac, a), (t.g_mpp_c, ac, da)))
+    phonon_outer = _weighted_sum(((t.g_mpm, dac, a), (t.g_mpm_c, ac, da),
+                                  (t.g_ppm, ac, a), (t.g_mmm, dac, da)))
     d_photon, d_phonon = np.fft.ifft(
-        w * np.fft.fft(np.stack((photon_outer, phonon_outer)), axis=-1), axis=-1)
+        weight * np.fft.fft(np.stack((photon_outer, phonon_outer)), axis=-1), axis=-1)
     return 1j * (photon_point - d_photon), 1j * (phonon_point - d_phonon)
 
 
 def _weighted_sum(terms) -> np.ndarray:
-    """sum of g * x * y over the (g, x, y) terms whose g is non-zero."""
+    """sum of g * x * y over the (g, x, y) terms whose g is not None."""
     out = np.zeros(terms[0][1].shape, dtype=np.complex128)
     for g, x, y in terms:
-        if g != 0:
+        if g is not None:
             out += g * x * y
     return out
 

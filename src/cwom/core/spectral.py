@@ -50,9 +50,14 @@ def conjugate_dispersion_phase(dispersion: DispersionSpec, grid: Grid1D,
     return np.exp(-1j * dispersion.negated_reflection(grid) * dt)
 
 
-def apply_phase(field: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """Multiply the field's k-space representation by precomputed phases."""
-    return np.fft.ifft(phase * np.fft.fft(field, axis=-1), axis=-1)
+def apply_phase(field: np.ndarray, phase: np.ndarray,
+                out: np.ndarray = None) -> np.ndarray:
+    """Multiply the field's k-space representation by precomputed phases.
+
+    ``out``, which may be ``field`` itself, receives the result in place of
+    a new array (the ``out`` argument of ``np.fft.ifft``, numpy >= 2.0).
+    """
+    return np.fft.ifft(phase * np.fft.fft(field, axis=-1), axis=-1, out=out)
 
 
 def apply_dispersion(field: np.ndarray, dispersion: DispersionSpec, dt: float,
@@ -71,7 +76,3 @@ def mode_amplitudes(field: np.ndarray, grid: Grid1D) -> np.ndarray:
     With this normalization |A_k|^2 is the occupation number of mode k.
     """
     return np.fft.fft(field, axis=-1) * np.sqrt(grid.dx / grid.n_points)
-
-
-def field_from_modes(amplitudes: np.ndarray, grid: Grid1D) -> np.ndarray:
-    return np.fft.ifft(amplitudes, axis=-1) / np.sqrt(grid.dx / grid.n_points)

@@ -7,7 +7,7 @@ from .boundary import (AbsorberProfile, BoundaryError, DepositPlan,
 from .drive import DriveSpec, EndfireDrive, SideDrive
 from .rng import trajectory_generator
 from .stepper import (DispersionPair, DivergenceError, Stepper, Trajectory,
-                      evolve, make_energy_observer,
+                      evolve, evolve_batch, make_energy_observer,
                       observe_phonon_number, observe_photon_number,
                       observe_snapshot, run_ensemble, stability_bound)
 
@@ -16,7 +16,7 @@ __all__ = [
     "DepositPlan", "ResolutionWarning", "absorbing_layer", "boundary_velocity",
     "inject_boundary", "make_absorber", "DriveSpec", "EndfireDrive", "SideDrive",
     "trajectory_generator", "DispersionPair", "DivergenceError", "Stepper",
-    "Trajectory", "evolve", "make_energy_observer",
+    "Trajectory", "evolve", "evolve_batch", "make_energy_observer",
     "observe_phonon_number", "observe_photon_number", "observe_snapshot",
     "run_ensemble", "stability_bound",
 ]

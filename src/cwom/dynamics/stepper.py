@@ -23,7 +23,8 @@ right-hand side a model fills row by row. The waveguide model
 models (``multibranch``, ``lattice``, ``steady``) are its siblings.
 
 What one RK4 stage of :class:`Stepper` costs is settled in its
-constructor, by coupling class:
+constructor, where the coupling constants are resolved once into the
+term table of the fused right-hand side, by coupling class:
 
     derivative couplings   fused interaction right-hand side, 8 transforms
     pointwise (g_ppp only) interaction right-hand side, no transform
@@ -33,6 +34,16 @@ plus, with a side drive, one profile evaluation on cell positions taken
 once. Source deposits write straight into the photon row of the stacked
 state. All stochastic draws come from one Generator in a fixed order, so
 a seed pins the whole trajectory bit-for-bit.
+
+Batch axis. :meth:`SplitStepper.advance` steps any array of shape
+(..., rows, n); the leading axes are batch rows, each stepped exactly as
+it would be alone (batched transforms and column-broadcast products
+round row for row like the single calls). :func:`evolve_batch` uses one
+leading axis for configurations: B coupling sets of one class, from one
+initial state, on one grid, dt and step count, advance as one
+(B, 2, n) array, and the term table holds each constant as a (B, 1)
+column. Drives and Wigner sampling are not batched: per-row noise
+streams would need one Generator per row.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +55,7 @@ import numpy as np
 from ..core.couplings import CouplingSet
 from ..core.dispersion import DispersionSpec
 from ..core.fields import FieldState, Frame
-from ..core.interaction import energy_from_bands, interaction_rhs
+from ..core.interaction import CouplingTerms, energy_from_bands, fused_rhs
 from ..core.spectral import apply_phase, dispersion_phase
 from .bath import BathSpec, sample_noise_field
 from .boundary import AbsorberProfile, DepositPlan
@@ -96,7 +107,8 @@ class SplitStepper:
     the divergence report counts as photon fields), and its kick: by
     default Wigner noise on the ``_damped`` rows (row, rate, occupation),
     then the ``_deposits`` (row, DepositPlan). Rows outside ``live`` (frozen
-    fields) skip the half steps and the absorber.
+    fields) skip the half steps and the absorber. ``step_inplace`` packs a
+    state, runs :meth:`advance` on the array and unpacks it.
     """
 
     photon_rows = 1
@@ -110,6 +122,7 @@ class SplitStepper:
         self.grid = grid
         self.dt = dt
         self._live = live
+        self._all_live = isinstance(live, slice) and live == slice(None)
         self._wigner = wigner
         self._decay = absorber.decay_factors(dt) if absorber is not None else None
 
@@ -128,11 +141,24 @@ class SplitStepper:
             plan.apply(y[row], t, rng=rng, vacuum_noise=self._wigner)
 
     def step_inplace(self, state, rng=None, step_index: int = 0):
+        y = self.advance(self._pack(state), state.time, rng=rng,
+                         step_index=step_index)
+        self._unpack(y, state)
+        state.time += self.dt
+        return state
+
+    def advance(self, y, t: float, rng=None, step_index: int = 0):
+        """One Strang step of the stacked array ``y`` at time ``t``.
+
+        Returns the stepped array; ``y`` itself may be overwritten. Axes in
+        front of (rows, n) are batch axes, stepped row for row as the
+        unbatched array would be, for a model whose ``_rhs`` and kick take
+        them (a coupling-batch :class:`Stepper`).
+        """
         if self._wigner and rng is None:
             raise ValueError("Wigner sampling requires an rng")
-        dt, t, live = self.dt, state.time, self._live
-        y = self._pack(state)
-        y[live] = apply_phase(y[live], self._half)
+        dt = self.dt
+        y = self._free_half(y)
 
         k1 = self._rhs(y, t)
         k2 = self._rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
@@ -141,16 +167,21 @@ class SplitStepper:
         y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         self._kick(y, t, rng)
         if self._decay is not None:
-            y[live] *= self._decay
+            y[..., self._live, :] *= self._decay
 
         if not np.isfinite(y).all():
             p = self.photon_rows
-            raise DivergenceError.from_fields(step_index, t, y[:p], y[p:])
+            raise DivergenceError.from_fields(step_index, t, y[..., :p, :],
+                                              y[..., p:, :])
+        return self._free_half(y)
 
-        y[live] = apply_phase(y[live], self._half)
-        self._unpack(y, state)
-        state.time += dt
-        return state
+    def _free_half(self, y):
+        """Half free step of the live rows; with every row live the inverse
+        transform writes straight into ``y``, with no copy back."""
+        if self._all_live:
+            return apply_phase(y, self._half, out=y)
+        y[..., self._live, :] = apply_phase(y[..., self._live, :], self._half)
+        return y
 
     def run(self, state, n_steps: int, observers: dict = None,
             record_every: int = 1, rng: np.random.Generator = None) -> Trajectory:
@@ -206,17 +237,29 @@ class Stepper(SplitStepper):
     """Precomputed single-trajectory integrator for one configuration.
 
     Rows of the stacked state: photon field a, phonon field b. What an RK4
-    stage needs is settled here: whether the coupling set acts at all,
-    and the side drive's sqrt(kappa_ex), profile and cell positions.
+    stage needs is settled here: the coupling terms the fused right-hand
+    side multiplies, and the side drive's sqrt(kappa_ex), profile and cell
+    positions.
+
+    ``couplings`` may also be a sequence of B sets of one coupling class.
+    Such a stepper advances a (B, 2, n) array, row i under set i (see
+    :func:`evolve_batch`); it takes neither drives nor Wigner sampling.
     """
 
-    def __init__(self, grid, couplings: CouplingSet, dispersions: DispersionPair,
+    def __init__(self, grid, couplings, dispersions: DispersionPair,
                  bath: BathSpec = None, drive: DriveSpec = None,
                  absorber: AbsorberProfile = None, dt: float = None,
                  frame: Frame = None):
         self.bath = bath if bath is not None else BathSpec()
         super().__init__(grid, dt, absorber=absorber,
                          wigner=self.bath.is_stochastic)
+        self._terms = CouplingTerms.resolve(couplings)
+        if not isinstance(couplings, CouplingSet):
+            if self._wigner:
+                raise ValueError("a coupling batch takes no Wigner sampling: "
+                                 "per-row noise streams are not implemented")
+            if drive is not None:
+                raise ValueError("a coupling batch takes no drive")
         self.couplings = couplings
         self.dispersions = dispersions
         self.drive = drive
@@ -230,23 +273,38 @@ class Stepper(SplitStepper):
             self._deposits = [(0, DepositPlan(
                 grid, dispersions.photon, drive,
                 frame if frame is not None else Frame.lab(), dt))]
-        self._interacting = not couplings.is_zero
+        self._interacting = self._terms.kind != "zero"
         self._side = ((np.sqrt(drive.kappa_ex), drive.profile, grid.x_axis)
                       if isinstance(drive, SideDrive) else None)
 
     def _rhs(self, y, t):
         if self._interacting:
             dy = np.empty_like(y)
-            dy[0], dy[1] = interaction_rhs(
-                FieldState(self.grid, y[0], y[1], time=t), self.couplings)
+            dy[..., 0, :], dy[..., 1, :] = fused_rhs(
+                y[..., 0, :], y[..., 1, :], self.grid.derivative_weight, self._terms)
         else:
             dy = np.zeros(y.shape, dtype=y.dtype)
         for row, rate, _ in self._damped:
-            dy[row] -= 0.5 * rate * y[row]
+            dy[..., row, :] -= 0.5 * rate * y[..., row, :]
         if self._side is not None:
             scale, profile, x = self._side
             dy[0] += scale * profile(x, t)
         return dy
+
+
+def _check_steps(n_steps: int, dt: float):
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
+    if n_steps and (dt is None or dt <= 0):
+        raise ValueError("dt must be positive")
+
+
+def _check_stability(state, couplings, dispersions, bath, dt, label=""):
+    bound = stability_bound(state, couplings, dispersions, bath)
+    if dt > bound:
+        raise ValueError(
+            f"{label}dt = {dt:.3e} s exceeds the stability bound {bound:.3e} s; "
+            "reduce dt or pass enforce_stability=False")
 
 
 def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPair,
@@ -260,8 +318,7 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
     The initial state is recorded first, so ``n_steps=0`` echoes the input.
     Observers are callables state -> value, keyed by name.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
+    _check_steps(n_steps, dt)
     bath = bath if bath is not None else BathSpec()
     if n_steps == 0:
         work = state.copy()
@@ -269,18 +326,44 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
                           records={name: [obs(work)]
                                    for name, obs in (observers or {}).items()},
                           final_state=work, dt=dt or 0.0)
-    if dt is None or dt <= 0:
-        raise ValueError("dt must be positive")
     if enforce_stability:
-        bound = stability_bound(state, couplings, dispersions, bath)
-        if dt > bound:
-            raise ValueError(
-                f"dt = {dt:.3e} s exceeds the stability bound {bound:.3e} s; "
-                "reduce dt or pass enforce_stability=False")
+        _check_stability(state, couplings, dispersions, bath, dt)
     stepper = Stepper(state.grid, couplings, dispersions, bath=bath, drive=drive,
                       absorber=absorber, dt=dt, frame=state.frame)
     return stepper.run(state, n_steps, observers=observers,
                        record_every=record_every, rng=rng)
+
+
+def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
+                 dt: float, n_steps: int, bath: BathSpec = None,
+                 absorber: AbsorberProfile = None,
+                 enforce_stability: bool = True) -> list:
+    """Final states of ``evolve`` from one initial state under each of
+    ``coupling_sets``, stepped as one (B, 2, n) array.
+
+    Row i is bit-identical to ``evolve(state, coupling_sets[i], ...)``.
+    The sets must share one coupling class (zero, pointwise or
+    derivative); the stability bound is checked per set, and the error
+    names the first set that fails. Drives and Wigner sampling are not
+    supported. Nothing is recorded along the way.
+    """
+    coupling_sets = list(coupling_sets)
+    _check_steps(n_steps, dt)
+    if n_steps == 0:
+        return [state.copy() for _ in coupling_sets]
+    bath = bath if bath is not None else BathSpec()
+    if enforce_stability:
+        for i, couplings in enumerate(coupling_sets):
+            _check_stability(state, couplings, dispersions, bath, dt,
+                             label=f"coupling set {i}: ")
+    stepper = Stepper(state.grid, coupling_sets, dispersions, bath=bath,
+                      absorber=absorber, dt=dt, frame=state.frame)
+    y = np.repeat(np.stack((state.a, state.b))[None], len(coupling_sets), axis=0)
+    t = state.time
+    for i in range(n_steps):
+        y = stepper.advance(y, t, step_index=i)
+        t += dt
+    return [FieldState(state.grid, a, b, frame=state.frame, time=t) for a, b in y]
 
 
 # -- standard observers ----------------------------------------------------

@@ -215,6 +215,34 @@ class TestCliRuns:
         err = capsys.readouterr().err
         assert "record_every" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("entry, bad, flag, value", [
+        ("trajectories = 1", "trajectories = 0", "--trajectories", "0"),
+        ("trajectories = 1", "trajectories = -2", "--trajectories", "-2"),
+        ("base_seed = 7", "base_seed = -1", "--seed", "-1"),
+        ("dt = 0.02 s", "dt = 0 s", "--dt-override", "0"),
+        ("dt = 0.02 s", "dt = -0.01 s", "--dt-override", "-0.01"),
+    ], ids=["trajectories-0", "trajectories-neg", "seed-neg", "dt-0", "dt-neg"])
+    def test_out_of_range_key_or_flag_exits_two(self, tmp_path, capsys, entry,
+                                                 bad, flag, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(GOOD_CONFIG.replace(entry, bad))
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert main(["run", "--config", str(cfg), "--output", out]) == 2
+        # the flags bypass the parser but not its checks
+        cfg.write_text(GOOD_CONFIG)
+        assert main(["run", "--config", str(cfg), "--validate-only",
+                     flag, value]) == 2
+        assert main(["run", "--config", str(cfg), "--output", out,
+                     flag, value]) == 2
+        assert main(["run", "--scenario", "custom", "--output", out,
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        key = bad.split(" =")[0]
+        assert err.count(f"] {key}: must be") == 5, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_side_drive_kappa_ex_is_an_unknown_key(self, tmp_path, capsys):
         # no scenario builds a side drive, so the key must not be accepted
         cfg = tmp_path / "bad.cfg"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from cwom import CouplingSet, FieldState, Grid1D, interaction_rhs, spectral_derivative
-from cwom.core.interaction import (interaction_energy_density, phonon_channel,
+from cwom.core.interaction import (CouplingTerms, fused_rhs,
+                                   interaction_energy_density, phonon_channel,
                                    photon_channel, total_energy)
 from cwom import DispersionSpec
 from cwom.dynamics import DispersionPair, make_energy_observer
@@ -215,6 +216,45 @@ class TestFusedRhs:
         assert _rel(db, ref_b) < 1e-13
         if cs.is_zero:
             assert not np.any(da) and not np.any(db)
+
+
+class TestBatchedTerms:
+    """A batch of sets resolves to (B, 1) columns; the fused kernel on
+    (B, n) arrays gives each row exactly its own set's right-hand side."""
+
+    BATCHES = {
+        "derivative": [FUSED_CASES["even"], FUSED_CASES["odd"],
+                       FUSED_CASES["mixed"], CouplingSet.even(g_mmp=0.4)],
+        "pointwise": [CouplingSet.simple(1.3), CouplingSet.simple(-0.2)],
+        "zero": [CouplingSet(), CouplingSet()],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_rows_equal_single_set_rhs(self, name, grid64, rng):
+        sets = self.BATCHES[name]
+        a = np.stack([random_band_limited(grid64, rng) for _ in sets])
+        b = np.stack([random_band_limited(grid64, rng, amplitude=0.6) for _ in sets])
+        terms = CouplingTerms.resolve(sets)
+        assert terms.kind == name
+        da, db = fused_rhs(a, b, grid64.derivative_weight, terms)
+        for i, cs in enumerate(sets):
+            want_a, want_b = interaction_rhs(FieldState(grid64, a[i], b[i]), cs)
+            assert np.array_equal(da[i], want_a)
+            assert np.array_equal(db[i], want_b)
+
+    def test_columns_drop_only_constants_zero_in_every_row(self):
+        terms = CouplingTerms.resolve([CouplingSet.even(g_mmp=0.4),
+                                       CouplingSet.even(g_mpm=0.1 + 0.3j)])
+        assert terms.g_mmp.shape == (2, 1) and terms.g_mmp[1, 0] == 0
+        assert np.array_equal(terms.g_mpm_c, [[0], [0.1 - 0.3j]])
+        assert terms.g_ppp is None and terms.g_mpp is None and terms.g_mpp_c is None
+        single = CouplingTerms.resolve(CouplingSet.even(g_mpm=0.1 + 0.3j))
+        assert single.g_mpm == 0.1 + 0.3j and single.g_mpm_c == 0.1 - 0.3j
+        assert single.g_mmp is None
+
+    def test_mixed_classes_rejected(self):
+        with pytest.raises(ValueError, match="one class"):
+            CouplingTerms.resolve([CouplingSet.simple(1.0), FUSED_CASES["even"]])
 
 
 def _energy_density_reference(state, c):

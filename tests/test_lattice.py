@@ -167,20 +167,27 @@ class TestConvergence:
                           0.05 / 0.5)
 
     def test_link_study_runs_pointwise_reference_once(self, monkeypatch):
-        # one link-effective reference per size plus one shared pointwise
-        # reference: 2 g_link sqrt(dx) = g_cont does not depend on dx
-        calls = []
-        evolve = experiments.evolve
+        # one shared pointwise reference (2 g_link sqrt(dx) = g_cont does
+        # not depend on dx) plus every size's link-effective reference,
+        # stepped as one batch
+        calls, batches = [], []
+        evolve, evolve_batch = experiments.evolve, experiments.evolve_batch
 
         def counting_evolve(*args, **kwargs):
             calls.append(args[1])
             return evolve(*args, **kwargs)
 
+        def counting_evolve_batch(*args, **kwargs):
+            batches.append(list(args[1]))
+            return evolve_batch(*args, **kwargs)
+
         monkeypatch.setattr(experiments, "evolve", counting_evolve)
+        monkeypatch.setattr(experiments, "evolve_batch", counting_evolve_batch)
         sizes = (16, 32)
         res = array_convergence_study(kind="link", sizes=sizes, T=0.05, n_ref=64)
-        assert len(calls) == len(sizes) + 1
-        assert sum(c.is_pointwise for c in calls) == 1
+        assert len(calls) == 1 and calls[0].is_pointwise
+        assert len(batches) == 1 and len(batches[0]) == len(sizes)
+        assert not any(c.is_pointwise for c in batches[0])
         assert np.all(np.isfinite(res.errors_pointwise_model))
 
 

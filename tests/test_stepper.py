@@ -8,9 +8,9 @@ import pytest
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
 from cwom.core.interaction import interaction_rhs, total_energy
 from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
-                           EndfireDrive, SideDrive, Stepper, evolve, make_absorber,
-                           make_energy_observer, observe_photon_number,
-                           run_ensemble, stability_bound)
+                           EndfireDrive, SideDrive, Stepper, evolve, evolve_batch,
+                           make_absorber, make_energy_observer,
+                           observe_photon_number, run_ensemble, stability_bound)
 
 from conftest import random_band_limited
 
@@ -280,6 +280,105 @@ class TestRightHandSide:
         got = stepper._rhs(y, t)
         assert np.array_equal(got[0], want_a)
         assert np.array_equal(got[1], want_b)
+
+
+class TestEvolveBatch:
+    # each row of the batch must replay its own evolve bit for bit
+    BATCHES = {
+        "even_complex_g_mpm": [
+            CouplingSet.even(g_ppp=0.2, g_mmp=0.01, g_mpm=0.004 + 0.002j),
+            CouplingSet.even(g_ppp=-0.1, g_mmp=0.02, g_mpm=-0.003j)],
+        "odd_complex_g_mpp": [
+            CouplingSet.odd(g_ppm=0.05, g_mpp=0.01 - 0.02j, g_mmm=0.003),
+            CouplingSet.odd(g_ppm=-0.02, g_mpp=0.03j)],
+        "mixed": [
+            CouplingSet(g_ppp=0.1, g_mmp=0.01, g_mpm=0.003j, g_ppm=0.02,
+                        g_mpp=0.01 + 0.01j, g_mmm=0.002, sector="mixed",
+                        broken_inversion_symmetry=True),
+            CouplingSet.even(g_mmp=0.015),
+            CouplingSet.odd(g_mpp=0.02 - 0.01j)],
+        "zero_in_one_row": [
+            CouplingSet.even(g_ppp=0.2, g_mmp=0.01),
+            CouplingSet.even(g_mpm=0.004 - 0.001j),
+            CouplingSet.even(g_ppp=0.3, g_mmp=-0.02, g_mpm=0.002)],
+        "pointwise": [CouplingSet.simple(0.3), CouplingSet.simple(-0.1)],
+        "zero": [CouplingSet(), CouplingSet()],
+    }
+
+    @staticmethod
+    def _setup():
+        grid = Grid1D(128, 0.1)
+        rng = np.random.default_rng(97)
+        state = FieldState(grid, random_band_limited(grid, rng, amplitude=0.5),
+                           random_band_limited(grid, rng, amplitude=0.3),
+                           time=0.25)
+        disp = DispersionPair(DispersionSpec.polynomial([0.0, 1.0, 0.05]),
+                              DispersionSpec.linear(0.4, 2.0))
+        return grid, state, disp
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    @pytest.mark.parametrize("open_system", [False, True])
+    def test_rows_equal_their_own_evolve(self, name, open_system):
+        sets = self.BATCHES[name]
+        grid, state, disp = self._setup()
+        bath = BathSpec(kappa=0.3, gamma_mech=0.7) if open_system else None
+        absorber = (make_absorber(grid, speed=1.0, opacity=5.0)
+                    if open_system else None)
+        got = evolve_batch(state, sets, disp, dt=2e-3, n_steps=60, bath=bath,
+                           absorber=absorber)
+        assert len(got) == len(sets)
+        for couplings, row in zip(sets, got):
+            want = evolve(state, couplings, disp, bath=bath, dt=2e-3, n_steps=60,
+                          absorber=absorber).final_state
+            assert np.array_equal(row.a, want.a)
+            assert np.array_equal(row.b, want.b)
+            assert row.time == want.time and row.frame == want.frame
+        assert state.time == 0.25
+
+    def test_zero_steps_echoes_initial_state(self):
+        grid, state, disp = self._setup()
+        got = evolve_batch(state, self.BATCHES["mixed"], disp, dt=None, n_steps=0)
+        assert len(got) == 3
+        for row in got:
+            assert np.array_equal(row.a, state.a) and row.a is not state.a
+
+    def test_stability_checked_per_row_naming_the_first_failure(self):
+        grid, state, disp = self._setup()
+        sets = [CouplingSet.even(g_mmp=0.01), CouplingSet.even(g_mmp=10.0),
+                CouplingSet.even(g_mmp=20.0)]
+        bounds = [stability_bound(state, c, disp, BathSpec()) for c in sets]
+        dt = 0.5 * (bounds[0] + bounds[1])
+        assert bounds[2] < bounds[1] < dt < bounds[0]
+        with pytest.raises(ValueError, match="coupling set 1: dt"):
+            evolve_batch(state, sets, disp, dt=dt, n_steps=3)
+        got = evolve_batch(state, sets[:1], disp, dt=dt, n_steps=3)
+        assert np.all(np.isfinite(got[0].a))
+
+    def test_mixed_coupling_classes_rejected(self):
+        # the pointwise evaluation rounds differently from the fused one,
+        # so one batch cannot serve both classes bit for bit
+        grid, state, disp = self._setup()
+        for sets in ([CouplingSet.simple(0.3), CouplingSet.even(g_mmp=0.01)],
+                     [CouplingSet(), CouplingSet.simple(0.3)],
+                     [CouplingSet.even(g_mpm=0.01j), CouplingSet()]):
+            with pytest.raises(ValueError, match="one class"):
+                evolve_batch(state, sets, disp, dt=1e-3, n_steps=2)
+
+    def test_wigner_sampling_and_drives_rejected(self):
+        grid, state, disp = self._setup()
+        sets = self.BATCHES["even_complex_g_mpm"]
+        bath = BathSpec(gamma_mech=1.0, n_th=0.5, sampling="wigner")
+        with pytest.raises(ValueError, match="Wigner"):
+            evolve_batch(state, sets, disp, dt=1e-3, n_steps=2, bath=bath)
+        for drive in (EndfireDrive(alpha_in=1.0, inlet_cell=8),
+                      SideDrive(kappa_ex=0.5, profile=lambda x, t: 0 * x)):
+            with pytest.raises(ValueError, match="drive"):
+                Stepper(grid, sets, disp, drive=drive, dt=1e-3)
+
+    def test_empty_batch_rejected(self):
+        grid, state, disp = self._setup()
+        with pytest.raises(ValueError, match="at least one"):
+            evolve_batch(state, [], disp, dt=1e-3, n_steps=2)
 
 
 class TestInputChecks:
