@@ -50,14 +50,9 @@ def conjugate_dispersion_phase(dispersion: DispersionSpec, grid: Grid1D,
     return np.exp(-1j * dispersion.negated_reflection(grid) * dt)
 
 
-def apply_phase(field: np.ndarray, phase: np.ndarray,
-                out: np.ndarray = None) -> np.ndarray:
-    """Multiply the field's k-space representation by precomputed phases.
-
-    ``out``, which may be ``field`` itself, receives the result in place of
-    a new array (the ``out`` argument of ``np.fft.ifft``, numpy >= 2.0).
-    """
-    return np.fft.ifft(phase * np.fft.fft(field, axis=-1), axis=-1, out=out)
+def apply_phase(field: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Multiply the field's k-space representation by precomputed phases."""
+    return np.fft.ifft(phase * np.fft.fft(field, axis=-1), axis=-1)
 
 
 def apply_dispersion(field: np.ndarray, dispersion: DispersionSpec, dt: float,

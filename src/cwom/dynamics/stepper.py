@@ -35,19 +35,21 @@ once. Source deposits write straight into the photon row of the stacked
 state. All stochastic draws come from one Generator in a fixed order, so
 a seed pins the whole trajectory bit-for-bit.
 
-Batch axis. :meth:`SplitStepper.advance` steps any array of shape
-(..., rows, n); the leading axes are batch rows, each stepped exactly as
-it would be alone (batched transforms and column-broadcast products
-round row for row like the single calls). :func:`evolve_batch` uses one
-leading axis for configurations: B coupling sets of one class, from one
-initial state, on one grid, dt and step count, advance as one
-(B, 2, n) array, and the term table holds each constant as a (B, 1)
-column. Drives and Wigner sampling are not batched: per-row noise
-streams would need one Generator per row.
+Batch axis. :meth:`SplitStepper.step_inplace` packs fields of shape
+(..., n) into an array of shape (..., rows, n); the leading axes are
+batch rows, each stepped exactly as it would be alone (batched
+transforms and column-broadcast products round row for row like the
+single calls). :func:`evolve_batch` uses one leading axis for
+configurations: B coupling sets of one class, from one initial state,
+on one grid, dt and step count, step as one state whose fields have
+shape (B, n), packed to (B, 2, n), and the term table holds each
+constant as a (B, 1) column. Only closed, undriven runs are
+batched: per-row noise streams would need one Generator per row.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -107,8 +109,7 @@ class SplitStepper:
     the divergence report counts as photon fields), and its kick: by
     default Wigner noise on the ``_damped`` rows (row, rate, occupation),
     then the ``_deposits`` (row, DepositPlan). Rows outside ``live`` (frozen
-    fields) skip the half steps and the absorber. ``step_inplace`` packs a
-    state, runs :meth:`advance` on the array and unpacks it.
+    fields) skip the half steps and the absorber.
     """
 
     photon_rows = 1
@@ -122,15 +123,14 @@ class SplitStepper:
         self.grid = grid
         self.dt = dt
         self._live = live
-        self._all_live = isinstance(live, slice) and live == slice(None)
         self._wigner = wigner
         self._decay = absorber.decay_factors(dt) if absorber is not None else None
 
     def _pack(self, state):
-        return np.stack((state.a, state.b))
+        return np.stack((state.a, state.b), axis=-2)
 
     def _unpack(self, y, state):
-        state.a, state.b = y
+        state.a, state.b = y[..., 0, :], y[..., 1, :]
 
     def _kick(self, y, t, rng):
         dt = self.dt
@@ -141,24 +141,15 @@ class SplitStepper:
             plan.apply(y[row], t, rng=rng, vacuum_noise=self._wigner)
 
     def step_inplace(self, state, rng=None, step_index: int = 0):
-        y = self.advance(self._pack(state), state.time, rng=rng,
-                         step_index=step_index)
-        self._unpack(y, state)
-        state.time += self.dt
-        return state
-
-    def advance(self, y, t: float, rng=None, step_index: int = 0):
-        """One Strang step of the stacked array ``y`` at time ``t``.
-
-        Returns the stepped array; ``y`` itself may be overwritten. Axes in
-        front of (rows, n) are batch axes, stepped row for row as the
-        unbatched array would be, for a model whose ``_rhs`` and kick take
-        them (a coupling-batch :class:`Stepper`).
-        """
+        """One Strang step of ``state``. Axes of its fields in front of
+        (n,) are batch axes, stepped row for row as each row would be
+        alone, for a model whose ``_rhs`` and kick take them (a
+        coupling-batch :class:`Stepper`)."""
         if self._wigner and rng is None:
             raise ValueError("Wigner sampling requires an rng")
-        dt = self.dt
-        y = self._free_half(y)
+        dt, t, live = self.dt, state.time, self._live
+        y = self._pack(state)
+        y[..., live, :] = apply_phase(y[..., live, :], self._half)
 
         k1 = self._rhs(y, t)
         k2 = self._rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
@@ -167,21 +158,17 @@ class SplitStepper:
         y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         self._kick(y, t, rng)
         if self._decay is not None:
-            y[..., self._live, :] *= self._decay
+            y[..., live, :] *= self._decay
 
         if not np.isfinite(y).all():
             p = self.photon_rows
             raise DivergenceError.from_fields(step_index, t, y[..., :p, :],
                                               y[..., p:, :])
-        return self._free_half(y)
 
-    def _free_half(self, y):
-        """Half free step of the live rows; with every row live the inverse
-        transform writes straight into ``y``, with no copy back."""
-        if self._all_live:
-            return apply_phase(y, self._half, out=y)
-        y[..., self._live, :] = apply_phase(y[..., self._live, :], self._half)
-        return y
+        y[..., live, :] = apply_phase(y[..., live, :], self._half)
+        self._unpack(y, state)
+        state.time += dt
+        return state
 
     def run(self, state, n_steps: int, observers: dict = None,
             record_every: int = 1, rng: np.random.Generator = None) -> Trajectory:
@@ -242,8 +229,9 @@ class Stepper(SplitStepper):
     positions.
 
     ``couplings`` may also be a sequence of B sets of one coupling class.
-    Such a stepper advances a (B, 2, n) array, row i under set i (see
-    :func:`evolve_batch`); it takes neither drives nor Wigner sampling.
+    Such a stepper steps a state whose fields have shape (B, n), row i
+    under set i (see :func:`evolve_batch`); it takes neither drives nor
+    Wigner sampling.
     """
 
     def __init__(self, grid, couplings, dispersions: DispersionPair,
@@ -299,12 +287,13 @@ def _check_steps(n_steps: int, dt: float):
         raise ValueError("dt must be positive")
 
 
-def _check_stability(state, couplings, dispersions, bath, dt, label=""):
+def _stability_error(state, couplings, dispersions, bath, dt):
+    """What is wrong with a dt above the stability bound; None if nothing."""
     bound = stability_bound(state, couplings, dispersions, bath)
     if dt > bound:
-        raise ValueError(
-            f"{label}dt = {dt:.3e} s exceeds the stability bound {bound:.3e} s; "
-            "reduce dt or pass enforce_stability=False")
+        return (f"dt = {dt:.3e} s exceeds the stability bound {bound:.3e} s; "
+                "reduce dt")
+    return None
 
 
 def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPair,
@@ -327,7 +316,9 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
                                    for name, obs in (observers or {}).items()},
                           final_state=work, dt=dt or 0.0)
     if enforce_stability:
-        _check_stability(state, couplings, dispersions, bath, dt)
+        error = _stability_error(state, couplings, dispersions, bath, dt)
+        if error:
+            raise ValueError(error + " or pass enforce_stability=False")
     stepper = Stepper(state.grid, couplings, dispersions, bath=bath, drive=drive,
                       absorber=absorber, dt=dt, frame=state.frame)
     return stepper.run(state, n_steps, observers=observers,
@@ -335,35 +326,33 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
 
 
 def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
-                 dt: float, n_steps: int, bath: BathSpec = None,
-                 absorber: AbsorberProfile = None,
-                 enforce_stability: bool = True) -> list:
-    """Final states of ``evolve`` from one initial state under each of
-    ``coupling_sets``, stepped as one (B, 2, n) array.
+                 dt: float, n_steps: int) -> list:
+    """Final states of closed, undriven ``evolve`` runs from one initial
+    state under each of ``coupling_sets``, stepped as one (B, 2, n) array.
 
     Row i is bit-identical to ``evolve(state, coupling_sets[i], ...)``.
     The sets must share one coupling class (zero, pointwise or
-    derivative); the stability bound is checked per set, and the error
-    names the first set that fails. Drives and Wigner sampling are not
-    supported. Nothing is recorded along the way.
+    derivative). The stability bound is checked per set, and the error
+    names the first set that fails. Nothing is recorded along the way.
     """
     coupling_sets = list(coupling_sets)
     _check_steps(n_steps, dt)
     if n_steps == 0:
         return [state.copy() for _ in coupling_sets]
-    bath = bath if bath is not None else BathSpec()
-    if enforce_stability:
-        for i, couplings in enumerate(coupling_sets):
-            _check_stability(state, couplings, dispersions, bath, dt,
-                             label=f"coupling set {i}: ")
-    stepper = Stepper(state.grid, coupling_sets, dispersions, bath=bath,
-                      absorber=absorber, dt=dt, frame=state.frame)
-    y = np.repeat(np.stack((state.a, state.b))[None], len(coupling_sets), axis=0)
-    t = state.time
+    for i, couplings in enumerate(coupling_sets):
+        error = _stability_error(state, couplings, dispersions, BathSpec(), dt)
+        if error:
+            raise ValueError(f"coupling set {i}: {error}")
+    stepper = Stepper(state.grid, coupling_sets, dispersions, dt=dt,
+                      frame=state.frame)
+    rows = len(coupling_sets)
+    batch = SimpleNamespace(a=np.repeat(state.a[None], rows, axis=0),
+                            b=np.repeat(state.b[None], rows, axis=0),
+                            time=state.time)
     for i in range(n_steps):
-        y = stepper.advance(y, t, step_index=i)
-        t += dt
-    return [FieldState(state.grid, a, b, frame=state.frame, time=t) for a, b in y]
+        stepper.step_inplace(batch, step_index=i)
+    return [FieldState(state.grid, a, b, frame=state.frame, time=batch.time)
+            for a, b in zip(batch.a, batch.b)]
 
 
 # -- standard observers ----------------------------------------------------

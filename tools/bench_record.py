@@ -1,17 +1,16 @@
 """Record a BENCH_<n>.json: the benchmark and tier-1 timings of two checkouts.
 
     python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_6.json \
-        [--pairs 10] [--first-seed 9700] [--seconds 20] [--workloads W ...] \
-        [--tier1]
+        [--first-seed 9700]
 
-For each workload it runs ``perfbench/run.py --trace 0`` in both checkouts
-for ``--pairs`` pairs of runs, one seed per pair, alternating which
-checkout runs first, and records every end-to-end metric with its median
-and quartiles per side, and for ``solve_rel`` how many pairs the change
-won. ``--tier1`` also runs the tier-1 suite in each checkout, back to
-back, and records its wall time and the durations of the acceptance
-criteria C2, C4 and C6. Run it on an otherwise idle machine; it is not
-part of the test suite.
+For each workload of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace
+0`` in both checkouts for ten pairs of runs of the benchmark's
+``run_seconds``, one seed per pair, alternating which checkout runs
+first, and records every end-to-end metric with its median and quartiles
+per side, and for ``solve_rel`` how many pairs the change won. Then it
+runs the tier-1 suite in each checkout, back to back, and records its
+wall time and the durations of the acceptance criteria C2, C4 and C6.
+Run it on an otherwise idle machine; it is not part of the test suite.
 """
 
 import argparse
@@ -24,11 +23,14 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 from run import machine_facts  # noqa: E402
 
-WORKLOADS = ("link_convergence", "brillouin_gain", "wigner_ensemble",
-             "cli_recorded")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10  # a claimed gain must win at least 9 of 10 alternating pairs
 CRITERIA = {"C2": "test_criterion_2_", "C4": "test_criterion_4_",
             "C6": "test_criterion_6_"}
 
@@ -38,23 +40,22 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(checkout: Path, workload: str, seed: int) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def bench_workload(parent: Path, change: Path, workload: str, seeds,
-                   seconds: float) -> dict:
+def bench_workload(parent: Path, change: Path, workload: str, seeds) -> dict:
     runs = {"parent": [], "change": []}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = parent if side == "parent" else change
-            runs[side].append(bench_once(checkout, workload, seed, seconds))
+            runs[side].append(bench_once(checkout, workload, seed))
         print(f"{workload} seed {seed}: solve_rel "
               f"{runs['parent'][-1]['solve_rel']:.4g} (parent) vs "
               f"{runs['change'][-1]['solve_rel']:.4g} (change)", flush=True)
@@ -94,24 +95,16 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=9700)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
-    parser.add_argument("--tier1", action="store_true")
     args = parser.parse_args(argv)
-    record = {"machine": machine_facts(), "seconds_per_run": args.seconds,
+    parent, change = args.parent.resolve(), args.change.resolve()
+    record = {"machine": machine_facts(), "seconds_per_run": SECONDS,
               "workloads": {}}
-    for k, workload in enumerate(args.workloads):
+    for k, workload in enumerate(WORKLOADS):
         first = args.first_seed + 100 * k
-        seeds = range(first, first + args.pairs)
         record["workloads"][workload] = bench_workload(
-            args.parent.resolve(), args.change.resolve(), workload, seeds,
-            args.seconds)
-    if args.tier1:
-        record["tier1"] = {side: tier1(path.resolve()) for side, path in
-                           (("parent", args.parent), ("change", args.change))}
+            parent, change, workload, range(first, first + PAIRS))
+    record["tier1"] = {"parent": tier1(parent), "change": tier1(change)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
