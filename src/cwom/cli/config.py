@@ -5,7 +5,7 @@ Every physical quantity carries a unit suffix checked against the schema
 (dispersion kind, coupling sector, drive mode, absorber, sampling, array
 coupling kind) accept only their declared values. Unknown sections or
 keys are rejected, step and trajectory counts and dt must be positive and
-seeds non-negative, and validation reports every offending entry at once
+seeds in [0, 2**64 - 1], and validation reports every offending entry at once
 rather than stopping at the first. Command-line overrides pass the same
 range checks (:func:`check_ranges`).
 Unit bugs dominate this domain, so the parser refuses to guess.
@@ -95,8 +95,9 @@ SCHEMA = {
 
 # int keys that count steps or runs and must be at least 1
 POSITIVE_INTS = {("integration", "record_every"), ("ensemble", "trajectories")}
-# keys with another lower bound: an RNG seed, the integrator step
-NON_NEGATIVE_INTS = {("ensemble", "base_seed")}
+# RNG seeds: a Philox key word, 0 to 2**64 - 1
+SEED_INTS = {("ensemble", "base_seed")}
+MAX_SEED = 2**64 - 1
 POSITIVE_FLOATS = {("integration", "dt")}
 
 
@@ -181,8 +182,8 @@ def _range_problem(section, key, value):
     where = (section, key)
     if where in POSITIVE_INTS and value < 1:
         return f"[{section}] {key}: must be at least 1, got {value}"
-    if where in NON_NEGATIVE_INTS and value < 0:
-        return f"[{section}] {key}: must be at least 0, got {value}"
+    if where in SEED_INTS and not 0 <= value <= MAX_SEED:
+        return f"[{section}] {key}: must be in [0, 2**64 - 1], got {value}"
     if where in POSITIVE_FLOATS and not value > 0:
         return f"[{section}] {key}: must be positive, got {value}"
     return None

@@ -11,7 +11,7 @@ import sys
 from ..dynamics.stepper import DivergenceError
 from .config import (SCENARIOS, ConfigError, ScenarioConfig, check_ranges,
                      load_config)
-from .scenarios import run_scenario
+from .scenarios import run_scenario, validate_scenario
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -69,9 +69,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)
+        if args.validate_only:
+            validate_scenario(config)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_FAILURE
     if args.validate_only:
         print(f"configuration valid: scenario {config.scenario!r}")
         return EXIT_OK

@@ -12,6 +12,7 @@ Presets are sized to finish in seconds; the config file scales them up.
 
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,11 +25,12 @@ from ..dynamics.boundary import make_absorber
 from ..dynamics.drive import EndfireDrive
 from ..dynamics.rng import trajectory_generator
 from ..dynamics.stepper import (DispersionPair, evolve, make_energy_observer,
-                                observe_phonon_number, observe_photon_number)
+                                observe_phonon_number, observe_photon_number,
+                                stability_bound)
 from ..experiments import (array_convergence_study, run_forward_comb,
                            run_swap_profile, run_two_branch_gain)
 from ..strongcoupling import sweep_coupling
-from .config import ScenarioConfig, serialize_config
+from .config import ConfigError, ScenarioConfig, serialize_config
 from .output import write_csv, write_json_report, write_snapshot
 
 DEFAULTS = {
@@ -95,11 +97,22 @@ def _dispersion_from(section: dict, default_kind="flat") -> DispersionSpec:
                      "built from the grid at run time)")
 
 
+def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
+    """``config`` layered over its preset and checked for what parsing
+    cannot see: a custom run's dt against the stability bound. Raises
+    :class:`ConfigError`."""
+    config = resolve_config(config)
+    if config.scenario == "custom":
+        _custom_setup(config)
+    return config
+
+
 def run_scenario(config: ScenarioConfig, output_dir) -> dict:
-    """Execute one scenario; returns the report dict written to report.json."""
+    """Execute one scenario; returns the report dict written to report.json.
+    Nothing is written when the configuration is rejected."""
+    config = validate_scenario(config)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = resolve_config(config)
     (out / "effective_config.cfg").write_text(serialize_config(config))
     runner = _RUNNERS[config.scenario]
     t0 = time.time()
@@ -228,7 +241,10 @@ def _run_array_convergence(config: ScenarioConfig, out: Path) -> dict:
             "sizes": list(sizes)}
 
 
-def _run_custom(config: ScenarioConfig, out: Path) -> dict:
+def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
+    """The custom run's objects, built from a resolved config. Raises
+    :class:`ConfigError` when dt exceeds the stability bound of the
+    initial (vacuum) state, which ``evolve`` would refuse."""
     gridc = config.section("grid")
     grid = Grid1D(int(gridc["n_points"]), gridc["dx"])
     disp = DispersionPair(_dispersion_from(config.section("photon"), "linear"),
@@ -246,6 +262,13 @@ def _run_custom(config: ScenarioConfig, out: Path) -> dict:
                     temperature=bathc.get("temperature", None),
                     omega_ref=bathc.get("omega_ref", 0.0),
                     sampling=bathc.get("sampling", "none"))
+    integ = config.section("integration")
+    dt = integ["dt"]
+    bound = stability_bound(FieldState.vacuum(grid), couplings, disp, bath)
+    if dt > bound:
+        raise ConfigError([f"[integration] dt: {dt:.3e} s exceeds the stability "
+                           f"bound {bound:.3e} s of this grid, dispersion and "
+                           "bath; reduce dt"])
     drivec = config.section("drive")
     drive = None
     if drivec.get("mode", "none") == "endfire":
@@ -253,9 +276,6 @@ def _run_custom(config: ScenarioConfig, out: Path) -> dict:
                              omega_L=drivec.get("omega_L"),
                              k_L=drivec.get("k_L"),
                              inlet_cell=int(drivec.get("inlet_cell", 4)))
-    integ = config.section("integration")
-    dt = integ["dt"]
-    n_steps = int(round(integ["t_total"] / dt))
     absorber = None
     if integ.get("absorber", "off") == "on":
         speed = integ.get("absorber_speed",
@@ -263,8 +283,18 @@ def _run_custom(config: ScenarioConfig, out: Path) -> dict:
         absorber = make_absorber(grid, speed=speed,
                                  opacity=integ.get("absorber_opacity", 10.0))
     ens = config.section("ensemble")
-    n_traj = int(ens.get("trajectories", 1))
-    base_seed = int(ens.get("base_seed", 1))
+    return SimpleNamespace(
+        grid=grid, disp=disp, couplings=couplings, bath=bath, drive=drive,
+        dt=dt, n_steps=int(round(integ["t_total"] / dt)), absorber=absorber,
+        record_every=int(integ.get("record_every", 1)),
+        n_traj=int(ens.get("trajectories", 1)),
+        base_seed=int(ens.get("base_seed", 1)))
+
+
+def _run_custom(config: ScenarioConfig, out: Path) -> dict:
+    setup = _custom_setup(config)
+    grid, couplings, disp = setup.grid, setup.couplings, setup.disp
+    n_traj, n_steps = setup.n_traj, setup.n_steps
     observers = {
         "photon_number": observe_photon_number,
         "phonon_number": observe_phonon_number,
@@ -273,11 +303,11 @@ def _run_custom(config: ScenarioConfig, out: Path) -> dict:
     mean_records = None
     final = None
     for idx in range(n_traj):
-        rng = trajectory_generator(base_seed, idx)
-        traj = evolve(FieldState.vacuum(grid), couplings, disp, bath=bath,
-                      drive=drive, dt=dt, n_steps=n_steps, observers=observers,
-                      record_every=int(integ.get("record_every", 1)), rng=rng,
-                      absorber=absorber)
+        rng = trajectory_generator(setup.base_seed, idx)
+        traj = evolve(FieldState.vacuum(grid), couplings, disp, bath=setup.bath,
+                      drive=setup.drive, dt=setup.dt, n_steps=n_steps,
+                      observers=observers, record_every=setup.record_every,
+                      rng=rng, absorber=setup.absorber)
         if mean_records is None:
             times = traj.times
             mean_records = {k: np.asarray(v, dtype=float)

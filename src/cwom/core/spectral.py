@@ -52,7 +52,8 @@ def conjugate_dispersion_phase(dispersion: DispersionSpec, grid: Grid1D,
 
 def apply_phase(field: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Multiply the field's k-space representation by precomputed phases."""
-    return np.fft.ifft(phase * np.fft.fft(field, axis=-1), axis=-1)
+    modes = np.fft.fft(field, axis=-1)
+    return np.fft.ifft(np.multiply(phase, modes, out=modes), axis=-1)
 
 
 def apply_dispersion(field: np.ndarray, dispersion: DispersionSpec, dt: float,

@@ -98,7 +98,7 @@ class DepositPlan:
         cells = (drive.inlet_cell + offs) % grid.n_points
         # matched normalization: unit response of the resonant wavenumber
         khat = np.sum(window * np.exp(-1j * carrier * cells * grid.dx))
-        self.kernel_cells = cells
+        self.kernel_cells = slice(cells[0], cells[-1] + 1)  # never wraps
         self.kernel = window / khat
 
     def apply(self, a: np.ndarray, time: float, rng: np.random.Generator = None,

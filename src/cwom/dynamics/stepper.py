@@ -20,7 +20,20 @@ non-diagonal derivative couplings away from any implicit solve.
 over the live rows, and the RK4 substep is whole-array arithmetic on the
 right-hand side a model fills row by row. The waveguide model
 :class:`Stepper` stacks (a, b); the multi-branch, lattice and linearized
-models (``multibranch``, ``lattice``, ``steady``) are its siblings.
+models (``multibranch``, ``lattice``, ``steady``) are its siblings. The
+multi-branch state already is one stacked array, which a step copies
+once and hands back.
+
+The RK4 substep runs in place: the stage inputs are built in one reused
+buffer (``np.multiply(h, k, out=s); s += y``) and the k's are summed into
+``k1``, left to right as in ``k1 + 2 k2 + 2 k3 + k4``, so a step holds
+four derivative arrays and one buffer whatever the row count. Every
+result is byte-identical to the plain expressions ``y + 0.5 * dt * k1``
+and ``y + dt / 6.0 * (...)``: additions are commutative in IEEE
+arithmetic, but products of two complex arrays are not bitwise
+commutative where the loops use FMA, so an in-place rewrite must keep
+each product's operand order (``np.multiply(phase, f, out=f)``, never
+``f *= phase``).
 
 What one RK4 stage of :class:`Stepper` costs is settled in its
 constructor, where the coupling constants are resolved once into the
@@ -104,8 +117,12 @@ class SplitStepper:
     A model subclass calls ``__init__`` first (it validates dt), then sets
     ``_half``, the half-step phase rows of ``y[live]``. It supplies
     ``_rhs(y, t)``, the interaction + damping derivative of every row as
-    one (rows, n) array, and may override ``_pack``/``_unpack`` (default:
-    a state with fields ``a`` and ``b``), ``photon_rows`` (the leading rows
+    one (rows, n) array. That array must be fresh on every call: the core
+    overwrites the k's while summing them, so it may neither alias ``y``
+    nor be a buffer the model keeps. A model may override
+    ``_pack``/``_unpack`` (default: a state with fields ``a`` and ``b``;
+    ``_pack`` must return a new array, which the step mutates, so a step
+    that raises leaves the state as it was), ``photon_rows`` (the leading rows
     the divergence report counts as photon fields), and its kick: by
     default Wigner noise on the ``_damped`` rows (row, rate, occupation),
     then the ``_deposits`` (row, DepositPlan). Rows outside ``live`` (frozen
@@ -124,7 +141,9 @@ class SplitStepper:
         self.dt = dt
         self._live = live
         self._wigner = wigner
-        self._decay = absorber.decay_factors(dt) if absorber is not None else None
+        # complex, so the decay product skips a per-step cast of the factors
+        self._decay = (absorber.decay_factors(dt).astype(np.complex128)
+                       if absorber is not None else None)
 
     def _pack(self, state):
         return np.stack((state.a, state.b), axis=-2)
@@ -151,16 +170,29 @@ class SplitStepper:
         y = self._pack(state)
         y[..., live, :] = apply_phase(y[..., live, :], self._half)
 
+        # RK4 with one stage buffer s; the k's are summed into k1 in place,
+        # left to right, each product keeping its operand order.
+        h = 0.5 * dt
         k1 = self._rhs(y, t)
-        k2 = self._rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = self._rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = self._rhs(y + dt * k3, t + dt)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = np.multiply(h, k1)
+        s += y
+        k2 = self._rhs(s, t + h)
+        np.multiply(h, k2, out=s)
+        s += y
+        k3 = self._rhs(s, t + h)
+        np.multiply(dt, k3, out=s)
+        s += y
+        k4 = self._rhs(s, t + dt)
+        k1 += np.multiply(2, k2, out=k2)
+        k1 += np.multiply(2, k3, out=k3)
+        k1 += k4
+        y += np.multiply(dt / 6.0, k1, out=k1)
         self._kick(y, t, rng)
         if self._decay is not None:
             y[..., live, :] *= self._decay
 
-        if not np.isfinite(y).all():
+        # the float64 view checks the same entries in one faster pass
+        if not np.isfinite(y.view(np.float64)).all():
             p = self.photon_rows
             raise DivergenceError.from_fields(step_index, t, y[..., :p, :],
                                               y[..., p:, :])

@@ -23,8 +23,25 @@ are a single-branch feature of the core interaction.
 shape (n_branches + 1, n), branch rows first and the phonon row last.
 Frozen branches are left out of the live rows, so they skip the free
 half steps and the absorber and carry a zero derivative; a step costs 4
-transforms however many branches there are. ``MultiBranchState`` keeps
-the per-field view (``fields``, ``b``) for callers.
+transforms however many branches there are. ``MultiBranchState`` holds
+that stacked array itself (``rows``), with ``fields`` and ``b`` as row
+views for callers, so a step copies it once and hands the result back
+without restacking.
+
+What one right-hand side evaluation does is settled in the stepper's
+constructor: the kept channels become a term table whose first term per
+row is written straight into the row and later ones are added in
+channel order, the conjugated rows come from one ``np.conj`` of the
+whole state, each distinct time phase W is evaluated once per call, and
+the damping factors 0.5 * rate are columns over runs of consecutive
+damped rows. Every product keeps the operand order of the plain
+per-channel sum into a zero-filled array (see
+:mod:`cwom.dynamics.stepper`), so the derivative has the same value in
+every entry. Only the sign of an exact zero can differ: the plain sum
+turns a first term of -0.0 into 0.0 + -0.0 = +0.0. No later sum or
+product of the step turns such a zero into a different non-zero value,
+and stepped states have compared byte for byte with the plain sum (C2
+forward and backward, vacuum starts, frozen rows).
 """
 
 from dataclasses import dataclass
@@ -65,22 +82,37 @@ class PhononConfig:
     n_th: float = 0.0
 
 
-@dataclass
 class MultiBranchState:
-    grid: Grid1D
-    fields: list
-    b: np.ndarray
-    time: float = 0.0
+    """Branch fields and the phonon field of one multi-branch run.
 
-    def __post_init__(self):
-        self.fields = [np.asarray(f, dtype=np.complex128) for f in self.fields]
-        self.b = np.asarray(self.b, dtype=np.complex128)
-        n = self.grid.n_points
-        for f in self.fields:
+    The fields are stored as the rows of one (n_branches + 1, n) array
+    ``rows``, branches first and the phonon last; ``fields[j]`` and ``b``
+    are views of its rows, so the stepper steps the state without
+    restacking it. ``copy()`` is deep.
+    """
+
+    def __init__(self, grid: Grid1D, fields, b, time: float = 0.0):
+        fields = [np.asarray(f, dtype=np.complex128) for f in fields]
+        b = np.asarray(b, dtype=np.complex128)
+        n = grid.n_points
+        for f in fields:
             if f.shape != (n,):
                 raise ValueError("branch field length must match the grid")
-        if self.b.shape != (n,):
+        if b.shape != (n,):
             raise ValueError("phonon field length must match the grid")
+        self.grid = grid
+        self.rows = np.stack(fields + [b])
+        self.time = time
+
+    @property
+    def fields(self) -> tuple:
+        """The branch rows, in order."""
+        return tuple(self.rows[:-1])
+
+    @property
+    def b(self) -> np.ndarray:
+        """The phonon row."""
+        return self.rows[-1]
 
     @staticmethod
     def vacuum(grid: Grid1D, n_branches: int) -> "MultiBranchState":
@@ -88,14 +120,14 @@ class MultiBranchState:
                                 grid.zeros())
 
     def photon_number(self, j: int) -> float:
-        return float(np.sum(np.abs(self.fields[j]) ** 2) * self.grid.dx)
+        return float(np.sum(np.abs(self.rows[j]) ** 2) * self.grid.dx)
 
     def phonon_number(self) -> float:
-        return float(np.sum(np.abs(self.b) ** 2) * self.grid.dx)
+        return float(np.sum(np.abs(self.rows[-1]) ** 2) * self.grid.dx)
 
     def copy(self) -> "MultiBranchState":
-        return MultiBranchState(self.grid, [f.copy() for f in self.fields],
-                                self.b.copy(), self.time)
+        return MultiBranchState(self.grid, self.rows[:-1], self.rows[-1],
+                                self.time)
 
 
 @dataclass(frozen=True)
@@ -197,48 +229,78 @@ class MultiBranchStepper(SplitStepper):
             [dispersion_phase(b.dispersion, system.grid, 0.5 * dt) for b in branches]
             + [dispersion_phase(system.phonon.dispersion, system.grid, 0.5 * dt)]
         )[self._live]
-        self._photon_terms = [(ch.j, ch.l, 1j * ch.g, ch.conjugate_b, ch.W,
-                               ch.spatial)
-                              for ch in system.photon_channels
-                              if not branches[ch.j].frozen]
-        self._phonon_terms = [(ch.j, ch.l, 1j * ch.g, ch.W, ch.spatial)
-                              for ch in system.phonon_channels]
         self._damped = [(j, branches[j].kappa, 0.0) for j in live
                         if branches[j].kappa]
         if system.phonon.gamma:
             self._damped.append((len(branches), system.phonon.gamma,
                                  system.phonon.n_th))
+        self._settle_rhs(system)
         self._deposits = [
             (j, DepositPlan(system.grid, b.dispersion, b.drive,
                             Frame(b.frame_omega, b.frame_k), dt))
             for j, b in enumerate(branches) if b.drive is not None]
 
     def _pack(self, state: MultiBranchState):
-        return np.stack(state.fields + [state.b])
+        return state.rows.copy()
 
     def _unpack(self, y, state: MultiBranchState):
-        state.fields = list(y[:-1])
-        state.b = y[-1]
+        state.rows = y
+
+    def _settle_rhs(self, system: MultiBranchSystem):
+        """What each right-hand side evaluation does, settled once.
+
+        One term per kept channel, photon channels first, each
+        ``coef * left * right [* e^{iKx}] [* e^{-iWt}]`` with an operand
+        given as (conjugated, row). A row's first term is written straight
+        into it (a zero term keeps its sign here, where a sum into zeros
+        would give +0.0), later ones are added in channel order, and rows
+        without a term are zero. Damping subtracts 0.5 * rate * row from each run
+        of consecutive damped rows at once; a (rows, 1) column of factors
+        rounds like the per-row scalar products.
+        """
+        branches = system.branches
+        phonon_row = len(branches)
+        channels = ([(ch.j, (0, ch.l), (int(ch.conjugate_b), phonon_row), ch)
+                     for ch in system.photon_channels
+                     if not branches[ch.j].frozen]
+                    + [(phonon_row, (1, ch.j), (0, ch.l), ch)
+                       for ch in system.phonon_channels])
+        self._time_phases = list(dict.fromkeys(
+            ch.W for *_, ch in channels if ch.W != 0.0))
+        self._terms = []
+        written = set()
+        for row, left, right, ch in channels:
+            w = self._time_phases.index(ch.W) if ch.W != 0.0 else None
+            self._terms.append((row, row not in written, 1j * ch.g, left, right,
+                                ch.spatial, w))
+            written.add(row)
+        self._silent = [row for row in range(phonon_row + 1) if row not in written]
+        runs = []
+        for row, rate, _ in self._damped:
+            if runs and runs[-1][0][-1] == row - 1:
+                runs[-1][0].append(row)
+                runs[-1][1].append(0.5 * rate)
+            else:
+                runs.append(([row], [0.5 * rate]))
+        self._damping = [(slice(rows[0], rows[-1] + 1), np.array(factors)[:, None])
+                         for rows, factors in runs]
 
     def _rhs(self, y, t):
         """Interaction + damping derivative of every row of ``y``."""
-        dy = np.zeros(y.shape, dtype=y.dtype)
-        b = y[-1]
-        b_conj = np.conj(b)
-        for j, l, coef, conjugate_b, W, spatial in self._photon_terms:
-            term = coef * y[l] * (b_conj if conjugate_b else b)
+        dy = np.empty_like(y)
+        if self._silent:
+            dy[self._silent] = 0.0
+        operands = (y, np.conj(y))
+        phases = [np.exp(-1j * W * t) for W in self._time_phases]
+        for row, first, coef, (lc, l), (rc, r), spatial, w in self._terms:
+            term = np.multiply(coef, operands[lc][l], out=dy[row] if first else None)
+            term *= operands[rc][r]
             if spatial is not None:
                 term *= spatial
-            if W != 0.0:
-                term *= np.exp(-1j * W * t)
-            dy[j] += term
-        for j, l, coef, W, spatial in self._phonon_terms:
-            term = coef * np.conj(y[j]) * y[l]
-            if spatial is not None:
-                term *= spatial
-            if W != 0.0:
-                term *= np.exp(-1j * W * t)
-            dy[-1] += term
-        for row, rate, _ in self._damped:
-            dy[row] -= 0.5 * rate * y[row]
+            if w is not None:
+                term *= phases[w]
+            if not first:
+                dy[row] += term
+        for rows, half_rates in self._damping:
+            dy[rows] -= half_rates * y[rows]
         return dy

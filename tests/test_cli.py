@@ -365,3 +365,42 @@ decay_lengths = 3.0
         report = json.loads((out / "report.json").read_text())
         assert report["asymmetry"]["1"] < 0.05
         assert report["asymmetry"]["2"] < 0.05
+
+
+class TestCliRangeChecks:
+    @staticmethod
+    def _all_exit_two(tmp_path, bad_config, flag, value):
+        """Key and flag, each with and without --validate-only; returns
+        the error output."""
+        cfg = tmp_path / "bad.cfg"
+        out = str(tmp_path / "out")
+        cfg.write_text(bad_config)
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert main(["run", "--config", str(cfg), "--output", out]) == 2
+        cfg.write_text(GOOD_CONFIG)
+        assert main(["run", "--config", str(cfg), "--validate-only",
+                     flag, value]) == 2
+        assert main(["run", "--config", str(cfg), "--output", out,
+                     flag, value]) == 2
+        assert not (tmp_path / "out").exists()
+        return cfg
+
+    def test_seed_above_uint64_exits_two(self, tmp_path, capsys):
+        big = str(2**64)
+        cfg = self._all_exit_two(
+            tmp_path, GOOD_CONFIG.replace("base_seed = 7", f"base_seed = {big}"),
+            "--seed", big)
+        err = capsys.readouterr().err
+        assert err.count("] base_seed: must be in [0, 2**64 - 1]") == 4, err
+        assert "Traceback" not in err and "OverflowError" not in err
+        assert main(["run", "--config", str(cfg), "--validate-only",
+                     "--seed", str(2**64 - 1)]) == 0
+
+    def test_dt_above_stability_bound_exits_two(self, tmp_path, capsys):
+        # GOOD_CONFIG's bound: 0.5 / (2 m/s * pi / 0.5 m) = 3.979e-02 s
+        self._all_exit_two(tmp_path, GOOD_CONFIG.replace("dt = 0.02 s", "dt = 1.0 s"),
+                           "--dt-override", "1.0")
+        err = capsys.readouterr().err
+        assert err.count("[integration] dt: 1.000e+00 s exceeds the stability "
+                         "bound 3.979e-02 s") == 4, err
+        assert "Traceback" not in err

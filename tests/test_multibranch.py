@@ -334,3 +334,52 @@ class TestDivergenceReport:
         max_a, max_b = float(found.group(1)), float(found.group(2))
         assert max_a == pytest.approx(10.0, rel=1e-3)
         assert np.isfinite(max_b)
+
+
+class TestStackedState:
+    def test_fields_and_phonon_are_views_of_one_array(self):
+        grid = Grid1D(16, 1.0)
+        state = MultiBranchState(grid, [np.full(16, 1.0 + 0j), np.zeros(16)],
+                                 np.full(16, 0.5j))
+        assert state.rows.shape == (3, 16)
+        for row, field in zip(state.rows, list(state.fields) + [state.b]):
+            assert np.shares_memory(field, state.rows)
+            assert np.array_equal(field, row)
+        state.fields[1][3] = 2.0
+        state.b[4] = -1.0
+        assert state.rows[1, 3] == 2.0 and state.rows[2, 4] == -1.0
+        system = swap_system(grid, 0.1, Omega=4.0)
+        MultiBranchStepper(system, 1e-2).step_inplace(state)
+        for field in list(state.fields) + [state.b]:
+            assert np.shares_memory(field, state.rows)
+
+    def test_copy_is_deep(self):
+        grid = Grid1D(16, 1.0)
+        state = MultiBranchState(grid, [np.ones(16), np.zeros(16)], np.ones(16),
+                                 time=0.5)
+        twin = state.copy()
+        assert not np.shares_memory(twin.rows, state.rows)
+        assert twin.time == 0.5
+        twin.fields[0][:] = 7.0
+        twin.b[:] = 3.0
+        assert np.all(state.fields[0] == 1.0) and np.all(state.b == 1.0)
+
+    def test_constructor_validation_kept(self):
+        grid = Grid1D(16, 1.0)
+        with pytest.raises(ValueError, match="branch field length"):
+            MultiBranchState(grid, [np.zeros(8)], np.zeros(16))
+        with pytest.raises(ValueError, match="phonon field length"):
+            MultiBranchState(grid, [np.zeros(16)], np.zeros(8))
+
+    def test_diverging_step_leaves_the_state_as_it_was(self):
+        grid = Grid1D(16, 1.0)
+        system = swap_system(grid, 1e-3, Omega=4.0)
+        pump = np.full(16, 10.0, complex)
+        pump[3] = np.nan
+        state = MultiBranchState(grid, [pump, np.full(16, 1.0, complex)],
+                                 np.full(16, 0.2, complex), time=1.5)
+        rows, before = state.rows, state.rows.tobytes()
+        with pytest.raises(DivergenceError):
+            MultiBranchStepper(system, 1e-2).step_inplace(state, step_index=4)
+        assert state.rows is rows and state.rows.tobytes() == before
+        assert state.time == 1.5

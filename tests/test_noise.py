@@ -109,3 +109,10 @@ class TestEnsembleStreams:
         assert not np.allclose(a, b)
         again = trajectory_generator(123, 0).standard_normal(8)
         assert np.array_equal(a, again)
+
+    def test_key_words_outside_uint64_rejected(self):
+        top = 2**64 - 1
+        assert trajectory_generator(top, top).standard_normal() is not None
+        for seed, index in ((2**64, 0), (0, 2**64), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match=r"2\*\*64 - 1"):
+                trajectory_generator(seed, index)

@@ -414,3 +414,22 @@ class TestDivergenceReport:
         found = re.search(r"max\|a\| = (\S+), max\|b\| = (\S+);", str(err.value))
         assert float(found.group(1)) == pytest.approx(2.0, rel=1e-3)
         assert float(found.group(2)) == pytest.approx(0.5, rel=1e-3)
+
+
+class TestStepStateSemantics:
+    def test_diverging_step_leaves_the_state_as_it_was(self):
+        grid = Grid1D(128, 0.1)
+        disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(2.0))
+        a = np.full(128, 1.0 + 0j)
+        a[5] = np.nan
+        state = FieldState(grid, a, np.full(128, 0.5 + 0j), time=2.0)
+        arrays = (state.a, state.b)
+        before = [x.tobytes() for x in arrays]
+        stepper = Stepper(grid, CouplingSet.even(g_ppp=0.2, g_mmp=0.01), disp,
+                          drive=EndfireDrive(alpha_in=0.5, inlet_cell=8),
+                          absorber=make_absorber(grid, speed=1.0), dt=1e-3)
+        with pytest.raises(DivergenceError):
+            stepper.step_inplace(state, step_index=3)
+        assert state.a is arrays[0] and state.b is arrays[1]
+        assert [x.tobytes() for x in (state.a, state.b)] == before
+        assert state.time == 2.0
