@@ -32,9 +32,8 @@ What one right-hand side evaluation does is settled in the stepper's
 constructor: the kept channels become a term table whose first term per
 row is written straight into the row and later ones are added in
 channel order, the conjugated rows come from one ``np.conj`` of the
-whole state, each distinct time phase W is evaluated once per call, and
-the damping factors 0.5 * rate are columns over runs of consecutive
-damped rows. Every product keeps the operand order of the plain
+whole state, and the damping factors 0.5 * rate are columns over runs
+of consecutive damped rows. Every product keeps the operand order of the plain
 per-channel sum into a zero-filled array (see
 :mod:`cwom.dynamics.stepper`), so the derivative has the same value in
 every entry. Only the sign of an exact zero can differ: the plain sum
@@ -253,10 +252,10 @@ class MultiBranchStepper(SplitStepper):
         ``coef * left * right [* e^{iKx}] [* e^{-iWt}]`` with an operand
         given as (conjugated, row). A row's first term is written straight
         into it (a zero term keeps its sign here, where a sum into zeros
-        would give +0.0), later ones are added in channel order, and rows
-        without a term are zero. Damping subtracts 0.5 * rate * row from each run
-        of consecutive damped rows at once; a (rows, 1) column of factors
-        rounds like the per-row scalar products.
+        would give +0.0), later ones are added in channel order. Damping
+        subtracts 0.5 * rate * row from each run of consecutive damped
+        rows at once; a (rows, 1) column of factors rounds like the
+        per-row scalar products.
         """
         branches = system.branches
         phonon_row = len(branches)
@@ -265,16 +264,12 @@ class MultiBranchStepper(SplitStepper):
                      if not branches[ch.j].frozen]
                     + [(phonon_row, (1, ch.j), (0, ch.l), ch)
                        for ch in system.phonon_channels])
-        self._time_phases = list(dict.fromkeys(
-            ch.W for *_, ch in channels if ch.W != 0.0))
         self._terms = []
         written = set()
         for row, left, right, ch in channels:
-            w = self._time_phases.index(ch.W) if ch.W != 0.0 else None
             self._terms.append((row, row not in written, 1j * ch.g, left, right,
-                                ch.spatial, w))
+                                ch.spatial, ch.W))
             written.add(row)
-        self._silent = [row for row in range(phonon_row + 1) if row not in written]
         runs = []
         for row, rate, _ in self._damped:
             if runs and runs[-1][0][-1] == row - 1:
@@ -287,18 +282,15 @@ class MultiBranchStepper(SplitStepper):
 
     def _rhs(self, y, t):
         """Interaction + damping derivative of every row of ``y``."""
-        dy = np.empty_like(y)
-        if self._silent:
-            dy[self._silent] = 0.0
+        dy = np.zeros(y.shape, dtype=y.dtype)
         operands = (y, np.conj(y))
-        phases = [np.exp(-1j * W * t) for W in self._time_phases]
-        for row, first, coef, (lc, l), (rc, r), spatial, w in self._terms:
+        for row, first, coef, (lc, l), (rc, r), spatial, W in self._terms:
             term = np.multiply(coef, operands[lc][l], out=dy[row] if first else None)
             term *= operands[rc][r]
             if spatial is not None:
                 term *= spatial
-            if w is not None:
-                term *= phases[w]
+            if W != 0.0:
+                term *= np.exp(-1j * W * t)
             if not first:
                 dy[row] += term
         for rows, half_rates in self._damping:
