@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.couplings import SECTORS
+from ..dynamics.rng import MAX_SEED
 from ..lattice import COUPLING_KINDS
 
 SCENARIOS = ("custom", "comb", "backward_gain", "intermodal_swap",
@@ -95,9 +96,8 @@ SCHEMA = {
 
 # int keys that count steps or runs and must be at least 1
 POSITIVE_INTS = {("integration", "record_every"), ("ensemble", "trajectories")}
-# RNG seeds: a Philox key word, 0 to 2**64 - 1
+# RNG seeds: a Philox key word, 0 to MAX_SEED = 2**64 - 1
 SEED_INTS = {("ensemble", "base_seed")}
-MAX_SEED = 2**64 - 1
 POSITIVE_FLOATS = {("integration", "dt")}
 
 
