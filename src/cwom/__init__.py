@@ -9,7 +9,6 @@ regime classification, and a discrete-array oracle for the continuum limit.
 
 from .constants import HBAR, K_B
 from .core import (CouplingSet, DispersionSpec, FieldState, Frame, Grid1D,
-                   apply_dispersion, interaction_rhs, spectral_derivative,
-                   total_energy)
+                   interaction_rhs, spectral_derivative, total_energy)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from ..core.dispersion import DispersionSpec
 from ..core.fields import FieldState
 from ..core.grid import Grid1D
 from ..dynamics.bath import BathSpec
-from ..dynamics.boundary import make_absorber
+from ..dynamics.boundary import BoundaryError, DepositPlan, make_absorber
 from ..dynamics.drive import EndfireDrive
 from ..dynamics.rng import trajectory_generator
 from ..dynamics.stepper import (DispersionPair, evolve, make_energy_observer,
@@ -244,9 +244,13 @@ def _run_array_convergence(config: ScenarioConfig, out: Path) -> dict:
 def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     """The custom run's objects, built from a resolved config. Raises
     :class:`ConfigError` when dt exceeds the stability bound of the
-    initial (vacuum) state, which ``evolve`` would refuse."""
+    initial (vacuum) state, which ``evolve`` would refuse, or when the
+    grid or the end-fire deposit plan rejects its entries."""
     gridc = config.section("grid")
-    grid = Grid1D(int(gridc["n_points"]), gridc["dx"])
+    try:
+        grid = Grid1D(int(gridc["n_points"]), gridc["dx"])
+    except ValueError as err:
+        raise ConfigError([f"[grid] {err}"]) from err
     disp = DispersionPair(_dispersion_from(config.section("photon"), "linear"),
                           _dispersion_from(config.section("phonon"), "flat"))
     cpl = config.section("couplings")
@@ -264,7 +268,8 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
                     sampling=bathc.get("sampling", "none"))
     integ = config.section("integration")
     dt = integ["dt"]
-    bound = stability_bound(FieldState.vacuum(grid), couplings, disp, bath)
+    vacuum = FieldState.vacuum(grid)
+    bound = stability_bound(vacuum, couplings, disp, bath)
     if dt > bound:
         raise ConfigError([f"[integration] dt: {dt:.3e} s exceeds the stability "
                            f"bound {bound:.3e} s of this grid, dispersion and "
@@ -276,6 +281,10 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
                              omega_L=drivec.get("omega_L"),
                              k_L=drivec.get("k_L"),
                              inlet_cell=int(drivec.get("inlet_cell", 4)))
+        try:  # the plan the stepper builds, checked before anything is written
+            DepositPlan(grid, disp.photon, drive, vacuum.frame, dt)
+        except BoundaryError as err:
+            raise ConfigError([f"[drive] {err}"]) from err
     absorber = None
     if integ.get("absorber", "off") == "on":
         speed = integ.get("absorber_speed",

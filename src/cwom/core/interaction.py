@@ -52,7 +52,7 @@ import numpy as np
 from .couplings import CouplingSet
 from .fields import FieldState
 from .grid import Grid1D
-from .spectral import spectral_derivative
+from .spectral import multiply_modes, spectral_derivative
 
 
 def photon_channel(f: np.ndarray, u: np.ndarray, couplings: CouplingSet,
@@ -231,7 +231,7 @@ def fused_rhs(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
     ac = np.conj(a)
     if t.kind == "pointwise":
         return (1j * t.g_ppp) * u * a, (1j * t.g_ppp) * ac * a
-    da, du = np.fft.ifft(weight * np.fft.fft(np.stack((a, u)), axis=-1), axis=-1)
+    da, du = multiply_modes(np.stack((a, u)), weight)
     dac = np.conj(da)
     # photon: da/dt = i (pointwise) - i D(outer); phonon likewise
     photon_point = _weighted_sum(((t.g_ppp, u, a), (t.g_mpm_c, da, du),
@@ -242,8 +242,7 @@ def fused_rhs(a: np.ndarray, b: np.ndarray, weight: np.ndarray,
                                   (t.g_mpp, dac, a), (t.g_mpp_c, ac, da)))
     phonon_outer = _weighted_sum(((t.g_mpm, dac, a), (t.g_mpm_c, ac, da),
                                   (t.g_ppm, ac, a), (t.g_mmm, dac, da)))
-    d_photon, d_phonon = np.fft.ifft(
-        weight * np.fft.fft(np.stack((photon_outer, phonon_outer)), axis=-1), axis=-1)
+    d_photon, d_phonon = multiply_modes(np.stack((photon_outer, phonon_outer)), weight)
     return 1j * (photon_point - d_photon), 1j * (phonon_point - d_phonon)
 
 

@@ -85,7 +85,12 @@ def sample_noise_field(grid: Grid1D, rate: float, occupation: float, dt: float,
         raise ValueError("rate must be non-negative")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = grid.n_points
     sigma = np.sqrt((occupation + 0.5) / (2.0 * grid.dx * dt))
-    xi = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return np.sqrt(rate) * xi
+    # one (2, n) draw is the stream of two n-draws; scaling the real parts
+    # in place rounds as the complex products sqrt(rate) * (sigma * xi) did
+    parts = rng.standard_normal((2, grid.n_points))
+    parts *= sigma
+    parts *= np.sqrt(rate)
+    xi = np.empty(grid.n_points, dtype=np.complex128)
+    xi.real, xi.imag = parts
+    return xi

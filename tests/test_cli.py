@@ -404,3 +404,22 @@ class TestCliRangeChecks:
         assert err.count("[integration] dt: 1.000e+00 s exceeds the stability "
                          "bound 3.979e-02 s") == 4, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entry, bad, message", [
+        ("n_points = 128", "n_points = 100",
+         "[grid] n_points must be a power of two, got 100"),
+        ("inlet_cell = 4", "inlet_cell = 1",
+         "[drive] inlet_cell too close to the grid edge"),
+    ], ids=["n_points", "inlet_cell"])
+    def test_constructor_rejections_exit_two(self, tmp_path, capsys, entry, bad,
+                                             message):
+        # caught by Grid1D and DepositPlan, not by the parser's range checks
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(GOOD_CONFIG.replace(entry, bad))
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.count(message) == 2, err
+        assert "Traceback" not in err

@@ -67,6 +67,20 @@ class TestSampleNoiseField:
         var = np.mean(np.abs(xs) ** 2)
         assert abs(cov) < 3.0 * var / np.sqrt(n_samples)
 
+    @pytest.mark.parametrize("n", [32, 128, 4096])
+    def test_draws_match_the_two_draw_expression(self, n):
+        # the stream and rounding of the complex form, which pinned noisy
+        # replays depend on
+        grid = Grid1D(n, 0.37)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for i in range(60):
+            rate, occupation, dt = 0.3 + i, 0.25 * i, 0.013
+            sigma = np.sqrt((occupation + 0.5) / (2.0 * grid.dx * dt))
+            expected = np.sqrt(rate) * (sigma * (ref.standard_normal(n)
+                                                 + 1j * ref.standard_normal(n)))
+            drawn = sample_noise_field(grid, rate, occupation, dt, rng)
+            assert drawn.tobytes() == expected.tobytes()
+
     def test_negative_occupation_rejected(self, grid64):
         with pytest.raises(ValueError):
             sample_noise_field(grid64, 1.0, -0.1, 1e-3, np.random.default_rng(0))

@@ -1,11 +1,15 @@
 """Grid, spectral derivative, and free-evolution checks against independent
-oracles (finite differences on a refined grid; analytic packet translation).
+oracles (finite differences on a refined grid; analytic packet translation),
+and the pocketfft kernels of the per-step transforms against ``np.fft``.
 """
 
 import numpy as np
 import pytest
 
-from cwom import Grid1D, DispersionSpec, apply_dispersion, spectral_derivative
+from cwom import CouplingSet, DispersionSpec, Grid1D, spectral_derivative
+from cwom.core import interaction
+from cwom.core.interaction import CouplingTerms, fused_rhs
+from cwom.core.spectral import apply_phase, dispersion_phase
 
 from conftest import random_band_limited
 
@@ -95,7 +99,7 @@ class TestSpectralDerivative:
 class TestApplyDispersion:
     def test_zero_dispersion_is_identity(self, grid64, rng):
         f = random_band_limited(grid64, rng)
-        out = apply_dispersion(f, DispersionSpec.flat(0.0), 0.7, grid64)
+        out = apply_phase(f, dispersion_phase(DispersionSpec.flat(0.0), grid64, 0.7))
         assert np.max(np.abs(out - f)) < 1e-13
 
     def test_plane_wave_global_phase(self, grid64):
@@ -103,14 +107,14 @@ class TestApplyDispersion:
         disp = DispersionSpec.polynomial([0.0, 2.0, 0.5])
         f = np.exp(1j * k0 * grid64.x_axis)
         dt = 0.31
-        out = apply_dispersion(f, disp, dt, grid64)
+        out = apply_phase(f, dispersion_phase(disp, grid64, dt))
         expected = f * np.exp(-1j * disp.omega_at(k0) * dt)
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_norm_preserved(self, grid256, rng):
         f = random_band_limited(grid256, rng)
         disp = DispersionSpec.polynomial([0.3, -1.2, 0.07])
-        out = apply_dispersion(f, disp, 1.73, grid256)
+        out = apply_phase(f, dispersion_phase(disp, grid256, 1.73))
         n0 = np.sum(np.abs(f) ** 2)
         n1 = np.sum(np.abs(out) ** 2)
         assert abs(n1 - n0) < 1e-12 * n0
@@ -131,14 +135,87 @@ class TestApplyDispersion:
             w2 = np.abs(field) ** 2
             return np.sum(g.x_axis * w2) / np.sum(w2)
 
+        phase = dispersion_phase(disp, g, dt)
         for step in range(1, n_steps + 1):
-            f = apply_dispersion(f, disp, dt, g)
+            f = apply_phase(f, phase)
             expected = x0 + v * dt * step
             assert abs(centroid(f) - expected) < 1e-6 * g.dx
 
     def test_negative_dt_rejected(self, grid64):
         with pytest.raises(ValueError):
-            apply_dispersion(grid64.zeros(), DispersionSpec.flat(1.0), -0.1, grid64)
+            apply_phase(grid64.zeros(), dispersion_phase(DispersionSpec.flat(1.0),
+                                                         grid64, -0.1))
+
+
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _np_fft_multiply(field, factor):
+    return np.fft.ifft(factor * np.fft.fft(field, axis=-1), axis=-1)
+
+
+class TestTransformKernels:
+    """The per-step transforms call numpy's pocketfft gufuncs directly; they
+    must give the bytes of the ``np.fft`` expressions they replace. A numpy
+    release that changes those private kernels fails here."""
+
+    # field shape, phase shape (a batch broadcasts the phase rows)
+    SHAPES = [((32,), (32,)), ((2, 32), (2, 32)), ((3, 256), (3, 256)),
+              ((4, 2, 128), (2, 128)), ((2, 4096), (2, 4096))]
+
+    @pytest.mark.parametrize("shape, phase_shape", SHAPES)
+    def test_apply_phase_matches_np_fft(self, shape, phase_shape, rng):
+        f = _complex(rng, shape)
+        phase = np.exp(1j * rng.normal(size=phase_shape))
+        expected = _np_fft_multiply(f, phase).tobytes()
+        assert apply_phase(f, phase).tobytes() == expected
+        out = np.empty_like(f)
+        assert apply_phase(f, phase, out=out) is out
+        assert out.tobytes() == expected
+        apply_phase(f, phase, out=f)
+        assert f.tobytes() == expected
+
+    def test_strided_out(self, rng):
+        f = _complex(rng, (2, 256))
+        phase = np.exp(1j * rng.normal(size=(2, 256)))
+        expected = _np_fft_multiply(f, phase).tobytes()
+        rows = np.zeros((5, 256), dtype=np.complex128)
+        apply_phase(f, phase, out=rows[1::2])
+        assert rows[1::2].tobytes() == expected
+        assert not np.any(rows[::2])
+        cells = np.zeros((2, 512), dtype=np.complex128)
+        apply_phase(f, phase, out=cells[:, ::2])
+        assert cells[:, ::2].tobytes() == expected
+        assert not np.any(cells[:, 1::2])
+
+    def test_live_rows_in_place(self, rng):
+        # a state's live rows stepped through a view of the state itself
+        y = _complex(rng, (3, 64))
+        phase = np.exp(1j * rng.normal(size=(2, 64)))
+        expected = _np_fft_multiply(y[1:], phase).tobytes()
+        frozen = y[0].tobytes()
+        rows = y[1:]
+        apply_phase(rows, phase, out=rows)
+        assert y[1:].tobytes() == expected and y[0].tobytes() == frozen
+
+    @pytest.mark.parametrize("sets", [
+        [CouplingSet.even(g_ppp=0.9, g_mmp=-0.2, g_mpm=0.1 + 0.3j)],
+        [CouplingSet.odd(g_ppm=0.7, g_mpp=-0.3 + 0.2j, g_mmm=0.15)],
+        [CouplingSet.even(g_mmp=0.4), CouplingSet.odd(g_mmm=0.2)],
+    ], ids=["even", "odd", "batch"])
+    def test_fused_rhs_derivatives_match_np_fft(self, sets, grid256, rng,
+                                                monkeypatch):
+        shape = (len(sets), grid256.n_points) if len(sets) > 1 else grid256.n_points
+        a, b = _complex(rng, shape), 0.6 * _complex(rng, shape)
+        terms = CouplingTerms.resolve(sets if len(sets) > 1 else sets[0])
+        assert terms.kind == "derivative"
+        w = grid256.derivative_weight
+        ours = fused_rhs(a, b, w, terms)
+        monkeypatch.setattr(interaction, "multiply_modes", _np_fft_multiply)
+        reference = fused_rhs(a, b, w, terms)
+        for x, ref in zip(ours, reference):
+            assert x.tobytes() == ref.tobytes()
 
 
 class TestDispersionSpec:
