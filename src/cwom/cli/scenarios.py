@@ -4,6 +4,8 @@ Every run writes into the output directory:
 
     effective_config.cfg   fully resolved configuration (re-runnable)
     report.json            scenario-specific machine-readable summary
+                           (byte-reproducible: a rerun writes the same bytes)
+    timing.json            the run's wall time
     *.csv                  tabulated results, one header row with units
     *.snap                 binary field snapshots where applicable
 
@@ -108,8 +110,10 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
 
 
 def run_scenario(config: ScenarioConfig, output_dir) -> dict:
-    """Execute one scenario; returns the report dict written to report.json.
-    Nothing is written when the configuration is rejected."""
+    """Execute one scenario; returns the report dict written to report.json
+    plus ``wall_time_s``, which goes to timing.json instead, so that
+    report.json replays byte for byte. Nothing is written when the
+    configuration is rejected."""
     config = validate_scenario(config)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -118,8 +122,10 @@ def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     t0 = time.time()
     report = runner(config, out)
     report["scenario"] = config.scenario
-    report["wall_time_s"] = time.time() - t0
+    wall_time_s = time.time() - t0
     write_json_report(out / "report.json", report)
+    write_json_report(out / "timing.json", {"wall_time_s": wall_time_s})
+    report["wall_time_s"] = wall_time_s
     return report
 
 

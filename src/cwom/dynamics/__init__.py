@@ -3,7 +3,7 @@
 from .bath import BathSpec, sample_noise_field
 from .boundary import (AbsorberProfile, BoundaryError, DepositPlan,
                        ResolutionWarning, absorbing_layer, boundary_velocity,
-                       inject_boundary, make_absorber)
+                       make_absorber)
 from .drive import DriveSpec, EndfireDrive, SideDrive
 from .rng import trajectory_generator
 from .stepper import (DispersionPair, DivergenceError, Stepper, Trajectory,
@@ -14,7 +14,7 @@ from .stepper import (DispersionPair, DivergenceError, Stepper, Trajectory,
 __all__ = [
     "BathSpec", "sample_noise_field", "AbsorberProfile", "BoundaryError",
     "DepositPlan", "ResolutionWarning", "absorbing_layer", "boundary_velocity",
-    "inject_boundary", "make_absorber", "DriveSpec", "EndfireDrive", "SideDrive",
+    "make_absorber", "DriveSpec", "EndfireDrive", "SideDrive",
     "trajectory_generator", "DispersionPair", "DivergenceError", "Stepper",
     "Trajectory", "evolve", "evolve_batch", "make_energy_observer",
     "observe_phonon_number", "observe_photon_number", "observe_snapshot",

@@ -6,6 +6,12 @@ symmetrized quantum correlators directly. Normally-ordered observables are
 recovered in post-processing by subtracting the vacuum half-quantum. The
 delta correlators discretize as delta(x-x') -> 1/dx per cell and
 delta(t-t') -> 1/dt per step.
+
+A noise draw is two steps: :func:`noise_scales` validates a channel and
+returns its scales, and :func:`draw_noise_field` draws one step's field
+with them. The integrators settle the scales of each damped row once, at
+construction, and only draw per step; :func:`sample_noise_field` is the
+two composed, with the same bytes.
 """
 
 from dataclasses import dataclass
@@ -70,6 +76,36 @@ class BathSpec:
         return self.sampling == "wigner"
 
 
+def noise_scales(grid: Grid1D, rate: float, occupation: float,
+                 dt: float) -> tuple:
+    """The scales (sigma, sqrt(rate)) of one step's Langevin noise field,
+    validated once: sigma = sqrt((occupation + 1/2) / (2 dx dt)) is the
+    per-part standard deviation of xi."""
+    if occupation < 0:
+        raise ValueError("occupation must be non-negative")
+    if rate < 0:
+        raise ValueError("rate must be non-negative")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return np.sqrt((occupation + 0.5) / (2.0 * grid.dx * dt)), np.sqrt(rate)
+
+
+def draw_noise_field(n: int, sigma, root_rate,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Draw sqrt(rate) * xi on n cells from the scales of :func:`noise_scales`.
+
+    One (2, n) draw is the stream of two n-draws (real parts, then
+    imaginary parts); scaling them in place by sigma, then by sqrt(rate),
+    rounds as the complex products sqrt(rate) * (sigma * xi) did.
+    """
+    parts = rng.standard_normal((2, n))
+    parts *= sigma
+    parts *= root_rate
+    xi = np.empty(n, dtype=np.complex128)
+    xi.real, xi.imag = parts
+    return xi
+
+
 def sample_noise_field(grid: Grid1D, rate: float, occupation: float, dt: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw one step's Langevin noise field sqrt(rate) * xi.
@@ -78,19 +114,8 @@ def sample_noise_field(grid: Grid1D, rate: float, occupation: float, dt: float,
     symmetrized variance (occupation + 1/2) / (dx dt) per cell. An
     Euler-Maruyama update ``field += dt * sample_noise_field(...)`` then
     replenishes exactly the occupation lost to the matching damping term.
+    The integrators settle :func:`noise_scales` once per damped row and
+    call :func:`draw_noise_field` each step: the same bytes.
     """
-    if occupation < 0:
-        raise ValueError("occupation must be non-negative")
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    sigma = np.sqrt((occupation + 0.5) / (2.0 * grid.dx * dt))
-    # one (2, n) draw is the stream of two n-draws; scaling the real parts
-    # in place rounds as the complex products sqrt(rate) * (sigma * xi) did
-    parts = rng.standard_normal((2, grid.n_points))
-    parts *= sigma
-    parts *= np.sqrt(rate)
-    xi = np.empty(grid.n_points, dtype=np.complex128)
-    xi.real, xi.imag = parts
-    return xi
+    sigma, root_rate = noise_scales(grid, rate, occupation, dt)
+    return draw_noise_field(grid.n_points, sigma, root_rate, rng)

@@ -51,12 +51,23 @@ term table of the fused right-hand side, by coupling class:
 
     derivative couplings   fused interaction right-hand side, 8 transforms
     pointwise (g_ppp only) interaction right-hand side, no transform
-    all zero               no interaction call: the damping rows only
+    all zero, damped       no interaction call: one product with a (2, 1)
+                           column of 0.5 * rate (0 for undamped rows),
+                           subtracted from 0.0
+    all zero, undamped     no RK4: the substep is y + 0.0
 
 plus, with a side drive, one profile evaluation on cell positions taken
-once. Source deposits write straight into the photon row of the stacked
-state. All stochastic draws come from one Generator in a fixed order, so
-a seed pins the whole trajectory bit-for-bit.
+once (a side drive keeps the RK4 of an uncoupled model). Both uncoupled
+forms are the bytes of the zero-filled derivative with each damped row's
+``0.5 * rate * y`` subtracted: ``0.0 - c * y`` is what subtracting from
++0.0 gives, and a zero derivative makes every stage +0, so that
+``y + dt / 6.0 * k1`` is ``y + 0.0`` (-0.0 entries become +0.0; the sum
+stays a fresh array). Wigner noise scales are settled per damped row
+(``bath.noise_scales``) and each step only draws; a cw end-fire drive
+settles its source deposit (``DepositPlan``). Source deposits write
+straight into the photon row of the stacked state. All stochastic draws
+come from one Generator in a fixed order, so a seed pins the whole
+trajectory bit-for-bit.
 
 Batch axis. :meth:`SplitStepper.step_inplace` packs fields of shape
 (..., n) into an array of shape (..., rows, n); the leading axes are
@@ -82,7 +93,7 @@ from ..core.dispersion import DispersionSpec
 from ..core.fields import FieldState, Frame
 from ..core.interaction import CouplingTerms, energy_from_bands, fused_rhs
 from ..core.spectral import apply_phase, dispersion_phase
-from .bath import BathSpec, sample_noise_field
+from .bath import BathSpec, draw_noise_field, noise_scales
 from .boundary import AbsorberProfile, DepositPlan
 from .drive import DriveSpec, EndfireDrive, SideDrive
 from .rng import trajectory_generator
@@ -134,14 +145,18 @@ class SplitStepper:
     ``_pack`` must return a new array, which the step mutates, so a step
     that raises leaves the state as it was), ``photon_rows`` (the leading rows
     the divergence report counts as photon fields), and its kick: by
-    default Wigner noise on the ``_damped`` rows (row, rate, occupation),
-    then the ``_deposits`` (row, DepositPlan). Rows outside ``live`` (frozen
-    fields) skip the half steps and the absorber.
+    default Wigner noise on the damped rows (row, rate, occupation), which
+    it passes to ``_set_damped``, then the ``_deposits`` (row, DepositPlan).
+    A model whose ``_rhs`` is zero whatever the state sets ``_zero_rhs``,
+    and the step skips the RK4. Rows outside ``live`` (frozen fields) skip
+    the half steps and the absorber.
     """
 
     photon_rows = 1
     _damped = ()
+    _noise = ()
     _deposits = ()
+    _zero_rhs = False
 
     def __init__(self, grid, dt: float, live=slice(None),
                  absorber: AbsorberProfile = None, wigner: bool = False):
@@ -155,17 +170,28 @@ class SplitStepper:
         self._decay = (absorber.decay_factors(dt).astype(np.complex128)
                        if absorber is not None else None)
 
+    def _set_damped(self, damped):
+        """The damped rows, (row, rate, occupation) each; with Wigner
+        sampling, their noise scales are settled here, once."""
+        self._damped = damped
+        if self._wigner:
+            self._noise = [(row, *noise_scales(self.grid, rate, occupation, self.dt))
+                           for row, rate, occupation in damped]
+
     def _pack(self, state):
-        return np.stack((state.a, state.b), axis=-2)
+        a = state.a
+        y = np.empty(a.shape[:-1] + (2, a.shape[-1]), dtype=np.complex128)
+        y[..., 0, :] = a
+        y[..., 1, :] = state.b
+        return y
 
     def _unpack(self, y, state):
         state.a, state.b = y[..., 0, :], y[..., 1, :]
 
     def _kick(self, y, t, rng):
         dt = self.dt
-        if self._wigner:
-            for row, rate, occupation in self._damped:
-                y[row] += dt * sample_noise_field(self.grid, rate, occupation, dt, rng)
+        for row, sigma, root_rate in self._noise:
+            y[row] += dt * draw_noise_field(y.shape[-1], sigma, root_rate, rng)
         for row, plan in self._deposits:
             plan.apply(y[row], t, rng=rng, vacuum_noise=self._wigner)
 
@@ -177,23 +203,17 @@ class SplitStepper:
         else:  # a fancy index selects a copy: gather, then scatter back
             y[..., live, :] = apply_phase(y[..., live, :], self._half)
 
-    def step_inplace(self, state, rng=None, step_index: int = 0):
-        """One Strang step of ``state``. Axes of its fields in front of
-        (n,) are batch axes, stepped row for row as each row would be
-        alone, for a model whose ``_rhs`` and kick take them (a
-        coupling-batch :class:`Stepper`)."""
-        if self._wigner and rng is None:
-            raise ValueError("Wigner sampling requires an rng")
-        dt, t, live = self.dt, state.time, self._live
-        y = self._pack(state)
-        self._half_step(y)
+    def _rk4(self, y, t):
+        """The RK4 substep of ``y`` over dt from ``t``, as a fresh array.
 
-        # RK4 with one stage buffer s; the k's are summed into k1 in place,
-        # left to right, each product keeping its operand order. The new y
-        # is a fresh array: updating y in place moves the state's block
-        # down the heap, and glibc then trims and refaults the blocks above
-        # it every step at n = 4096 (minor faults per cli_recorded solve:
-        # about 35 000 with a fresh y, 313 000 in place).
+        One stage buffer s; the k's are summed into k1 in place, left to
+        right, each product keeping its operand order. The result is
+        fresh: updating y in place moves the state's block down the heap,
+        and glibc then trims and refaults the blocks above it every step
+        at n = 4096 (minor faults per cli_recorded solve: about 35 000
+        with a fresh y, 313 000 in place).
+        """
+        dt = self.dt
         h = 0.5 * dt
         k1 = self._rhs(y, t)
         s = np.multiply(h, k1)
@@ -208,7 +228,21 @@ class SplitStepper:
         k1 += np.multiply(2, k2, out=k2)
         k1 += np.multiply(2, k3, out=k3)
         k1 += k4
-        y = y + dt / 6.0 * k1
+        return y + dt / 6.0 * k1
+
+    def step_inplace(self, state, rng=None, step_index: int = 0):
+        """One Strang step of ``state``. Axes of its fields in front of
+        (n,) are batch axes, stepped row for row as each row would be
+        alone, for a model whose ``_rhs`` and kick take them (a
+        coupling-batch :class:`Stepper`)."""
+        if self._wigner and rng is None:
+            raise ValueError("Wigner sampling requires an rng")
+        dt, t, live = self.dt, state.time, self._live
+        y = self._pack(state)
+        self._half_step(y)
+        # with a zero derivative every stage is +0, and y + dt / 6.0 * k1
+        # is y + 0.0 (-0.0 entries become +0.0), a fresh array as well
+        y = y + 0.0 if self._zero_rhs else self._rk4(y, t)
         self._kick(y, t, rng)
         if self._decay is not None:
             y[..., live, :] *= self._decay
@@ -308,9 +342,9 @@ class Stepper(SplitStepper):
         self.absorber = absorber
         self._half = np.stack((dispersion_phase(dispersions.photon, grid, 0.5 * dt),
                                dispersion_phase(dispersions.phonon, grid, 0.5 * dt)))
-        self._damped = [d for d in ((0, self.bath.kappa, 0.0),
-                                    (1, self.bath.gamma_mech, self.bath.n_th))
-                        if d[1]]
+        self._set_damped([d for d in ((0, self.bath.kappa, 0.0),
+                                      (1, self.bath.gamma_mech, self.bath.n_th))
+                          if d[1]])
         if isinstance(drive, EndfireDrive):
             self._deposits = [(0, DepositPlan(
                 grid, dispersions.photon, drive,
@@ -318,16 +352,23 @@ class Stepper(SplitStepper):
         self._interacting = self._terms.kind != "zero"
         self._side = ((np.sqrt(drive.kappa_ex), drive.profile, grid.x_axis)
                       if isinstance(drive, SideDrive) else None)
+        # uncoupled: the damping rows only, as a (2, 1) column of 0.5 * rate
+        self._half_rates = np.zeros((2, 1))
+        for row, rate, _ in self._damped:
+            self._half_rates[row] = 0.5 * rate
+        self._zero_rhs = (not self._interacting and not self._damped
+                          and self._side is None)
 
     def _rhs(self, y, t):
         if self._interacting:
             dy = np.empty_like(y)
             dy[..., 0, :], dy[..., 1, :] = fused_rhs(
                 y[..., 0, :], y[..., 1, :], self.grid.derivative_weight, self._terms)
-        else:
-            dy = np.zeros(y.shape, dtype=y.dtype)
-        for row, rate, _ in self._damped:
-            dy[..., row, :] -= 0.5 * rate * y[..., row, :]
+            for row, rate, _ in self._damped:
+                dy[..., row, :] -= 0.5 * rate * y[..., row, :]
+        else:  # the bytes of 0.5 * rate * y subtracted from a zero array
+            dy = np.multiply(self._half_rates, y)
+            np.subtract(0.0, dy, out=dy)
         if self._side is not None:
             scale, profile, x = self._side
             dy[0] += scale * profile(x, t)

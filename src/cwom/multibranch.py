@@ -228,11 +228,10 @@ class MultiBranchStepper(SplitStepper):
             [dispersion_phase(b.dispersion, system.grid, 0.5 * dt) for b in branches]
             + [dispersion_phase(system.phonon.dispersion, system.grid, 0.5 * dt)]
         )[self._live]
-        self._damped = [(j, branches[j].kappa, 0.0) for j in live
-                        if branches[j].kappa]
+        damped = [(j, branches[j].kappa, 0.0) for j in live if branches[j].kappa]
         if system.phonon.gamma:
-            self._damped.append((len(branches), system.phonon.gamma,
-                                 system.phonon.n_th))
+            damped.append((len(branches), system.phonon.gamma, system.phonon.n_th))
+        self._set_damped(damped)
         self._settle_rhs(system)
         self._deposits = [
             (j, DepositPlan(system.grid, b.dispersion, b.drive,

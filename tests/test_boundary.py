@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
-from cwom.dynamics import (BathSpec, BoundaryError, DispersionPair,
+from cwom import CouplingSet, DispersionSpec, FieldState, Frame, Grid1D
+from cwom.dynamics import (BathSpec, BoundaryError, DepositPlan, DispersionPair,
                            EndfireDrive, ResolutionWarning, Stepper,
-                           absorbing_layer, boundary_velocity, inject_boundary,
-                           make_absorber, run_ensemble)
+                           absorbing_layer, boundary_velocity, make_absorber,
+                           run_ensemble)
 
 C = 2.0
 
@@ -101,11 +101,35 @@ class TestInjection:
         remaining = np.sum(np.abs(st.a[interior]) ** 2) * grid.dx
         assert remaining < 1e-4 * incident
 
-    def test_inject_boundary_standalone(self, grid64):
+    def test_deposit_plan_standalone(self, grid64):
         st = FieldState.vacuum(grid64)
         drive = EndfireDrive(alpha_in=1.0, inlet_cell=4)
-        inject_boundary(st, drive, DispersionSpec.linear(C), dt=1e-3)
+        DepositPlan(grid64, DispersionSpec.linear(C), drive, st.frame,
+                    1e-3).apply(st.a, st.time)
         assert st.photon_number() > 0
+
+    @pytest.mark.parametrize("alpha_in, omega_L", [
+        (0.7 + 0.3j, None), (-1.3e-3 + 2.1j, None), (0.0, None),
+        (lambda t: 0.4 * np.exp(-t) + 0.1j, None), (0.6 - 0.2j, 0.9)])
+    def test_deposits_match_the_per_step_expression(self, grid64, alpha_in,
+                                                    omega_L):
+        # cw drives settle their source once; shaped and detuned ones
+        # evaluate it per step: both are the bytes of the plain expression
+        drive = EndfireDrive(alpha_in=alpha_in, omega_L=omega_L, inlet_cell=5)
+        frame = Frame(0.2, 0.0)
+        plan = DepositPlan(grid64, DispersionSpec.linear(C), drive, frame, 1e-3)
+        a = np.zeros(grid64.n_points, dtype=np.complex128)
+        want = a.copy()
+        cells = 5 + np.arange(-2, 3)
+        for t in (0.0, 0.37, 1.9):
+            plan.apply(a, t)
+            s = drive.amplitude(t)
+            if omega_L is not None:
+                s = s * np.exp(-1j * (omega_L - frame.omega) * t)
+            if s != 0.0:
+                want[cells] += plan.scale * s * plan.kernel
+            assert a.tobytes() == want.tobytes()
+        assert np.any(a != 0.0) == (alpha_in != 0.0)
 
     def test_cw_drive_power_conversion(self):
         from cwom.constants import HBAR
@@ -119,14 +143,15 @@ class TestInjection:
         st = FieldState.vacuum(grid64)
         drive = EndfireDrive(alpha_in=1.0, inlet_cell=0)
         with pytest.raises(BoundaryError):
-            inject_boundary(st, drive, DispersionSpec.linear(C), dt=1e-3)
+            DepositPlan(grid64, DispersionSpec.linear(C), drive, st.frame,
+                        1e-3).apply(st.a, st.time)
 
     def test_curved_dispersion_rejected_with_diagnostic(self, grid64):
         st = FieldState.vacuum(grid64)
         drive = EndfireDrive(alpha_in=1.0, inlet_cell=4)
         with pytest.raises(BoundaryError, match="non-constant dispersion"):
-            inject_boundary(st, drive, DispersionSpec.polynomial([0, 1.0, 1.0]),
-                            dt=1e-3)
+            DepositPlan(grid64, DispersionSpec.polynomial([0, 1.0, 1.0]), drive,
+                        st.frame, 1e-3).apply(st.a, st.time)
 
 
 class TestAbsorbingLayer:

@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cwom.cli.config import (ConfigError, ScenarioConfig, load_config,
+from cwom.cli.config import (POSITIVE_FLOATS, POSITIVE_INTS, SCENARIOS, SCHEMA,
+                             SEED_INTS, ConfigError, ScenarioConfig, load_config,
                              parse_config_text, serialize_config)
 from cwom.cli.main import main
 from cwom.cli.output import read_snapshot, write_csv, write_snapshot
 from cwom.cli.scenarios import resolve_config, run_scenario
+from cwom.dynamics.rng import MAX_SEED
 
 GOOD_CONFIG = """
 # comment
@@ -105,10 +109,58 @@ class TestConfigParsing:
         again = parse_config_text(serialize_config(cfg))
         assert again.sections == cfg.sections
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_serialize_round_trip_of_random_schema_valid_configs(self, data):
+        cfg = data.draw(schema_valid_configs())
+        again = parse_config_text(serialize_config(cfg))
+        assert again.scenario == cfg.scenario
+        # repr, not ==: keeps -0.0 apart from 0.0 and an int from a float
+        assert repr(again.sections) == repr(cfg.sections)
+
     def test_defaults_resolve_for_presets(self):
         cfg = resolve_config(ScenarioConfig("regime_sweep",
                                             {"scenario": {"name": "regime_sweep"}}))
         assert cfg.get("sweep", "points") > 0
+
+
+def schema_value(section, key):
+    """Values the parser can produce for one key: in range, finite or
+    infinite, never NaN (NaN != NaN)."""
+    kind, unit = SCHEMA[section][key]
+    floats = st.floats(allow_nan=False)
+    if kind == "str":
+        return st.sampled_from(SCENARIOS)
+    if kind == "enum":
+        return st.sampled_from(unit)
+    if kind == "int":
+        if (section, key) in POSITIVE_INTS:
+            return st.integers(min_value=1)
+        if (section, key) in SEED_INTS:
+            return st.integers(min_value=0, max_value=MAX_SEED)
+        return st.integers()
+    if kind == "float":
+        if (section, key) in POSITIVE_FLOATS:
+            return st.floats(min_value=0.0, exclude_min=True)
+        return floats
+    if kind == "complex":
+        return st.builds(complex, floats, floats)
+    return st.lists(floats, min_size=1, max_size=4).map(tuple)  # list
+
+
+@st.composite
+def schema_valid_configs(draw):
+    """A random subset of sections and keys, in schema order, with a
+    scenario name."""
+    sections = {}
+    for section, keys in SCHEMA.items():
+        if section != "scenario" and not draw(st.booleans()):
+            continue
+        chosen = [key for key in keys
+                  if (section, key) == ("scenario", "name") or draw(st.booleans())]
+        sections[section] = {key: draw(schema_value(section, key))
+                             for key in chosen}
+    return ScenarioConfig(scenario=sections["scenario"]["name"], sections=sections)
 
 
 class TestSnapshotFormat:
@@ -167,6 +219,14 @@ class TestCliRuns:
         report = json.loads((out / "report.json").read_text())
         assert report["scenario"] == "regime_sweep"
         assert (out / "effective_config.cfg").exists()
+
+    def test_wall_time_goes_to_timing_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "regime_sweep", "--output", str(out)]) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        assert list(timing) == ["wall_time_s"] and timing["wall_time_s"] >= 0
+        assert "wall_time_s" not in json.loads((out / "report.json").read_text())
+        assert f"({timing['wall_time_s']:.2f} s)" in capsys.readouterr().out
 
     def test_validate_only_exits_zero(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -263,7 +323,7 @@ class TestCliRuns:
         # re-running from the emitted effective config must also reproduce
         assert main(["run", "--config", str(out1 / "effective_config.cfg"),
                      "--output", str(out3)]) == 0
-        for name in ("observables.csv", "final_state.snap"):
+        for name in ("observables.csv", "final_state.snap", "report.json"):
             ref = (out1 / name).read_bytes()
             assert (out2 / name).read_bytes() == ref
             assert (out3 / name).read_bytes() == ref

@@ -8,6 +8,7 @@ from cwom.constants import HBAR, K_B
 from cwom.core.spectral import mode_amplitudes
 from cwom.dynamics import (BathSpec, DispersionPair, evolve, run_ensemble,
                            sample_noise_field, trajectory_generator)
+from cwom.dynamics.bath import draw_noise_field, noise_scales
 
 
 class TestBathSpec:
@@ -80,6 +81,25 @@ class TestSampleNoiseField:
                                                  + 1j * ref.standard_normal(n)))
             drawn = sample_noise_field(grid, rate, occupation, dt, rng)
             assert drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [32, 128, 4096])
+    def test_settled_scales_draw_the_same_bytes(self, n):
+        # the integrators settle the scales once and draw every step
+        grid = Grid1D(n, 0.37)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        for rate, occupation, dt in ((0.3, 0.0, 0.013), (2.0, 0.8, 1e-3),
+                                     (7.5, 3.25, 0.02)):
+            sigma, root_rate = noise_scales(grid, rate, occupation, dt)
+            for _ in range(20):
+                drawn = draw_noise_field(n, sigma, root_rate, rng)
+                want = sample_noise_field(grid, rate, occupation, dt, ref)
+                assert drawn.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate, occupation, dt", [
+        (-1.0, 0.0, 1e-3), (1.0, -0.1, 1e-3), (1.0, 0.0, 0.0), (1.0, 0.0, -1e-3)])
+    def test_scales_reject_invalid_channels(self, grid64, rate, occupation, dt):
+        with pytest.raises(ValueError):
+            noise_scales(grid64, rate, occupation, dt)
 
     def test_negative_occupation_rejected(self, grid64):
         with pytest.raises(ValueError):

@@ -6,14 +6,17 @@ half step, ``y + 0.5 * dt * k1`` stage inputs, ``y + dt / 6.0 * (k1 +
 summed channel by channel, fancy-indexed source deposits and real decay
 factors. The in-place core must reproduce it byte for byte over 50 steps
 for each solver: complex products are not bitwise commutative (FMA), so
-every rewritten product has to keep its operand order.
+every rewritten product has to keep its operand order. The uncoupled
+waveguide steps are checked against a plainly written damping-only
+right-hand side, not the stepper's own, from starts with signed zeros.
 """
 
 import numpy as np
+import pytest
 
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
-from cwom.dynamics import (BathSpec, DispersionPair, EndfireDrive, Stepper,
-                           make_absorber)
+from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
+                           EndfireDrive, Stepper, make_absorber)
 from cwom.dynamics.bath import sample_noise_field
 from cwom.lattice import ArrayConfig, LatticeState, LatticeStepper
 from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
@@ -213,3 +216,84 @@ def test_linearized_stepper_matches_reference():
     assert_bytes_equal(np.stack((final.da, final.da_conj, final.db, final.db_conj)),
                        want)
     assert final.time == t
+
+
+def reference_uncoupled_rhs(bath):
+    """The uncoupled right-hand side written plainly: zeros, then minus
+    half the decay rate times each damped row."""
+    def rhs(y, t):
+        dy = np.zeros(y.shape, dtype=y.dtype)
+        for row, rate in ((0, bath.kappa), (1, bath.gamma_mech)):
+            if rate:
+                dy[row] -= 0.5 * rate * y[row]
+        return dy
+    return rhs
+
+
+def signed_zero_start(grid, rng):
+    """A random photon row with -0.0 parts and a phonon row of -0.0 + -0.0j:
+    some of those zeros keep their sign through the first half step."""
+    a = random_band_limited(grid, rng, amplitude=0.4)
+    a[::5] = complex(-0.0, 0.3)
+    a[2::7] = complex(0.2, -0.0)
+    a[3::11] = complex(-0.0, -0.0)
+    return FieldState(grid, a, np.full(grid.n_points, complex(-0.0, -0.0)),
+                      time=0.2)
+
+
+def uncoupled_cases():
+    """An undamped end-fire vacuum inlet with an absorber (the C6(b) shape)
+    and a damped Wigner phonon field (the C6(a) shape)."""
+    grid_b = Grid1D(128, 1.0)
+    vacuum = BathSpec(sampling="wigner")
+    absorber = make_absorber(grid_b, speed=2.0)
+    endfire = Stepper(grid_b, CouplingSet(),
+                      DispersionPair(DispersionSpec.linear(2.0),
+                                     DispersionSpec.flat(0.0)),
+                      bath=vacuum, drive=EndfireDrive(alpha_in=0.0, inlet_cell=4),
+                      absorber=absorber, dt=0.9 * 0.5 / (2.0 * np.pi))
+    grid_a = Grid1D(32, 0.5)
+    thermal = BathSpec(gamma_mech=1.0, n_th=0.7, sampling="wigner")
+    damped = Stepper(grid_a, CouplingSet(),
+                     DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(2.0)),
+                     bath=thermal, dt=0.02)
+    return {"undamped_endfire_vacuum": (endfire, vacuum, absorber),
+            "damped_wigner": (damped, thermal, None)}
+
+
+def test_uncoupled_steppers_match_the_plain_reference():
+    for name, (stepper, bath, absorber) in uncoupled_cases().items():
+        state = signed_zero_start(stepper.grid, np.random.default_rng(17))
+        final = stepper.run(state, N_STEPS, rng=np.random.default_rng(3)).final_state
+        want, t = reference_run(stepper, np.stack((state.a, state.b)), state.time,
+                                rng=np.random.default_rng(3), absorber=absorber,
+                                rhs=reference_uncoupled_rhs(bath))
+        assert_bytes_equal(np.stack((final.a, final.b)), want)
+        assert final.time == t, name
+
+
+def test_inf_in_an_undamped_row_reports_the_plain_step():
+    # the photon row is undamped; its derivative is exactly zero in the
+    # plain step, whatever the row holds
+    stepper, bath, _ = uncoupled_cases()["damped_wigner"]
+    grid = stepper.grid
+    rng = np.random.default_rng(23)
+    state = FieldState(grid, random_band_limited(grid, rng, amplitude=0.4),
+                       random_band_limited(grid, rng, amplitude=0.3), time=0.1)
+    state.a[5] = np.inf
+    a0, b0 = state.a.copy(), state.b.copy()
+    dt, t, rhs = stepper.dt, state.time, reference_uncoupled_rhs(bath)
+    with np.errstate(invalid="ignore"):  # the transforms spread the inf as NaN
+        y = reference_phase(np.stack((state.a, state.b)), stepper._half)
+        k1 = rhs(y, t)
+        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(y + dt * k3, t + dt)
+        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        reference_kick(stepper)(y, t, np.random.default_rng(8))
+        want = DivergenceError.from_fields(3, t, y[:1], y[1:])
+        with pytest.raises(DivergenceError) as err:
+            stepper.step_inplace(state, rng=np.random.default_rng(8), step_index=3)
+    assert str(err.value) == str(want)
+    assert_bytes_equal(state.a, a0)
+    assert_bytes_equal(state.b, b0)
