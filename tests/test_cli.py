@@ -60,6 +60,45 @@ base_seed = 7
 """
 
 
+def schema_value(section, key):
+    """Values the parser can produce for one key: in range, finite or
+    infinite, never NaN (NaN != NaN)."""
+    kind, unit = SCHEMA[section][key]
+    floats = st.floats(allow_nan=False)
+    if kind == "str":
+        return st.sampled_from(SCENARIOS)
+    if kind == "enum":
+        return st.sampled_from(unit)
+    if kind == "int":
+        if (section, key) in POSITIVE_INTS:
+            return st.integers(min_value=1)
+        if (section, key) in SEED_INTS:
+            return st.integers(min_value=0, max_value=MAX_SEED)
+        return st.integers()
+    if kind == "float":
+        if (section, key) in POSITIVE_FLOATS:
+            return st.floats(min_value=0.0, exclude_min=True)
+        return floats
+    if kind == "complex":
+        return st.builds(complex, floats, floats)
+    return st.lists(floats, min_size=1, max_size=4).map(tuple)  # list
+
+
+@st.composite
+def schema_valid_configs(draw):
+    """A random subset of sections and keys, in schema order, with a
+    scenario name."""
+    sections = {}
+    for section, keys in SCHEMA.items():
+        if section != "scenario" and not draw(st.booleans()):
+            continue
+        chosen = [key for key in keys
+                  if (section, key) == ("scenario", "name") or draw(st.booleans())]
+        sections[section] = {key: draw(schema_value(section, key))
+                             for key in chosen}
+    return ScenarioConfig(scenario=sections["scenario"]["name"], sections=sections)
+
+
 class TestConfigParsing:
     def test_good_config_parses(self):
         cfg = parse_config_text(GOOD_CONFIG)
@@ -110,9 +149,8 @@ class TestConfigParsing:
         assert again.sections == cfg.sections
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_serialize_round_trip_of_random_schema_valid_configs(self, data):
-        cfg = data.draw(schema_valid_configs())
+    @given(cfg=schema_valid_configs())
+    def test_serialize_round_trip_of_random_schema_valid_configs(self, cfg):
         again = parse_config_text(serialize_config(cfg))
         assert again.scenario == cfg.scenario
         # repr, not ==: keeps -0.0 apart from 0.0 and an int from a float
@@ -122,45 +160,6 @@ class TestConfigParsing:
         cfg = resolve_config(ScenarioConfig("regime_sweep",
                                             {"scenario": {"name": "regime_sweep"}}))
         assert cfg.get("sweep", "points") > 0
-
-
-def schema_value(section, key):
-    """Values the parser can produce for one key: in range, finite or
-    infinite, never NaN (NaN != NaN)."""
-    kind, unit = SCHEMA[section][key]
-    floats = st.floats(allow_nan=False)
-    if kind == "str":
-        return st.sampled_from(SCENARIOS)
-    if kind == "enum":
-        return st.sampled_from(unit)
-    if kind == "int":
-        if (section, key) in POSITIVE_INTS:
-            return st.integers(min_value=1)
-        if (section, key) in SEED_INTS:
-            return st.integers(min_value=0, max_value=MAX_SEED)
-        return st.integers()
-    if kind == "float":
-        if (section, key) in POSITIVE_FLOATS:
-            return st.floats(min_value=0.0, exclude_min=True)
-        return floats
-    if kind == "complex":
-        return st.builds(complex, floats, floats)
-    return st.lists(floats, min_size=1, max_size=4).map(tuple)  # list
-
-
-@st.composite
-def schema_valid_configs(draw):
-    """A random subset of sections and keys, in schema order, with a
-    scenario name."""
-    sections = {}
-    for section, keys in SCHEMA.items():
-        if section != "scenario" and not draw(st.booleans()):
-            continue
-        chosen = [key for key in keys
-                  if (section, key) == ("scenario", "name") or draw(st.booleans())]
-        sections[section] = {key: draw(schema_value(section, key))
-                             for key in chosen}
-    return ScenarioConfig(scenario=sections["scenario"]["name"], sections=sections)
 
 
 class TestSnapshotFormat:
