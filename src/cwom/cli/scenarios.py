@@ -23,7 +23,7 @@ from ..core.dispersion import DispersionSpec
 from ..core.fields import FieldState
 from ..core.grid import Grid1D
 from ..dynamics.bath import BathSpec
-from ..dynamics.boundary import BoundaryError, DepositPlan, make_absorber
+from ..dynamics.boundary import DepositPlan, make_absorber
 from ..dynamics.drive import EndfireDrive
 from ..dynamics.rng import trajectory_generator
 from ..dynamics.stepper import (DispersionPair, evolve, make_energy_observer,
@@ -68,8 +68,7 @@ DEFAULTS = {
         "photon": {"kind": "linear", "velocity": 2.0},
         "phonon": {"kind": "flat", "omega0": 1.0},
         "couplings": {"sector": "even", "g_ppp": 0.05},
-        "bath": {"kappa": 0.2, "gamma_mech": 0.5, "n_th": 0.0,
-                 "sampling": "none"},
+        "bath": {"kappa": 0.2, "gamma_mech": 0.5, "sampling": "none"},
         "drive": {"mode": "endfire", "alpha_in": 1.0 + 0.0j, "inlet_cell": 4},
         "integration": {"dt": 0.02, "t_total": 100.0, "record_every": 50,
                         "absorber": "on", "absorber_opacity": 10.0},
@@ -86,8 +85,8 @@ def resolve_config(config: ScenarioConfig) -> ScenarioConfig:
     return merged
 
 
-def _dispersion_from(section: dict, default_kind="flat") -> DispersionSpec:
-    kind = section.get("kind", default_kind)
+def _dispersion_from(section: dict) -> DispersionSpec:
+    kind = section["kind"]
     if kind == "linear":
         return DispersionSpec.linear(section.get("velocity", 0.0),
                                      section.get("omega0", 0.0))
@@ -247,31 +246,26 @@ def _run_array_convergence(config: ScenarioConfig, out: Path) -> dict:
             "sizes": list(sizes)}
 
 
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ``ValueError`` it raises becomes a
+    :class:`ConfigError` naming ``section``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError([f"[{section}] {err}"]) from err
+
+
 def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     """The custom run's objects, built from a resolved config. Raises
-    :class:`ConfigError` when dt exceeds the stability bound of the
-    initial (vacuum) state, which ``evolve`` would refuse, or when the
-    grid or the end-fire deposit plan rejects its entries."""
-    gridc = config.section("grid")
-    try:
-        grid = Grid1D(int(gridc["n_points"]), gridc["dx"])
-    except ValueError as err:
-        raise ConfigError([f"[grid] {err}"]) from err
-    disp = DispersionPair(_dispersion_from(config.section("photon"), "linear"),
-                          _dispersion_from(config.section("phonon"), "flat"))
-    cpl = config.section("couplings")
-    couplings = CouplingSet(
-        g_ppp=cpl.get("g_ppp", 0.0), g_mmp=cpl.get("g_mmp", 0.0),
-        g_mpm=cpl.get("g_mpm", 0.0), g_ppm=cpl.get("g_ppm", 0.0),
-        g_mpp=cpl.get("g_mpp", 0.0), g_mmm=cpl.get("g_mmm", 0.0),
-        sector=cpl.get("sector", "even"))
-    bathc = config.section("bath")
-    bath = BathSpec(kappa=bathc.get("kappa", 0.0),
-                    gamma_mech=bathc.get("gamma_mech", 0.0),
-                    n_th=bathc.get("n_th", None),
-                    temperature=bathc.get("temperature", None),
-                    omega_ref=bathc.get("omega_ref", 0.0),
-                    sampling=bathc.get("sampling", "none"))
+    :class:`ConfigError` naming the section when a constructor (the grid,
+    couplings, bath, end-fire deposit plan or absorber) rejects its
+    entries, and when dt exceeds the stability bound of the initial
+    (vacuum) state, which ``evolve`` would refuse."""
+    grid = _build("grid", Grid1D, **config.section("grid"))
+    disp = DispersionPair(_dispersion_from(config.section("photon")),
+                          _dispersion_from(config.section("phonon")))
+    couplings = _build("couplings", CouplingSet, **config.section("couplings"))
+    bath = _build("bath", BathSpec, **config.section("bath"))
     integ = config.section("integration")
     dt = integ["dt"]
     vacuum = FieldState.vacuum(grid)
@@ -282,28 +276,22 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
                            "bath; reduce dt"])
     drivec = config.section("drive")
     drive = None
-    if drivec.get("mode", "none") == "endfire":
-        drive = EndfireDrive(alpha_in=drivec.get("alpha_in", 0.0),
-                             omega_L=drivec.get("omega_L"),
-                             k_L=drivec.get("k_L"),
-                             inlet_cell=int(drivec.get("inlet_cell", 4)))
-        try:  # the plan the stepper builds, checked before anything is written
-            DepositPlan(grid, disp.photon, drive, vacuum.frame, dt)
-        except BoundaryError as err:
-            raise ConfigError([f"[drive] {err}"]) from err
+    if drivec.pop("mode") == "endfire":
+        drive = EndfireDrive(**drivec)
+        # the plan the stepper builds, checked before anything is written
+        _build("drive", DepositPlan, grid, disp.photon, drive, vacuum.frame, dt)
     absorber = None
-    if integ.get("absorber", "off") == "on":
+    if integ["absorber"] == "on":
         speed = integ.get("absorber_speed",
                           abs(disp.photon.group_velocity_at(0.0)) or 1.0)
-        absorber = make_absorber(grid, speed=speed,
-                                 opacity=integ.get("absorber_opacity", 10.0))
+        absorber = _build("integration", make_absorber, grid, speed=speed,
+                          opacity=integ["absorber_opacity"])
     ens = config.section("ensemble")
     return SimpleNamespace(
         grid=grid, disp=disp, couplings=couplings, bath=bath, drive=drive,
         dt=dt, n_steps=int(round(integ["t_total"] / dt)), absorber=absorber,
-        record_every=int(integ.get("record_every", 1)),
-        n_traj=int(ens.get("trajectories", 1)),
-        base_seed=int(ens.get("base_seed", 1)))
+        record_every=integ["record_every"], n_traj=ens["trajectories"],
+        base_seed=ens["base_seed"])
 
 
 def _run_custom(config: ScenarioConfig, out: Path) -> dict:

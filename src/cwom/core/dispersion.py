@@ -24,14 +24,12 @@ class DispersionSpec:
         (rad/s per (rad/m)^n). Only for kind="polynomial".
     table : real samples of omega on ``grid.k_axis``. Only for
         kind="tabulated"; tied to the grid it was built on.
-    reference_k : carrier wavenumber used for rotating-frame expansions.
     """
 
     kind: str
     coeffs: tuple = ()
     table: np.ndarray = field(default=None, repr=False)
     grid: Grid1D = None
-    reference_k: float = 0.0
 
     def __post_init__(self):
         if self.kind == "polynomial":
@@ -55,9 +53,8 @@ class DispersionSpec:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def polynomial(coeffs, reference_k: float = 0.0) -> "DispersionSpec":
-        return DispersionSpec(kind="polynomial", coeffs=tuple(float(c) for c in coeffs),
-                              reference_k=reference_k)
+    def polynomial(coeffs) -> "DispersionSpec":
+        return DispersionSpec(kind="polynomial", coeffs=tuple(float(c) for c in coeffs))
 
     @staticmethod
     def linear(velocity: float, offset: float = 0.0) -> "DispersionSpec":
@@ -76,14 +73,14 @@ class DispersionSpec:
                               grid=grid)
 
     @staticmethod
-    def tabulated(values, grid: Grid1D, reference_k: float = 0.0) -> "DispersionSpec":
+    def tabulated(values, grid: Grid1D) -> "DispersionSpec":
         values = np.asarray(values)
         if np.iscomplexobj(values):
             if np.any(np.abs(np.imag(values)) > 0):
                 raise ValueError("tabulated dispersion values must be real")
             values = np.real(values)
         return DispersionSpec(kind="tabulated", table=values.astype(float),
-                              grid=grid, reference_k=reference_k)
+                              grid=grid)
 
     # -- evaluation -----------------------------------------------------
 
@@ -138,7 +135,7 @@ class DispersionSpec:
                 for j in range(m + 1):
                     new[j] += c * _binom(m, j) * k_carrier ** (m - j)
             new[0] -= omega_carrier
-            return DispersionSpec.polynomial(new, reference_k=0.0)
+            return DispersionSpec.polynomial(new)
         dk = self.grid.dk
         steps = k_carrier / dk
         if abs(steps - round(steps)) > 1e-9:

@@ -9,18 +9,11 @@ from .grid import Grid1D
 
 @dataclass(frozen=True)
 class Frame:
-    """Reference frame of a field state: lab, or rotating at (omega, k)."""
+    """Reference frame of a field state: rotating at (omega, k); the
+    default ``Frame()`` is the lab frame."""
 
     omega: float = 0.0
     k: float = 0.0
-
-    @staticmethod
-    def lab() -> "Frame":
-        return Frame(0.0, 0.0)
-
-    @staticmethod
-    def rotating(omega: float, k: float) -> "Frame":
-        return Frame(omega, k)
 
 
 @dataclass
@@ -40,7 +33,7 @@ class FieldState:
 
     def __post_init__(self):
         if self.frame is None:
-            self.frame = Frame.lab()
+            self.frame = Frame()
         self.a = np.asarray(self.a, dtype=np.complex128)
         self.b = np.asarray(self.b, dtype=np.complex128)
         n = self.grid.n_points

@@ -24,35 +24,34 @@ white across the full band. Left-moving waves pass through the additive
 source unmodified and leave through the seam into the ramp.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.dispersion import DispersionSpec
-from ..core.fields import FieldState, Frame
+from ..core.fields import Frame
 from ..core.grid import Grid1D
 from .drive import EndfireDrive
 
 MAX_ABSORBER_FRACTION = 0.1 + 1e-12
+# the carrier's group velocity may vary by this fraction over +- pi/(8 dx)
+VELOCITY_REL_TOL = 1e-3
+# half-width in cells of the Hann kernel that deposits the coherent drive
+KERNEL_HALFWIDTH = 2
 
 
 class BoundaryError(ValueError):
     """Raised when a drive cannot be launched cleanly at the boundary."""
 
 
-class ResolutionWarning(UserWarning):
-    """Field content too close to the grid's Nyquist limit to absorb cleanly."""
-
-
-def boundary_velocity(dispersion: DispersionSpec, grid: Grid1D, carrier_k: float,
-                      rel_tol: float = 1e-3) -> float:
+def boundary_velocity(dispersion: DispersionSpec, grid: Grid1D,
+                      carrier_k: float) -> float:
     """Group speed at the carrier; rejects non-constant local dispersion.
 
     End-fire launching assumes a locally constant photon velocity. The
     group velocity is sampled over a band of +- pi/(8 dx) around the
     carrier and must not deviate from its carrier value by more than
-    ``rel_tol`` relatively.
+    ``VELOCITY_REL_TOL`` relatively.
     """
     delta = np.pi / (8.0 * grid.dx)
     ks = carrier_k + np.linspace(-delta, delta, 17)
@@ -64,7 +63,7 @@ def boundary_velocity(dispersion: DispersionSpec, grid: Grid1D, carrier_k: float
     if abs(v0) == 0.0:
         raise BoundaryError("zero group velocity at the drive carrier")
     dev = np.max(np.abs(vs - v0))
-    if dev > rel_tol * abs(v0):
+    if dev > VELOCITY_REL_TOL * abs(v0):
         raise BoundaryError(
             "non-constant dispersion near the boundary: group velocity varies by "
             f"{dev:.3e} m/s ({dev / abs(v0):.2%}) within +-pi/(8 dx) of the carrier; "
@@ -82,8 +81,7 @@ class DepositPlan:
     """
 
     def __init__(self, grid: Grid1D, dispersion: DispersionSpec,
-                 drive: EndfireDrive, frame: Frame, dt: float,
-                 kernel_halfwidth: int = 2):
+                 drive: EndfireDrive, frame: Frame, dt: float):
         carrier = drive.carrier_in_frame(frame.k)
         c = boundary_velocity(dispersion, grid, carrier)
         nu = c * dt / grid.dx
@@ -91,16 +89,16 @@ class DepositPlan:
             raise BoundaryError(
                 f"advection fraction c*dt/dx = {nu:.3f} > 1; "
                 "reduce dt for clean injection")
-        if drive.inlet_cell < kernel_halfwidth \
-                or drive.inlet_cell >= grid.n_points - kernel_halfwidth:
+        if drive.inlet_cell < KERNEL_HALFWIDTH \
+                or drive.inlet_cell >= grid.n_points - KERNEL_HALFWIDTH:
             raise BoundaryError("inlet_cell too close to the grid edge for the "
                                 "drive kernel")
         self.drive = drive
         self.detuning = drive.detuning(frame.omega)
         self.scale = np.sqrt(c) * dt / grid.dx
         self.noise_sigma = np.sqrt(0.5 / (2.0 * dt))
-        offs = np.arange(-kernel_halfwidth, kernel_halfwidth + 1)
-        window = 0.5 * (1.0 + np.cos(np.pi * offs / (kernel_halfwidth + 1)))
+        offs = np.arange(-KERNEL_HALFWIDTH, KERNEL_HALFWIDTH + 1)
+        window = 0.5 * (1.0 + np.cos(np.pi * offs / (KERNEL_HALFWIDTH + 1)))
         cells = (drive.inlet_cell + offs) % grid.n_points
         # matched normalization: unit response of the resonant wavenumber
         khat = np.sum(window * np.exp(-1j * carrier * cells * grid.dx))
@@ -186,27 +184,3 @@ def make_absorber(grid: Grid1D, speed: float, width_fraction: float = 0.1,
 
 def _smoothstep5(x: np.ndarray) -> np.ndarray:
     return x ** 3 * (10.0 - 15.0 * x + 6.0 * x ** 2)
-
-
-def absorbing_layer(state: FieldState, profile: AbsorberProfile, dt: float,
-                    check_resolution: bool = True) -> FieldState:
-    """Damp both fields by exp(-sigma(x) dt). Mutates ``state``.
-
-    Emits a :class:`ResolutionWarning` when a significant energy fraction
-    sits above 80% of the Nyquist wavenumber, where the ramp can no longer
-    guarantee low reflection.
-    """
-    if check_resolution:
-        spec = np.abs(np.fft.fft(state.a)) ** 2
-        total = spec.sum()
-        if total > 0:
-            hot = np.abs(state.grid.k_axis) > 0.8 * np.pi / state.grid.dx
-            if spec[hot].sum() > 0.01 * total:
-                warnings.warn(
-                    "field energy within 20% of the Nyquist wavenumber; absorbing "
-                    "layer reflection is not controlled for under-resolved pulses",
-                    ResolutionWarning, stacklevel=2)
-    factors = profile.decay_factors(dt)
-    state.a *= factors
-    state.b *= factors
-    return state

@@ -128,8 +128,6 @@ class Trajectory:
     times: np.ndarray
     records: dict
     final_state: object
-    dt: float = 0.0
-    n_steps: int = 0
 
 
 class SplitStepper:
@@ -279,7 +277,7 @@ class SplitStepper:
                 for name, obs in observers.items():
                     records[name].append(obs(work))
         return Trajectory(times=np.asarray(times), records=records,
-                          final_state=work, dt=self.dt, n_steps=n_steps)
+                          final_state=work)
 
 
 @dataclass(frozen=True)
@@ -326,9 +324,8 @@ class Stepper(SplitStepper):
                  bath: BathSpec = None, drive: DriveSpec = None,
                  absorber: AbsorberProfile = None, dt: float = None,
                  frame: Frame = None):
-        self.bath = bath if bath is not None else BathSpec()
-        super().__init__(grid, dt, absorber=absorber,
-                         wigner=self.bath.is_stochastic)
+        bath = bath if bath is not None else BathSpec()
+        super().__init__(grid, dt, absorber=absorber, wigner=bath.is_stochastic)
         self._terms = CouplingTerms.resolve(couplings)
         if not isinstance(couplings, CouplingSet):
             if self._wigner:
@@ -336,19 +333,15 @@ class Stepper(SplitStepper):
                                  "per-row noise streams are not implemented")
             if drive is not None:
                 raise ValueError("a coupling batch takes no drive")
-        self.couplings = couplings
-        self.dispersions = dispersions
-        self.drive = drive
-        self.absorber = absorber
         self._half = np.stack((dispersion_phase(dispersions.photon, grid, 0.5 * dt),
                                dispersion_phase(dispersions.phonon, grid, 0.5 * dt)))
-        self._set_damped([d for d in ((0, self.bath.kappa, 0.0),
-                                      (1, self.bath.gamma_mech, self.bath.n_th))
+        self._set_damped([d for d in ((0, bath.kappa, 0.0),
+                                      (1, bath.gamma_mech, bath.n_th))
                           if d[1]])
         if isinstance(drive, EndfireDrive):
             self._deposits = [(0, DepositPlan(
                 grid, dispersions.photon, drive,
-                frame if frame is not None else Frame.lab(), dt))]
+                frame if frame is not None else Frame(), dt))]
         self._interacting = self._terms.kind != "zero"
         self._side = ((np.sqrt(drive.kappa_ex), drive.profile, grid.x_axis)
                       if isinstance(drive, SideDrive) else None)
@@ -394,13 +387,14 @@ def _stability_error(state, couplings, dispersions, bath, dt):
 def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPair,
            bath: BathSpec = None, drive: DriveSpec = None, dt: float = None,
            n_steps: int = 0, observers: dict = None, record_every: int = 1,
-           rng: np.random.Generator = None, absorber: AbsorberProfile = None,
-           enforce_stability: bool = True) -> Trajectory:
+           rng: np.random.Generator = None,
+           absorber: AbsorberProfile = None) -> Trajectory:
     """Run ``n_steps`` steps, recording observers every ``record_every`` steps
     (a positive integer).
 
     The initial state is recorded first, so ``n_steps=0`` echoes the input.
-    Observers are callables state -> value, keyed by name.
+    Observers are callables state -> value, keyed by name. A dt above
+    :func:`stability_bound` raises ``ValueError``.
     """
     _check_steps(n_steps, dt)
     bath = bath if bath is not None else BathSpec()
@@ -409,11 +403,10 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
         return Trajectory(times=np.asarray([work.time]),
                           records={name: [obs(work)]
                                    for name, obs in (observers or {}).items()},
-                          final_state=work, dt=dt or 0.0)
-    if enforce_stability:
-        error = _stability_error(state, couplings, dispersions, bath, dt)
-        if error:
-            raise ValueError(error + " or pass enforce_stability=False")
+                          final_state=work)
+    error = _stability_error(state, couplings, dispersions, bath, dt)
+    if error:
+        raise ValueError(error)
     stepper = Stepper(state.grid, couplings, dispersions, bath=bath, drive=drive,
                       absorber=absorber, dt=dt, frame=state.frame)
     return stepper.run(state, n_steps, observers=observers,

@@ -29,6 +29,11 @@ from .multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
 # two-branch Brillouin amplification
 # ---------------------------------------------------------------------------
 
+# the two-branch run settles over this many transits of the slower branch
+# (plus the phonon relaxation time), at this fraction of the step bound
+N_TRANSITS = 2.0
+DT_MARGIN = 0.9
+
 
 @dataclass
 class GainRunResult:
@@ -57,8 +62,7 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
                         Gamma: float, kappa2: float, omega1: float,
                         pump_power_W: float, seed_power_ratio: float = 1e-10,
                         n_points: int = 256, target_efolds: float = 6.0,
-                        direction: int = +1, n_transits: float = 2.0,
-                        dt_margin: float = 0.9) -> GainRunResult:
+                        direction: int = +1) -> GainRunResult:
     """Stimulated amplification of a weak seed by a strong co/counter pump.
 
     The domain length is sized so the expected power slope accumulates
@@ -76,7 +80,7 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
     length = target_efolds / (0.6 * slope_pred_nominal)
     grid = Grid1D(n_points, length / n_points)
     v_fast = max(v1, v2)
-    dt = dt_margin * 0.5 / (v_fast * np.pi / grid.dx)
+    dt = DT_MARGIN * 0.5 / (v_fast * np.pi / grid.dx)
 
     Omega_sym = 40.0 * Gamma  # frame bookkeeping scale; physics is resonant
     if direction not in (+1, -1):
@@ -102,7 +106,7 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
     # The phonon field relaxes gain length by gain length, so the cw
     # steady state needs several phonon lifetimes per accumulated e-fold,
     # not just a few transit times.
-    settle = (n_transits * grid.length / min(v1, v2)
+    settle = (N_TRANSITS * grid.length / min(v1, v2)
               + (6.0 * target_efolds + 8.0) / Gamma)
     state = MultiBranchStepper(system, dt).run(
         MultiBranchState.vacuum(grid, 2), int(np.ceil(settle / dt))).final_state

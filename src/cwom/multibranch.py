@@ -52,6 +52,7 @@ from .core.dispersion import DispersionSpec
 from .core.fields import Frame
 from .core.grid import Grid1D
 from .core.spectral import dispersion_phase
+from .dynamics.bath import SAMPLING_MODES
 from .dynamics.boundary import AbsorberProfile, DepositPlan
 from .dynamics.drive import EndfireDrive
 from .dynamics.stepper import SplitStepper
@@ -160,8 +161,8 @@ class MultiBranchSystem:
             raise ValueError("g0_matrix must be Hermitian")
         self.g0 = g
         self.rotating_wave = rotating_wave
-        if sampling not in ("none", "wigner"):
-            raise ValueError("sampling must be 'none' or 'wigner'")
+        if sampling not in SAMPLING_MODES:
+            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
         self.sampling = sampling
         self.absorber = absorber
         self.photon_channels, self.phonon_channels = self._build_channels()

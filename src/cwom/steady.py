@@ -34,6 +34,9 @@ from .dynamics.boundary import AbsorberProfile
 from .dynamics.drive import DriveSpec, EndfireDrive, SideDrive
 from .dynamics.stepper import DispersionPair, SplitStepper, Stepper
 
+# steps between two convergence checks of the relaxation
+CHECK_EVERY = 50
+
 
 class SteadyStateError(RuntimeError):
     """Relaxation did not converge; carries the residual history."""
@@ -99,16 +102,17 @@ def find_steady_state(grid: Grid1D, couplings: CouplingSet,
                       dispersions: DispersionPair, bath: BathSpec,
                       drive: DriveSpec, dt: float, max_time: float,
                       ramp_time: float = 0.0, tol: float = None,
-                      check_every: int = 50,
                       absorber: AbsorberProfile = None,
                       frame: Frame = None,
                       refine_dt: float = None,
                       refine_time: float = None) -> SteadyState:
     """Relax the noiseless mean field to its cw steady state.
 
-    Converged when max |field change| / (dt * field scale) drops below
-    ``tol`` (1/s); the default is 1e-10 of the fastest damping rate.
-    Requires kappa, gamma_mech > 0: damped relaxation needs dissipation.
+    Converged when max |field change| / (dt * field scale), checked every
+    ``CHECK_EVERY`` steps, drops below ``tol`` (1/s); the default is 1e-10
+    of the fastest damping rate. Requires kappa, gamma_mech > 0: damped
+    relaxation needs dissipation, and ``max_time`` (and ``refine_time``)
+    of at least ``CHECK_EVERY`` steps.
 
     The split integrator's fixed point carries an O(dt^2) offset from the
     continuous steady state; ``refine_dt`` runs a warm-started
@@ -126,28 +130,36 @@ def find_steady_state(grid: Grid1D, couplings: CouplingSet,
         tol = 1e-10 * max(bath.kappa, bath.gamma_mech)
     state = FieldState.vacuum(grid, frame=frame)
     history = []
-    stages = [(dt, max_time, _ramped(drive, ramp_time), ramp_time)]
+    stages = [("max_time", dt, max_time, _ramped(drive, ramp_time), ramp_time)]
     if refine_dt is not None:
         if refine_time is None:
             raise ValueError("refine_dt requires refine_time")
-        stages.append((refine_dt, refine_time, drive, 0.0))
-    for stage_dt, stage_time, stage_drive, stage_ramp in stages:
+        stages.append(("refine_time", refine_dt, refine_time, drive, 0.0))
+    runs = []
+    for name, stage_dt, stage_time, stage_drive, stage_ramp in stages:
         stepper = Stepper(grid, couplings, dispersions, bath=bath,
                           drive=stage_drive, absorber=absorber, dt=stage_dt,
                           frame=frame)
         n_steps = int(np.ceil(stage_time / stage_dt))
+        if n_steps < CHECK_EVERY:
+            raise ValueError(
+                f"{name} = {stage_time:.3e} s is {n_steps} steps of dt = "
+                f"{stage_dt:.3e} s, fewer than the {CHECK_EVERY} steps between "
+                "two convergence checks")
+        runs.append((stepper, n_steps, stage_time, stage_ramp))
+    for stepper, n_steps, stage_time, stage_ramp in runs:
         t_start = state.time
         prev_a = state.a.copy()
         prev_b = state.b.copy()
         converged = False
         for i in range(n_steps):
             stepper.step_inplace(state, step_index=i)
-            if (i + 1) % check_every == 0:
+            if (i + 1) % CHECK_EVERY == 0:
                 scale = max(np.max(np.abs(state.a)), np.max(np.abs(state.b)),
                             1e-300)
                 rate = max(np.max(np.abs(state.a - prev_a)),
                            np.max(np.abs(state.b - prev_b))) \
-                    / (check_every * stage_dt * scale)
+                    / (CHECK_EVERY * stepper.dt * scale)
                 history.append(rate)
                 if rate < tol and state.time - t_start > stage_ramp:
                     converged = True
@@ -157,7 +169,7 @@ def find_steady_state(grid: Grid1D, couplings: CouplingSet,
         if not converged:
             raise SteadyStateError(
                 f"no steady state within {stage_time:.3e} s at dt = "
-                f"{stage_dt:.3e} s: residual {history[-1]:.3e} 1/s vs tol "
+                f"{stepper.dt:.3e} s: residual {history[-1]:.3e} 1/s vs tol "
                 f"{tol:.3e} 1/s (other steady solutions may exist; this solver "
                 "only reports the one reached from vacuum with a ramped drive)",
                 history)

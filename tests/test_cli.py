@@ -363,6 +363,18 @@ class TestCliRuns:
         eff = load_config(out / "effective_config.cfg")
         assert eff.get("integration", "dt") == 0.01
 
+    def test_bath_temperature_validates_and_runs(self, tmp_path):
+        # the preset sets no n_th, so a temperature does not collide with it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG.replace(
+            "sampling = none", "sampling = none\ntemperature = 300.0 K\n"
+            "omega_ref = 1e13 rad/s"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 0
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        bath = load_config(out / "effective_config.cfg").section("bath")
+        assert bath["temperature"] == 300.0 and "n_th" not in bath
+
 
 class TestScenarioReports:
     def test_backward_gain_reports_measured_and_analytic(self, tmp_path):
@@ -469,10 +481,17 @@ class TestCliRangeChecks:
          "[grid] n_points must be a power of two, got 100"),
         ("inlet_cell = 4", "inlet_cell = 1",
          "[drive] inlet_cell too close to the grid edge"),
-    ], ids=["n_points", "inlet_cell"])
+        ("kappa = 0.2 /s", "kappa = -1 /s",
+         "[bath] decay rates must be non-negative"),
+        ("sector = even", "sector = odd",
+         "[couplings] odd sector requires g_ppp = g_mmp = g_mpm = 0"),
+        ("n_points = 128", "n_points = 64",
+         "[integration] absorbing bump needs at least 8 cells"),
+    ], ids=["n_points", "inlet_cell", "kappa", "sector", "absorber_width"])
     def test_constructor_rejections_exit_two(self, tmp_path, capsys, entry, bad,
                                              message):
-        # caught by Grid1D and DepositPlan, not by the parser's range checks
+        # caught by Grid1D, BathSpec, CouplingSet, DepositPlan and
+        # make_absorber, not by the parser's range checks
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(GOOD_CONFIG.replace(entry, bad))
         assert main(["run", "--config", str(cfg), "--validate-only"]) == 2

@@ -115,6 +115,21 @@ class TestFindSteadyState:
                               BathSpec(kappa=0.0, gamma_mech=1.0), None,
                               dt=0.1, max_time=1.0)
 
+    @pytest.mark.parametrize("times, name", [
+        (dict(max_time=0.1), "max_time = 1.000e-01 s is 10 steps"),
+        (dict(max_time=1.0, refine_dt=1e-3, refine_time=0.01),
+         "refine_time = 1.000e-02 s is 10 steps"),
+    ], ids=["max_time", "refine_time"])
+    def test_stage_shorter_than_check_interval_rejected(self, times, name):
+        # a stage must reach its first convergence check, every 50 steps
+        grid = Grid1D(32, 1.0)
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(1.0))
+        bath = BathSpec(kappa=0.5, gamma_mech=0.5)
+        with pytest.raises(ValueError, match="fewer than the 50 steps") as err:
+            find_steady_state(grid, CouplingSet.simple(0.0), disp, bath, None,
+                              dt=0.01, **times)
+        assert name in str(err.value)
+
 
 def analytic_block(k, v, c2, Omega0, w2, g_lin, g_beta, kappa, gamma):
     """The per-k 4x4 generator of the doubled system for uniform fields.

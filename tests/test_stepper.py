@@ -150,10 +150,10 @@ class TestEvolveMachinery:
         disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(0.0))
         st = FieldState(grid64, np.full(grid64.n_points, 1e3 + 0j),
                         np.full(grid64.n_points, 1e3 + 0j))
+        stepper = Stepper(grid64, couplings, disp, dt=10.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError):
-                evolve(st, couplings, disp, dt=10.0, n_steps=500,
-                       enforce_stability=False)
+                stepper.run(st, 500)
 
     def test_stability_bound_enforced(self, grid64):
         couplings, disp = closed_setup(grid64)
