@@ -77,31 +77,61 @@ DEFAULTS = {
 }
 
 
+# The keys each value of a choice reads, the first one required. A key
+# that only other values read is an error when the user's config or a
+# flag set it, and is dropped when it came from the preset.
+_BAND_KEYS = {"linear": ("velocity", "omega0"), "flat": ("omega0",),
+              "polynomial": ("coeffs",)}
+CHOICE_KEYS = {
+    ("photon", "kind"): _BAND_KEYS,
+    ("phonon", "kind"): _BAND_KEYS,
+    ("drive", "mode"): {"none": (),
+                        "endfire": ("alpha_in", "omega_L", "k_L", "inlet_cell")},
+    ("integration", "absorber"): {"off": (),
+                                  "on": ("absorber_opacity", "absorber_speed")},
+}
+
+
 def resolve_config(config: ScenarioConfig) -> ScenarioConfig:
-    """Layer the user's config over the scenario's preset defaults."""
+    """The user's config over the scenario's preset, checked by ``CHOICE_KEYS``."""
     base = {sec: dict(kv) for sec, kv in DEFAULTS.get(config.scenario, {}).items()}
     base.setdefault("scenario", {})["name"] = config.scenario
     merged = ScenarioConfig(config.scenario, base).merged(config.sections)
+    problems = []
+    for (section, choice), reads in CHOICE_KEYS.items():
+        entries = merged.sections.get(section, {})
+        if choice not in entries:
+            continue
+        read, when = reads[entries[choice]], f"when {choice} = {entries[choice]}"
+        for key in sorted({k for keys in reads.values() for k in keys} - set(read)):
+            if key in config.sections.get(section, {}):
+                problems.append(f"[{section}] {key}: not read {when}")
+            entries.pop(key, None)
+        if read and read[0] not in entries:
+            problems.append(f"[{section}] {read[0]}: required {when}")
+    if problems:
+        raise ConfigError(problems)
     return merged
 
 
-def _dispersion_from(section: dict) -> DispersionSpec:
+def _band(section: dict, grid: Grid1D) -> DispersionSpec:
+    """The section's band, refused unless it is finite on ``grid``."""
     kind = section["kind"]
     if kind == "linear":
-        return DispersionSpec.linear(section.get("velocity", 0.0),
-                                     section.get("omega0", 0.0))
-    if kind == "flat":
-        return DispersionSpec.flat(section.get("omega0", 0.0))
-    if kind == "polynomial":
-        return DispersionSpec.polynomial(section.get("coeffs", (0.0,)))
-    raise ValueError(f"unknown dispersion kind {kind!r} (two_sided bands are "
-                     "built from the grid at run time)")
+        band = DispersionSpec.linear(section["velocity"], section.get("omega0", 0.0))
+    elif kind == "flat":
+        band = DispersionSpec.flat(section["omega0"])
+    else:
+        band = DispersionSpec.polynomial(section["coeffs"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        band.values_on(grid)
+    return band
 
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` layered over its preset and checked for what parsing
-    cannot see: a custom run's dt against the stability bound. Raises
-    :class:`ConfigError`."""
+    cannot see: unread choice keys and a custom run's objects and dt.
+    Raises :class:`ConfigError`."""
     config = resolve_config(config)
     if config.scenario == "custom":
         _custom_setup(config)
@@ -257,13 +287,13 @@ def _build(section: str, make, *args, **kwargs):
 
 def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     """The custom run's objects, built from a resolved config. Raises
-    :class:`ConfigError` naming the section when a constructor (the grid,
-    couplings, bath, end-fire deposit plan or absorber) rejects its
-    entries, and when dt exceeds the stability bound of the initial
-    (vacuum) state, which ``evolve`` would refuse."""
+    :class:`ConfigError` naming the section when a constructor or check
+    (the grid, finite bands, couplings, bath, deposit plan or absorber)
+    rejects its entries, and when dt exceeds the stability bound of the
+    initial (vacuum) state, which ``evolve`` would refuse."""
     grid = _build("grid", Grid1D, **config.section("grid"))
-    disp = DispersionPair(_dispersion_from(config.section("photon")),
-                          _dispersion_from(config.section("phonon")))
+    disp = DispersionPair(_build("photon", _band, config.section("photon"), grid),
+                          _build("phonon", _band, config.section("phonon"), grid))
     couplings = _build("couplings", CouplingSet, **config.section("couplings"))
     bath = _build("bath", BathSpec, **config.section("bath"))
     integ = config.section("integration")

@@ -76,18 +76,18 @@ class BathSpec:
         return self.sampling == "wigner"
 
 
-def noise_scales(grid: Grid1D, rate: float, occupation: float,
+def noise_scales(dx: float, rate: float, occupation: float,
                  dt: float) -> tuple:
-    """The scales (sigma, sqrt(rate)) of one step's Langevin noise field,
-    validated once: sigma = sqrt((occupation + 1/2) / (2 dx dt)) is the
-    per-part standard deviation of xi."""
+    """The scales (sigma, sqrt(rate)) of one step's Langevin noise field on
+    cells of width ``dx``, validated once: sigma = sqrt((occupation + 1/2)
+    / (2 dx dt)) is the per-part standard deviation of xi."""
     if occupation < 0:
         raise ValueError("occupation must be non-negative")
     if rate < 0:
         raise ValueError("rate must be non-negative")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return np.sqrt((occupation + 0.5) / (2.0 * grid.dx * dt)), np.sqrt(rate)
+    return np.sqrt((occupation + 0.5) / (2.0 * dx * dt)), np.sqrt(rate)
 
 
 def draw_noise_field(n: int, sigma, root_rate,
@@ -117,5 +117,5 @@ def sample_noise_field(grid: Grid1D, rate: float, occupation: float, dt: float,
     The integrators settle :func:`noise_scales` once per damped row and
     call :func:`draw_noise_field` each step: the same bytes.
     """
-    sigma, root_rate = noise_scales(grid, rate, occupation, dt)
+    sigma, root_rate = noise_scales(grid.dx, rate, occupation, dt)
     return draw_noise_field(grid.n_points, sigma, root_rate, rng)

@@ -5,7 +5,7 @@ Step layout (one dt), shared by every solver in the package:
 
     half free evolution (exact k-space rotation of the live rows)
     middle substep over dt:
-        RK4 on interaction + damping + side drive   (4th order, explicit)
+        RK4 on interaction - loss + forces          (4th order, explicit)
         Euler-Maruyama noise increments             (if Wigner sampling)
         end-fire source deposits + inlet vacuum     (if driven)
         absorbing-layer decay                       (if configured)
@@ -45,27 +45,26 @@ commutative where the loops use FMA, so an in-place rewrite must keep
 each product's operand order (``np.multiply(phase, f, out=f)``, never
 ``f *= phase``).
 
-What one RK4 stage of :class:`Stepper` costs is settled in its
-constructor, where the coupling constants are resolved once into the
-term table of the fused right-hand side, by coupling class:
+What one RK4 stage costs is settled at construction: the loss as complex
+columns of 0.5 * rate (no cast per call), and in :class:`Stepper` the
+coupling constants as the term table of the fused interaction:
 
-    derivative couplings   fused interaction right-hand side, 8 transforms
-    pointwise (g_ppp only) interaction right-hand side, no transform
-    all zero, damped       no interaction call: one product with a (2, 1)
-                           column of 0.5 * rate (0 for undamped rows),
-                           subtracted from 0.0
+    derivative couplings   interaction, 8 transforms, then the loss: one
+                           (k, 1) column product per run of k damped rows
+    pointwise (g_ppp only) interaction, no transform, then the loss
+    all zero, damped       no interaction: 0.0 minus one product with a
+                           full-height column (0 for undamped rows)
     all zero, undamped     no RK4: the substep is y + 0.0
 
-plus, with a side drive, one profile evaluation on cell positions taken
-once (a side drive keeps the RK4 of an uncoupled model). Both uncoupled
-forms are the bytes of the zero-filled derivative with each damped row's
-``0.5 * rate * y`` subtracted: ``0.0 - c * y`` is what subtracting from
-+0.0 gives, and a zero derivative makes every stage +0, so that
-``y + dt / 6.0 * k1`` is ``y + 0.0`` (-0.0 entries become +0.0; the sum
-stays a fresh array). Wigner noise scales are settled per damped row
-(``bath.noise_scales``) and each step only draws; a cw end-fire drive
-settles its source deposit (``DepositPlan``). Source deposits write
-straight into the photon row of the stacked state. All stochastic draws
+plus one evaluation per force (a side drive's profile, on cell positions
+taken once; a force keeps the RK4). Both uncoupled forms are the bytes
+of the zero-filled derivative with each damped row's ``0.5 * rate * y``
+subtracted: ``0.0 - c * y`` is what subtracting from +0.0 gives, and a
+zero derivative makes every stage +0, so that ``y + dt / 6.0 * k1`` is
+``y + 0.0`` (-0.0 entries become +0.0; the sum stays a fresh array).
+Wigner noise scales are settled per damped row and each step only draws;
+a cw end-fire drive settles its source deposit (``DepositPlan``), which
+writes straight into its row of the stacked state. All stochastic draws
 come from one Generator in a fixed order, so a seed pins the whole
 trajectory bit-for-bit.
 
@@ -133,28 +132,25 @@ class Trajectory:
 class SplitStepper:
     """Strang step over a stacked complex state ``y`` of shape (rows, n).
 
-    A model subclass calls ``__init__`` first (it validates dt), then sets
-    ``_half``, the half-step phase rows of ``y[live]``. It supplies
-    ``_rhs(y, t)``, the interaction + damping derivative of every row as
-    one (rows, n) array. That array must be fresh on every call: the core
-    overwrites the k's while summing them, so it may neither alias ``y``
-    nor be a buffer the model keeps. A model may override
+    A model subclass calls ``__init__`` first (it validates dt), sets
+    ``_half``, the half-step phase rows of ``y[live]``, and passes its
+    losses to ``_set_losses``. It supplies only ``_rhs(y, t)``, the
+    interaction of every row as one (rows, n) array, or ``_rhs = None``
+    without one. That array must be fresh on every call: the core
+    subtracts the loss from it and overwrites the k's while summing them,
+    so it may neither alias ``y`` nor be a buffer the model keeps. Drives
+    are ``_forces`` (row, f), adding ``f(t)`` to the row's derivative, and
+    ``_deposits`` (row, DepositPlan). A model may override
     ``_pack``/``_unpack`` (default: a state with fields ``a`` and ``b``;
     ``_pack`` must return a new array, which the step mutates, so a step
-    that raises leaves the state as it was), ``photon_rows`` (the leading rows
-    the divergence report counts as photon fields), and its kick: by
-    default Wigner noise on the damped rows (row, rate, occupation), which
-    it passes to ``_set_damped``, then the ``_deposits`` (row, DepositPlan).
-    A model whose ``_rhs`` is zero whatever the state sets ``_zero_rhs``,
-    and the step skips the RK4. Rows outside ``live`` (frozen fields) skip
-    the half steps and the absorber.
+    that raises leaves the state as it was) and ``photon_rows`` (the
+    leading rows the divergence report counts as photon fields). Rows
+    outside ``live`` (frozen fields) skip the half steps and the absorber.
     """
 
     photon_rows = 1
-    _damped = ()
-    _noise = ()
+    _forces = ()
     _deposits = ()
-    _zero_rhs = False
 
     def __init__(self, grid, dt: float, live=slice(None),
                  absorber: AbsorberProfile = None, wigner: bool = False):
@@ -168,13 +164,23 @@ class SplitStepper:
         self._decay = (absorber.decay_factors(dt).astype(np.complex128)
                        if absorber is not None else None)
 
-    def _set_damped(self, damped):
-        """The damped rows, (row, rate, occupation) each; with Wigner
-        sampling, their noise scales are settled here, once."""
-        self._damped = damped
-        if self._wigner:
-            self._noise = [(row, *noise_scales(self.grid, rate, occupation, self.dt))
-                           for row, rate, occupation in damped]
+    def _set_losses(self, losses, dx: float):
+        """One (rate, occupation) per stacked row, on cells of width ``dx``:
+        the damped rows, loss columns and noise scales, settled once."""
+        self._damped = [(row, rate, occupation)
+                        for row, (rate, occupation) in enumerate(losses) if rate]
+        self._half_rates = np.array([[0.5 * rate] for rate, _ in losses],
+                                    dtype=np.complex128)
+        runs = []
+        for row, _, _ in self._damped:
+            if runs and runs[-1].stop == row:
+                runs[-1] = slice(runs[-1].start, row + 1)
+            else:
+                runs.append(slice(row, row + 1))
+        self._loss_runs = [(rows, self._half_rates[rows]) for rows in runs]
+        self._noise = ([(row, *noise_scales(dx, rate, occupation, self.dt))
+                        for row, rate, occupation in self._damped]
+                       if self._wigner else [])
 
     def _pack(self, state):
         a = state.a
@@ -187,9 +193,8 @@ class SplitStepper:
         state.a, state.b = y[..., 0, :], y[..., 1, :]
 
     def _kick(self, y, t, rng):
-        dt = self.dt
         for row, sigma, root_rate in self._noise:
-            y[row] += dt * draw_noise_field(y.shape[-1], sigma, root_rate, rng)
+            y[row] += self.dt * draw_noise_field(y.shape[-1], sigma, root_rate, rng)
         for row, plan in self._deposits:
             plan.apply(y[row], t, rng=rng, vacuum_noise=self._wigner)
 
@@ -200,6 +205,19 @@ class SplitStepper:
             apply_phase(rows, self._half, out=rows)
         else:  # a fancy index selects a copy: gather, then scatter back
             y[..., live, :] = apply_phase(y[..., live, :], self._half)
+
+    def _derivative(self, y, t):
+        """Interaction - loss + forces of ``y`` at ``t``, a fresh array."""
+        if self._rhs is None:
+            dy = np.multiply(self._half_rates, y)
+            np.subtract(0.0, dy, out=dy)
+        else:
+            dy = self._rhs(y, t)
+            for rows, half_rates in self._loss_runs:
+                dy[..., rows, :] -= half_rates * y[..., rows, :]
+        for row, force in self._forces:
+            dy[..., row, :] += force(t)
+        return dy
 
     def _rk4(self, y, t):
         """The RK4 substep of ``y`` over dt from ``t``, as a fresh array.
@@ -213,16 +231,16 @@ class SplitStepper:
         """
         dt = self.dt
         h = 0.5 * dt
-        k1 = self._rhs(y, t)
+        k1 = self._derivative(y, t)
         s = np.multiply(h, k1)
         s += y
-        k2 = self._rhs(s, t + h)
+        k2 = self._derivative(s, t + h)
         np.multiply(h, k2, out=s)
         s += y
-        k3 = self._rhs(s, t + h)
+        k3 = self._derivative(s, t + h)
         np.multiply(dt, k3, out=s)
         s += y
-        k4 = self._rhs(s, t + dt)
+        k4 = self._derivative(s, t + dt)
         k1 += np.multiply(2, k2, out=k2)
         k1 += np.multiply(2, k3, out=k3)
         k1 += k4
@@ -231,8 +249,8 @@ class SplitStepper:
     def step_inplace(self, state, rng=None, step_index: int = 0):
         """One Strang step of ``state``. Axes of its fields in front of
         (n,) are batch axes, stepped row for row as each row would be
-        alone, for a model whose ``_rhs`` and kick take them (a
-        coupling-batch :class:`Stepper`)."""
+        alone, for a model whose ``_rhs`` takes them (a coupling-batch
+        :class:`Stepper`)."""
         if self._wigner and rng is None:
             raise ValueError("Wigner sampling requires an rng")
         dt, t, live = self.dt, state.time, self._live
@@ -240,7 +258,8 @@ class SplitStepper:
         self._half_step(y)
         # with a zero derivative every stage is +0, and y + dt / 6.0 * k1
         # is y + 0.0 (-0.0 entries become +0.0), a fresh array as well
-        y = y + 0.0 if self._zero_rhs else self._rk4(y, t)
+        zero = self._rhs is None and not self._damped and not self._forces
+        y = y + 0.0 if zero else self._rk4(y, t)
         self._kick(y, t, rng)
         if self._decay is not None:
             y[..., live, :] *= self._decay
@@ -310,8 +329,8 @@ class Stepper(SplitStepper):
     """Precomputed single-trajectory integrator for one configuration.
 
     Rows of the stacked state: photon field a, phonon field b. What an RK4
-    stage needs is settled here: the coupling terms the fused right-hand
-    side multiplies, and the side drive's sqrt(kappa_ex), profile and cell
+    stage needs is settled here: the coupling terms the fused interaction
+    multiplies, and the side drive's sqrt(kappa_ex), profile and cell
     positions.
 
     ``couplings`` may also be a sequence of B sets of one coupling class.
@@ -335,36 +354,22 @@ class Stepper(SplitStepper):
                 raise ValueError("a coupling batch takes no drive")
         self._half = np.stack((dispersion_phase(dispersions.photon, grid, 0.5 * dt),
                                dispersion_phase(dispersions.phonon, grid, 0.5 * dt)))
-        self._set_damped([d for d in ((0, bath.kappa, 0.0),
-                                      (1, bath.gamma_mech, bath.n_th))
-                          if d[1]])
+        self._set_losses(((bath.kappa, 0.0), (bath.gamma_mech, bath.n_th)),
+                         grid.dx)
         if isinstance(drive, EndfireDrive):
             self._deposits = [(0, DepositPlan(
                 grid, dispersions.photon, drive,
                 frame if frame is not None else Frame(), dt))]
-        self._interacting = self._terms.kind != "zero"
-        self._side = ((np.sqrt(drive.kappa_ex), drive.profile, grid.x_axis)
-                      if isinstance(drive, SideDrive) else None)
-        # uncoupled: the damping rows only, as a (2, 1) column of 0.5 * rate
-        self._half_rates = np.zeros((2, 1))
-        for row, rate, _ in self._damped:
-            self._half_rates[row] = 0.5 * rate
-        self._zero_rhs = (not self._interacting and not self._damped
-                          and self._side is None)
+        if isinstance(drive, SideDrive):
+            scale, profile, x = np.sqrt(drive.kappa_ex), drive.profile, grid.x_axis
+            self._forces = [(0, lambda t: scale * profile(x, t))]
+        if self._terms.kind == "zero":
+            self._rhs = None
 
     def _rhs(self, y, t):
-        if self._interacting:
-            dy = np.empty_like(y)
-            dy[..., 0, :], dy[..., 1, :] = fused_rhs(
-                y[..., 0, :], y[..., 1, :], self.grid.derivative_weight, self._terms)
-            for row, rate, _ in self._damped:
-                dy[..., row, :] -= 0.5 * rate * y[..., row, :]
-        else:  # the bytes of 0.5 * rate * y subtracted from a zero array
-            dy = np.multiply(self._half_rates, y)
-            np.subtract(0.0, dy, out=dy)
-        if self._side is not None:
-            scale, profile, x = self._side
-            dy[0] += scale * profile(x, t)
+        dy = np.empty_like(y)
+        dy[..., 0, :], dy[..., 1, :] = fused_rhs(
+            y[..., 0, :], y[..., 1, :], self.grid.derivative_weight, self._terms)
         return dy
 
 

@@ -24,7 +24,7 @@ test suite confirms them numerically at second order.
 :class:`LatticeStepper` is a model of the shared split-step core
 (:class:`cwom.dynamics.stepper.SplitStepper`) over the stacked (a, b)
 site amplitudes: the tunneling bands give the exact half-step phases, and
-its kick draws per-site Wigner noise.
+the sites are cells of unit width for the core's loss and noise.
 """
 
 from dataclasses import dataclass, field
@@ -118,7 +118,7 @@ class LatticeState:
 
 class LatticeStepper(SplitStepper):
     """Split-step model of the array: exact tunneling half-steps in k-space,
-    explicit RK4 interaction + damping, Euler-Maruyama site noise.
+    explicit RK4 on the site and link interaction.
 
     Rows of the stacked state: site photon amplitudes, site phonon
     amplitudes.
@@ -131,14 +131,15 @@ class LatticeStepper(SplitStepper):
         self.config = config
         self._half = np.exp(-0.5j * np.stack((config.photon_band(),
                                                config.phonon_band())) * dt)
-        self._damped = [d for d in ((0, config.kappa, 0.0),
-                                    (1, config.Gamma, config.n_th)) if d[1]]
+        self._set_losses(((config.kappa, 0.0), (config.Gamma, config.n_th)), 1.0)
         sites = np.arange(config.n_sites)
         self._next = np.roll(sites, -1)  # a[self._next][j] = a[j + 1]
         self._prev = np.roll(sites, 1)
+        if not (config.g0_site or config.g0_link):
+            self._rhs = None
 
     def _rhs(self, y, t):
-        """Site and link interaction plus damping, written into one array."""
+        """Site and link interaction, written into one array."""
         site, link = self.config.g0_site, self.config.g0_link
         a, b = y
         u = b + np.conj(b)
@@ -156,21 +157,7 @@ class LatticeStepper(SplitStepper):
                 dy[1] += db
             else:
                 dy[0], dy[1] = da, db
-        elif not site:
-            dy.fill(0.0)
-        for row, rate, _ in self._damped:
-            dy[row] -= 0.5 * rate * y[row]
         return dy
-
-    def _kick(self, y, t, rng):
-        if not self._wigner:
-            return
-        dt, n = self.dt, self.config.n_sites
-        for row, rate, occupation in self._damped:
-            # per-site input-output noise: variance (n + 1/2)/dt per step
-            sig = np.sqrt((occupation + 0.5) / (2.0 * dt))
-            y[row] += dt * np.sqrt(rate) * sig * (
-                rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
 def simulate_array(config: ArrayConfig, initial: LatticeState, dt: float,

@@ -31,9 +31,8 @@ without restacking.
 What one right-hand side evaluation does is settled in the stepper's
 constructor: the kept channels become a term table whose first term per
 row is written straight into the row and later ones are added in
-channel order, the conjugated rows come from one ``np.conj`` of the
-whole state, and the damping factors 0.5 * rate are columns over runs
-of consecutive damped rows. Every product keeps the operand order of the plain
+channel order, and the conjugated rows come from one ``np.conj`` of the
+whole state. Every product keeps the operand order of the plain
 per-channel sum into a zero-filled array (see
 :mod:`cwom.dynamics.stepper`), so the derivative has the same value in
 every entry. Only the sign of an exact zero can differ: the plain sum
@@ -210,9 +209,8 @@ class MultiBranchStepper(SplitStepper):
     """Split-step model of the stacked branch + phonon state.
 
     Rows: the branches in order, then the phonon. The right-hand side
-    holds frozen rows by a zero derivative; the damped rows (each
-    non-frozen branch with kappa, then the phonon with gamma) draw Wigner
-    noise in that order, then each driven branch takes its deposit.
+    holds frozen rows by a zero derivative, and a frozen branch passes no
+    loss to the core; each driven branch takes its deposit.
     """
 
     def __init__(self, system: MultiBranchSystem, dt: float):
@@ -229,10 +227,9 @@ class MultiBranchStepper(SplitStepper):
             [dispersion_phase(b.dispersion, system.grid, 0.5 * dt) for b in branches]
             + [dispersion_phase(system.phonon.dispersion, system.grid, 0.5 * dt)]
         )[self._live]
-        damped = [(j, branches[j].kappa, 0.0) for j in live if branches[j].kappa]
-        if system.phonon.gamma:
-            damped.append((len(branches), system.phonon.gamma, system.phonon.n_th))
-        self._set_damped(damped)
+        self._set_losses([(0.0 if b.frozen else b.kappa, 0.0) for b in branches]
+                         + [(system.phonon.gamma, system.phonon.n_th)],
+                         system.grid.dx)
         self._settle_rhs(system)
         self._deposits = [
             (j, DepositPlan(system.grid, b.dispersion, b.drive,
@@ -252,10 +249,7 @@ class MultiBranchStepper(SplitStepper):
         ``coef * left * right [* e^{iKx}] [* e^{-iWt}]`` with an operand
         given as (conjugated, row). A row's first term is written straight
         into it (a zero term keeps its sign here, where a sum into zeros
-        would give +0.0), later ones are added in channel order. Damping
-        subtracts 0.5 * rate * row from each run of consecutive damped
-        rows at once; a (rows, 1) column of factors rounds like the
-        per-row scalar products.
+        would give +0.0), later ones are added in channel order.
         """
         branches = system.branches
         phonon_row = len(branches)
@@ -270,18 +264,9 @@ class MultiBranchStepper(SplitStepper):
             self._terms.append((row, row not in written, 1j * ch.g, left, right,
                                 ch.spatial, ch.W))
             written.add(row)
-        runs = []
-        for row, rate, _ in self._damped:
-            if runs and runs[-1][0][-1] == row - 1:
-                runs[-1][0].append(row)
-                runs[-1][1].append(0.5 * rate)
-            else:
-                runs.append(([row], [0.5 * rate]))
-        self._damping = [(slice(rows[0], rows[-1] + 1), np.array(factors)[:, None])
-                         for rows, factors in runs]
 
     def _rhs(self, y, t):
-        """Interaction + damping derivative of every row of ``y``."""
+        """Interaction derivative of every row of ``y``."""
         dy = np.zeros(y.shape, dtype=y.dtype)
         operands = (y, np.conj(y))
         for row, first, coef, (lc, l), (rc, r), spatial, W in self._terms:
@@ -293,6 +278,4 @@ class MultiBranchStepper(SplitStepper):
                 term *= np.exp(-1j * W * t)
             if not first:
                 dy[row] += term
-        for rows, half_rates in self._damping:
-            dy[rows] -= half_rates * y[rows]
         return dy

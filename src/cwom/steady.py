@@ -228,15 +228,15 @@ class FluctuationState:
 
 
 def linearized_rhs(fluct: FluctuationState, steady: SteadyState,
-                   couplings: CouplingSet, bath: BathSpec):
-    """Interaction + damping part of the linearized equations.
+                   couplings: CouplingSet):
+    """Interaction part of the linearized equations.
 
     Generated from the bilinear kernels: each nonlinear channel is linear
     in (photon, displacement) and (photon-dagger, photon), so the
     fluctuation derivative is the sum of background-times-fluctuation
     terms in either slot. The g_beta frequency-shift term arises from the
-    background displacement in the photon channel. Free evolution is
-    applied separately by the split-step integrator.
+    background displacement in the photon channel. Free evolution and
+    the loss are applied separately by the split-step integrator.
     """
     grid = fluct.grid
     u_beta = steady.beta + np.conj(steady.beta)
@@ -245,17 +245,13 @@ def linearized_rhs(fluct: FluctuationState, steady: SteadyState,
     alpha_c = np.conj(steady.alpha)
 
     dda = (photon_channel(fluct.da, u_beta, couplings, grid)
-           + photon_channel(alpha, du, couplings, grid)
-           - 0.5 * bath.kappa * fluct.da)
+           + photon_channel(alpha, du, couplings, grid))
     dda_c = (photon_channel(fluct.da_conj, u_beta, couplings, grid, conjugate=True)
-             + photon_channel(alpha_c, du, couplings, grid, conjugate=True)
-             - 0.5 * bath.kappa * fluct.da_conj)
+             + photon_channel(alpha_c, du, couplings, grid, conjugate=True))
     ddb = (phonon_channel(alpha_c, fluct.da, couplings, grid)
-           + phonon_channel(fluct.da_conj, alpha, couplings, grid)
-           - 0.5 * bath.gamma_mech * fluct.db)
+           + phonon_channel(fluct.da_conj, alpha, couplings, grid))
     ddb_c = (phonon_channel(alpha, fluct.da_conj, couplings, grid, conjugate=True)
-             + phonon_channel(fluct.da, alpha_c, couplings, grid, conjugate=True)
-             - 0.5 * bath.gamma_mech * fluct.db_conj)
+             + phonon_channel(fluct.da, alpha_c, couplings, grid, conjugate=True))
     return dda, dda_c, ddb, ddb_c
 
 
@@ -274,13 +270,14 @@ class LinearizedStepper(SplitStepper):
         super().__init__(steady.grid, dt, absorber=absorber)
         self.steady = steady
         self.couplings = couplings
-        self.bath = bath
         grid = steady.grid
         self._half = np.stack((
             dispersion_phase(dispersions.photon, grid, 0.5 * dt),
             conjugate_dispersion_phase(dispersions.photon, grid, 0.5 * dt),
             dispersion_phase(dispersions.phonon, grid, 0.5 * dt),
             conjugate_dispersion_phase(dispersions.phonon, grid, 0.5 * dt)))
+        self._set_losses(((bath.kappa, 0.0), (bath.kappa, 0.0),
+                          (bath.gamma_mech, 0.0), (bath.gamma_mech, 0.0)), grid.dx)
 
     def _pack(self, f: FluctuationState):
         return np.stack((f.da, f.da_conj, f.db, f.db_conj))
@@ -289,11 +286,8 @@ class LinearizedStepper(SplitStepper):
         f.da, f.da_conj, f.db, f.db_conj = y
 
     def _rhs(self, y, t):
-        dy = np.empty_like(y)
-        dy[0], dy[1], dy[2], dy[3] = linearized_rhs(
-            FluctuationState(self.grid, *y, time=t), self.steady, self.couplings,
-            self.bath)
-        return dy
+        return np.stack(linearized_rhs(
+            FluctuationState(self.grid, *y, time=t), self.steady, self.couplings))
 
 
 def evolve_linearized(fluct: FluctuationState, steady: SteadyState,

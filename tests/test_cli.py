@@ -161,6 +161,26 @@ class TestConfigParsing:
                                             {"scenario": {"name": "regime_sweep"}}))
         assert cfg.get("sweep", "points") > 0
 
+    def test_preset_keys_a_choice_does_not_read_are_dropped(self):
+        cfg = resolve_config(parse_config_text(
+            GOOD_CONFIG.replace("kind = linear\nvelocity = 2.0 m/s",
+                                "kind = polynomial\ncoeffs = 0.0,2.0 SI")
+            .replace("absorber = on", "absorber = off")))
+        assert cfg.section("photon") == {"kind": "polynomial", "coeffs": (0.0, 2.0)}
+        assert cfg.section("integration") == {
+            "dt": 0.02, "t_total": 20.0, "record_every": 50, "absorber": "off"}
+        assert "velocity" not in serialize_config(cfg).split("[phonon]")[0]
+
+    def test_choice_keys_report_every_problem(self):
+        bad = (GOOD_CONFIG.replace("kind = flat\nomega0 = 1.0 rad/s", "kind = linear")
+               .replace("mode = endfire", "mode = none"))
+        with pytest.raises(ConfigError) as err:
+            resolve_config(parse_config_text(bad))
+        assert err.value.problems == [
+            "[phonon] velocity: required when kind = linear",
+            "[drive] alpha_in: not read when mode = none",
+            "[drive] inlet_cell: not read when mode = none"]
+
 
 class TestSnapshotFormat:
     def test_round_trip(self, tmp_path, rng):
@@ -487,11 +507,23 @@ class TestCliRangeChecks:
          "[couplings] odd sector requires g_ppp = g_mmp = g_mpm = 0"),
         ("n_points = 128", "n_points = 64",
          "[integration] absorbing bump needs at least 8 cells"),
-    ], ids=["n_points", "inlet_cell", "kappa", "sector", "absorber_width"])
+        ("kind = linear\nvelocity = 2.0 m/s", "kind = polynomial\n"
+         "coeffs = 0.0,2.0,1e308 SI",
+         "[photon] polynomial dispersion not finite on this k-axis"),
+        ("mode = endfire\nalpha_in = 1.0+0j s^(-1/2)\ninlet_cell = 4",
+         "mode = none\nalpha_in = 5.0+0j s^(-1/2)\ninlet_cell = 1",
+         "[drive] inlet_cell: not read when mode = none"),
+        ("absorber = on", "absorber = off\nabsorber_opacity = -5.0",
+         "[integration] absorber_opacity: not read when absorber = off"),
+        ("omega0 = 1.0 rad/s", "omega0 = 1.0 rad/s\nvelocity = 3.0 m/s",
+         "[phonon] velocity: not read when kind = flat"),
+    ], ids=["n_points", "inlet_cell", "kappa", "sector", "absorber_width",
+            "overflowing_band", "drive_off_keys", "absorber_off_keys",
+            "flat_band_velocity"])
     def test_constructor_rejections_exit_two(self, tmp_path, capsys, entry, bad,
                                              message):
-        # caught by Grid1D, BathSpec, CouplingSet, DepositPlan and
-        # make_absorber, not by the parser's range checks
+        # caught by Grid1D, BathSpec, CouplingSet, DepositPlan, make_absorber,
+        # the band check and the choice keys, not by the parser's range checks
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(GOOD_CONFIG.replace(entry, bad))
         assert main(["run", "--config", str(cfg), "--validate-only"]) == 2

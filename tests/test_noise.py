@@ -89,7 +89,7 @@ class TestSampleNoiseField:
         rng, ref = np.random.default_rng(6), np.random.default_rng(6)
         for rate, occupation, dt in ((0.3, 0.0, 0.013), (2.0, 0.8, 1e-3),
                                      (7.5, 3.25, 0.02)):
-            sigma, root_rate = noise_scales(grid, rate, occupation, dt)
+            sigma, root_rate = noise_scales(grid.dx, rate, occupation, dt)
             for _ in range(20):
                 drawn = draw_noise_field(n, sigma, root_rate, rng)
                 want = sample_noise_field(grid, rate, occupation, dt, ref)
@@ -99,7 +99,7 @@ class TestSampleNoiseField:
         (-1.0, 0.0, 1e-3), (1.0, -0.1, 1e-3), (1.0, 0.0, 0.0), (1.0, 0.0, -1e-3)])
     def test_scales_reject_invalid_channels(self, grid64, rate, occupation, dt):
         with pytest.raises(ValueError):
-            noise_scales(grid64, rate, occupation, dt)
+            noise_scales(grid64.dx, rate, occupation, dt)
 
     def test_negative_occupation_rejected(self, grid64):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from cwom.dynamics import (BathSpec, DispersionPair, EndfireDrive, SideDrive,
                            make_absorber)
 from cwom.steady import (FluctuationState, LinearizedStepper, SteadyState,
                          SteadyStateError, evolve_linearized, find_steady_state,
-                         linearized_rhs, mean_field_residual)
+                         mean_field_residual)
 from cwom.dynamics.stepper import DivergenceError, Stepper
 
 
@@ -162,8 +162,10 @@ class TestLinearizedOperator:
         rng = np.random.default_rng(4)
         f = FluctuationState.from_classical(
             grid, rng.normal(size=32) + 0j, rng.normal(size=32) + 0j)
-        dda, dda_c, ddb, ddb_c = linearized_rhs(f, steady, CouplingSet.simple(0.0),
-                                                bath)
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(0.0))
+        stepper = LinearizedStepper(steady, CouplingSet.simple(0.0), disp, bath, 1e-3)
+        dda, dda_c, ddb, ddb_c = stepper._derivative(
+            np.stack((f.da, f.da_conj, f.db, f.db_conj)), 0.0)
         assert np.allclose(dda, -0.2 * f.da)
         assert np.allclose(ddb, -0.3 * f.db)
         assert np.allclose(dda_c, -0.2 * f.da_conj)

@@ -11,6 +11,8 @@ waveguide steps are checked against a plainly written damping-only
 right-hand side, not the stepper's own, from starts with signed zeros.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -33,14 +35,17 @@ def reference_phase(field, phase):
 
 
 def reference_kick(stepper):
-    """The default kick with the deposit written as a fancy-indexed add."""
+    """The default kick with the deposit written as a fancy-indexed add.
+    The lattice has no grid; its sites are cells of unit width."""
     dt = stepper.dt
+    grid = stepper.grid
+    if grid is None:
+        grid = SimpleNamespace(dx=1.0, n_points=stepper.config.n_sites)
 
     def kick(y, t, rng):
         if stepper._wigner:
             for row, rate, occupation in stepper._damped:
-                y[row] += dt * sample_noise_field(stepper.grid, rate, occupation,
-                                                  dt, rng)
+                y[row] += dt * sample_noise_field(grid, rate, occupation, dt, rng)
         for row, plan in stepper._deposits:
             a = y[row]
             s = plan.drive.amplitude(t)
@@ -56,10 +61,10 @@ def reference_kick(stepper):
     return kick
 
 
-def reference_run(stepper, y, t, rng=None, absorber=None, rhs=None, kick=None):
+def reference_run(stepper, y, t, rng=None, absorber=None, rhs=None):
     """``N_STEPS`` reference Strang steps of the stacked array ``y``."""
-    rhs = rhs or stepper._rhs
-    kick = kick or reference_kick(stepper)
+    rhs = rhs or stepper._derivative
+    kick = reference_kick(stepper)
     dt, live, half = stepper.dt, stepper._live, stepper._half
     decay = absorber.decay_factors(dt) if absorber is not None else None
     for _ in range(N_STEPS):
@@ -190,7 +195,7 @@ def test_lattice_stepper_matches_reference():
     stepper = LatticeStepper(config, 0.01, sampling="wigner")
     final = stepper.run(state, N_STEPS, rng=np.random.default_rng(4)).final_state
     want, t = reference_run(stepper, np.stack((state.a, state.b)), state.time,
-                            rng=np.random.default_rng(4), kick=stepper._kick)
+                            rng=np.random.default_rng(4))
     assert_bytes_equal(np.stack((final.a, final.b)), want)
     assert final.time == t
 
@@ -297,3 +302,29 @@ def test_inf_in_an_undamped_row_reports_the_plain_step():
     assert str(err.value) == str(want)
     assert_bytes_equal(state.a, a0)
     assert_bytes_equal(state.b, b0)
+
+
+CORE_STEP = ("_kick", "_derivative", "_rk4", "_half_step", "step_inplace", "run")
+
+
+def test_models_supply_only_their_interaction():
+    # every SplitStepper model in cwom leaves the step to the core
+    import importlib
+    import pkgutil
+
+    import cwom
+    from cwom.dynamics.stepper import SplitStepper
+
+    for info in pkgutil.walk_packages(cwom.__path__, "cwom."):
+        importlib.import_module(info.name)
+    models, todo = [], [SplitStepper]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("cwom."):
+                models.append(sub)
+    assert {m.__name__ for m in models} >= {
+        "Stepper", "MultiBranchStepper", "LatticeStepper", "LinearizedStepper"}
+    for model in models:
+        own = sorted(set(CORE_STEP) & set(vars(model)))
+        assert not own, f"{model.__name__} defines {own}"

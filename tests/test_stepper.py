@@ -277,7 +277,7 @@ class TestRightHandSide:
         want_b = db - 0.5 * bath.gamma_mech * y[1]
         if side:
             want_a = want_a + np.sqrt(0.8) * profile(grid64.x_axis, t)
-        got = stepper._rhs(y, t)
+        got = stepper._derivative(y, t)
         assert np.array_equal(got[0], want_a)
         assert np.array_equal(got[1], want_b)
 
