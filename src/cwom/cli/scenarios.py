@@ -23,10 +23,10 @@ from ..core.dispersion import DispersionSpec
 from ..core.fields import FieldState
 from ..core.grid import Grid1D
 from ..dynamics.bath import BathSpec
-from ..dynamics.boundary import DepositPlan, make_absorber
+from ..dynamics.boundary import make_absorber
 from ..dynamics.drive import EndfireDrive
 from ..dynamics.rng import trajectory_generator
-from ..dynamics.stepper import (DispersionPair, evolve, make_energy_observer,
+from ..dynamics.stepper import (DispersionPair, Stepper, make_energy_observer,
                                 observe_phonon_number, observe_photon_number,
                                 stability_bound)
 from ..experiments import (array_convergence_study, run_forward_comb,
@@ -93,14 +93,18 @@ CHOICE_KEYS = {
 
 
 def resolve_config(config: ScenarioConfig) -> ScenarioConfig:
-    """The user's config over the scenario's preset, checked by ``CHOICE_KEYS``."""
-    base = {sec: dict(kv) for sec, kv in DEFAULTS.get(config.scenario, {}).items()}
+    """The user's config over the scenario's preset, checked by ``CHOICE_KEYS``.
+    A section the preset does not hold is one the scenario never reads."""
+    preset = DEFAULTS.get(config.scenario, {})
+    base = {sec: dict(kv) for sec, kv in preset.items()}
     base.setdefault("scenario", {})["name"] = config.scenario
     merged = ScenarioConfig(config.scenario, base).merged(config.sections)
-    problems = []
+    problems = [f"[{section}]: not read by scenario {config.scenario}"
+                for section in config.sections
+                if section != "scenario" and section not in preset]
     for (section, choice), reads in CHOICE_KEYS.items():
         entries = merged.sections.get(section, {})
-        if choice not in entries:
+        if section not in preset or choice not in entries:
             continue
         read, when = reads[entries[choice]], f"when {choice} = {entries[choice]}"
         for key in sorted({k for keys in reads.values() for k in keys} - set(read)):
@@ -288,9 +292,11 @@ def _build(section: str, make, *args, **kwargs):
 def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     """The custom run's objects, built from a resolved config. Raises
     :class:`ConfigError` naming the section when a constructor or check
-    (the grid, finite bands, couplings, bath, deposit plan or absorber)
-    rejects its entries, and when dt exceeds the stability bound of the
-    initial (vacuum) state, which ``evolve`` would refuse."""
+    (the grid, finite bands, couplings, bath, absorber or the stepper's
+    deposit plan) rejects its entries, when dt exceeds the stability bound
+    of the initial (vacuum) state, when t_total is less than one step, and
+    when the absorber's speed is neither given nor the photon band's group
+    velocity at k = 0."""
     grid = _build("grid", Grid1D, **config.section("grid"))
     disp = DispersionPair(_build("photon", _band, config.section("photon"), grid),
                           _build("phonon", _band, config.section("phonon"), grid))
@@ -304,24 +310,34 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
         raise ConfigError([f"[integration] dt: {dt:.3e} s exceeds the stability "
                            f"bound {bound:.3e} s of this grid, dispersion and "
                            "bath; reduce dt"])
+    n_steps = int(round(integ["t_total"] / dt))
+    if n_steps < 1:
+        raise ConfigError([f"[integration] t_total: {integ['t_total']:.3e} s is "
+                           f"less than one step of dt = {dt:.3e} s"])
+    absorber = None
+    if integ["absorber"] == "on":
+        speed = integ.get("absorber_speed")
+        if speed is None:
+            speed = abs(disp.photon.group_velocity_at(0.0))
+            if speed == 0:
+                raise ConfigError(["[integration] absorber_speed: required when "
+                                   "the photon band's group velocity at k = 0 "
+                                   "is zero"])
+        absorber = _build("integration", make_absorber, grid, speed=speed,
+                          opacity=integ["absorber_opacity"])
     drivec = config.section("drive")
     drive = None
     if drivec.pop("mode") == "endfire":
         drive = EndfireDrive(**drivec)
-        # the plan the stepper builds, checked before anything is written
-        _build("drive", DepositPlan, grid, disp.photon, drive, vacuum.frame, dt)
-    absorber = None
-    if integ["absorber"] == "on":
-        speed = integ.get("absorber_speed",
-                          abs(disp.photon.group_velocity_at(0.0)) or 1.0)
-        absorber = _build("integration", make_absorber, grid, speed=speed,
-                          opacity=integ["absorber_opacity"])
+    # the stepper builds the drive's deposit plan, checked before anything
+    # is written
+    stepper = _build("drive", Stepper, grid, couplings, disp, bath=bath,
+                     drive=drive, absorber=absorber, dt=dt, frame=vacuum.frame)
     ens = config.section("ensemble")
     return SimpleNamespace(
-        grid=grid, disp=disp, couplings=couplings, bath=bath, drive=drive,
-        dt=dt, n_steps=int(round(integ["t_total"] / dt)), absorber=absorber,
-        record_every=integ["record_every"], n_traj=ens["trajectories"],
-        base_seed=ens["base_seed"])
+        grid=grid, disp=disp, couplings=couplings, stepper=stepper,
+        n_steps=n_steps, record_every=integ["record_every"],
+        n_traj=ens["trajectories"], base_seed=ens["base_seed"])
 
 
 def _run_custom(config: ScenarioConfig, out: Path) -> dict:
@@ -337,10 +353,9 @@ def _run_custom(config: ScenarioConfig, out: Path) -> dict:
     final = None
     for idx in range(n_traj):
         rng = trajectory_generator(setup.base_seed, idx)
-        traj = evolve(FieldState.vacuum(grid), couplings, disp, bath=setup.bath,
-                      drive=setup.drive, dt=setup.dt, n_steps=n_steps,
-                      observers=observers, record_every=setup.record_every,
-                      rng=rng, absorber=setup.absorber)
+        traj = setup.stepper.run(FieldState.vacuum(grid), n_steps,
+                                 observers=observers,
+                                 record_every=setup.record_every, rng=rng)
         if mean_records is None:
             times = traj.times
             mean_records = {k: np.asarray(v, dtype=float)

@@ -1,9 +1,8 @@
 """Dispersion relations omega(k) as polynomials in k or tabulated samples.
 
 A ``DispersionSpec`` is the single source of truth for a branch's band:
-the integrator evaluates it once on a grid's k-axis, analysis code asks it
-for group velocities, and rotating-frame setups are built with
-:meth:`DispersionSpec.shifted`.
+the integrator evaluates it once on a grid's k-axis, and analysis code
+asks it for group velocities.
 """
 
 from dataclasses import dataclass, field
@@ -118,33 +117,6 @@ class DispersionSpec:
         k = np.asarray(k, dtype=float)
         return np.interp(k, ks, v_sorted)
 
-    def shifted(self, k_carrier: float, omega_carrier: float = None) -> "DispersionSpec":
-        """Rotating-frame band: omega~(k) = omega(k_carrier + k) - omega_carrier.
-
-        With the default ``omega_carrier = omega(k_carrier)`` the carrier mode
-        sits at zero frequency. Only polynomial specs support arbitrary
-        carriers; tabulated specs require a grid-commensurate shift.
-        """
-        if self.kind == "polynomial":
-            if omega_carrier is None:
-                omega_carrier = float(self.omega_at(k_carrier))
-            # expand omega(k_carrier + k) via binomial rebasing
-            n = len(self.coeffs)
-            new = np.zeros(n)
-            for m, c in enumerate(self.coeffs):
-                for j in range(m + 1):
-                    new[j] += c * _binom(m, j) * k_carrier ** (m - j)
-            new[0] -= omega_carrier
-            return DispersionSpec.polynomial(new)
-        dk = self.grid.dk
-        steps = k_carrier / dk
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("tabulated dispersion shift must be grid-commensurate")
-        rolled = np.roll(self.table, -int(round(steps)))
-        if omega_carrier is None:
-            omega_carrier = float(rolled[0])
-        return DispersionSpec.tabulated(rolled - omega_carrier, self.grid)
-
     def negated_reflection(self, grid: Grid1D) -> np.ndarray:
         """-omega(-k) on the grid: phase weights of the conjugate channel."""
         vals = self.values_on(grid)
@@ -158,9 +130,3 @@ class DispersionSpec:
             raise ValueError("tabulated dispersion sampled off the k grid")
         return idx
 
-
-def _binom(n: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out = out * (n - i) / (i + 1)
-    return out

@@ -24,6 +24,7 @@ from .lattice import (ArrayConfig, LatticeState, link_effective_couplings,
                       simulate_array, site_coupling_from_continuum, to_continuum)
 from .multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
                           MultiBranchSystem, PhononConfig)
+from .strongcoupling import classify
 
 # ---------------------------------------------------------------------------
 # two-branch Brillouin amplification
@@ -157,8 +158,6 @@ class CombResult:
     peak_frequency: dict
     expected_frequency: dict
     Omega0: float
-    spectrum_freqs: np.ndarray = None
-    spectrum_power: np.ndarray = None
 
 
 def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
@@ -222,12 +221,10 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
         peaks[-n] = line_peak(-n * Omega0)
         expected[n] = +n * Omega0
         expected[-n] = -n * Omega0
-    order = np.argsort(freqs)
     return CombResult(orders=list(range(1, n_orders + 1)), stokes_power=stokes,
                       anti_stokes_power=anti, asymmetry=asym,
                       peak_frequency=peaks, expected_frequency=expected,
-                      Omega0=Omega0, spectrum_freqs=freqs[order],
-                      spectrum_power=power_vs_freq[order])
+                      Omega0=Omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +255,6 @@ def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
     spatial problem phi' = M phi; the simulated cw envelopes are compared
     with expm(M (x - x0)) anchored at the first clean cell.
     """
-    from .strongcoupling import classify
-
     gamma_bar = 0.5 * (gamma2 + gamma_b)
     length = 1.4 * span_decay_lengths / gamma_bar
     grid = Grid1D(n_points, length / n_points)
@@ -284,7 +279,7 @@ def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
     state = MultiBranchState(grid, [np.full(n_points, A1, complex),
                                     np.zeros(n_points, complex)],
                              np.zeros(n_points, complex))
-    dt = 0.9 * 0.5 / (max(v2, vb) * np.pi / grid.dx)
+    dt = DT_MARGIN * 0.5 / (max(v2, vb) * np.pi / grid.dx)
     n_steps = int(np.ceil(2.6 * grid.length / (min(v2, vb) * dt)))
     state = MultiBranchStepper(system, dt).run(state, n_steps).final_state
 
@@ -358,7 +353,7 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
     ref_grid = Grid1D(n_ref, length / n_ref)
     disp_ref = DispersionPair(DispersionSpec.polynomial([0.0, 0.0, D2]),
                               DispersionSpec.flat(0.0))
-    dt = 0.9 * 0.5 / (D2 * (np.pi / ref_grid.dx) ** 2)
+    dt = DT_MARGIN * 0.5 / (D2 * (np.pi / ref_grid.dx) ** 2)
     n_steps = int(np.ceil(T / dt))
     dt = T / n_steps
 
@@ -378,39 +373,27 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
     errors, errors_plain = [], []
     for index, (n_sites, dxl) in enumerate(zip(sizes, dxs)):
         stride = n_ref // n_sites
-        J = {1: D2 / dxl ** 2}
         sites = np.arange(n_sites)
+        x_sites = sites * dxl
+        # a link phonon sits half a cell to the right of its site; the
+        # references are the model's own first, then the pointwise one
         if kind == "site":
-            g_site = site_coupling_from_continuum(g_cont, dxl)
-            config = ArrayConfig(n_sites=n_sites, dx_lattice=dxl, J=J,
-                                 g0_site=g_site, omega_frame=-2.0 * D2 / dxl ** 2)
-            x_sites = sites * dxl
-            init = LatticeState(a0_fn(x_sites) * np.sqrt(dxl),
-                                b0_fn(x_sites) * np.sqrt(dxl))
-            final, _ = simulate_array(config, init, dt, n_steps)
-            cont = to_continuum(final.a, final.b, dxl)
-            err = (np.linalg.norm(cont.a - ref.a[::stride])
-                   + np.linalg.norm(cont.b - ref.b[::stride])) / np.sqrt(n_sites)
-            errors.append(err)
+            coupling = {"g0_site": site_coupling_from_continuum(g_cont, dxl)}
+            x_b, b_cells, refs = x_sites, sites * stride, (ref,)
         else:
-            config = ArrayConfig(n_sites=n_sites, dx_lattice=dxl, J=J,
-                                 g0_link=g_links[index],
-                                 omega_frame=-2.0 * D2 / dxl ** 2)
-            x_sites = sites * dxl
-            x_links = x_sites + 0.5 * dxl
-            init = LatticeState(a0_fn(x_sites) * np.sqrt(dxl),
-                                b0_fn(x_links) * np.sqrt(dxl))
-            final, _ = simulate_array(config, init, dt, n_steps)
-            cont = to_continuum(final.a, final.b, dxl)
-            ref_full = link_refs[index]
-            link_stride = sites * stride + stride // 2
-            err = (np.linalg.norm(cont.a - ref_full.a[::stride])
-                   + np.linalg.norm(cont.b - ref_full.b[link_stride])) / np.sqrt(n_sites)
-            err_plain = (np.linalg.norm(cont.a - ref.a[::stride])
-                         + np.linalg.norm(cont.b - ref.b[link_stride])) \
-                / np.sqrt(n_sites)
-            errors.append(err)
-            errors_plain.append(err_plain)
+            coupling = {"g0_link": g_links[index]}
+            x_b, b_cells = x_sites + 0.5 * dxl, sites * stride + stride // 2
+            refs = (link_refs[index], ref)
+        config = ArrayConfig(n_sites=n_sites, dx_lattice=dxl, J={1: D2 / dxl ** 2},
+                             omega_frame=-2.0 * D2 / dxl ** 2, **coupling)
+        init = LatticeState(a0_fn(x_sites) * np.sqrt(dxl), b0_fn(x_b) * np.sqrt(dxl))
+        final, _ = simulate_array(config, init, dt, n_steps)
+        cont = to_continuum(final.a, final.b, dxl)
+        err, *plain = [(np.linalg.norm(cont.a - r.a[::stride])
+                        + np.linalg.norm(cont.b - r.b[b_cells])) / np.sqrt(n_sites)
+                       for r in refs]
+        errors.append(err)
+        errors_plain.extend(plain)
     dxs = np.asarray(dxs)
     errors = np.asarray(errors)
     slope = float(np.polyfit(np.log(dxs), np.log(errors), 1)[0])

@@ -69,6 +69,10 @@ class BranchConfig:
     drive: Optional[EndfireDrive] = None
     frozen: bool = False
 
+    def __post_init__(self):
+        if self.kappa < 0:
+            raise ValueError("branch decay rate kappa must be non-negative")
+
 
 @dataclass(frozen=True)
 class PhononConfig:
@@ -79,6 +83,11 @@ class PhononConfig:
     frame_k: float = 0.0
     gamma: float = 0.0
     n_th: float = 0.0
+
+    def __post_init__(self):
+        if self.gamma < 0 or self.n_th < 0:
+            raise ValueError("phonon decay rate and occupation must be "
+                             "non-negative")
 
 
 class MultiBranchState:

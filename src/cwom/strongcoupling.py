@@ -1,5 +1,5 @@
 """Coherent-phonon-limit analysis: spatial 2x2 evolution matrix, its
-eigenvalues, thresholds, and regime classification.
+closed-form eigenvalues, thresholds, and regime classification.
 
 In the photon-phonon swap configuration with spatially uniform pump the
 steady envelopes obey phi' = M phi with phi = (<a2>, <b>) and
@@ -14,6 +14,11 @@ of spatially oscillatory exchange; that threshold depends only on the
 *difference* of the spatial decay rates. Oscillations outlive the decay
 once |Im lambda| >> |Re lambda|, the continuum strong-coupling regime,
 whose scale is sqrt(v2 vb) gamma_bar / 2.
+
+One closed form, evaluated on arrays of |g12|, serves both entry points:
+:func:`classify` reports one point with its matrix and thresholds, and
+:func:`sweep_coupling` labels a whole sweep, so the two agree at every
+point, the D = 0 boundary included.
 """
 
 from dataclasses import dataclass
@@ -32,22 +37,31 @@ def build_matrix(g12: complex, v2: float, vb: float, gamma2: float,
                      [1j * np.conj(g12) / vb, -gamma_b / 2.0]], dtype=complex)
 
 
-def eigenvalues(M: np.ndarray):
-    """Closed-form (lambda_plus, lambda_minus, D) of the 2x2 matrix.
+def _regime_map(g_abs, v2: float, vb: float, gamma2: float, gamma_b: float,
+                strong_ratio: float):
+    """(lambda_plus, lambda_minus, D, |Im|/|Re| ratio, regime labels) at
+    each coupling magnitude ``g_abs``.
 
-    D is real for any complex coupling because the off-diagonal product is
-    -|g12|^2/(v2 vb). Cross-checked against a generic eigensolver in the
-    test suite.
+    D = 0 has no oscillation, and exact-threshold inputs land at |D| of
+    rounding size, so D within 1e-12 of its terms' scale counts as
+    overdamped.
     """
-    M = np.asarray(M, dtype=complex)
-    gamma2 = -2.0 * np.real(M[0, 0])
-    gamma_b = -2.0 * np.real(M[1, 1])
+    g_abs = np.asarray(g_abs, dtype=float)
     gamma_bar = 0.5 * (gamma2 + gamma_b)
-    D = ((gamma2 - gamma_b) / 2.0) ** 2 + 4.0 * np.real(M[0, 1] * M[1, 0])
-    root = np.sqrt(complex(D))
+    split = ((gamma2 - gamma_b) / 2.0) ** 2
+    exchange = 4.0 * g_abs ** 2 / (v2 * vb)
+    D = split - exchange
+    root = np.sqrt(D.astype(complex))
     lam_p = 0.5 * (-gamma_bar + root)
     lam_m = 0.5 * (-gamma_bar - root)
-    return lam_p, lam_m, float(D)
+    im_max = np.maximum(np.abs(lam_p.imag), np.abs(lam_m.imag))
+    re_max = np.maximum(np.abs(lam_p.real), np.abs(lam_m.real))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(re_max > 0, im_max / re_max, np.inf)
+    regimes = np.where(D >= -1e-12 * (split + exchange), "overdamped",
+                       np.where(ratio >= strong_ratio, "strong_coupling",
+                                "oscillatory"))
+    return lam_p, lam_m, D, ratio, regimes
 
 
 @dataclass(frozen=True)
@@ -82,42 +96,22 @@ def classify(g12: complex, v2: float, vb: float, gamma2: float, gamma_b: float,
     that the ratio criterion quantifies.
     """
     M = build_matrix(g12, v2, vb, gamma2, gamma_b)
-    lam_p, lam_m, D = eigenvalues(M)
+    lam_p, lam_m, D, ratio, regime = _regime_map(abs(g12), v2, vb, gamma2,
+                                                 gamma_b, strong_ratio)
     gamma_bar = 0.5 * (gamma2 + gamma_b)
     threshold_osc = np.sqrt(v2 * vb) * abs(gamma2 - gamma_b) / 4.0
     threshold_strong = np.sqrt(v2 * vb) * gamma_bar / 2.0
-    im_max = max(abs(lam_p.imag), abs(lam_m.imag))
-    re_max = max(abs(lam_p.real), abs(lam_m.real))
-    ratio = im_max / re_max if re_max > 0 else np.inf
-    # closed-interval boundary: exact-threshold inputs land at |D| ~ ulp,
-    # and D = 0 has no oscillation, so snap within rounding error
-    d_scale = ((gamma2 - gamma_b) / 2.0) ** 2 + 4.0 * abs(g12) ** 2 / (v2 * vb)
-    if D >= -1e-12 * d_scale:
-        regime = "overdamped"
-    elif ratio >= strong_ratio:
-        regime = "strong_coupling"
-    else:
-        regime = "oscillatory"
-    return RegimeReport(M=M, lambda_plus=lam_p, lambda_minus=lam_m, D=D,
-                        gamma_bar=gamma_bar, threshold_osc=threshold_osc,
-                        threshold_strong=threshold_strong, regime=regime,
-                        im_re_ratio=ratio, strong_ratio=strong_ratio)
+    return RegimeReport(M=M, lambda_plus=lam_p[()], lambda_minus=lam_m[()],
+                        D=float(D), gamma_bar=gamma_bar,
+                        threshold_osc=threshold_osc,
+                        threshold_strong=threshold_strong, regime=str(regime),
+                        im_re_ratio=float(ratio), strong_ratio=strong_ratio)
 
 
 def sweep_coupling(g_values, v2: float, vb: float, gamma2: float, gamma_b: float,
                    strong_ratio: float = 10.0):
-    """Vectorized sweep over |g12|: (Re/Im lambda_pm, D, regime labels)."""
-    g_values = np.asarray(g_values, dtype=float)
-    gamma_bar = 0.5 * (gamma2 + gamma_b)
-    D = ((gamma2 - gamma_b) / 2.0) ** 2 - 4.0 * g_values ** 2 / (v2 * vb)
-    root = np.sqrt(D.astype(complex))
-    lam_p = 0.5 * (-gamma_bar + root)
-    lam_m = 0.5 * (-gamma_bar - root)
-    im_max = np.maximum(np.abs(lam_p.imag), np.abs(lam_m.imag))
-    re_max = np.maximum(np.abs(lam_p.real), np.abs(lam_m.real))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(re_max > 0, im_max / re_max, np.inf)
-    regimes = np.where(D >= 0, "overdamped",
-                       np.where(ratio >= strong_ratio, "strong_coupling",
-                                "oscillatory"))
+    """Vectorized sweep over |g12|: (lambda_plus, lambda_minus, D, regime
+    labels), labelled as :func:`classify` labels each point."""
+    lam_p, lam_m, D, _, regimes = _regime_map(g_values, v2, vb, gamma2, gamma_b,
+                                              strong_ratio)
     return lam_p, lam_m, D, regimes

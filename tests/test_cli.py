@@ -258,6 +258,18 @@ class TestCliRuns:
         rc = main(["run", "--config", str(cfg), "--validate-only"])
         assert rc == 2
         assert "dx" in capsys.readouterr().err
+        # sections, and flags merged as sections, that the scenario never reads
+        out = str(tmp_path / "out")
+        cfg.write_text("[scenario]\nname = comb\n\n[grid]\nn_points = 100\n")
+        flags = ["--scenario", "regime_sweep", "--seed", "5", "--dt-override", "0.1"]
+        for argv in (["--config", str(cfg)], flags):
+            assert main(["run", *argv, "--validate-only"]) == 2
+            assert main(["run", *argv, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("[grid]: not read by scenario comb") == 2, err
+        assert err.count("[ensemble]: not read by scenario regime_sweep") == 2
+        assert err.count("[integration]: not read by scenario regime_sweep") == 2
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_enum_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -517,13 +529,24 @@ class TestCliRangeChecks:
          "[integration] absorber_opacity: not read when absorber = off"),
         ("omega0 = 1.0 rad/s", "omega0 = 1.0 rad/s\nvelocity = 3.0 m/s",
          "[phonon] velocity: not read when kind = flat"),
+        ("kind = linear\nvelocity = 2.0 m/s", "kind = flat\nomega0 = 0.0 rad/s",
+         "[integration] absorber_speed: required when the photon band's group "
+         "velocity at k = 0 is zero"),
+        ("t_total = 20.0 s", "t_total = -5.0 s",
+         "[integration] t_total: -5.000e+00 s is less than one step of "
+         "dt = 2.000e-02 s"),
+        ("t_total = 20.0 s", "t_total = 0.009 s",
+         "[integration] t_total: 9.000e-03 s is less than one step of "
+         "dt = 2.000e-02 s"),
     ], ids=["n_points", "inlet_cell", "kappa", "sector", "absorber_width",
             "overflowing_band", "drive_off_keys", "absorber_off_keys",
-            "flat_band_velocity"])
+            "flat_band_velocity", "absorber_speed_unknown", "t_total_negative",
+            "t_total_below_one_step"])
     def test_constructor_rejections_exit_two(self, tmp_path, capsys, entry, bad,
                                              message):
-        # caught by Grid1D, BathSpec, CouplingSet, DepositPlan, make_absorber,
-        # the band check and the choice keys, not by the parser's range checks
+        # caught by Grid1D, BathSpec, CouplingSet, make_absorber, the
+        # stepper's deposit plan, the band check, the step count, the
+        # absorber speed and the choice keys, not by the parser's range checks
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(GOOD_CONFIG.replace(entry, bad))
         assert main(["run", "--config", str(cfg), "--validate-only"]) == 2

@@ -13,7 +13,7 @@ from cwom import DispersionSpec, Grid1D
 from cwom.dynamics import DivergenceError, EndfireDrive, make_absorber
 from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
                               MultiBranchSystem, PhononConfig)
-from cwom.strongcoupling import build_matrix, eigenvalues
+from cwom.strongcoupling import classify
 
 
 def swap_system(grid, g, Omega, v2=0.0, vb=0.0, kappa2=0.0, Gamma=0.0,
@@ -120,9 +120,9 @@ class TestSpatialStrongCoupling:
 
         g12 = g0c * A1
         gamma2, gamma_b = kappa2 / v2, Gamma / vb
-        M = build_matrix(g12, v2, vb, gamma2, gamma_b)
-        lam_p, lam_m, D = eigenvalues(M)
-        assert D < 0  # oscillatory regime by construction
+        report = classify(g12, v2, vb, gamma2, gamma_b)
+        M = report.M
+        assert report.D < 0  # oscillatory regime by construction
         x0, x1 = 40, 280
         cells = np.arange(x0, x1)
         phi0 = np.array([state.fields[1][x0], state.b[x0]])
@@ -192,6 +192,16 @@ class TestSystemValidation:
         with pytest.raises(ValueError):
             MultiBranchSystem(grid64, branches, phonon,
                               [[0.0, 1.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("make", [
+        lambda: BranchConfig("a", DispersionSpec.flat(0.0), kappa=-0.5),
+        lambda: PhononConfig(DispersionSpec.flat(0.0), gamma=-1.0),
+        lambda: PhononConfig(DispersionSpec.flat(0.0), n_th=-3.0),
+    ], ids=["kappa", "gamma", "n_th"])
+    def test_negative_rates_rejected(self, make):
+        # a negative rate would pump the fields instead of damping them
+        with pytest.raises(ValueError, match="non-negative"):
+            make()
 
     def test_incommensurate_frame_offset_rejected(self, grid64):
         branches = (BranchConfig("a", DispersionSpec.flat(0.0), frame_k=0.0),

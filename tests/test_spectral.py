@@ -230,14 +230,6 @@ class TestDispersionSpec:
         assert np.isclose(disp.group_velocity_at(k_probe), v, rtol=1e-9)
         assert np.isclose(disp.group_velocity_at(-k_probe), -v, rtol=1e-9)
 
-    def test_shifted_polynomial_carrier_at_zero(self):
-        disp = DispersionSpec.polynomial([0.5, 2.0, 0.25])
-        kL = 1.5
-        rot = disp.shifted(kL)
-        assert np.isclose(rot.omega_at(0.0), 0.0)
-        for k in (-0.7, 0.0, 0.4):
-            assert np.isclose(rot.omega_at(k), disp.omega_at(kL + k) - disp.omega_at(kL))
-
     def test_tabulated_requires_real(self, grid64):
         with pytest.raises(ValueError):
             DispersionSpec.tabulated(np.full(grid64.n_points, 1.0 + 1e-3j), grid64)

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from cwom.strongcoupling import (build_matrix, classify, eigenvalues,
-                                 sweep_coupling)
+from cwom.strongcoupling import build_matrix, classify, sweep_coupling
 
 
 class TestMatrix:
@@ -37,20 +36,19 @@ class TestMatrix:
 
 class TestEigenvalues:
     def test_zero_coupling(self):
-        M = build_matrix(0.0, v2=1.0, vb=1.0, gamma2=0.6, gamma_b=2.0)
-        lp, lm, D = eigenvalues(M)
-        assert np.isclose(lp, -0.3)
-        assert np.isclose(lm, -1.0)
-        assert D > 0
+        report = classify(0.0, v2=1.0, vb=1.0, gamma2=0.6, gamma_b=2.0)
+        assert np.isclose(report.lambda_plus, -0.3)
+        assert np.isclose(report.lambda_minus, -1.0)
+        assert report.D > 0
 
     def test_equal_decay_rates_purely_oscillatory_shift(self):
         # gamma2 = gamma_b = gamma: lambda = -gamma/2 +- i|g|/sqrt(v2 vb),
         # so D < 0 for any nonzero coupling (zero threshold).
         g, v2, vb, gamma = 7.0, 2.0, 0.5, 1.2
-        lp, lm, D = eigenvalues(build_matrix(g, v2, vb, gamma, gamma))
-        assert D < 0
-        assert np.isclose(lp, -gamma / 2 + 1j * g / np.sqrt(v2 * vb))
-        assert np.isclose(lm, -gamma / 2 - 1j * g / np.sqrt(v2 * vb))
+        report = classify(g, v2, vb, gamma, gamma)
+        assert report.D < 0
+        assert np.isclose(report.lambda_plus, -gamma / 2 + 1j * g / np.sqrt(v2 * vb))
+        assert np.isclose(report.lambda_minus, -gamma / 2 - 1j * g / np.sqrt(v2 * vb))
 
     def test_against_generic_eigensolver(self):
         rng = np.random.default_rng(3)
@@ -58,12 +56,11 @@ class TestEigenvalues:
             g = rng.uniform(0, 30) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             v2, vb = rng.uniform(0.1, 10, 2)
             gamma2, gamma_b = rng.uniform(0, 5, 2)
-            M = build_matrix(g, v2, vb, gamma2, gamma_b)
-            lp, lm, _ = eigenvalues(M)
-            ref = list(np.linalg.eigvals(M))
+            report = classify(g, v2, vb, gamma2, gamma_b)
+            ref = list(np.linalg.eigvals(build_matrix(g, v2, vb, gamma2, gamma_b)))
             scale = max(abs(ref[0]), abs(ref[1]), 1e-30)
             # pair each closed-form value with its nearest generic one
-            for lam in (lp, lm):
+            for lam in (report.lambda_plus, report.lambda_minus):
                 j = int(np.argmin([abs(lam - r) for r in ref]))
                 assert abs(lam - ref.pop(j)) < 1e-12 * scale
 
@@ -71,10 +68,10 @@ class TestEigenvalues:
         # Im lambda = 0 for D >= 0 and |Im lambda| = sqrt(-D)/2 for D < 0
         v2, vb, gamma2, gamma_b = 1.5, 0.7, 2.0, 0.4
         g_thr = np.sqrt(v2 * vb) * abs(gamma2 - gamma_b) / 4
-        below = eigenvalues(build_matrix(0.999 * g_thr, v2, vb, gamma2, gamma_b))
-        assert below[0].imag == 0.0 and below[1].imag == 0.0
-        above = eigenvalues(build_matrix(1.001 * g_thr, v2, vb, gamma2, gamma_b))
-        assert np.isclose(abs(above[0].imag), np.sqrt(-above[2]) / 2)
+        below = classify(0.999 * g_thr, v2, vb, gamma2, gamma_b)
+        assert below.lambda_plus.imag == 0.0 and below.lambda_minus.imag == 0.0
+        above = classify(1.001 * g_thr, v2, vb, gamma2, gamma_b)
+        assert np.isclose(abs(above.lambda_plus.imag), np.sqrt(-above.D) / 2)
 
 
 class TestClassify:
@@ -84,6 +81,21 @@ class TestClassify:
         report = classify(g_thr, v2, vb, gamma2, gamma_b)
         assert abs(report.D) < 1e-12 * max(gamma2, gamma_b) ** 2
         assert report.regime == "overdamped"
+
+    def test_sweep_labels_threshold_points_as_classify_does(self):
+        # exact-threshold inputs land at |D| of rounding size, either sign;
+        # a sweep must label them and place lambda exactly as classify does
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            v2, vb = rng.uniform(0.1, 10.0, 2)
+            gamma2, gamma_b = rng.uniform(0.0, 5.0, 2)
+            g_thr = np.sqrt(v2 * vb) * abs(gamma2 - gamma_b) / 4
+            report = classify(g_thr, v2, vb, gamma2, gamma_b)
+            lam_p, lam_m, _, regimes = sweep_coupling([g_thr], v2, vb, gamma2,
+                                                      gamma_b)
+            assert regimes[0] == report.regime == "overdamped"
+            assert lam_p[0] == report.lambda_plus
+            assert lam_m[0] == report.lambda_minus
 
     def test_equal_decay_zero_threshold(self):
         report = classify(1e-6, v2=1.0, vb=1.0, gamma2=0.7, gamma_b=0.7)
