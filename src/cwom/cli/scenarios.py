@@ -178,11 +178,13 @@ def _run_regime_sweep(config: ScenarioConfig, out: Path) -> dict:
     ])
     threshold_osc = np.sqrt(p["v2"] * p["vb"]) * abs(p["gamma2"] - p["gamma_b"]) / 4
     threshold_strong = np.sqrt(p["v2"] * p["vb"]) * (p["gamma2"] + p["gamma_b"]) / 4
-    first_osc = int(np.argmax(regimes != "overdamped"))
+    oscillatory = regimes != "overdamped"
     return {
         "threshold_osc_Hz": threshold_osc,
         "threshold_strong_Hz": threshold_strong,
-        "first_oscillatory_g_Hz": float(g[first_osc]),
+        # null when no point of the sweep is oscillatory
+        "first_oscillatory_g_Hz": (float(g[np.argmax(oscillatory)])
+                                   if oscillatory.any() else None),
         "n_points": int(p["points"]),
     }
 

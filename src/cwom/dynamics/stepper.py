@@ -16,23 +16,45 @@ The splitting is symmetric, hence 2nd order overall (Strang, SIAM J.
 Numer. Anal. 5, 506 (1968)); the explicit middle substep keeps the
 non-diagonal derivative couplings away from any implicit solve.
 :class:`SplitStepper` runs this step on one stacked complex array of shape
-(rows, n): each half step is one batched forward/inverse transform pair
-over the live rows, and the RK4 substep is whole-array arithmetic on the
+(rows, n), and the RK4 substep is whole-array arithmetic on the
 right-hand side a model fills row by row. The waveguide model
 :class:`Stepper` stacks (a, b); the multi-branch, lattice and linearized
 models (``multibranch``, ``lattice``, ``steady``) are its siblings. The
 multi-branch state already is one stacked array, which a step copies
 once and hands back.
 
-A half step writes its inverse transform straight into the live rows of
-the state (``apply_phase(rows, half, out=rows)``); only a fancy index of
-live rows (frozen multi-branch fields) gathers a copy and scatters it
-back. The transforms call numpy's pocketfft kernels directly
-(``core.spectral``): at the small grids of the noise ensembles the
-``np.fft`` wrapper took longer than the transform itself, and its
-``out=`` alone bought nothing. Writing into the state also keeps the
-step from allocating, and glibc from trimming and refaulting, a fresh
-(rows, n) block per half step at n = 4096.
+What the linear parts of a step cost is settled at construction, per
+row, from the half-step phase rows a model builds and from its loss
+rates:
+
+    free half step, phase the same on every mode    one in-place scalar
+                                                    product, p * row
+    free half step, phase exactly 1 (a band flat    nothing
+        at 0), or a frozen multi-branch row
+    free half step, dispersive                      the transform pair
+    middle substep, no interaction and no force     one column product,
+                                                    P(-rate dt / 2) * y
+    middle substep, otherwise                       the RK4 (below)
+
+A flat band's half step is exactly one phase, so the transform pair only
+added rounding there; the dispersive rows go through one batched
+forward/inverse pair, over one slice of the state when they are
+consecutive rows, else over one gathered index. With
+P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the column product is the RK4 of
+pure decay y' = -rate y / 2 written out (a factor of 1 on undamped
+rows); it replaces four derivative evaluations and is still a fresh
+array. Runs whose live rows are all dispersive and that have an
+interaction or a force take the same bytes as the plain transform-pair
+and RK4 step; the shortcuts change other runs only in the last bits.
+
+A half step writes its inverse transform straight into the rows of the
+state (``apply_phase(rows, half, out=rows)``); only a fancy index of rows
+gathers a copy and scatters it back. The transforms call numpy's
+pocketfft kernels directly (``core.spectral``): at the small grids of
+the noise ensembles the ``np.fft`` wrapper took longer than the
+transform itself, and its ``out=`` alone bought nothing. Writing into
+the state also keeps the step from allocating, and glibc from trimming
+and refaulting, a fresh (rows, n) block per half step at n = 4096.
 
 The RK4 substep works in place: the stage inputs are built in one reused
 buffer (``np.multiply(h, k, out=s); s += y``) and the k's are summed into
@@ -45,28 +67,23 @@ commutative where the loops use FMA, so an in-place rewrite must keep
 each product's operand order (``np.multiply(phase, f, out=f)``, never
 ``f *= phase``).
 
-What one RK4 stage costs is settled at construction: the loss as complex
-columns of 0.5 * rate (no cast per call), and in :class:`Stepper` the
-coupling constants as the term table of the fused interaction:
+What one RK4 stage costs is settled at construction too: the loss as
+complex columns of 0.5 * rate (no cast per call), and in
+:class:`Stepper` the coupling constants as the term table of the fused
+interaction:
 
     derivative couplings   interaction, 8 transforms, then the loss: one
                            (k, 1) column product per run of k damped rows
     pointwise (g_ppp only) interaction, no transform, then the loss
-    all zero, damped       no interaction: 0.0 minus one product with a
+    all zero, with a force no interaction: 0.0 minus one product with a
                            full-height column (0 for undamped rows)
-    all zero, undamped     no RK4: the substep is y + 0.0
 
 plus one evaluation per force (a side drive's profile, on cell positions
-taken once; a force keeps the RK4). Both uncoupled forms are the bytes
-of the zero-filled derivative with each damped row's ``0.5 * rate * y``
-subtracted: ``0.0 - c * y`` is what subtracting from +0.0 gives, and a
-zero derivative makes every stage +0, so that ``y + dt / 6.0 * k1`` is
-``y + 0.0`` (-0.0 entries become +0.0; the sum stays a fresh array).
-Wigner noise scales are settled per damped row and each step only draws;
-a cw end-fire drive settles its source deposit (``DepositPlan``), which
-writes straight into its row of the stacked state. All stochastic draws
-come from one Generator in a fixed order, so a seed pins the whole
-trajectory bit-for-bit.
+taken once). Wigner noise scales are settled per damped row and each
+step only draws; a cw end-fire drive settles its source deposit
+(``DepositPlan``), which writes straight into its row of the stacked
+state. All stochastic draws come from one Generator in a fixed order, so
+a seed pins the whole trajectory bit-for-bit.
 
 Batch axis. :meth:`SplitStepper.step_inplace` packs fields of shape
 (..., n) into an array of shape (..., rows, n); the leading axes are
@@ -96,6 +113,18 @@ from .bath import BathSpec, draw_noise_field, noise_scales
 from .boundary import AbsorberProfile, DepositPlan
 from .drive import DriveSpec, EndfireDrive, SideDrive
 from .rng import trajectory_generator
+
+
+def _rk4_decay(z: float) -> float:
+    """P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: one RK4 step of y' = (z/dt) y."""
+    return 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+
+
+def _consecutive(index: np.ndarray):
+    """A slice for sorted consecutive indices, else the index array."""
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
 
 
 class DivergenceError(RuntimeError):
@@ -133,10 +162,11 @@ class SplitStepper:
     """Strang step over a stacked complex state ``y`` of shape (rows, n).
 
     A model subclass calls ``__init__`` first (it validates dt), sets
-    ``_half``, the half-step phase rows of ``y[live]``, and passes its
-    losses to ``_set_losses``. It supplies only ``_rhs(y, t)``, the
-    interaction of every row as one (rows, n) array, or ``_rhs = None``
-    without one. That array must be fresh on every call: the core
+    ``_half``, the half-step phase rows of ``y[live]``, and then passes
+    its losses to ``_set_losses``, which settles the per-row plan of the
+    linear parts of the step from both. It supplies only ``_rhs(y, t)``,
+    the interaction of every row as one (rows, n) array, or ``_rhs =
+    None`` without one. That array must be fresh on every call: the core
     subtracts the loss from it and overwrites the k's while summing them,
     so it may neither alias ``y`` nor be a buffer the model keeps. Drives
     are ``_forces`` (row, f), adding ``f(t)`` to the row's derivative, and
@@ -166,7 +196,8 @@ class SplitStepper:
 
     def _set_losses(self, losses, dx: float):
         """One (rate, occupation) per stacked row, on cells of width ``dx``:
-        the damped rows, loss columns and noise scales, settled once."""
+        the damped rows, loss columns, noise scales, uncoupled substep and
+        free-step plan (from ``_half``, set before), settled once."""
         self._damped = [(row, rate, occupation)
                         for row, (rate, occupation) in enumerate(losses) if rate]
         self._half_rates = np.array([[0.5 * rate] for rate, _ in losses],
@@ -181,6 +212,24 @@ class SplitStepper:
         self._noise = ([(row, *noise_scales(dx, rate, occupation, self.dt))
                         for row, rate, occupation in self._damped]
                        if self._wigner else [])
+        # the RK4 of y' = -0.5 rate y over dt is y * P(-0.5 rate dt), 1 undamped
+        self._uncoupled = np.array([[_rk4_decay(-0.5 * rate * self.dt)]
+                                    for rate, _ in losses], dtype=np.complex128)
+        self._settle_free_step(len(losses))
+
+    def _settle_free_step(self, n_rows: int):
+        """Sort the live rows by their half-step phase row: the same phase on
+        every mode is one scalar product, or nothing when it is exactly 1;
+        the other rows keep the transform pair, over one slice when they
+        are consecutive, else over one gathered index."""
+        rows = np.arange(n_rows)[self._live]
+        first = self._half[:, 0]
+        flat = (self._half == first[:, None]).all(axis=1)
+        self._scalar_phases = [(int(row), p) for row, p, f in zip(rows, first, flat)
+                               if f and p != 1]
+        # a slice of _half is a view: no second copy of the phase rows
+        self._phases = self._half[_consecutive(np.flatnonzero(~flat))]
+        self._moving = _consecutive(rows[~flat]) if not flat.all() else None
 
     def _pack(self, state):
         a = state.a
@@ -199,12 +248,15 @@ class SplitStepper:
             plan.apply(y[row], t, rng=rng, vacuum_noise=self._wigner)
 
     def _half_step(self, y):
-        live = self._live
-        if isinstance(live, slice):
-            rows = y[..., live, :]
-            apply_phase(rows, self._half, out=rows)
-        else:  # a fancy index selects a copy: gather, then scatter back
-            y[..., live, :] = apply_phase(y[..., live, :], self._half)
+        for row, phase in self._scalar_phases:
+            values = y[..., row, :]
+            np.multiply(phase, values, out=values)
+        moving = self._moving
+        if isinstance(moving, slice):
+            rows = y[..., moving, :]
+            apply_phase(rows, self._phases, out=rows)
+        elif moving is not None:  # a fancy index selects a copy: gather, scatter
+            y[..., moving, :] = apply_phase(y[..., moving, :], self._phases)
 
     def _derivative(self, y, t):
         """Interaction - loss + forces of ``y`` at ``t``, a fresh array."""
@@ -256,10 +308,10 @@ class SplitStepper:
         dt, t, live = self.dt, state.time, self._live
         y = self._pack(state)
         self._half_step(y)
-        # with a zero derivative every stage is +0, and y + dt / 6.0 * k1
-        # is y + 0.0 (-0.0 entries become +0.0), a fresh array as well
-        zero = self._rhs is None and not self._damped and not self._forces
-        y = y + 0.0 if zero else self._rk4(y, t)
+        if self._rhs is None and not self._forces:  # linear decay only
+            y = np.multiply(self._uncoupled, y)  # fresh, as the RK4's result
+        else:
+            y = self._rk4(y, t)
         self._kick(y, t, rng)
         if self._decay is not None:
             y[..., live, :] *= self._decay

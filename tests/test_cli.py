@@ -239,6 +239,32 @@ class TestCliRuns:
         assert report["scenario"] == "regime_sweep"
         assert (out / "effective_config.cfg").exists()
 
+    def test_regime_sweep_first_oscillatory_g_is_null_without_one(self, tmp_path):
+        # the preset sweep (g <= 1e8 Hz) lies wholly below its own
+        # oscillation threshold (1.32e10 Hz)
+        out = tmp_path / "preset"
+        assert main(["run", "--scenario", "regime_sweep", "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["threshold_osc_Hz"] > 1e8
+        assert report["first_oscillatory_g_Hz"] is None
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("""
+[scenario]
+name = regime_sweep
+[sweep]
+g_min = 1e9 Hz
+g_max = 1e11 Hz
+points = 201
+""")
+        out = tmp_path / "across"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        rows = [line.split(",") for line in
+                (out / "regime_sweep.csv").read_text().splitlines()[1:]]
+        first = next(float(row[0]) for row in rows if row[-1] != "overdamped")
+        assert report["first_oscillatory_g_Hz"] == first
+        assert first >= report["threshold_osc_Hz"]
+
     def test_wall_time_goes_to_timing_json(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--scenario", "regime_sweep", "--output", str(out)]) == 0

@@ -1,17 +1,27 @@
 """The split-step core against a reference step written plainly.
 
-The reference keeps the textbook expressions: a fresh transform pair per
-half step, ``y + 0.5 * dt * k1`` stage inputs, ``y + dt / 6.0 * (k1 +
-2 * k2 + 2 * k3 + k4)``, a zero-filled multi-branch right-hand side
-summed channel by channel, fancy-indexed source deposits and real decay
-factors. The in-place core must reproduce it byte for byte over 50 steps
-for each solver: complex products are not bitwise commutative (FMA), so
-every rewritten product has to keep its operand order. The uncoupled
-waveguide steps are checked against a plainly written damping-only
-right-hand side, not the stepper's own, from starts with signed zeros.
+The reference keeps the textbook expressions: the free half step row by
+row (a phase that is the same on every mode is one scalar product
+``p0 * row``, a phase of exactly 1 leaves the row alone, any other phase
+goes through a fresh transform pair), ``y + 0.5 * dt * k1`` stage
+inputs, ``y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)``, a zero-filled
+multi-branch right-hand side summed channel by channel, fancy-indexed
+source deposits and real decay factors. The in-place core must reproduce
+it byte for byte over 50 steps for each solver: complex products are not
+bitwise commutative (FMA), so every rewritten product has to keep its
+operand order. The uncoupled waveguide substep is the RK4 of linear
+decay written as one factor per row, ``P(z) * y`` with z = -rate dt / 2,
+checked from starts with signed zeros.
+
+The step these shortcuts replaced, a transform pair on every live row
+and the four-stage RK4 on every run, is kept as a second reference that
+every model must match to rounding; runs with a dispersive band on every
+live row and an interaction must still match it byte for byte.
 """
 
+from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -30,8 +40,30 @@ from conftest import random_band_limited
 N_STEPS = 50
 
 
-def reference_phase(field, phase):
+def transform_phase(field, phase):
     return np.fft.ifft(phase * np.fft.fft(field, axis=-1), axis=-1)
+
+
+def reference_phase(rows, phases):
+    """The free half step of stacked rows, one row at a time."""
+    out = rows.copy()
+    for i, phase in enumerate(phases):
+        if np.all(phase == phase[0]):
+            if phase[0] != 1:
+                out[i] = phase[0] * rows[i]
+        else:
+            out[i] = transform_phase(rows[i], phase)
+    return out
+
+
+def rk4_decay(z):
+    return 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+
+
+def uncoupled_factors(rates, dt):
+    """One RK4 factor per row for y' = -0.5 rate y: P(-0.5 rate dt)."""
+    return np.array([[rk4_decay(-0.5 * rate * dt)] for rate in rates],
+                    dtype=np.complex128)
 
 
 def reference_kick(stepper):
@@ -61,27 +93,44 @@ def reference_kick(stepper):
     return kick
 
 
-def reference_run(stepper, y, t, rng=None, absorber=None, rhs=None):
-    """``N_STEPS`` reference Strang steps of the stacked array ``y``."""
+def reference_run(stepper, y, t, rng=None, absorber=None, rhs=None,
+                  rates=None, phase=reference_phase):
+    """``N_STEPS`` reference Strang steps of the stacked array ``y``. With
+    the per-row ``rates`` of an uncoupled model the substep is one factor
+    per row; otherwise it is the RK4 of ``rhs``."""
     rhs = rhs or stepper._derivative
     kick = reference_kick(stepper)
     dt, live, half = stepper.dt, stepper._live, stepper._half
     decay = absorber.decay_factors(dt) if absorber is not None else None
     for _ in range(N_STEPS):
         y = y.copy()
-        y[..., live, :] = reference_phase(y[..., live, :], half)
-        k1 = rhs(y, t)
-        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(y + dt * k3, t + dt)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y[..., live, :] = phase(y[..., live, :], half)
+        if rates is not None:
+            y = uncoupled_factors(rates, dt) * y
+        else:
+            y = rk4(rhs, y, t, dt)
         kick(y, t, rng)
         if decay is not None:
             y[..., live, :] *= decay
         assert np.isfinite(y).all()
-        y[..., live, :] = reference_phase(y[..., live, :], half)
+        y[..., live, :] = phase(y[..., live, :], half)
         t += dt
     return y, t
+
+
+def rk4(rhs, y, t, dt):
+    k1 = rhs(y, t)
+    k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(y + dt * k3, t + dt)
+    return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def transform_reference_run(stepper, y, t, rng=None, absorber=None, rhs=None):
+    """The step before the per-row shortcuts: a transform pair on every
+    live row and the RK4 on every run."""
+    return reference_run(stepper, y, t, rng=rng, absorber=absorber, rhs=rhs,
+                         phase=transform_phase)
 
 
 def reference_multibranch_rhs(stepper):
@@ -122,8 +171,53 @@ def assert_bytes_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def test_waveguide_stepper_matches_reference():
-    # derivative couplings, Wigner noise, an end-fire drive, an absorber
+@dataclass
+class Case:
+    """A model, its start and how to run it and its references. ``rhs`` is
+    the reference right-hand side (default: the stepper's own); ``rates``,
+    one per row, marks an uncoupled model, whose substep is one factor."""
+
+    stepper: object
+    state: object
+    stack: Callable
+    seed: int = None
+    absorber: object = None
+    rhs: Callable = None
+    rates: tuple = None
+
+    def rng(self):
+        return np.random.default_rng(self.seed) if self.seed is not None else None
+
+    def run(self):
+        final = self.stepper.run(self.state, N_STEPS, rng=self.rng()).final_state
+        return self.stack(final), final.time
+
+    def reference(self):
+        return reference_run(self.stepper, self.stack(self.state), self.state.time,
+                             rng=self.rng(), absorber=self.absorber, rhs=self.rhs,
+                             rates=self.rates)
+
+    def transform_reference(self):
+        return transform_reference_run(self.stepper, self.stack(self.state),
+                                       self.state.time, rng=self.rng(),
+                                       absorber=self.absorber, rhs=self.rhs)
+
+
+def stack_ab(state):
+    return np.stack((state.a, state.b))
+
+
+def stack_branches(state):
+    return np.stack(list(state.fields) + [state.b])
+
+
+def stack_fluctuations(f):
+    return np.stack((f.da, f.da_conj, f.db, f.db_conj))
+
+
+def waveguide_case():
+    # derivative couplings, linear bands, Wigner noise, an end-fire drive,
+    # an absorber
     grid = Grid1D(128, 0.1)
     rng = np.random.default_rng(41)
     state = FieldState(grid, random_band_limited(grid, rng, amplitude=0.5),
@@ -136,11 +230,7 @@ def test_waveguide_stepper_matches_reference():
                       drive=EndfireDrive(alpha_in=0.7, inlet_cell=8),
                       absorber=absorber, dt=2e-3)
     assert stepper._wigner and stepper._deposits and stepper._terms.kind != "zero"
-    final = stepper.run(state, N_STEPS, rng=np.random.default_rng(5)).final_state
-    want, t = reference_run(stepper, np.stack((state.a, state.b)), state.time,
-                            rng=np.random.default_rng(5), absorber=absorber)
-    assert_bytes_equal(np.stack((final.a, final.b)), want)
-    assert final.time == t
+    return Case(stepper, state, stack_ab, seed=5, absorber=absorber)
 
 
 def full_channel_system(grid):
@@ -164,43 +254,54 @@ def full_channel_system(grid):
                              absorber=make_absorber(grid, speed=1.0))
 
 
-def test_multibranch_stepper_matches_reference():
+def branch_start(grid, n_branches):
+    x, dk = grid.x_axis, grid.dk
+    fields = [np.exp(1j * dk * x) * (1 + 0.3 * np.cos(dk * x)),
+              0.7 * np.exp(-2j * dk * x) + 0.2, 0.1 * np.sin(dk * x) + 0j]
+    return MultiBranchState(grid, fields[:n_branches],
+                            0.8 * np.exp(3j * dk * x) + 0.4, time=0.3)
+
+
+def multibranch_case():
     grid = Grid1D(128, 1.0)
     system = full_channel_system(grid)
     channels = system.photon_channels + system.phonon_channels
     assert any(ch.W != 0.0 for ch in channels)
     assert any(ch.spatial is not None for ch in channels)
-    x, dk = grid.x_axis, grid.dk
-    state = MultiBranchState(
-        grid, [np.exp(1j * dk * x) * (1 + 0.3 * np.cos(dk * x)),
-               0.7 * np.exp(-2j * dk * x) + 0.2, 0.1 * np.sin(dk * x) + 0j],
-        0.8 * np.exp(3j * dk * x) + 0.4, time=0.3)
     stepper = MultiBranchStepper(system, 0.01)
-    final = stepper.run(state, N_STEPS, rng=np.random.default_rng(9)).final_state
-    want, t = reference_run(stepper, np.stack(list(state.fields) + [state.b]),
-                            state.time, rng=np.random.default_rng(9),
-                            absorber=system.absorber,
-                            rhs=reference_multibranch_rhs(stepper))
-    assert_bytes_equal(np.stack(list(final.fields) + [final.b]), want)
-    assert final.time == t
-    assert_bytes_equal(final.fields[1], state.fields[1])  # frozen
+    return Case(stepper, branch_start(grid, 3), stack_branches, seed=9,
+                absorber=system.absorber, rhs=reference_multibranch_rhs(stepper))
 
 
-def test_lattice_stepper_matches_reference():
+def forward_gain_case():
+    """The C2 forward shape: pump and signal end-fire driven, a damped
+    signal and phonon, linear bands, rotating-wave channels, an absorber."""
+    grid = Grid1D(128, 0.5)
+    branches = (
+        BranchConfig("pump", DispersionSpec.linear(1.0),
+                     drive=EndfireDrive(alpha_in=0.8, inlet_cell=8)),
+        BranchConfig("signal", DispersionSpec.linear(0.9), frame_omega=-0.4,
+                     kappa=0.05, drive=EndfireDrive(alpha_in=0.1, inlet_cell=8)))
+    phonon = PhononConfig(DispersionSpec.linear(0.05), frame_omega=0.4, gamma=0.2)
+    system = MultiBranchSystem(grid, branches, phonon,
+                               np.array([[0.0, 0.3], [0.3, 0.0]]), rotating_wave=True,
+                               absorber=make_absorber(grid, speed=1.0, opacity=10.0))
+    stepper = MultiBranchStepper(system, 0.9 * 0.5 / (np.pi / grid.dx))
+    return Case(stepper, branch_start(grid, 2), stack_branches,
+                absorber=system.absorber, rhs=reference_multibranch_rhs(stepper))
+
+
+def lattice_case():
     config = ArrayConfig(n_sites=32, dx_lattice=1.0, J={1: 0.4, 2: 0.05},
                          g0_site=0.1, g0_link=0.2, kappa=0.1, Gamma=0.2, n_th=0.3)
     rng = np.random.default_rng(2)
     state = LatticeState(rng.normal(size=32) + 1j * rng.normal(size=32),
                          rng.normal(size=32) + 1j * rng.normal(size=32))
-    stepper = LatticeStepper(config, 0.01, sampling="wigner")
-    final = stepper.run(state, N_STEPS, rng=np.random.default_rng(4)).final_state
-    want, t = reference_run(stepper, np.stack((state.a, state.b)), state.time,
-                            rng=np.random.default_rng(4))
-    assert_bytes_equal(np.stack((final.a, final.b)), want)
-    assert final.time == t
+    return Case(LatticeStepper(config, 0.01, sampling="wigner"), state, stack_ab,
+                seed=4)
 
 
-def test_linearized_stepper_matches_reference():
+def linearized_case():
     grid = Grid1D(128, 0.1)
     rng = np.random.default_rng(11)
     steady = SteadyState.from_fields(grid, random_band_limited(grid, rng, amplitude=0.5),
@@ -214,13 +315,7 @@ def test_linearized_stepper_matches_reference():
     stepper = LinearizedStepper(steady, CouplingSet.odd(g_ppm=0.05, g_mpp=0.01 - 0.02j),
                                 disp, BathSpec(kappa=0.4, gamma_mech=0.7), 2e-3,
                                 absorber=absorber)
-    final = stepper.run(fluct, N_STEPS).final_state
-    want, t = reference_run(
-        stepper, np.stack((fluct.da, fluct.da_conj, fluct.db, fluct.db_conj)),
-        fluct.time, absorber=absorber)
-    assert_bytes_equal(np.stack((final.da, final.da_conj, final.db, final.db_conj)),
-                       want)
-    assert final.time == t
+    return Case(stepper, fluct, stack_fluctuations, absorber=absorber)
 
 
 def reference_uncoupled_rhs(bath):
@@ -266,20 +361,75 @@ def uncoupled_cases():
             "damped_wigner": (damped, thermal, None)}
 
 
+def uncoupled_case(name):
+    stepper, bath, absorber = uncoupled_cases()[name]
+    return Case(stepper, signed_zero_start(stepper.grid, np.random.default_rng(17)),
+                stack_ab, seed=3, absorber=absorber, rhs=reference_uncoupled_rhs(bath),
+                rates=(bath.kappa, bath.gamma_mech))
+
+
+CASES = {"waveguide": waveguide_case, "multibranch": multibranch_case,
+         "forward_gain": forward_gain_case, "lattice": lattice_case,
+         "linearized": linearized_case,
+         "undamped_endfire_vacuum": lambda: uncoupled_case("undamped_endfire_vacuum"),
+         "damped_wigner": lambda: uncoupled_case("damped_wigner")}
+
+
+def assert_matches_reference(case):
+    got, time = case.run()
+    want, t = case.reference()
+    assert_bytes_equal(got, want)
+    assert time == t
+    return got
+
+
+def test_waveguide_stepper_matches_reference():
+    assert_matches_reference(waveguide_case())
+
+
+def test_multibranch_stepper_matches_reference():
+    case = multibranch_case()
+    got = assert_matches_reference(case)
+    assert_bytes_equal(got[1], case.state.fields[1])  # frozen
+
+
+def test_lattice_stepper_matches_reference():
+    assert_matches_reference(lattice_case())
+
+
+def test_linearized_stepper_matches_reference():
+    assert_matches_reference(linearized_case())
+
+
 def test_uncoupled_steppers_match_the_plain_reference():
-    for name, (stepper, bath, absorber) in uncoupled_cases().items():
-        state = signed_zero_start(stepper.grid, np.random.default_rng(17))
-        final = stepper.run(state, N_STEPS, rng=np.random.default_rng(3)).final_state
-        want, t = reference_run(stepper, np.stack((state.a, state.b)), state.time,
-                                rng=np.random.default_rng(3), absorber=absorber,
-                                rhs=reference_uncoupled_rhs(bath))
-        assert_bytes_equal(np.stack((final.a, final.b)), want)
-        assert final.time == t, name
+    for name in uncoupled_cases():
+        assert_matches_reference(uncoupled_case(name))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_models_match_the_transform_step_to_rounding(name):
+    case = CASES[name]()
+    got, time = case.run()
+    want, t = case.transform_reference()
+    assert time == t
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["waveguide", "forward_gain"])
+def test_dispersive_coupled_runs_keep_the_transform_step_bytes(name):
+    # every live row dispersive and an interaction: the plan changes nothing
+    case = CASES[name]()
+    rows = len(case.stack(case.state))
+    assert free_plan(case.stepper, rows) == ["transform"] * rows
+    got, time = case.run()
+    want, t = case.transform_reference()
+    assert_bytes_equal(got, want)
+    assert time == t
 
 
 def test_inf_in_an_undamped_row_reports_the_plain_step():
-    # the photon row is undamped; its derivative is exactly zero in the
-    # plain step, whatever the row holds
+    # the photon row is flat at 0 and undamped: its half steps leave it
+    # alone and its substep factor is 1, so the inf stays in its own cell
     stepper, bath, _ = uncoupled_cases()["damped_wigner"]
     grid = stepper.grid
     rng = np.random.default_rng(23)
@@ -287,21 +437,82 @@ def test_inf_in_an_undamped_row_reports_the_plain_step():
                        random_band_limited(grid, rng, amplitude=0.3), time=0.1)
     state.a[5] = np.inf
     a0, b0 = state.a.copy(), state.b.copy()
-    dt, t, rhs = stepper.dt, state.time, reference_uncoupled_rhs(bath)
-    with np.errstate(invalid="ignore"):  # the transforms spread the inf as NaN
+    dt, t = stepper.dt, state.time
+    with np.errstate(invalid="ignore"):  # the factor's 0 * inf is NaN
         y = reference_phase(np.stack((state.a, state.b)), stepper._half)
-        k1 = rhs(y, t)
-        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(y + dt * k3, t + dt)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = uncoupled_factors((bath.kappa, bath.gamma_mech), dt) * y
         reference_kick(stepper)(y, t, np.random.default_rng(8))
         want = DivergenceError.from_fields(3, t, y[:1], y[1:])
         with pytest.raises(DivergenceError) as err:
             stepper.step_inplace(state, rng=np.random.default_rng(8), step_index=3)
+    assert np.flatnonzero(~np.isfinite(y[0])).tolist() == [5]
+    assert np.isfinite(y[1]).all()
     assert str(err.value) == str(want)
     assert_bytes_equal(state.a, a0)
     assert_bytes_equal(state.b, b0)
+
+
+def free_plan(stepper, n_rows):
+    """How the half step moves each stacked row: "transform", "scalar"
+    (one product with the row's phase) or "skip"."""
+    moving = (set(np.arange(n_rows)[stepper._moving].tolist())
+              if stepper._moving is not None else set())
+    scalar = dict(stepper._scalar_phases)
+    for row, phase in scalar.items():
+        assert phase == stepper._half[np.arange(n_rows)[stepper._live] == row][0, 0]
+    return ["transform" if row in moving else "scalar" if row in scalar else "skip"
+            for row in range(n_rows)]
+
+
+@pytest.mark.parametrize("photon, phonon, plan", [
+    (DispersionSpec.linear(1.0), DispersionSpec.flat(0.3), ["transform", "scalar"]),
+    (DispersionSpec.flat(0.0), DispersionSpec.flat(2.0), ["skip", "scalar"]),
+    (DispersionSpec.flat(0.5), DispersionSpec.linear(0.4, 2.0),
+     ["scalar", "transform"]),
+    (DispersionSpec.linear(1.0), DispersionSpec.flat(0.0), ["transform", "skip"]),
+])
+def test_waveguide_free_step_plan(photon, phonon, plan):
+    grid = Grid1D(32, 0.5)
+    stepper = Stepper(grid, CouplingSet(), DispersionPair(photon, phonon), dt=0.01)
+    assert free_plan(stepper, 2) == plan
+
+
+def test_multibranch_free_step_plan():
+    # a linear branch, a frozen one, a flat one at 0.2, a flat phonon at 0.3
+    stepper = multibranch_case().stepper
+    assert free_plan(stepper, 4) == ["transform", "skip", "scalar", "scalar"]
+    assert free_plan(forward_gain_case().stepper, 3) == ["transform"] * 3
+    grid = Grid1D(32, 1.0)
+    system = MultiBranchSystem(
+        grid, (BranchConfig("a", DispersionSpec.flat(0.0)),
+               BranchConfig("b", DispersionSpec.linear(1.0))),
+        PhononConfig(DispersionSpec.flat(0.0)), np.array([[0.0, 0.1], [0.1, 0.0]]))
+    assert free_plan(MultiBranchStepper(system, 0.01), 3) == [
+        "skip", "transform", "skip"]
+
+
+@pytest.mark.parametrize("K, Omega_frame, plan", [
+    ({}, 0.0, ["transform", "skip"]),
+    ({}, 0.3, ["transform", "scalar"]),
+    ({1: 0.1}, 0.0, ["transform", "transform"]),
+])
+def test_lattice_free_step_plan(K, Omega_frame, plan):
+    config = ArrayConfig(n_sites=16, dx_lattice=1.0, J={1: 0.4}, K=K,
+                         Omega_frame=Omega_frame, g0_site=0.1)
+    assert free_plan(LatticeStepper(config, 0.01), 2) == plan
+
+
+@pytest.mark.parametrize("phonon, plan", [
+    (DispersionSpec.linear(0.4, 2.0), ["transform"] * 4),
+    (DispersionSpec.flat(0.7), ["transform", "transform", "scalar", "scalar"]),
+    (DispersionSpec.flat(0.0), ["transform", "transform", "skip", "skip"]),
+])
+def test_linearized_free_step_plan(phonon, plan):
+    case = linearized_case()
+    disp = DispersionPair(DispersionSpec.polynomial([0.0, 1.0, 0.05]), phonon)
+    stepper = LinearizedStepper(case.stepper.steady, case.stepper.couplings, disp,
+                                BathSpec(kappa=0.4), 2e-3)
+    assert free_plan(stepper, 4) == plan
 
 
 CORE_STEP = ("_kick", "_derivative", "_rk4", "_half_step", "step_inplace", "run")
