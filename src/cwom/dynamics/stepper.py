@@ -15,6 +15,25 @@ Step layout (one dt), shared by every solver in the package:
 The splitting is symmetric, hence 2nd order overall (Strang, SIAM J.
 Numer. Anal. 5, 506 (1968)); the explicit middle substep keeps the
 non-diagonal derivative couplings away from any implicit solve.
+
+Seams. The free flow composes exactly with itself, so the closing half
+step of one step and the opening half step of the next are one full free
+step, by the squared half-step phases ``half * half`` (Hairer, Lubich and
+Wanner, Geometric Numerical Integration, 2006). :meth:`SplitStepper.run`
+merges them between two points where the state is read:
+
+    half free step                     opening seam
+    middle substep, full free step     every step but the last of a segment
+    middle substep, half free step     closing seam: a record point with
+                                       observers, or the end of the run
+
+Every step still goes through :meth:`SplitStepper.step_inplace`, which
+takes the seams as two keyword flags; its defaults are one whole step.
+Between seams the state is half a free step ahead of a whole step, and
+nothing reads it there. A run without observers, and
+:func:`evolve_batch`, is one segment; a run that records every step with
+observers takes whole steps only. The merged sequence differs from the
+whole steps in the last bits only.
 :class:`SplitStepper` runs this step on one stacked complex array of shape
 (rows, n), and the RK4 substep is whole-array arithmetic on the
 right-hand side a model fills row by row. The waveguide model
@@ -99,6 +118,7 @@ batched: per-row noise streams would need one Generator per row.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 from types import SimpleNamespace
 from typing import Callable
 
@@ -221,14 +241,20 @@ class SplitStepper:
         """Sort the live rows by their half-step phase row: the same phase on
         every mode is one scalar product, or nothing when it is exactly 1;
         the other rows keep the transform pair, over one slice when they
-        are consecutive, else over one gathered index."""
+        are consecutive, else over one gathered index. The full step
+        between two merged steps moves the same rows by the squared phases
+        ``half * half``."""
         rows = np.arange(n_rows)[self._live]
         first = self._half[:, 0]
         flat = (self._half == first[:, None]).all(axis=1)
-        self._scalar_phases = [(int(row), p) for row, p, f in zip(rows, first, flat)
-                               if f and p != 1]
+        scalar = [i for i, (p, f) in enumerate(zip(first, flat)) if f and p != 1]
+        moving = _consecutive(np.flatnonzero(~flat))
+        full = self._half * self._half
+        self._scalar_phases = [(int(rows[i]), first[i]) for i in scalar]
+        self._full_scalar_phases = [(int(rows[i]), full[i, 0]) for i in scalar]
         # a slice of _half is a view: no second copy of the phase rows
-        self._phases = self._half[_consecutive(np.flatnonzero(~flat))]
+        self._phases = self._half[moving]
+        self._full_phases = full[moving]
         self._moving = _consecutive(rows[~flat]) if not flat.all() else None
 
     def _pack(self, state):
@@ -247,16 +273,18 @@ class SplitStepper:
         for row, plan in self._deposits:
             plan.apply(y[row], t, rng=rng, vacuum_noise=self._wigner)
 
-    def _half_step(self, y):
-        for row, phase in self._scalar_phases:
+    def _free_step(self, y, scalar_phases, phases):
+        """Free evolution of the live rows of ``y`` in place, by the settled
+        half-step phases or by their squares (a full step)."""
+        for row, phase in scalar_phases:
             values = y[..., row, :]
             np.multiply(phase, values, out=values)
         moving = self._moving
         if isinstance(moving, slice):
             rows = y[..., moving, :]
-            apply_phase(rows, self._phases, out=rows)
+            apply_phase(rows, phases, out=rows)
         elif moving is not None:  # a fancy index selects a copy: gather, scatter
-            y[..., moving, :] = apply_phase(y[..., moving, :], self._phases)
+            y[..., moving, :] = apply_phase(y[..., moving, :], phases)
 
     def _derivative(self, y, t):
         """Interaction - loss + forces of ``y`` at ``t``, a fresh array."""
@@ -298,16 +326,27 @@ class SplitStepper:
         k1 += k4
         return y + dt / 6.0 * k1
 
-    def step_inplace(self, state, rng=None, step_index: int = 0):
+    def step_inplace(self, state, rng=None, step_index: int = 0, *,
+                     open_half: bool = True, close_full: bool = False):
         """One Strang step of ``state``. Axes of its fields in front of
         (n,) are batch axes, stepped row for row as each row would be
         alone, for a model whose ``_rhs`` takes them (a coupling-batch
-        :class:`Stepper`)."""
+        :class:`Stepper`).
+
+        The seam flags merge the free steps of consecutive steps. With
+        ``open_half=False`` the step skips its opening half step: the
+        state already carries it, from a step before that closed with
+        ``close_full=True``, i.e. with a full free step (the squared
+        half-step phases) in place of its closing half step. Between two
+        such steps the state is half a free step ahead of a whole step.
+        The defaults give one whole step.
+        """
         if self._wigner and rng is None:
             raise ValueError("Wigner sampling requires an rng")
         dt, t, live = self.dt, state.time, self._live
         y = self._pack(state)
-        self._half_step(y)
+        if open_half:
+            self._free_step(y, self._scalar_phases, self._phases)
         if self._rhs is None and not self._forces:  # linear decay only
             y = np.multiply(self._uncoupled, y)  # fresh, as the RK4's result
         else:
@@ -322,7 +361,10 @@ class SplitStepper:
             raise DivergenceError.from_fields(step_index, t, y[..., :p, :],
                                               y[..., p:, :])
 
-        self._half_step(y)
+        if close_full:
+            self._free_step(y, self._full_scalar_phases, self._full_phases)
+        else:
+            self._free_step(y, self._scalar_phases, self._phases)
         self._unpack(y, state)
         state.time += dt
         return state
@@ -333,17 +375,36 @@ class SplitStepper:
 
         The initial state is recorded first, then every ``record_every``
         steps (a positive integer) and after the last step. Observers are
-        callables state -> value, keyed by name.
+        callables state -> value, keyed by name. A negative ``n_steps``
+        raises ``ValueError``.
+
+        Every step goes through :meth:`step_inplace`. Between two points
+        where the state is read, the closing half step of one step and the
+        opening half step of the next are merged into one full free step
+        (see its seam flags). The state is whole at every record point
+        with observers and after the last step, so observers and the
+        final state see whole steps only; without observers the run is
+        one merged segment.
         """
-        if record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {record_every}")
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+        if (isinstance(record_every, bool) or not isinstance(record_every, Integral)
+                or record_every < 1):
+            raise ValueError(
+                f"record_every must be a positive integer, got {record_every!r}")
         observers = observers or {}
         work = state.copy()
         times = [work.time]
         records = {name: [obs(work)] for name, obs in observers.items()}
+        whole = True  # the state is at a whole step
         for i in range(n_steps):
-            self.step_inplace(work, rng=rng, step_index=i)
-            if (i + 1) % record_every == 0 or i == n_steps - 1:
+            last = i == n_steps - 1
+            record = (i + 1) % record_every == 0 or last
+            seam = last or (record and bool(observers))  # read after this step
+            self.step_inplace(work, rng=rng, step_index=i, open_half=whole,
+                              close_full=not seam)
+            whole = seam
+            if record:
                 times.append(work.time)
                 for name, obs in observers.items():
                     records[name].append(obs(work))
@@ -494,8 +555,9 @@ def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
     batch = SimpleNamespace(a=np.repeat(state.a[None], rows, axis=0),
                             b=np.repeat(state.b[None], rows, axis=0),
                             time=state.time)
-    for i in range(n_steps):
-        stepper.step_inplace(batch, step_index=i)
+    for i in range(n_steps):  # one merged segment, as ``run`` without observers
+        stepper.step_inplace(batch, step_index=i, open_half=i == 0,
+                             close_full=i < n_steps - 1)
     return [FieldState(state.grid, a, b, frame=state.frame, time=batch.time)
             for a, b in zip(batch.a, batch.b)]
 

@@ -1,22 +1,26 @@
 """The split-step core against a reference step written plainly.
 
-The reference keeps the textbook expressions: the free half step row by
-row (a phase that is the same on every mode is one scalar product
+The reference keeps the textbook expressions: the free step row by row
+(a phase that is the same on every mode is one scalar product
 ``p0 * row``, a phase of exactly 1 leaves the row alone, any other phase
 goes through a fresh transform pair), ``y + 0.5 * dt * k1`` stage
 inputs, ``y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)``, a zero-filled
 multi-branch right-hand side summed channel by channel, fancy-indexed
-source deposits and real decay factors. The in-place core must reproduce
-it byte for byte over 50 steps for each solver: complex products are not
-bitwise commutative (FMA), so every rewritten product has to keep its
-operand order. The uncoupled waveguide substep is the RK4 of linear
-decay written as one factor per row, ``P(z) * y`` with z = -rate dt / 2,
-checked from starts with signed zeros.
+source deposits and real decay factors. A run without observers is one
+merged sequence: an opening half step, then per step the middle
+substep, one full free step by the squared phases ``half * half``
+between two steps, and a closing half step. The in-place core must
+reproduce it byte for byte over 50 steps for each solver: complex
+products are not bitwise commutative (FMA), so every rewritten product
+has to keep its operand order. The uncoupled waveguide substep is the
+RK4 of linear decay written as one factor per row, ``P(z) * y`` with
+z = -rate dt / 2, checked from starts with signed zeros.
 
-The step these shortcuts replaced, a transform pair on every live row
-and the four-stage RK4 on every run, is kept as a second reference that
-every model must match to rounding; runs with a dispersive band on every
-live row and an interaction must still match it byte for byte.
+The step these shortcuts replaced, a transform pair on every live row,
+two half steps between two steps and the four-stage RK4 on every run, is
+kept as a second reference that every model must match to rounding;
+runs with a dispersive band on every live row and an interaction must
+still match it byte for byte when stepped one whole step at a time.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,8 @@ import pytest
 
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
 from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
-                           EndfireDrive, Stepper, make_absorber)
+                           EndfireDrive, SideDrive, Stepper, make_absorber,
+                           observe_photon_number)
 from cwom.dynamics.bath import sample_noise_field
 from cwom.lattice import ArrayConfig, LatticeState, LatticeStepper
 from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
@@ -94,17 +99,23 @@ def reference_kick(stepper):
 
 
 def reference_run(stepper, y, t, rng=None, absorber=None, rhs=None,
-                  rates=None, phase=reference_phase):
+                  rates=None, phase=reference_phase, merged=True):
     """``N_STEPS`` reference Strang steps of the stacked array ``y``. With
     the per-row ``rates`` of an uncoupled model the substep is one factor
-    per row; otherwise it is the RK4 of ``rhs``."""
+    per row; otherwise it is the RK4 of ``rhs``. Between two steps the
+    free flow is one full step by ``half * half`` when ``merged``, else
+    two half steps."""
     rhs = rhs or stepper._derivative
     kick = reference_kick(stepper)
     dt, live, half = stepper.dt, stepper._live, stepper._half
+    between = [half * half] if merged else [half, half]
     decay = absorber.decay_factors(dt) if absorber is not None else None
-    for _ in range(N_STEPS):
-        y = y.copy()
-        y[..., live, :] = phase(y[..., live, :], half)
+    y = y.copy()
+    y[..., live, :] = phase(y[..., live, :], half)
+    for step in range(N_STEPS):
+        if step:
+            for free in between:
+                y[..., live, :] = phase(y[..., live, :], free)
         if rates is not None:
             y = uncoupled_factors(rates, dt) * y
         else:
@@ -113,8 +124,8 @@ def reference_run(stepper, y, t, rng=None, absorber=None, rhs=None,
         if decay is not None:
             y[..., live, :] *= decay
         assert np.isfinite(y).all()
-        y[..., live, :] = phase(y[..., live, :], half)
         t += dt
+    y[..., live, :] = phase(y[..., live, :], half)
     return y, t
 
 
@@ -127,10 +138,11 @@ def rk4(rhs, y, t, dt):
 
 
 def transform_reference_run(stepper, y, t, rng=None, absorber=None, rhs=None):
-    """The step before the per-row shortcuts: a transform pair on every
-    live row and the RK4 on every run."""
+    """The step before the per-row shortcuts and the merged free steps: a
+    transform pair on every live row, two half steps between two steps and
+    the RK4 on every run."""
     return reference_run(stepper, y, t, rng=rng, absorber=absorber, rhs=rhs,
-                         phase=transform_phase)
+                         phase=transform_phase, merged=False)
 
 
 def reference_multibranch_rhs(stepper):
@@ -191,6 +203,13 @@ class Case:
     def run(self):
         final = self.stepper.run(self.state, N_STEPS, rng=self.rng()).final_state
         return self.stack(final), final.time
+
+    def steps(self):
+        """``N_STEPS`` whole steps, one ``step_inplace`` call each."""
+        state, rng = self.state.copy(), self.rng()
+        for i in range(N_STEPS):
+            self.stepper.step_inplace(state, rng=rng, step_index=i)
+        return self.stack(state), state.time
 
     def reference(self):
         return reference_run(self.stepper, self.stack(self.state), self.state.time,
@@ -421,10 +440,85 @@ def test_dispersive_coupled_runs_keep_the_transform_step_bytes(name):
     case = CASES[name]()
     rows = len(case.stack(case.state))
     assert free_plan(case.stepper, rows) == ["transform"] * rows
-    got, time = case.run()
+    got, time = case.steps()
     want, t = case.transform_reference()
     assert_bytes_equal(got, want)
     assert time == t
+
+
+def record_stack(case):
+    return {"y": lambda state: case.stack(state).copy()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_recording_every_step_takes_whole_steps(name):
+    # record_every=1 with observers puts a seam after every step: the run
+    # is N whole steps, byte for byte, and so is every record
+    case = CASES[name]()
+    traj = case.stepper.run(case.state, N_STEPS, observers=record_stack(case),
+                            record_every=1, rng=case.rng())
+    state, rng = case.state.copy(), case.rng()
+    assert_bytes_equal(traj.records["y"][0], case.stack(state))
+    for i in range(N_STEPS):
+        case.stepper.step_inplace(state, rng=rng, step_index=i)
+        assert_bytes_equal(traj.records["y"][i + 1], case.stack(state))
+        assert traj.times[i + 1] == state.time
+    assert_bytes_equal(case.stack(traj.final_state), case.stack(state))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_record_is_the_end_of_a_shorter_run(name):
+    # records after steps 7, 14, ..., 49 and 50: each equals the final,
+    # whole state of a run of that many steps, so no observer sees a
+    # state half a free step ahead
+    case = CASES[name]()
+    every = 7
+    traj = case.stepper.run(case.state, N_STEPS, observers=record_stack(case),
+                            record_every=every, rng=case.rng())
+    counts = list(range(every, N_STEPS, every)) + [N_STEPS]
+    assert len(traj.records["y"]) == len(counts) + 1
+    for n, record, time in zip(counts, traj.records["y"][1:], traj.times[1:]):
+        final = case.stepper.run(case.state, n, observers=record_stack(case),
+                                 record_every=every, rng=case.rng()).final_state
+        assert_bytes_equal(record, case.stack(final))
+        assert time == final.time
+    merged, _ = case.run()
+    assert np.max(np.abs(traj.records["y"][-1] - merged)) <= (
+        1e-13 * np.max(np.abs(merged)))
+
+
+def nan_after(t_nan):
+    """A side-drive profile that turns one cell NaN from time ``t_nan``."""
+    def profile(x, t):
+        out = np.zeros(x.size, complex)
+        if t >= t_nan:
+            out[3] = np.nan
+        return out
+    return profile
+
+
+@pytest.mark.parametrize("observers, record_every", [(False, 1), (False, 5),
+                                                     (True, 5), (True, 1)])
+def test_divergence_in_a_merged_segment_reports_the_stepwise_step(
+        observers, record_every):
+    grid = Grid1D(64, 0.1)
+    disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(2.0))
+    dt = 1e-2
+    stepper = Stepper(grid, CouplingSet.even(g_ppp=0.2, g_mmp=0.01), disp,
+                      drive=SideDrive(kappa_ex=1.0, profile=nan_after(0.1 + 12.5 * dt)),
+                      dt=dt)
+    rng = np.random.default_rng(29)
+    start = FieldState(grid, random_band_limited(grid, rng, amplitude=0.5),
+                       random_band_limited(grid, rng, amplitude=0.3), time=0.1)
+    state = start.copy()
+    with pytest.raises(DivergenceError) as stepwise:
+        for i in range(40):
+            stepper.step_inplace(state, step_index=i)
+    with pytest.raises(DivergenceError) as merged:
+        stepper.run(start, 40, observers={"n": observe_photon_number} if observers
+                    else None, record_every=record_every)
+    assert stepwise.value.step_index == merged.value.step_index == 12
+    assert merged.value.time == stepwise.value.time
 
 
 def test_inf_in_an_undamped_row_reports_the_plain_step():
@@ -515,7 +609,7 @@ def test_linearized_free_step_plan(phonon, plan):
     assert free_plan(stepper, 4) == plan
 
 
-CORE_STEP = ("_kick", "_derivative", "_rk4", "_half_step", "step_inplace", "run")
+CORE_STEP = ("_kick", "_derivative", "_rk4", "_free_step", "step_inplace", "run")
 
 
 def test_models_supply_only_their_interaction():

@@ -396,6 +396,32 @@ class TestInputChecks:
             stepper.run(state, 3, record_every=record_every)
 
 
+    def test_negative_n_steps_rejected_by_run(self, grid64):
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(1.0))
+        stepper = Stepper(grid64, CouplingSet(), disp, dt=0.1)
+        with pytest.raises(ValueError, match="n_steps"):
+            stepper.run(FieldState.vacuum(grid64), -3)
+
+    @pytest.mark.parametrize("record_every", [1.5, 2.0, True, "2", None])
+    def test_record_every_must_be_a_positive_integer(self, grid64, record_every):
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(1.0))
+        state = FieldState.vacuum(grid64)
+        stepper = Stepper(grid64, CouplingSet(), disp, dt=0.1)
+        with pytest.raises(ValueError, match="record_every"):
+            stepper.run(state, 5, record_every=record_every)
+        with pytest.raises(ValueError, match="record_every"):
+            evolve(state, CouplingSet(), disp, dt=0.1, n_steps=5,
+                   record_every=record_every)
+
+    def test_numpy_integer_record_every_accepted(self, grid64):
+        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(1.0))
+        stepper = Stepper(grid64, CouplingSet(), disp, dt=0.1)
+        traj = stepper.run(FieldState.vacuum(grid64), 5,
+                           observers={"n": observe_photon_number},
+                           record_every=np.int64(2))
+        assert len(traj.records["n"]) == 4  # start, steps 2, 4 and 5
+
+
 class TestDivergenceReport:
     def test_one_cell_nan_reports_finite_maxima(self, grid64):
         # the side drive puts a NaN into one cell of a during the middle

@@ -8,9 +8,14 @@ For each workload of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace
 ``run_seconds``, one seed per pair, alternating which checkout runs
 first, and records every end-to-end metric with its median and quartiles
 per side, and for ``solve_rel`` how many pairs the change won. Then it
-runs the tier-1 suite in each checkout, back to back, and records its
-wall time and the durations of the acceptance criteria C2, C4 and C6.
-Run it on an otherwise idle machine; it is not part of the test suite.
+traces one run of each workload per checkout (``--trace 1``, seed
+``TRACE_SEED``) and records its per-layer metrics side by side. Last, it
+runs the tier-1 suite three times per checkout in the order
+``TIER1_ORDER`` (parent, change, change, parent, parent, change), so the
+machine's drift falls on both sides alike, and records every run's wall
+time, pytest summary line and durations of the acceptance criteria C2,
+C4 and C6, with their medians per side. Run it on an otherwise idle
+machine; it is not part of the test suite.
 """
 
 import argparse
@@ -31,6 +36,9 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10  # a claimed gain must win at least 9 of 10 alternating pairs
+TRACE_SEED = 7001
+# alternated, so drift over the suite runs does not fall on one side
+TIER1_ORDER = ("parent", "change", "change", "parent", "parent", "change")
 CRITERIA = {"C2": "test_criterion_2_", "C4": "test_criterion_4_",
             "C6": "test_criterion_6_"}
 
@@ -40,10 +48,10 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def bench_once(checkout: Path, workload: str, seed: int) -> dict:
+def bench_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
@@ -73,7 +81,7 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds) -> dict:
     return out
 
 
-def tier1(checkout: Path) -> dict:
+def tier1_once(checkout: Path) -> dict:
     env = dict(os.environ, PYTHONPATH="src")
     t0 = time.monotonic()
     done = subprocess.run(
@@ -82,11 +90,36 @@ def tier1(checkout: Path) -> dict:
         cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.monotonic() - t0
     lines = done.stdout.splitlines()
-    out = {"wall_s": wall, "summary": lines[-1] if lines else ""}
+    out = {"wall_s": wall, "returncode": done.returncode,
+           "summary": lines[-1] if lines else ""}
     for label, stem in CRITERIA.items():
         found = [ln for ln in lines if stem in ln and " call " in ln]
         out[f"{label}_s"] = (float(re.match(r"\s*([\d.]+)s", found[0]).group(1))
                              if found else None)
+    return out
+
+
+def tier1(parent: Path, change: Path) -> dict:
+    runs = []
+    for side in TIER1_ORDER:
+        run = tier1_once(parent if side == "parent" else change)
+        runs.append(dict(run, side=side))
+        print(f"tier-1 {side}: {run['wall_s']:.1f} s, {run['summary']}", flush=True)
+    out = {"order": list(TIER1_ORDER), "runs": runs}
+    for side in ("parent", "change"):
+        mine = [r for r in runs if r["side"] == side]
+        out[side] = {}
+        for key in ("wall_s", *(f"{label}_s" for label in CRITERIA)):
+            values = [r[key] for r in mine]  # None where a criterion did not run
+            out[side][key] = None if None in values else statistics.median(values)
+    return out
+
+
+def traced(parent: Path, change: Path, workload: str) -> dict:
+    out = {"seed": TRACE_SEED}
+    for side, checkout in (("parent", parent), ("change", change)):
+        out[side] = bench_once(checkout, workload, TRACE_SEED, trace=1)
+        print(f"{workload} traced ({side}) done", flush=True)
     return out
 
 
@@ -104,7 +137,9 @@ def main(argv=None) -> int:
         first = args.first_seed + 100 * k
         record["workloads"][workload] = bench_workload(
             parent, change, workload, range(first, first + PAIRS))
-    record["tier1"] = {"parent": tier1(parent), "change": tier1(change)}
+    record["traced"] = {workload: traced(parent, change, workload)
+                        for workload in WORKLOADS}
+    record["tier1"] = tier1(parent, change)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
