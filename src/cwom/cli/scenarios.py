@@ -29,8 +29,9 @@ from ..dynamics.rng import trajectory_generator
 from ..dynamics.stepper import (DispersionPair, Stepper, make_energy_observer,
                                 observe_phonon_number, observe_photon_number,
                                 stability_bound)
-from ..experiments import (array_convergence_study, run_forward_comb,
-                           run_swap_profile, run_two_branch_gain)
+from ..experiments import (array_convergence_study, convergence_study_problems,
+                           run_forward_comb, run_swap_profile,
+                           run_two_branch_gain)
 from ..strongcoupling import sweep_coupling
 from .config import ConfigError, ScenarioConfig, serialize_config
 from .output import write_csv, write_json_report, write_snapshot
@@ -134,11 +135,13 @@ def _band(section: dict, grid: Grid1D) -> DispersionSpec:
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` layered over its preset and checked for what parsing
-    cannot see: unread choice keys and a custom run's objects and dt.
-    Raises :class:`ConfigError`."""
+    cannot see: unread choice keys, a custom run's objects and dt, and the
+    inputs of the array study. Raises :class:`ConfigError`."""
     config = resolve_config(config)
     if config.scenario == "custom":
         _custom_setup(config)
+    if config.scenario == "array_convergence":
+        _array_study_inputs(config)
     return config
 
 
@@ -263,13 +266,34 @@ def _run_comb(config: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _run_array_convergence(config: ScenarioConfig, out: Path) -> dict:
+# the config key of each array_convergence_study argument it can refuse
+_ARRAY_KEYS = {"length": "length", "T": "t_total", "sizes": "sizes",
+               "n_ref": "n_ref"}
+
+
+def _array_study_inputs(config: ScenarioConfig) -> dict:
+    """The array study's keyword arguments from ``[array]``. Raises
+    :class:`ConfigError` naming the key of each input the study refuses,
+    and of a size that is not a whole number."""
     p = config.section("array")
-    sizes = tuple(int(s) for s in p["sizes"])
-    result = array_convergence_study(kind=p["kind"], sizes=sizes,
-                                     length=p["length"], D2=p["curvature"],
-                                     g_cont=p["g_cont"], T=p["t_total"],
-                                     n_ref=int(p["n_ref"]))
+    if not all(float(s).is_integer() for s in p["sizes"]):
+        raise ConfigError([f"[array] sizes: must be whole numbers, got "
+                           f"{p['sizes']!r}"])
+    inputs = dict(kind=p["kind"], sizes=tuple(int(s) for s in p["sizes"]),
+                  length=p["length"], D2=p["curvature"], g_cont=p["g_cont"],
+                  T=p["t_total"], n_ref=int(p["n_ref"]))
+    problems = convergence_study_problems(
+        inputs["kind"], inputs["sizes"], inputs["length"], inputs["T"],
+        inputs["n_ref"])
+    if problems:
+        raise ConfigError([f"[array] {_ARRAY_KEYS[arg]}: {message}"
+                           for arg, message in problems])
+    return inputs
+
+
+def _run_array_convergence(config: ScenarioConfig, out: Path) -> dict:
+    inputs = _array_study_inputs(config)
+    result = array_convergence_study(**inputs)
     columns = [
         ("dx", "m", result.dxs),
         ("l2_error", "1", result.errors),
@@ -278,8 +302,8 @@ def _run_array_convergence(config: ScenarioConfig, out: Path) -> dict:
         columns.append(("l2_error_pointwise_model", "1",
                         result.errors_pointwise_model))
     write_csv(out / "array_convergence.csv", columns)
-    return {"fitted_order": result.slope, "kind": p["kind"],
-            "sizes": list(sizes)}
+    return {"fitted_order": result.slope, "kind": inputs["kind"],
+            "sizes": list(inputs["sizes"])}
 
 
 def _build(section: str, make, *args, **kwargs):
@@ -296,7 +320,8 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     :class:`ConfigError` naming the section when a constructor or check
     (the grid, finite bands, couplings, bath, absorber or the stepper's
     deposit plan) rejects its entries, when dt exceeds the stability bound
-    of the initial (vacuum) state, when t_total is less than one step, and
+    of the initial (vacuum) state under this run's drive, absorber and
+    bath, when t_total is less than one step, and
     when the absorber's speed is neither given nor the photon band's group
     velocity at k = 0."""
     grid = _build("grid", Grid1D, **config.section("grid"))
@@ -306,16 +331,6 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     bath = _build("bath", BathSpec, **config.section("bath"))
     integ = config.section("integration")
     dt = integ["dt"]
-    vacuum = FieldState.vacuum(grid)
-    bound = stability_bound(vacuum, couplings, disp, bath)
-    if dt > bound:
-        raise ConfigError([f"[integration] dt: {dt:.3e} s exceeds the stability "
-                           f"bound {bound:.3e} s of this grid, dispersion and "
-                           "bath; reduce dt"])
-    n_steps = int(round(integ["t_total"] / dt))
-    if n_steps < 1:
-        raise ConfigError([f"[integration] t_total: {integ['t_total']:.3e} s is "
-                           f"less than one step of dt = {dt:.3e} s"])
     absorber = None
     if integ["absorber"] == "on":
         speed = integ.get("absorber_speed")
@@ -331,6 +346,17 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     drive = None
     if drivec.pop("mode") == "endfire":
         drive = EndfireDrive(**drivec)
+    vacuum = FieldState.vacuum(grid)
+    bound = stability_bound(vacuum, couplings, disp, bath, drive=drive,
+                            absorber=absorber)
+    if dt > bound:
+        raise ConfigError([f"[integration] dt: {dt:.3e} s exceeds the stability "
+                           f"bound {bound:.3e} s of this grid, dispersion and "
+                           "bath; reduce dt"])
+    n_steps = int(round(integ["t_total"] / dt))
+    if n_steps < 1:
+        raise ConfigError([f"[integration] t_total: {integ['t_total']:.3e} s is "
+                           f"less than one step of dt = {dt:.3e} s"])
     # the stepper builds the drive's deposit plan, checked before anything
     # is written
     stepper = _build("drive", Stepper, grid, couplings, disp, bath=bath,

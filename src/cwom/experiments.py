@@ -8,6 +8,7 @@ profiles next to the derived numbers, so callers can re-analyze.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -17,9 +18,11 @@ from .core.couplings import CouplingSet
 from .core.dispersion import DispersionSpec
 from .core.fields import FieldState
 from .core.grid import Grid1D
+from .dynamics.bath import BathSpec
 from .dynamics.boundary import make_absorber
 from .dynamics.drive import EndfireDrive
-from .dynamics.stepper import DispersionPair, evolve, evolve_batch
+from .dynamics.stepper import (DispersionPair, evolve, evolve_batch,
+                               stability_bound)
 from .lattice import (ArrayConfig, LatticeState, link_effective_couplings,
                       simulate_array, site_coupling_from_continuum, to_continuum)
 from .multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
@@ -327,6 +330,31 @@ def _smooth_initial(length):
     return a0, b0
 
 
+def convergence_study_problems(kind: str, sizes, length: float, T: float,
+                               n_ref: int) -> list:
+    """(argument, message) for each input :func:`array_convergence_study`
+    refuses; empty when it takes them all."""
+    problems = [(name, f"must be positive and finite, got {value!r}")
+                for name, value in (("length", length), ("T", T))
+                if not (value > 0 and np.isfinite(value))]
+    if isinstance(n_ref, bool) or not isinstance(n_ref, Integral) or n_ref < 2 \
+            or n_ref & (n_ref - 1):
+        problems.append(("n_ref", f"must be a power of two of at least 2, "
+                                  f"got {n_ref!r}"))
+        return problems
+    # a link phonon sits half a cell right of its site: on a reference
+    # point only when the cell holds an even number of them
+    top = n_ref // 2 if kind == "link" else n_ref
+    bad = [size for size in sizes
+           if isinstance(size, bool) or not isinstance(size, Integral)
+           or size < 1 or size > top or n_ref % size]
+    if bad or len(set(sizes)) < 2:
+        problems.append(("sizes", f"must be at least two distinct divisors of "
+                                  f"n_ref = {n_ref} of at most {top}, got "
+                                  f"{tuple(sizes)!r}"))
+    return problems
+
+
 def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
                             length: float = 32.0, D2: float = 0.5,
                             g_cont: float = 0.05, T: float = 4.0,
@@ -345,30 +373,44 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
     state. The pointwise one is a single ``evolve``, shared by every size;
     the link study's derivative-coupled references, one per size, run as
     one ``evolve_batch`` along its leading configuration axis, before the
-    lattice runs.
+    lattice runs. Every run is closed, so dt is ``DT_MARGIN`` times the
+    smallest :func:`stability_bound` of the coupling sets the references
+    step (no free-band term), capped at ``T``; the lattice runs take the
+    same dt.
+
+    ``length`` and ``T`` must be positive and finite, ``n_ref`` a power of
+    two and
+    ``sizes`` at least two distinct divisors of ``n_ref``, below it for
+    ``kind = "link"``; anything else raises ``ValueError`` naming the
+    argument.
     """
     if kind not in ("site", "link"):
         raise ValueError("kind must be 'site' or 'link'")
+    problems = convergence_study_problems(kind, sizes, length, T, n_ref)
+    if problems:
+        raise ValueError("; ".join(f"{arg} {message}" for arg, message in problems))
     a0_fn, b0_fn = _smooth_initial(length)
     ref_grid = Grid1D(n_ref, length / n_ref)
     disp_ref = DispersionPair(DispersionSpec.polynomial([0.0, 0.0, D2]),
                               DispersionSpec.flat(0.0))
-    dt = DT_MARGIN * 0.5 / (D2 * (np.pi / ref_grid.dx) ** 2)
-    n_steps = int(np.ceil(T / dt))
-    dt = T / n_steps
-
     initial = FieldState(ref_grid, a0_fn(ref_grid.x_axis), b0_fn(ref_grid.x_axis))
     # the pointwise model is the same for every size (2 g_link sqrt(dx) =
     # g_cont): the site reference and the link study's plain reference
-    ref = evolve(initial, CouplingSet.simple(g_cont), disp_ref, dt=dt,
-                 n_steps=n_steps).final_state
+    pointwise = CouplingSet.simple(g_cont)
     dxs = [length / n_sites for n_sites in sizes]
     g_links = [0.5 * g_cont / np.sqrt(dxl) for dxl in dxs]  # g_ppp_eff = 2 g0 sqrt(dx)
+    link_sets = ([link_effective_couplings(g, dxl) for g, dxl in zip(g_links, dxs)]
+                 if kind == "link" else [])
+    dt = min(DT_MARGIN * min(stability_bound(initial, c, disp_ref, BathSpec())
+                             for c in [pointwise, *link_sets]), T)
+    n_steps = int(np.ceil(T / dt))
+    dt = T / n_steps
+
+    ref = evolve(initial, pointwise, disp_ref, dt=dt, n_steps=n_steps).final_state
     if kind == "link":
         # every size's derivative-coupled reference, stepped as one batch
-        link_refs = evolve_batch(
-            initial, [link_effective_couplings(g, dxl) for g, dxl in zip(g_links, dxs)],
-            disp_ref, dt=dt, n_steps=n_steps)
+        link_refs = evolve_batch(initial, link_sets, disp_ref, dt=dt,
+                                 n_steps=n_steps)
 
     errors, errors_plain = [], []
     for index, (n_sites, dxl) in enumerate(zip(sizes, dxs)):

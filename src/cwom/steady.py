@@ -112,7 +112,11 @@ def find_steady_state(grid: Grid1D, couplings: CouplingSet,
     ``CHECK_EVERY`` steps, drops below ``tol`` (1/s); the default is 1e-10
     of the fastest damping rate. Requires kappa, gamma_mech > 0: damped
     relaxation needs dissipation, and ``max_time`` (and ``refine_time``)
-    of at least ``CHECK_EVERY`` steps.
+    of at least ``CHECK_EVERY`` steps. The state is read at the checks
+    only, so between two checks the closing half free step of one step and
+    the opening one of the next are one full free step (the seam flags of
+    :meth:`SplitStepper.step_inplace`); it is whole at every check and at
+    the end of each stage.
 
     The split integrator's fixed point carries an O(dt^2) offset from the
     continuous steady state; ``refine_dt`` runs a warm-started
@@ -153,8 +157,11 @@ def find_steady_state(grid: Grid1D, couplings: CouplingSet,
         prev_b = state.b.copy()
         converged = False
         for i in range(n_steps):
-            stepper.step_inplace(state, step_index=i)
-            if (i + 1) % CHECK_EVERY == 0:
+            check = (i + 1) % CHECK_EVERY == 0
+            stepper.step_inplace(state, step_index=i,
+                                 open_half=i % CHECK_EVERY == 0,
+                                 close_full=not (check or i == n_steps - 1))
+            if check:
                 scale = max(np.max(np.abs(state.a)), np.max(np.abs(state.b)),
                             1e-300)
                 rate = max(np.max(np.abs(state.a - prev_a)),

@@ -534,6 +534,46 @@ class TestCliRangeChecks:
                          "bound 3.979e-02 s") == 4, err
         assert "Traceback" not in err
 
+    def test_closed_custom_run_above_the_band_bound_validates(self, tmp_path,
+                                                               capsys):
+        # no drive, absorber or noise: the bound is 0.5 / gamma_mech = 1 s,
+        # not the band's 3.979e-02 s
+        closed = (GOOD_CONFIG
+                  .replace("mode = endfire\nalpha_in = 1.0+0j s^(-1/2)\n"
+                           "inlet_cell = 4", "mode = none")
+                  .replace("absorber = on", "absorber = off"))
+        cfg = tmp_path / "closed.cfg"
+        cfg.write_text(closed.replace("dt = 0.02 s", "dt = 0.1 s"))
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_steps"] == 200
+        assert np.isfinite(report["final_photon_number"])
+        cfg.write_text(closed.replace("dt = 0.02 s", "dt = 1.5 s"))
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert ("[integration] dt: 1.500e+00 s exceeds the stability bound "
+                "1.000e+00 s") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, message", [
+        ("t_total = 0 s", "[array] t_total: must be positive"),
+        ("t_total = -1 s", "[array] t_total: must be positive"),
+        ("length = 0 m", "[array] length: must be positive"),
+        ("sizes = 32,64,512", "[array] sizes: must be at least two distinct "
+                              "divisors of n_ref = 256"),
+        ("sizes = 32,64.5", "[array] sizes: must be whole numbers"),
+    ])
+    def test_array_study_inputs_exit_two(self, tmp_path, capsys, entry, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[scenario]\nname = array_convergence\n\n[array]\n{entry}\n")
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 2, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("entry, bad, message", [
         ("n_points = 128", "n_points = 100",
          "[grid] n_points must be a power of two, got 100"),

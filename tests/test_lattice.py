@@ -190,6 +190,40 @@ class TestConvergence:
         assert not any(c.is_pointwise for c in batches[0])
         assert np.all(np.isfinite(res.errors_pointwise_model))
 
+    @pytest.mark.parametrize("kind", ["site", "link"])
+    def test_halving_the_dt_margin_moves_errors_by_under_one_percent(
+            self, kind, monkeypatch):
+        # C4's settings: dt comes from the closed-run bound, and at that dt
+        # the errors are already the lattice's, not the time step's
+        def run():
+            res = array_convergence_study(kind=kind, sizes=(32, 64, 128, 256),
+                                          T=4.0, n_ref=512)
+            if kind == "link":
+                return np.concatenate([res.errors, res.errors_pointwise_model])
+            return res.errors
+
+        coarse = run()
+        monkeypatch.setattr(experiments, "DT_MARGIN", 0.5 * experiments.DT_MARGIN)
+        fine = run()
+        assert np.all(np.abs(fine - coarse) < 0.01 * coarse), (coarse, fine)
+
+    @pytest.mark.parametrize("kind, args, name", [
+        ("site", dict(T=0.0), "T"),
+        ("site", dict(T=-1.0), "T"),
+        ("site", dict(T=np.inf), "T"),
+        ("site", dict(length=0.0), "length"),
+        ("site", dict(sizes=(32, 64, 512), n_ref=256), "sizes"),
+        ("site", dict(sizes=(32, 48), n_ref=256), "sizes"),
+        ("site", dict(sizes=(32,), n_ref=256), "sizes"),
+        ("site", dict(sizes=(0, 32), n_ref=256), "sizes"),
+        ("link", dict(sizes=(64, 128), n_ref=128), "sizes"),
+        ("site", dict(n_ref=100), "n_ref"),
+    ])
+    def test_bad_inputs_raise_value_error_naming_the_argument(self, kind, args,
+                                                              name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            array_convergence_study(kind=kind, **args)
+
 
 class TestPinnedLinkRun:
     # Recorded from the per-model stepper: link coupling, next-nearest

@@ -107,6 +107,35 @@ class TestFindSteadyState:
                               dt=0.05, max_time=20.0, tol=1e-14)
         assert len(err.value.residual_history) > 0
 
+    @pytest.mark.parametrize("converges", [True, False],
+                             ids=["converges", "runs_out"])
+    def test_one_free_step_per_step_between_checks(self, monkeypatch, converges):
+        # the state is read only at the checks (every 50 steps) and at the
+        # end: each segment between them pays one opening half step more
+        grid = Grid1D(32, 1.0)
+        disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(1.0))
+        bath = BathSpec(kappa=0.5, gamma_mech=0.5)
+        drive = SideDrive(kappa_ex=1.0, profile=lambda x, t: np.ones(grid.n_points))
+        free, steps = [], []
+        free_step, step_inplace = Stepper._free_step, Stepper.step_inplace
+        monkeypatch.setattr(Stepper, "_free_step",
+                            lambda self, *a: free.append(1) or free_step(self, *a))
+        monkeypatch.setattr(Stepper, "step_inplace",
+                            lambda self, *a, **k: steps.append(1)
+                            or step_inplace(self, *a, **k))
+
+        def relax(tol, max_time):
+            return find_steady_state(grid, CouplingSet.simple(0.05), disp, bath,
+                                     drive, dt=0.05, max_time=max_time, tol=tol)
+
+        if converges:
+            assert np.all(np.isfinite(relax(1e-6, 100.0).alpha))
+        else:
+            with pytest.raises(SteadyStateError):
+                relax(1e-14, 6.0)
+            assert len(steps) == 120  # two checks and a 20-step tail
+        assert len(free) == len(steps) + -(-len(steps) // 50)
+
     def test_requires_dissipation(self):
         grid = Grid1D(32, 1.0)
         disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(1.0))

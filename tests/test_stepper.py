@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
 from cwom.core.interaction import interaction_rhs, total_energy
@@ -459,3 +461,91 @@ class TestStepStateSemantics:
         assert state.a is arrays[0] and state.b is arrays[1]
         assert [x.tobytes() for x in (state.a, state.b)] == before
         assert state.time == 2.0
+
+
+def bound_with_bands(state, couplings, dispersions, bath):
+    """The bound with the grid |omega| term for every run, as it stood
+    before closed runs dropped it."""
+    grid = state.grid
+    w_max = float(np.max(np.abs(dispersions.photon.values_on(grid))))
+    w_max = max(w_max, float(np.max(np.abs(dispersions.phonon.values_on(grid)))))
+    u_scale = 2.0 * float(np.max(np.abs(state.b)))
+    rate = couplings.magnitude_scale(np.pi / grid.dx) * u_scale
+    top = max(w_max, rate, bath.kappa, bath.gamma_mech)
+    return np.inf if top == 0.0 else 0.5 / top
+
+
+@st.composite
+def bound_cases(draw):
+    grid = Grid1D(draw(st.sampled_from((128, 256))),
+                  draw(st.floats(min_value=0.01, max_value=10.0)))
+    coeffs = st.lists(st.floats(min_value=-10.0, max_value=10.0),
+                      min_size=1, max_size=3)
+    disp = DispersionPair(DispersionSpec.polynomial(draw(coeffs)),
+                          DispersionSpec.polynomial(draw(coeffs)))
+    g = st.floats(min_value=-1.0, max_value=1.0)
+    if draw(st.booleans()):
+        couplings = CouplingSet.even(g_ppp=draw(g), g_mmp=draw(g),
+                                     g_mpm=complex(draw(g), draw(g)))
+    else:
+        couplings = CouplingSet.odd(g_ppm=draw(g), g_mpp=complex(draw(g), draw(g)),
+                                    g_mmm=draw(g))
+    rate = st.floats(min_value=0.0, max_value=10.0)
+    bath = BathSpec(kappa=draw(rate), gamma_mech=draw(rate), n_th=0.0,
+                    sampling=draw(st.sampled_from(("none", "wigner"))))
+    amplitude = draw(st.floats(min_value=0.0, max_value=10.0))
+    state = FieldState(grid, np.zeros(grid.n_points, complex),
+                       amplitude * np.exp(1j * grid.k_axis[3] * grid.x_axis))
+    drive = draw(st.sampled_from((
+        None, EndfireDrive(alpha_in=1.0, inlet_cell=8),
+        SideDrive(kappa_ex=0.5, profile=lambda x, t: np.ones_like(x)))))
+    absorber = make_absorber(grid, speed=1.0) if draw(st.booleans()) else None
+    return state, couplings, disp, bath, drive, absorber
+
+
+class TestClosedRunBound:
+    @settings(max_examples=300, deadline=None)
+    @given(case=bound_cases())
+    def test_never_below_the_band_bound_and_equal_for_open_runs(self, case):
+        # nothing the band bound admits is refused, and a run with a
+        # drive, an absorber or Wigner sampling keeps it bit for bit
+        state, couplings, disp, bath, drive, absorber = case
+        bound = stability_bound(state, couplings, disp, bath, drive=drive,
+                                absorber=absorber)
+        before = bound_with_bands(state, couplings, disp, bath)
+        assert bound >= before
+        if drive is not None or absorber is not None or bath.is_stochastic:
+            assert bound == before
+
+    def test_closed_run_above_the_band_bound_converges(self):
+        # C7's closed configuration, stepped at 0.9 x its closed bound, 2.5x
+        # the band bound: finite, conserving and second order
+        grid = Grid1D(64, 0.1)
+        rng = np.random.default_rng(42)
+        couplings = CouplingSet.even(g_ppp=0.3, g_mmp=0.02, g_mpm=0.01 + 0.005j)
+        disp = DispersionPair(DispersionSpec.polynomial([0.0, 1.0, 0.05]),
+                              DispersionSpec.flat(2.0))
+        a0 = random_band_limited(grid, rng, amplitude=0.5)
+        b0 = random_band_limited(grid, rng, amplitude=0.3)
+        initial = FieldState(grid, a0, b0)
+        bound = stability_bound(initial, couplings, disp, BathSpec())
+        assert bound > 2.0 * bound_with_bands(initial, couplings, disp, BathSpec())
+        dt = 0.9 * bound
+        traj = evolve(initial, couplings, disp, dt=dt, n_steps=int(2.0 / dt),
+                      observers={"n": observe_photon_number}, record_every=10)
+        n = np.asarray(traj.records["n"])
+        assert np.all(np.isfinite(traj.final_state.a))
+        assert np.max(np.abs(n - n[0])) / n[0] < 1e-8
+
+        T = 0.4
+        steps = int(np.ceil(T / dt))
+        assert T / steps > bound_with_bands(initial, couplings, disp, BathSpec())
+
+        def final(n_steps):
+            return evolve(initial, couplings, disp, dt=T / n_steps,
+                          n_steps=n_steps).final_state.a
+
+        ref = final(64 * steps)
+        errs = [np.linalg.norm(final(m) - ref) for m in (steps, 2 * steps, 4 * steps)]
+        r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
+        assert 3.2 < r1 < 4.8 and 3.2 < r2 < 4.8, (r1, r2)
