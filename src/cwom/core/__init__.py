@@ -4,14 +4,14 @@ from .couplings import CouplingSet
 from .dispersion import DispersionSpec
 from .fields import FieldState, Frame
 from .grid import Grid1D
-from .interaction import (interaction_energy_density, interaction_rhs,
-                          phonon_channel, photon_channel, total_energy)
+from .interaction import (interaction_rhs, phonon_channel, photon_channel,
+                          total_energy)
 from .spectral import (apply_phase, conjugate_dispersion_phase, dispersion_phase,
                        mode_amplitudes, spectral_derivative)
 
 __all__ = [
     "CouplingSet", "DispersionSpec", "FieldState", "Frame", "Grid1D",
-    "interaction_energy_density", "interaction_rhs", "phonon_channel",
-    "photon_channel", "total_energy", "apply_phase", "conjugate_dispersion_phase",
-    "dispersion_phase", "mode_amplitudes", "spectral_derivative",
+    "interaction_rhs", "phonon_channel", "photon_channel", "total_energy",
+    "apply_phase", "conjugate_dispersion_phase", "dispersion_phase",
+    "mode_amplitudes", "spectral_derivative",
 ]

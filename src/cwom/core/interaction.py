@@ -277,11 +277,6 @@ def _energy_density(a: np.ndarray, u: np.ndarray, couplings: CouplingSet,
     return np.real(dens)
 
 
-def interaction_energy_density(state: FieldState, couplings: CouplingSet) -> np.ndarray:
-    """Interaction Hamiltonian density divided by -hbar (rad/s per meter)."""
-    return _energy_density(state.a, state.displacement(), couplings, state.grid)
-
-
 def total_energy(state: FieldState, couplings: CouplingSet,
                  dispersion_a, dispersion_b) -> float:
     """Classical Hamiltonian of the closed system, in units of hbar (rad/s).

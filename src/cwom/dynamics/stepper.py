@@ -134,6 +134,8 @@ from .boundary import AbsorberProfile, DepositPlan
 from .drive import DriveSpec, EndfireDrive, SideDrive
 from .rng import trajectory_generator
 
+NU_MAX = 0.5  # advection fraction c dt / dx of a transport-bound run
+
 
 def _rk4_decay(z: float) -> float:
     """P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: one RK4 step of y' = (z/dt) y."""
@@ -418,38 +420,44 @@ class DispersionPair:
     phonon: DispersionSpec
 
 
+def dt_bound(grid, bands, rates, transport: bool = False,
+             wigner: bool = False) -> float:
+    """0.5 / max(rates) on ``grid``, with one more rate per live band:
+    max_k |omega(k)| when ``wigner``, else max_k |v_g(k)| / (2 NU_MAX dx)
+    when ``transport`` (see :func:`stability_bound`)."""
+    if wigner:
+        rates = [*rates, *(float(np.max(np.abs(band.values_on(grid))))
+                           for band in bands)]
+    elif transport:
+        rates = [*rates, *(float(np.max(np.abs(band.group_velocity_at(grid.k_axis))))
+                           / (2.0 * NU_MAX * grid.dx) for band in bands)]
+    top = max(rates)
+    return np.inf if top == 0.0 else 0.5 / top
+
+
 def stability_bound(state: FieldState, couplings: CouplingSet,
                     dispersions: DispersionPair, bath: BathSpec,
                     drive: DriveSpec = None,
                     absorber: AbsorberProfile = None) -> float:
-    """Pre-run dt bound 0.5 / max(interaction rate, loss rates), and the
-    grid's max |omega| as well when the run is not closed.
+    """Pre-run dt bound :func:`dt_bound` of a waveguide run from ``state``.
 
-    The interaction rate is estimated from the current displacement scale
-    and the coupling magnitudes at the grid's maximum wavenumber; it is a
-    heuristic guard, backed at runtime by the NaN check.
-
-    The half steps rotate every mode by its exact phase at any dt, so the
-    free bands limit nothing in a closed run: Strang splitting with an
-    exact free flow needs no CFL-type step restriction (Lubich, Math.
-    Comp. 77, 2141 (2008)). A run is open when it has a ``drive`` (end-fire
-    or side), an ``absorber`` or Wigner sampling in ``bath``: a deposit
-    launches its wave one step at a time, the absorber ramp must be
-    resolved and the noise enters once per step, so these runs keep the
-    |omega| term.
+    Its rates are kappa, gamma_mech and an interaction rate from the
+    displacement scale and the couplings at k = pi / dx (a heuristic; the
+    NaN check backs it). A closed run adds no band term: an exact free
+    flow needs none (Lubich, Math. Comp. 77, 2141 (2008)). A noiseless
+    run with a ``drive`` or an ``absorber`` adds each band's transport
+    (CFL) term max_k |v_g(k)| / (2 NU_MAX dx), so its fastest band moves
+    NU_MAX = 0.5 cells per step, half the fraction up to which a deposit
+    is exact; a band's offset adds nothing. Wigner sampling adds each
+    band's max |omega(k)| instead, which sets the Euler-Maruyama bias.
     """
     grid = state.grid
-    k_max = np.pi / grid.dx
-    u_scale = 2.0 * float(np.max(np.abs(state.b))) if state.b.size else 0.0
-    rates = [couplings.magnitude_scale(k_max) * u_scale, bath.kappa,
-             bath.gamma_mech]
-    if drive is not None or absorber is not None or bath.is_stochastic:
-        rates += [float(np.max(np.abs(band.values_on(grid))))
-                  for band in (dispersions.photon, dispersions.phonon)]
-    top = max(rates)
-    if top == 0.0:
-        return np.inf
-    return 0.5 / top
+    u_scale = 2.0 * float(np.max(np.abs(state.b)))
+    return dt_bound(grid, (dispersions.photon, dispersions.phonon),
+                    (couplings.magnitude_scale(np.pi / grid.dx) * u_scale,
+                     bath.kappa, bath.gamma_mech),
+                    transport=drive is not None or absorber is not None,
+                    wigner=bath.is_stochastic)
 
 
 class Stepper(SplitStepper):
@@ -528,9 +536,7 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
 
     The initial state is recorded first, so ``n_steps=0`` echoes the input.
     Observers are callables state -> value, keyed by name. A dt above
-    :func:`stability_bound` of this run raises ``ValueError``: the bound of
-    a closed run (no drive, absorber or Wigner sampling) leaves out the
-    free bands, which the half steps integrate exactly at any dt.
+    :func:`stability_bound` of this run raises ``ValueError``.
     """
     _check_steps(n_steps, dt)
     bath = bath if bath is not None else BathSpec()

@@ -21,7 +21,7 @@ from .core.grid import Grid1D
 from .dynamics.bath import BathSpec
 from .dynamics.boundary import make_absorber
 from .dynamics.drive import EndfireDrive
-from .dynamics.stepper import (DispersionPair, evolve, evolve_batch,
+from .dynamics.stepper import (DispersionPair, dt_bound, evolve, evolve_batch,
                                stability_bound)
 from .lattice import (ArrayConfig, LatticeState, link_effective_couplings,
                       simulate_array, site_coupling_from_continuum, to_continuum)
@@ -84,7 +84,6 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
     length = target_efolds / (0.6 * slope_pred_nominal)
     grid = Grid1D(n_points, length / n_points)
     v_fast = max(v1, v2)
-    dt = DT_MARGIN * 0.5 / (v_fast * np.pi / grid.dx)
 
     Omega_sym = 40.0 * Gamma  # frame bookkeeping scale; physics is resonant
     if direction not in (+1, -1):
@@ -107,6 +106,10 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
     absorber = make_absorber(grid, speed=v_fast, width_fraction=0.1, opacity=10.0)
     system = MultiBranchSystem(grid, branches, phonon, g0, rotating_wave=True,
                                absorber=absorber)
+    # the launched pump amplitude is alpha_in / sqrt(v1)
+    dt = DT_MARGIN * dt_bound(
+        grid, [b.dispersion for b in branches] + [phonon.dispersion],
+        (kappa2, Gamma, abs(g0_12) * abs(alpha1_in) / np.sqrt(v1)), transport=True)
     # The phonon field relaxes gain length by gain length, so the cw
     # steady state needs several phonon lifetimes per accumulated e-fold,
     # not just a few transit times.
@@ -282,7 +285,8 @@ def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
     state = MultiBranchState(grid, [np.full(n_points, A1, complex),
                                     np.zeros(n_points, complex)],
                              np.zeros(n_points, complex))
-    dt = DT_MARGIN * 0.5 / (max(v2, vb) * np.pi / grid.dx)
+    dt = DT_MARGIN * dt_bound(grid, (branches[1].dispersion, phonon.dispersion),
+                              (kappa2, Gamma, abs(g12)), transport=True)
     n_steps = int(np.ceil(2.6 * grid.length / (min(v2, vb) * dt)))
     state = MultiBranchStepper(system, dt).run(state, n_steps).final_state
 

@@ -198,12 +198,6 @@ def to_continuum(a_sites, b_sites, dx_lattice: float) -> FieldState:
     return FieldState(grid, a_sites / root, np.asarray(b_sites, dtype=complex) / root)
 
 
-def from_continuum(state: FieldState):
-    """Inverse of :func:`to_continuum`: (a_sites, b_sites)."""
-    root = np.sqrt(state.grid.dx)
-    return state.a * root, state.b * root
-
-
 def site_coupling_from_continuum(g0_cont: float, dx_lattice: float) -> float:
     """g0_site realizing a continuum coupling g0_cont: g0_cont/sqrt(dx)."""
     return g0_cont / np.sqrt(dx_lattice)

@@ -6,17 +6,29 @@ import pytest
 from cwom import CouplingSet, DispersionSpec, FieldState, Frame, Grid1D
 from cwom.dynamics import (AbsorberProfile, BathSpec, BoundaryError, DepositPlan,
                            DispersionPair, EndfireDrive, Stepper,
-                           boundary_velocity, make_absorber, run_ensemble)
+                           boundary_velocity, make_absorber, run_ensemble,
+                           stability_bound)
+from cwom.experiments import DT_MARGIN
 
 C = 2.0
+# the steps a deposit and the absorber are checked at: DT_MARGIN times the
+# band bound 0.5 / max|omega| (nu = 0.143), or times the noiseless open
+# run's transport bound (nu = 0.45)
+BOUNDS = ("band", "transport")
 
 
-def transport_setup(n=256, dx=1.0, opacity=10.0):
+def margin_dt(bound, grid, disp, absorber):
+    if bound == "band":
+        return DT_MARGIN * 0.5 / (C * np.pi / grid.dx)
+    return DT_MARGIN * stability_bound(FieldState.vacuum(grid), CouplingSet(),
+                                       disp, BathSpec(), absorber=absorber)
+
+
+def transport_setup(n=256, dx=1.0, opacity=10.0, bound="band"):
     grid = Grid1D(n, dx)
     disp = DispersionPair(DispersionSpec.linear(C), DispersionSpec.flat(0.0))
-    dt = 0.9 * 0.5 / (C * np.pi / dx)
     absorber = make_absorber(grid, speed=C, width_fraction=0.1, opacity=opacity)
-    return grid, disp, dt, absorber
+    return grid, disp, margin_dt(bound, grid, disp, absorber), absorber
 
 
 class TestBoundaryVelocity:
@@ -41,9 +53,10 @@ class TestBoundaryVelocity:
 
 
 class TestInjection:
-    def test_cw_drive_launches_stated_flux(self):
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_cw_drive_launches_stated_flux(self, bound):
         # Launched photon flux must equal |alpha_in|^2 (power hbar w |a|^2).
-        grid, disp, dt, absorber = transport_setup()
+        grid, disp, dt, absorber = transport_setup(bound=bound)
         alpha = 3.0 + 0.0j
         drive = EndfireDrive(alpha_in=alpha, inlet_cell=4)
         st = FieldState.vacuum(grid)
@@ -75,14 +88,15 @@ class TestInjection:
         sigma = target / np.sqrt(samples.size)
         assert abs(samples.mean() - target) < 3.0 * sigma
 
-    def test_left_moving_pulse_exits_without_reflection(self):
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_left_moving_pulse_exits_without_reflection(self, bound):
         # Left-movers pass the additive source and leave through the seam
         # into the absorber; energy bookkeeping bounds the reflection.
         grid = Grid1D(512, 1.0)
         disp = DispersionPair(DispersionSpec.two_sided(C, grid),
                               DispersionSpec.flat(0.0))
         absorber = make_absorber(grid, speed=C, width_fraction=0.1, opacity=10.0)
-        dt = 0.9 * 0.5 / (C * np.pi / grid.dx)
+        dt = margin_dt(bound, grid, disp, absorber)
         x = grid.x_axis
         k0 = 2 * np.pi / (10 * grid.dx)
         pulse = np.exp(-((x - 0.5 * grid.length) ** 2) / (2 * (25 * grid.dx) ** 2))
@@ -164,9 +178,10 @@ class TestAbsorbingLayer:
         assert np.array_equal(finals[0].a, finals[1].a)
         assert np.array_equal(finals[0].b, finals[1].b)
 
-    def test_resolved_pulse_absorbed(self):
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_resolved_pulse_absorbed(self, bound):
         # energy bookkeeping: neither transmitted (wrap) nor reflected
-        grid, disp, dt, absorber = transport_setup(n=512)
+        grid, disp, dt, absorber = transport_setup(n=512, bound=bound)
         x = grid.x_axis
         k0 = 2 * np.pi / (12 * grid.dx)
         a0 = np.exp(-((x - 0.5 * grid.length) ** 2) / (2 * (20 * grid.dx) ** 2)) \

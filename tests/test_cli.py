@@ -526,12 +526,13 @@ class TestCliRangeChecks:
                      "--seed", str(2**64 - 1)]) == 0
 
     def test_dt_above_stability_bound_exits_two(self, tmp_path, capsys):
-        # GOOD_CONFIG's bound: 0.5 / (2 m/s * pi / 0.5 m) = 3.979e-02 s
+        # GOOD_CONFIG's transport bound: 0.5 / (2 m/s / (2 * 0.5 * 0.5 m))
+        # = 1.250e-01 s
         self._all_exit_two(tmp_path, GOOD_CONFIG.replace("dt = 0.02 s", "dt = 1.0 s"),
                            "--dt-override", "1.0")
         err = capsys.readouterr().err
         assert err.count("[integration] dt: 1.000e+00 s exceeds the stability "
-                         "bound 3.979e-02 s") == 4, err
+                         "bound 1.250e-01 s") == 4, err
         assert "Traceback" not in err
 
     def test_closed_custom_run_above_the_band_bound_validates(self, tmp_path,

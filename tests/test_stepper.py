@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
@@ -475,6 +475,26 @@ def bound_with_bands(state, couplings, dispersions, bath):
     return np.inf if top == 0.0 else 0.5 / top
 
 
+def closed_bound(state, couplings, bath, band_rates=()):
+    """0.5 / max of the interaction and loss rates and ``band_rates``."""
+    u_scale = 2.0 * float(np.max(np.abs(state.b)))
+    rate = couplings.magnitude_scale(np.pi / state.grid.dx) * u_scale
+    top = max(rate, bath.kappa, bath.gamma_mech, *band_rates)
+    return np.inf if top == 0.0 else 0.5 / top
+
+
+def max_velocity_over_dx(dispersions, grid):
+    """max_k |v_g(k)| / dx of each polynomial band on the grid."""
+    return [float(np.max(np.abs(np.polynomial.polynomial.polyval(
+        grid.k_axis, np.polynomial.polynomial.polyder(band.coeffs))))) / grid.dx
+        for band in (dispersions.photon, dispersions.phonon)]
+
+
+def max_omega(dispersions, grid):
+    return max(float(np.max(np.abs(band.values_on(grid))))
+               for band in (dispersions.photon, dispersions.phonon))
+
+
 @st.composite
 def bound_cases(draw):
     grid = Grid1D(draw(st.sampled_from((128, 256))),
@@ -503,19 +523,61 @@ def bound_cases(draw):
     return state, couplings, disp, bath, drive, absorber
 
 
+def offset_quadratic_case(D=0.3, dx=0.5):
+    """An absorbing run whose photon band D k^2 - D K^2 / 2 (K = pi / dx)
+    the transport bound refuses below the band bound."""
+    grid = Grid1D(128, dx)
+    K = np.pi / dx
+    disp = DispersionPair(DispersionSpec.polynomial([-0.5 * D * K ** 2, 0.0, D]),
+                          DispersionSpec.flat(0.0))
+    return (FieldState.vacuum(grid), CouplingSet(), disp, BathSpec(), None,
+            make_absorber(grid, speed=1.0))
+
+
 class TestClosedRunBound:
     @settings(max_examples=300, deadline=None)
-    @given(case=bound_cases())
-    def test_never_below_the_band_bound_and_equal_for_open_runs(self, case):
-        # nothing the band bound admits is refused, and a run with a
-        # drive, an absorber or Wigner sampling keeps it bit for bit
+    @given(case=bound_cases(), offset=st.floats(min_value=-10.0, max_value=10.0))
+    @example(case=offset_quadratic_case(), offset=1.0)
+    def test_never_below_the_band_bound_and_equal_for_open_runs(self, case,
+                                                                offset):
+        # Wigner runs keep the band bound and closed runs the rate bound,
+        # bit for bit; a noiseless run with a drive or an absorber takes
+        # the transport bound (nu = 0.5), which a constant added to a band
+        # does not move. A case the band bound admits and the transport
+        # bound refuses has max|v_g| / dx > max|omega|.
         state, couplings, disp, bath, drive, absorber = case
+        grid = state.grid
         bound = stability_bound(state, couplings, disp, bath, drive=drive,
                                 absorber=absorber)
         before = bound_with_bands(state, couplings, disp, bath)
-        assert bound >= before
-        if drive is not None or absorber is not None or bath.is_stochastic:
+        if bath.is_stochastic:
             assert bound == before
+        elif drive is None and absorber is None:
+            assert bound == closed_bound(state, couplings, bath)
+        else:
+            speeds = max_velocity_over_dx(disp, grid)
+            assert bound == closed_bound(state, couplings, bath, speeds)
+            shifted = DispersionPair(*(DispersionSpec.polynomial(
+                (band.coeffs[0] + offset,) + band.coeffs[1:])
+                for band in (disp.photon, disp.phonon)))
+            assert stability_bound(state, couplings, shifted, bath, drive=drive,
+                                   absorber=absorber) == bound
+            if bound < before:
+                assert max(speeds) > max_omega(disp, grid)
+
+    def test_offset_quadratic_band_refused_between_the_two_bounds(self):
+        # max|omega| = D K^2 / 2 but max|v_g| / dx = 2 D K / dx, so the
+        # transport bound is the lower one
+        state, couplings, disp, bath, _, absorber = offset_quadratic_case(D=0.3)
+        dx = state.grid.dx
+        K = np.pi / dx
+        band = bound_with_bands(state, couplings, disp, bath)
+        bound = stability_bound(state, couplings, disp, bath, absorber=absorber)
+        assert band == pytest.approx(1.0 / (0.3 * K ** 2))
+        assert bound == pytest.approx(0.25 * dx / (0.3 * K))
+        with pytest.raises(ValueError, match="stability bound"):
+            evolve(state, couplings, disp, dt=0.5 * (bound + band), n_steps=1,
+                   absorber=absorber)
 
     def test_closed_run_above_the_band_bound_converges(self):
         # C7's closed configuration, stepped at 0.9 x its closed bound, 2.5x
