@@ -463,18 +463,6 @@ class TestStepStateSemantics:
         assert state.time == 2.0
 
 
-def bound_with_bands(state, couplings, dispersions, bath):
-    """The bound with the grid |omega| term for every run, as it stood
-    before closed runs dropped it."""
-    grid = state.grid
-    w_max = float(np.max(np.abs(dispersions.photon.values_on(grid))))
-    w_max = max(w_max, float(np.max(np.abs(dispersions.phonon.values_on(grid)))))
-    u_scale = 2.0 * float(np.max(np.abs(state.b)))
-    rate = couplings.magnitude_scale(np.pi / grid.dx) * u_scale
-    top = max(w_max, rate, bath.kappa, bath.gamma_mech)
-    return np.inf if top == 0.0 else 0.5 / top
-
-
 def closed_bound(state, couplings, bath, band_rates=()):
     """0.5 / max of the interaction and loss rates and ``band_rates``."""
     u_scale = 2.0 * float(np.max(np.abs(state.b)))
@@ -483,16 +471,22 @@ def closed_bound(state, couplings, bath, band_rates=()):
     return np.inf if top == 0.0 else 0.5 / top
 
 
+def max_omega(dispersions, grid):
+    return max(float(np.max(np.abs(band.values_on(grid))))
+               for band in (dispersions.photon, dispersions.phonon))
+
+
+def bound_with_bands(state, couplings, dispersions, bath):
+    """The bound with the grid |omega| term for every run, as it stood
+    before closed runs dropped it."""
+    return closed_bound(state, couplings, bath, [max_omega(dispersions, state.grid)])
+
+
 def max_velocity_over_dx(dispersions, grid):
     """max_k |v_g(k)| / dx of each polynomial band on the grid."""
     return [float(np.max(np.abs(np.polynomial.polynomial.polyval(
         grid.k_axis, np.polynomial.polynomial.polyder(band.coeffs))))) / grid.dx
         for band in (dispersions.photon, dispersions.phonon)]
-
-
-def max_omega(dispersions, grid):
-    return max(float(np.max(np.abs(band.values_on(grid))))
-               for band in (dispersions.photon, dispersions.phonon))
 
 
 @st.composite
