@@ -420,17 +420,15 @@ class DispersionPair:
     phonon: DispersionSpec
 
 
-def dt_bound(grid, bands, rates, transport: bool = False,
-             wigner: bool = False) -> float:
-    """0.5 / max(rates) on ``grid``, with one more rate per live band:
-    max_k |omega(k)| when ``wigner``, else max_k |v_g(k)| / (2 NU_MAX dx)
-    when ``transport`` (see :func:`stability_bound`)."""
-    if wigner:
-        rates = [*rates, *(float(np.max(np.abs(band.values_on(grid))))
-                           for band in bands)]
-    elif transport:
-        rates = [*rates, *(float(np.max(np.abs(band.group_velocity_at(grid.k_axis))))
-                           / (2.0 * NU_MAX * grid.dx) for band in bands)]
+def transport_rate(band, grid) -> float:
+    """max_k |v_g(k)| / (2 NU_MAX dx) of ``band`` on ``grid``, or its
+    detuning |omega(0)| from the frame if larger (see :func:`stability_bound`)."""
+    return max(float(np.max(np.abs(band.group_velocity_at(grid.k_axis))))
+               / (2.0 * NU_MAX * grid.dx), abs(float(band.omega_at(0.0))))
+
+
+def dt_bound(rates) -> float:
+    """The pre-run dt bound 0.5 / max(rates) of a split-step run."""
     top = max(rates)
     return np.inf if top == 0.0 else 0.5 / top
 
@@ -439,25 +437,29 @@ def stability_bound(state: FieldState, couplings: CouplingSet,
                     dispersions: DispersionPair, bath: BathSpec,
                     drive: DriveSpec = None,
                     absorber: AbsorberProfile = None) -> float:
-    """Pre-run dt bound :func:`dt_bound` of a waveguide run from ``state``.
+    """:func:`dt_bound` of a waveguide run from ``state``.
 
     Its rates are kappa, gamma_mech and an interaction rate from the
     displacement scale and the couplings at k = pi / dx (a heuristic; the
-    NaN check backs it). A closed run adds no band term: an exact free
-    flow needs none (Lubich, Math. Comp. 77, 2141 (2008)). A noiseless
-    run with a ``drive`` or an ``absorber`` adds each band's transport
-    (CFL) term max_k |v_g(k)| / (2 NU_MAX dx), so its fastest band moves
-    NU_MAX = 0.5 cells per step, half the fraction up to which a deposit
-    is exact; a band's offset adds nothing. Wigner sampling adds each
-    band's max |omega(k)| instead, which sets the Euler-Maruyama bias.
+    NaN check backs it). A closed run adds no band rate: an exact free
+    flow needs none (Lubich, Math. Comp. 77, 2141 (2008)). A noiseless run
+    with an end-fire ``drive`` or an ``absorber`` adds each band's
+    :func:`transport_rate`: its fastest mode moves NU_MAX = 0.5 cells per
+    step, half the fraction up to which a deposit is exact, and the
+    frame the drive fixes makes a band offset w a detuning, at which
+    Strang's forced response is off by (w dt / 2) / sin(w dt / 2). Wigner
+    sampling (whose Euler-Maruyama bias it sets) and a side drive (which
+    deposits nothing) add each band's max |omega(k)|.
     """
     grid = state.grid
-    u_scale = 2.0 * float(np.max(np.abs(state.b)))
-    return dt_bound(grid, (dispersions.photon, dispersions.phonon),
-                    (couplings.magnitude_scale(np.pi / grid.dx) * u_scale,
-                     bath.kappa, bath.gamma_mech),
-                    transport=drive is not None or absorber is not None,
-                    wigner=bath.is_stochastic)
+    bands = (dispersions.photon, dispersions.phonon)
+    rates = [couplings.magnitude_scale(np.pi / grid.dx)
+             * 2.0 * float(np.max(np.abs(state.b))), bath.kappa, bath.gamma_mech]
+    if bath.is_stochastic or isinstance(drive, SideDrive):
+        rates += [float(np.max(np.abs(band.values_on(grid)))) for band in bands]
+    elif drive is not None or absorber is not None:
+        rates += [transport_rate(band, grid) for band in bands]
+    return dt_bound(rates)
 
 
 class Stepper(SplitStepper):

@@ -22,7 +22,7 @@ from .dynamics.bath import BathSpec
 from .dynamics.boundary import make_absorber
 from .dynamics.drive import EndfireDrive
 from .dynamics.stepper import (DispersionPair, dt_bound, evolve, evolve_batch,
-                               stability_bound)
+                               stability_bound, transport_rate)
 from .lattice import (ArrayConfig, LatticeState, link_effective_couplings,
                       simulate_array, site_coupling_from_continuum, to_continuum)
 from .multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
@@ -108,8 +108,8 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
                                absorber=absorber)
     # the launched pump amplitude is alpha_in / sqrt(v1)
     dt = DT_MARGIN * dt_bound(
-        grid, [b.dispersion for b in branches] + [phonon.dispersion],
-        (kappa2, Gamma, abs(g0_12) * abs(alpha1_in) / np.sqrt(v1)), transport=True)
+        [kappa2, Gamma, abs(g0_12) * abs(alpha1_in) / np.sqrt(v1)]
+        + [transport_rate(b.dispersion, grid) for b in (*branches, phonon)])
     # The phonon field relaxes gain length by gain length, so the cw
     # steady state needs several phonon lifetimes per accumulated e-fold,
     # not just a few transit times.
@@ -285,8 +285,8 @@ def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
     state = MultiBranchState(grid, [np.full(n_points, A1, complex),
                                     np.zeros(n_points, complex)],
                              np.zeros(n_points, complex))
-    dt = DT_MARGIN * dt_bound(grid, (branches[1].dispersion, phonon.dispersion),
-                              (kappa2, Gamma, abs(g12)), transport=True)
+    dt = DT_MARGIN * dt_bound([kappa2, Gamma, abs(g12)] + [
+        transport_rate(b.dispersion, grid) for b in (branches[1], phonon)])
     n_steps = int(np.ceil(2.6 * grid.length / (min(v2, vb) * dt)))
     state = MultiBranchStepper(system, dt).run(state, n_steps).final_state
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cwom import CouplingSet, FieldState, Grid1D, interaction_rhs, spectral_derivative
-from cwom.core.interaction import (CouplingTerms, fused_rhs, phonon_channel,
-                                   photon_channel, total_energy)
+from cwom.core.interaction import (CouplingTerms, _energy_density, fused_rhs,
+                                   phonon_channel, photon_channel, total_energy)
 from cwom import DispersionSpec
 from cwom.dynamics import DispersionPair, make_energy_observer
 
@@ -289,6 +289,8 @@ class TestEnergyObserver:
         disp_a = DispersionSpec.polynomial([0.0, 1.0, 0.3])
         disp_b = DispersionSpec.flat(2.0)
         dens_ref = _energy_density_reference(state, cs)
+        assert _rel(_energy_density(state.a, state.displacement(), cs, grid256),
+                    dens_ref) < 1e-13
         assert _rel(interaction_energy(state, cs),
                     np.sum(dens_ref) * grid256.dx) < 1e-13
         fa, fb = np.fft.fft(state.a), np.fft.fft(state.b)

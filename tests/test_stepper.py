@@ -13,6 +13,7 @@ from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
                            EndfireDrive, SideDrive, Stepper, evolve, evolve_batch,
                            make_absorber, make_energy_observer,
                            observe_photon_number, run_ensemble, stability_bound)
+from cwom.experiments import DT_MARGIN
 
 from conftest import random_band_limited
 
@@ -489,6 +490,14 @@ def max_velocity_over_dx(dispersions, grid):
         for band in (dispersions.photon, dispersions.phonon)]
 
 
+def transport_rates(dispersions, grid):
+    """max(max_k |v_g(k)| / dx, |omega(0)|) of each polynomial band: its
+    transport term at NU_MAX = 0.5, at least its detuning from the frame."""
+    bands = (dispersions.photon, dispersions.phonon)
+    return [max(speed, abs(band.coeffs[0]))
+            for speed, band in zip(max_velocity_over_dx(dispersions, grid), bands)]
+
+
 @st.composite
 def bound_cases(draw):
     grid = Grid1D(draw(st.sampled_from((128, 256))),
@@ -534,30 +543,32 @@ class TestClosedRunBound:
     @example(case=offset_quadratic_case(), offset=1.0)
     def test_never_below_the_band_bound_and_equal_for_open_runs(self, case,
                                                                 offset):
-        # Wigner runs keep the band bound and closed runs the rate bound,
-        # bit for bit; a noiseless run with a drive or an absorber takes
-        # the transport bound (nu = 0.5), which a constant added to a band
-        # does not move. A case the band bound admits and the transport
-        # bound refuses has max|v_g| / dx > max|omega|.
+        # Wigner and side-driven runs keep the band bound and closed runs
+        # the rate bound, bit for bit; a noiseless run with an end-fire
+        # drive or an absorber takes the transport bound (nu = 0.5), raised
+        # to each band's detuning |omega(0)|, so a constant added to a band
+        # moves it through that detuning only. A case the band bound admits
+        # and the transport bound refuses has max|v_g| / dx > max|omega|.
         state, couplings, disp, bath, drive, absorber = case
         grid = state.grid
         bound = stability_bound(state, couplings, disp, bath, drive=drive,
                                 absorber=absorber)
         before = bound_with_bands(state, couplings, disp, bath)
-        if bath.is_stochastic:
+        if bath.is_stochastic or isinstance(drive, SideDrive):
             assert bound == before
         elif drive is None and absorber is None:
             assert bound == closed_bound(state, couplings, bath)
         else:
-            speeds = max_velocity_over_dx(disp, grid)
-            assert bound == closed_bound(state, couplings, bath, speeds)
+            assert bound == closed_bound(state, couplings, bath,
+                                         transport_rates(disp, grid))
             shifted = DispersionPair(*(DispersionSpec.polynomial(
                 (band.coeffs[0] + offset,) + band.coeffs[1:])
                 for band in (disp.photon, disp.phonon)))
             assert stability_bound(state, couplings, shifted, bath, drive=drive,
-                                   absorber=absorber) == bound
+                                   absorber=absorber) == closed_bound(
+                state, couplings, bath, transport_rates(shifted, grid))
             if bound < before:
-                assert max(speeds) > max_omega(disp, grid)
+                assert max(max_velocity_over_dx(disp, grid)) > max_omega(disp, grid)
 
     def test_offset_quadratic_band_refused_between_the_two_bounds(self):
         # max|omega| = D K^2 / 2 but max|v_g| / dx = 2 D K / dx, so the
@@ -572,6 +583,31 @@ class TestClosedRunBound:
         with pytest.raises(ValueError, match="stability bound"):
             evolve(state, couplings, disp, dt=0.5 * (bound + band), n_steps=1,
                    absorber=absorber)
+
+    def test_cw_drive_into_a_detuned_flat_phonon_at_the_bound(self):
+        # The drive fixes the frame, so a flat phonon at Omega0 is detuned
+        # by Omega0 from its force g |a|^2. At DT_MARGIN x the bound Strang's
+        # forced response, (Omega0 dt / 2) / sin(Omega0 dt / 2) times the
+        # exact one, is within 1% of i g |a|^2 / (i Omega0 + Gamma / 2);
+        # the transport term alone would step at Omega0 dt = 5.6.
+        grid = Grid1D(128, 0.5)
+        v, Omega0, Gamma, g = 2.0, 50.0, 2.0, 0.05
+        disp = DispersionPair(DispersionSpec.linear(v), DispersionSpec.flat(Omega0))
+        couplings = CouplingSet.even(g_ppp=g)
+        bath = BathSpec(gamma_mech=Gamma)
+        drive = EndfireDrive(alpha_in=1.0, inlet_cell=4)
+        absorber = make_absorber(grid, speed=v)
+        state = FieldState.vacuum(grid)
+        dt = DT_MARGIN * stability_bound(state, couplings, disp, bath,
+                                         drive=drive, absorber=absorber)
+        assert Omega0 * dt == pytest.approx(DT_MARGIN * 0.5)
+        settle = grid.length / v + 16.0 / Gamma
+        final = evolve(state, couplings, disp, bath=bath, drive=drive,
+                       absorber=absorber, dt=dt,
+                       n_steps=int(np.ceil(settle / dt))).final_state
+        cells = slice(16, 112)
+        beta = 1j * g * np.abs(final.a[cells]) ** 2 / (1j * Omega0 + 0.5 * Gamma)
+        assert np.max(np.abs(final.b[cells] - beta)) < 1e-2 * np.max(np.abs(beta))
 
     def test_closed_run_above_the_band_bound_converges(self):
         # C7's closed configuration, stepped at 0.9 x its closed bound, 2.5x
