@@ -8,10 +8,13 @@ delta correlators discretize as delta(x-x') -> 1/dx per cell and
 delta(t-t') -> 1/dt per step.
 
 A noise draw is two steps: :func:`noise_scales` validates a channel and
-returns its scales, and :func:`draw_noise_field` draws one step's field
-with them. The integrators settle the scales of each damped row once, at
-construction, and only draw per step; :func:`sample_noise_field` is the
-two composed, with the same bytes.
+returns its scales, and :func:`draw_noise_field` scales standard normals
+with them, one step's (2, n) or a block of K steps' (K, 2, n) at once.
+The integrators settle the scales of each damped row once, at
+construction; a run draws the normals of a block of steps in one call
+and scales each row's slice once per block (see
+``dynamics.stepper``). :func:`sample_noise_field` is the two composed
+for one step, with the same bytes.
 """
 
 from dataclasses import dataclass
@@ -90,19 +93,25 @@ def noise_scales(dx: float, rate: float, occupation: float,
     return np.sqrt((occupation + 0.5) / (2.0 * dx * dt)), np.sqrt(rate)
 
 
-def draw_noise_field(n: int, sigma, root_rate,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Draw sqrt(rate) * xi on n cells from the scales of :func:`noise_scales`.
+def draw_noise_field(parts: np.ndarray, sigma, root_rate,
+                     dt: float = None) -> np.ndarray:
+    """Scale standard normals ``parts`` of shape (..., 2, n) in place into
+    sqrt(rate) * xi on n cells, or into the Euler-Maruyama increment
+    dt * sqrt(rate) * xi when ``dt`` is given; returns the complex (..., n).
 
-    One (2, n) draw is the stream of two n-draws (real parts, then
-    imaginary parts); scaling them in place by sigma, then by sqrt(rate),
-    rounds as the complex products sqrt(rate) * (sigma * xi) did.
+    The scales come from :func:`noise_scales`. The (2, n) of one step is
+    the stream of two n-draws (real parts, then imaginary parts), so a
+    (K, 2, n) slice of one larger draw holds K steps in stream order.
+    Scaling the parts by sigma, then by sqrt(rate), then by dt rounds as
+    the complex products dt * (sqrt(rate) * (sigma * xi)) did.
     """
-    parts = rng.standard_normal((2, n))
     parts *= sigma
     parts *= root_rate
-    xi = np.empty(n, dtype=np.complex128)
-    xi.real, xi.imag = parts
+    if dt is not None:
+        parts *= dt
+    xi = np.empty(parts.shape[:-2] + parts.shape[-1:], dtype=np.complex128)
+    xi.real = parts[..., 0, :]
+    xi.imag = parts[..., 1, :]
     return xi
 
 
@@ -115,7 +124,9 @@ def sample_noise_field(grid: Grid1D, rate: float, occupation: float, dt: float,
     Euler-Maruyama update ``field += dt * sample_noise_field(...)`` then
     replenishes exactly the occupation lost to the matching damping term.
     The integrators settle :func:`noise_scales` once per damped row and
-    call :func:`draw_noise_field` each step: the same bytes.
+    scale their drawn normals with :func:`draw_noise_field`: the same
+    bytes, times dt.
     """
     sigma, root_rate = noise_scales(grid.dx, rate, occupation, dt)
-    return draw_noise_field(grid.n_points, sigma, root_rate, rng)
+    return draw_noise_field(rng.standard_normal((2, grid.n_points)), sigma,
+                            root_rate)

@@ -95,8 +95,10 @@ class DepositPlan:
                                 "drive kernel")
         self.drive = drive
         self.detuning = drive.detuning(frame.omega)
-        self.scale = np.sqrt(c) * dt / grid.dx
-        self.noise_sigma = np.sqrt(0.5 / (2.0 * dt))
+        # Python floats: the per-step scalar products round as numpy's do
+        # and cost a fraction of numpy scalar arithmetic
+        self.scale = float(np.sqrt(c) * dt / grid.dx)
+        self.noise_sigma = float(np.sqrt(0.5 / (2.0 * dt)))
         offs = np.arange(-KERNEL_HALFWIDTH, KERNEL_HALFWIDTH + 1)
         window = 0.5 * (1.0 + np.cos(np.pi * offs / (KERNEL_HALFWIDTH + 1)))
         cells = (drive.inlet_cell + offs) % grid.n_points
@@ -114,24 +116,24 @@ class DepositPlan:
             s = s * np.exp(-1j * self.detuning * time)
         return self.scale * s * self.kernel if s != 0.0 else None
 
-    def apply(self, a: np.ndarray, time: float, rng: np.random.Generator = None,
-              vacuum_noise: bool = False):
+    def apply(self, a: np.ndarray, time: float, pair=None):
         """Add one step's source (and inlet vacuum) to the photon row ``a``.
 
         ``a`` is written in place: the integrators pass the photon row of
         their stacked state, so no field container is built per deposit.
         ``time`` is the step's start time, at which the drive is sampled.
-        Launched cw photon flux is |alpha_in|^2; with ``vacuum_noise`` the
-        injected mover also carries the Wigner vacuum, giving the 1/(2 dx)
-        equal-time correlator diagonal downstream.
+        Launched cw photon flux is |alpha_in|^2. ``pair``, two standard
+        normals (re, im) that the integrator drew for this inlet and step,
+        adds the Wigner vacuum to the injected mover, giving the 1/(2 dx)
+        equal-time correlator diagonal downstream; without it the inlet
+        adds none.
         """
         source = self._settled if self._constant else self._source(time)
         if source is not None:
             a[self.kernel_cells] += source
-        if vacuum_noise:
-            if rng is None:
-                raise BoundaryError("vacuum noise injection requires an rng")
-            xi = self.noise_sigma * (rng.standard_normal() + 1j * rng.standard_normal())
+        if pair is not None:
+            re, im = pair
+            xi = self.noise_sigma * (re + 1j * im)
             a[self.drive.inlet_cell] += self.scale * xi
 
 

@@ -102,7 +102,18 @@ taken once). Wigner noise scales are settled per damped row and each
 step only draws; a cw end-fire drive settles its source deposit
 (``DepositPlan``), which writes straight into its row of the stacked
 state. All stochastic draws come from one Generator in a fixed order, so
-a seed pins the whole trajectory bit-for-bit.
+a seed pins the whole trajectory bit-for-bit. A Wigner step draws m
+standard normals: 2 n per noisy damped row (real parts, then imaginary
+parts), then a (re, im) pair per vacuum inlet. :meth:`SplitStepper.run`
+draws K = NOISE_BLOCK_VALUES // m steps of them (at least 1, at most the
+steps left) as one (K, m) array, scales each row's (K, 2, n) slice once
+(``draw_noise_field``: sigma, then sqrt(rate), then dt) and hands each
+step its row of the block. Philox streams are counter-based and a
+Generator fills an array in stream order (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), so K steps drawn at once
+are the numbers, and the bytes, of K steps drawn one by one, and a run
+leaves its Generator where the steps one by one would. A step called on
+its own draws a block of one.
 
 Batch axis. :meth:`SplitStepper.step_inplace` packs fields of shape
 (..., n) into an array of shape (..., rows, n); the leading axes are
@@ -118,6 +129,7 @@ batched: per-row noise streams would need one Generator per row.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral
 from types import SimpleNamespace
 from typing import Callable
@@ -135,6 +147,7 @@ from .drive import DriveSpec, EndfireDrive, SideDrive
 from .rng import trajectory_generator
 
 NU_MAX = 0.5  # advection fraction c dt / dx of a transport-bound run
+NOISE_BLOCK_VALUES = 8192  # standard normals a run draws per call (64 KB)
 
 
 def _rk4_decay(z: float) -> float:
@@ -269,11 +282,60 @@ class SplitStepper:
     def _unpack(self, y, state):
         state.a, state.b = y[..., 0, :], y[..., 1, :]
 
-    def _kick(self, y, t, rng):
-        for row, sigma, root_rate in self._noise:
-            y[row] += self.dt * draw_noise_field(y.shape[-1], sigma, root_rate, rng)
-        for row, plan in self._deposits:
-            plan.apply(y[row], t, rng=rng, vacuum_noise=self._wigner)
+    def _step_values(self) -> int:
+        """Standard normals one Wigner step draws: 2 n per noisy damped
+        row, then a (re, im) pair per inlet."""
+        return (2 * self._half.shape[-1] * len(self._noise)
+                + 2 * len(self._deposits))
+
+    def _draw(self, rng, k: int) -> list:
+        """The noise of the next ``k`` steps from one call on ``rng``, one
+        (fields, pairs) item per step: each noisy row's increment
+        dt * sqrt(rate) * xi in ``_noise`` order, then each inlet's
+        (re, im) pair.
+
+        The normals are one (k, m) draw, a step per row laid out as the
+        step draws them alone. A draw of (k, m) is the stream of k draws
+        of m, so a block rounds and ends where k single steps would. A
+        single step without a noisy row takes its pairs from two scalar
+        calls each: the same stream, cheaper than an array.
+        """
+        if k == 1 and not self._noise:
+            return [((), [(rng.standard_normal(), rng.standard_normal())
+                          for _ in self._deposits])]
+        n, n_rows = self._half.shape[-1], len(self._noise)
+        normals = rng.standard_normal((k, self._step_values()))
+        rows = normals[:, :2 * n * n_rows].reshape(k, n_rows, 2, n)
+        fields = [draw_noise_field(rows[:, i], sigma, root_rate, self.dt)
+                  for i, (_, sigma, root_rate) in enumerate(self._noise)]
+        # as Python floats, which the deposit's scalar arithmetic takes fastest
+        pairs = normals[:, 2 * n * n_rows:].reshape(k, -1, 2).tolist()
+        return list(zip(zip(*fields) if fields else repeat((), k), pairs))
+
+    def _noise_steps(self, rng, n_steps: int):
+        """The noise of each of ``n_steps`` steps (None without Wigner
+        sampling), drawn ``NOISE_BLOCK_VALUES // m`` steps per call (at
+        least 1, at most the steps left), each block only when a step
+        needs it."""
+        if not self._wigner:
+            yield from repeat(None, n_steps)
+            return
+        per_call = max(1, NOISE_BLOCK_VALUES // max(1, self._step_values()))
+        for start in range(0, n_steps, per_call):
+            yield from self._draw(rng, min(per_call, n_steps - start))
+
+    def _kick(self, y, t, noise):
+        """Add one step's ``noise`` (an item of :meth:`_draw`, None without
+        Wigner sampling) and source deposits to ``y`` in place."""
+        if noise is None:
+            for row, plan in self._deposits:
+                plan.apply(y[row], t)
+            return
+        fields, pairs = noise
+        for (row, _, _), field in zip(self._noise, fields):
+            y[row] += field
+        for (row, plan), pair in zip(self._deposits, pairs):
+            plan.apply(y[row], t, pair)
 
     def _free_step(self, y, scalar_phases, phases):
         """Free evolution of the live rows of ``y`` in place, by the settled
@@ -329,7 +391,8 @@ class SplitStepper:
         return y + dt / 6.0 * k1
 
     def step_inplace(self, state, rng=None, step_index: int = 0, *,
-                     open_half: bool = True, close_full: bool = False):
+                     open_half: bool = True, close_full: bool = False,
+                     noise=None):
         """One Strang step of ``state``. Axes of its fields in front of
         (n,) are batch axes, stepped row for row as each row would be
         alone, for a model whose ``_rhs`` takes them (a coupling-batch
@@ -342,9 +405,15 @@ class SplitStepper:
         half-step phases) in place of its closing half step. Between two
         such steps the state is half a free step ahead of a whole step.
         The defaults give one whole step.
+
+        ``noise`` is this step's item of a block that :meth:`run` drew
+        ahead. Without it, a step with Wigner sampling draws its own from
+        ``rng``, as a block of one step: the same stream and bytes.
         """
-        if self._wigner and rng is None:
-            raise ValueError("Wigner sampling requires an rng")
+        if self._wigner and noise is None:
+            if rng is None:
+                raise ValueError("Wigner sampling requires an rng")
+            noise = self._draw(rng, 1)[0]
         dt, t, live = self.dt, state.time, self._live
         y = self._pack(state)
         if open_half:
@@ -353,7 +422,7 @@ class SplitStepper:
             y = np.multiply(self._uncoupled, y)  # fresh, as the RK4's result
         else:
             y = self._rk4(y, t)
-        self._kick(y, t, rng)
+        self._kick(y, t, noise)
         if self._decay is not None:
             y[..., live, :] *= self._decay
 
@@ -387,6 +456,14 @@ class SplitStepper:
         with observers and after the last step, so observers and the
         final state see whole steps only; without observers the run is
         one merged segment.
+
+        With Wigner sampling the noise of up to ``NOISE_BLOCK_VALUES // m``
+        steps (m normals per step, see :meth:`_draw`) is drawn from ``rng``
+        in one call, and each step takes its row of the block. The run
+        draws exactly the steps it takes, so trajectories, records and the
+        generator's state after the run are those of stepping one step at
+        a time. A run that ends in :class:`DivergenceError` may leave
+        ``rng`` up to one block ahead of the failing step.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
@@ -394,17 +471,19 @@ class SplitStepper:
                 or record_every < 1):
             raise ValueError(
                 f"record_every must be a positive integer, got {record_every!r}")
+        if n_steps and self._wigner and rng is None:
+            raise ValueError("Wigner sampling requires an rng")
         observers = observers or {}
         work = state.copy()
         times = [work.time]
         records = {name: [obs(work)] for name, obs in observers.items()}
         whole = True  # the state is at a whole step
-        for i in range(n_steps):
+        for i, noise in zip(range(n_steps), self._noise_steps(rng, n_steps)):
             last = i == n_steps - 1
             record = (i + 1) % record_every == 0 or last
             seam = last or (record and bool(observers))  # read after this step
             self.step_inplace(work, rng=rng, step_index=i, open_half=whole,
-                              close_full=not seam)
+                              close_full=not seam, noise=noise)
             whole = seam
             if record:
                 times.append(work.time)
@@ -425,6 +504,18 @@ def transport_rate(band, grid) -> float:
     detuning |omega(0)| from the frame if larger (see :func:`stability_bound`)."""
     return max(float(np.max(np.abs(band.group_velocity_at(grid.k_axis))))
                / (2.0 * NU_MAX * grid.dx), abs(float(band.omega_at(0.0))))
+
+
+def band_rates(bands, grid, *, omega: bool, transport: bool) -> list:
+    """The band terms of a run's :func:`dt_bound`, one per band: max
+    |omega(k)| when ``omega`` (Wigner sampling or a side drive), else its
+    :func:`transport_rate` when ``transport`` (a deposit or an absorber),
+    else none (a closed run). See :func:`stability_bound`."""
+    if omega:
+        return [float(np.max(np.abs(band.values_on(grid)))) for band in bands]
+    if transport:
+        return [transport_rate(band, grid) for band in bands]
+    return []
 
 
 def dt_bound(rates) -> float:
@@ -452,14 +543,12 @@ def stability_bound(state: FieldState, couplings: CouplingSet,
     deposits nothing) add each band's max |omega(k)|.
     """
     grid = state.grid
-    bands = (dispersions.photon, dispersions.phonon)
     rates = [couplings.magnitude_scale(np.pi / grid.dx)
              * 2.0 * float(np.max(np.abs(state.b))), bath.kappa, bath.gamma_mech]
-    if bath.is_stochastic or isinstance(drive, SideDrive):
-        rates += [float(np.max(np.abs(band.values_on(grid)))) for band in bands]
-    elif drive is not None or absorber is not None:
-        rates += [transport_rate(band, grid) for band in bands]
-    return dt_bound(rates)
+    return dt_bound(rates + band_rates(
+        (dispersions.photon, dispersions.phonon), grid,
+        omega=bath.is_stochastic or isinstance(drive, SideDrive),
+        transport=drive is not None or absorber is not None))
 
 
 class Stepper(SplitStepper):

@@ -54,7 +54,7 @@ from .core.spectral import dispersion_phase
 from .dynamics.bath import SAMPLING_MODES
 from .dynamics.boundary import AbsorberProfile, DepositPlan
 from .dynamics.drive import EndfireDrive
-from .dynamics.stepper import SplitStepper
+from .dynamics.stepper import SplitStepper, band_rates, dt_bound
 
 
 @dataclass(frozen=True)
@@ -220,6 +220,12 @@ class MultiBranchStepper(SplitStepper):
     Rows: the branches in order, then the phonon. The right-hand side
     holds frozen rows by a zero derivative, and a frozen branch passes no
     loss to the core; each driven branch takes its deposit.
+
+    A dt above :func:`dt_bound` of the loss rates and one term per live
+    band (:func:`band_rates`: max |omega(k)| with Wigner sampling, the
+    transport rate with a deposit or an absorber, none otherwise) raises
+    ``ValueError``. The pump coupling rate is the caller's to add (see
+    ``experiments.run_two_branch_gain``).
     """
 
     def __init__(self, system: MultiBranchSystem, dt: float):
@@ -244,6 +250,14 @@ class MultiBranchStepper(SplitStepper):
             (j, DepositPlan(system.grid, b.dispersion, b.drive,
                             Frame(b.frame_omega, b.frame_k), dt))
             for j, b in enumerate(branches) if b.drive is not None]
+        kept = [b for b in branches if not b.frozen]
+        bound = dt_bound([b.kappa for b in kept] + [system.phonon.gamma] + band_rates(
+            [b.dispersion for b in kept] + [system.phonon.dispersion], system.grid,
+            omega=self._wigner,
+            transport=bool(self._deposits) or system.absorber is not None))
+        if dt > bound:
+            raise ValueError(f"dt = {dt:.3e} s exceeds the multi-branch stability "
+                             f"bound {bound:.3e} s; reduce dt")
 
     def _pack(self, state: MultiBranchState):
         return state.rows.copy()

@@ -218,11 +218,9 @@ def test_criterion_6_noise_physics():
     cells = slice(20, 100)
 
     def one_b(rng, index):
-        st = FieldState.vacuum(grid_b)
         stepper = Stepper(grid_b, CouplingSet(), disp_b, bath_b, drive,
                           absorber, dt)
-        for i in range(n_steps):
-            stepper.step_inplace(st, rng=rng)
+        st = stepper.run(FieldState.vacuum(grid_b), n_steps, rng=rng).final_state
         return np.abs(st.a[cells]) ** 2
 
     samples = np.concatenate(run_ensemble(one_b, 256, base_seed=11))

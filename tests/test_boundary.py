@@ -77,10 +77,8 @@ class TestInjection:
         cells = slice(20, 100)
 
         def one(rng, index):
-            st = FieldState.vacuum(grid)
             stepper = Stepper(grid, CouplingSet(), disp, bath, drive, absorber, dt)
-            for _ in range(n_steps):
-                stepper.step_inplace(st, rng=rng)
+            st = stepper.run(FieldState.vacuum(grid), n_steps, rng=rng).final_state
             return np.abs(st.a[cells]) ** 2
 
         samples = np.concatenate(run_ensemble(one, n_traj, base_seed=99))

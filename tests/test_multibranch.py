@@ -224,6 +224,38 @@ class TestSystemValidation:
         assert all(ch.resonant for ch in rwa.phonon_channels)
 
 
+def bound_system(grid, sampling="none", drive=None, absorber=None):
+    """A frozen fast pump (its band counts for nothing), a damped linear
+    signal and a damped flat phonon at 0.5."""
+    branches = (BranchConfig("pump", DispersionSpec.linear(3.0), frozen=True),
+                BranchConfig("signal", DispersionSpec.linear(2.0), kappa=0.4,
+                             drive=drive))
+    phonon = PhononConfig(DispersionSpec.flat(0.5), gamma=0.2)
+    return MultiBranchSystem(grid, branches, phonon, [[0.0, 0.1], [0.1, 0.0]],
+                             sampling=sampling, absorber=absorber)
+
+
+class TestStepperDtBound:
+    # 0.5 / max of the loss rates (0.4, 0.2) and one term per live band:
+    # none when closed; max(|v| / (2 NU_MAX dx), |omega(0)|) = 2 and 0.5
+    # with a deposit or an absorber; max |omega(k)| = 2 pi / dx and 0.5
+    # with Wigner sampling
+    @pytest.mark.parametrize("sampling, drive, absorber, bound", [
+        ("none", False, False, 1.25),
+        ("none", True, False, 0.25),
+        ("none", False, True, 0.25),
+        ("wigner", True, True, 0.5 / (2.0 * np.pi)),
+    ], ids=["closed", "deposit", "absorber", "wigner"])
+    def test_dt_above_the_bound_rejected(self, sampling, drive, absorber, bound):
+        grid = Grid1D(128, 1.0)
+        system = bound_system(
+            grid, sampling, EndfireDrive(alpha_in=0.5, inlet_cell=8) if drive
+            else None, make_absorber(grid, speed=2.0) if absorber else None)
+        MultiBranchStepper(system, 0.99 * bound)
+        with pytest.raises(ValueError, match=re.escape(f"bound {bound:.3e} s")):
+            MultiBranchStepper(system, 1.01 * bound)
+
+
 def mixed_system(sampling):
     """Frozen pump, driven damped signal, damped thermal phonon, absorber."""
     grid = Grid1D(128, 1.0)

@@ -91,7 +91,8 @@ class TestSampleNoiseField:
                                      (7.5, 3.25, 0.02)):
             sigma, root_rate = noise_scales(grid.dx, rate, occupation, dt)
             for _ in range(20):
-                drawn = draw_noise_field(n, sigma, root_rate, rng)
+                drawn = draw_noise_field(rng.standard_normal((2, n)), sigma,
+                                         root_rate)
                 want = sample_noise_field(grid, rate, occupation, dt, ref)
                 assert drawn.tobytes() == want.tobytes()
 

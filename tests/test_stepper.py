@@ -12,8 +12,13 @@ from cwom.core.interaction import interaction_rhs, total_energy
 from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
                            EndfireDrive, SideDrive, Stepper, evolve, evolve_batch,
                            make_absorber, make_energy_observer,
-                           observe_photon_number, run_ensemble, stability_bound)
+                           observe_photon_number, run_ensemble, stability_bound,
+                           trajectory_generator)
+from cwom.dynamics.stepper import NOISE_BLOCK_VALUES
 from cwom.experiments import DT_MARGIN
+from cwom.lattice import ArrayConfig, LatticeState, LatticeStepper
+from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
+                              MultiBranchSystem, PhononConfig)
 
 from conftest import random_band_limited
 
@@ -462,6 +467,140 @@ class TestStepStateSemantics:
         assert state.a is arrays[0] and state.b is arrays[1]
         assert [x.tobytes() for x in (state.a, state.b)] == before
         assert state.time == 2.0
+
+
+class CountingRng:
+    """A generator that records the shape of every ``standard_normal`` call."""
+
+    def __init__(self, seed):
+        self._rng = trajectory_generator(seed, 3)
+        self.calls = []
+
+    def standard_normal(self, size=None):
+        self.calls.append(size)
+        return self._rng.standard_normal(size)
+
+
+def stepwise(stepper, state, n_steps, rng, observers, record_every):
+    """``run``'s steps and seams, each step drawing its own noise."""
+    work = state.copy()
+    records = {name: [obs(work)] for name, obs in observers.items()}
+    whole = True
+    for i in range(n_steps):
+        last = i == n_steps - 1
+        record = (i + 1) % record_every == 0 or last
+        seam = last or record
+        stepper.step_inplace(work, rng=rng, step_index=i, open_half=whole,
+                             close_full=not seam)
+        whole = seam
+        if record:
+            for name, obs in observers.items():
+                records[name].append(obs(work))
+    return records, work
+
+
+def stacked(state):
+    return np.stack((state.a, state.b))
+
+
+THERMAL = BathSpec(kappa=0.3, gamma_mech=0.5, n_th=0.4, sampling="wigner")
+INLET = EndfireDrive(alpha_in=0.6, inlet_cell=4)
+
+
+def multibranch_block_case():
+    grid = Grid1D(128, 1.0)
+    system = MultiBranchSystem(
+        grid, (BranchConfig("pump", DispersionSpec.flat(0.0), frozen=True),
+               BranchConfig("signal", DispersionSpec.linear(2.0), frame_omega=5.0,
+                            kappa=0.04, drive=INLET)),
+        PhononConfig(DispersionSpec.linear(1.0), frame_omega=5.0, gamma=0.03,
+                     n_th=0.2),
+        np.array([[0.0, 0.07], [0.07, 0.0]]), rotating_wave=True,
+        sampling="wigner", absorber=make_absorber(grid, speed=2.0))
+    zero = np.zeros(128, complex)
+    return (MultiBranchStepper(system, 0.01),
+            MultiBranchState(grid, [np.full(128, 1.0 + 0.5j), zero], zero),
+            lambda state: state.rows, 100, 2 * 128 * 2 + 2)
+
+
+def waveguide_block_case(n, bath, drive, absorber, n_steps, couplings=None,
+                         dt=0.01):
+    grid = Grid1D(n, 1.0)
+    disp = DispersionPair(DispersionSpec.linear(2.0), DispersionSpec.flat(1.0))
+    stepper = Stepper(grid, couplings or CouplingSet(), disp, bath=bath, drive=drive,
+                      absorber=make_absorber(grid, speed=2.0) if absorber else None,
+                      dt=dt)
+    n_rows = (bath.kappa > 0) + (bath.gamma_mech > 0)
+    return (stepper, FieldState.vacuum(grid), stacked, n_steps,
+            2 * n * n_rows + 2 * (drive is not None))
+
+
+# name: () -> (stepper, start, stack, steps, normals per step)
+BLOCK_CASES = {
+    "damped_rows": lambda: waveguide_block_case(32, THERMAL, None, False, 300),
+    "inlet_and_damped_row": lambda: waveguide_block_case(
+        128, BathSpec(gamma_mech=0.5, n_th=0.4, sampling="wigner"), INLET, True,
+        200),
+    "inlet_only": lambda: waveguide_block_case(
+        128, BathSpec(sampling="wigner"), EndfireDrive(alpha_in=0.0, inlet_cell=4),
+        True, 2 * (NOISE_BLOCK_VALUES // 2) + 5),
+    "cli_shaped": lambda: waveguide_block_case(
+        4096, THERMAL, INLET, True, 12, couplings=CouplingSet.even(g_ppp=0.05),
+        dt=0.05),
+    "lattice": lambda: (
+        LatticeStepper(ArrayConfig(n_sites=32, dx_lattice=1.0, J={1: 0.4},
+                                   g0_site=0.1, kappa=0.1, Gamma=0.2, n_th=0.3),
+                       0.01, sampling="wigner"),
+        LatticeState(np.zeros(32, complex), np.zeros(32, complex)), stacked, 150,
+        2 * 32 * 2),
+    "multibranch": multibranch_block_case,
+}
+
+
+class TestBlockDraw:
+    """``run`` draws the Wigner noise of a block of steps in one call; the
+    bytes, the records and the generator's state after the run are those
+    of stepping one step at a time."""
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_run_equals_stepping_one_step_at_a_time(self, name, record_every):
+        stepper, start, stack, n_steps, m = BLOCK_CASES[name]()
+        assert stepper._step_values() == m
+        per_call = max(1, NOISE_BLOCK_VALUES // m)
+        assert n_steps > 2 * per_call  # at least two block boundaries
+        if record_every == 7 and n_steps > 1000:
+            record_every = 1000
+        observers = {"y": lambda s: stack(s).copy()}
+        drawn = CountingRng(29)
+        traj = stepper.run(start, n_steps, observers=observers,
+                           record_every=record_every, rng=drawn)
+        calls = list(drawn.calls)
+        serial = trajectory_generator(29, 3)
+        records, final = stepwise(stepper, start, n_steps, serial, observers,
+                                  record_every)
+        assert len(traj.records["y"]) == len(records["y"])
+        for got, want in zip(traj.records["y"], records["y"]):
+            assert got.tobytes() == want.tobytes()
+        assert stack(traj.final_state).tobytes() == stack(final).tobytes()
+        assert traj.final_state.time == final.time
+        assert (drawn.standard_normal(5).tobytes()
+                == serial.standard_normal(5).tobytes())
+        blocks = [(min(per_call, n_steps - s), m) for s in range(0, n_steps, per_call)]
+        assert calls == blocks
+
+    def test_zero_steps_draw_nothing(self):
+        stepper, start, stack, _, _ = BLOCK_CASES["damped_rows"]()
+        drawn = CountingRng(31)
+        traj = stepper.run(start, 0, rng=drawn)
+        assert drawn.calls == []
+        assert stack(traj.final_state).tobytes() == stack(start).tobytes()
+
+    @pytest.mark.parametrize("name", ["damped_rows", "inlet_only"])
+    def test_wigner_run_without_rng_rejected(self, name):
+        stepper, start, _, _, _ = BLOCK_CASES[name]()
+        with pytest.raises(ValueError, match="Wigner sampling requires an rng"):
+            stepper.run(start, 5)
 
 
 def closed_bound(state, couplings, bath, band_rates=()):
