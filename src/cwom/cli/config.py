@@ -4,9 +4,9 @@ Every physical quantity carries a unit suffix checked against the schema
 (`Gamma = 6.28e6 /s`); dimensionless keys use no suffix. Enumerated keys
 (dispersion kind, coupling sector, drive mode, absorber, sampling, array
 coupling kind) accept only their declared values. Unknown sections or
-keys are rejected, step and trajectory counts and dt must be positive and
-seeds in [0, 2**64 - 1], and validation reports every offending entry at once
-rather than stopping at the first. Command-line overrides pass the same
+keys are rejected, numbers must be finite, step and trajectory counts and
+dt positive and seeds in [0, 2**64 - 1], and validation reports every
+offending entry at once rather than stopping at the first. Command-line overrides pass the same
 range checks (:func:`check_ranges`).
 Unit bugs dominate this domain, so the parser refuses to guess.
 """
@@ -99,6 +99,9 @@ POSITIVE_INTS = {("integration", "record_every"), ("ensemble", "trajectories")}
 # RNG seeds: a Philox key word, 0 to MAX_SEED = 2**64 - 1
 SEED_INTS = {("ensemble", "base_seed")}
 POSITIVE_FLOATS = {("integration", "dt")}
+PARSERS = {"int": int, "float": float, "complex": complex,
+           "list": lambda token: tuple(float(t) for t in token.split(","))}
+INF = float("inf")
 
 
 class ConfigError(ValueError):
@@ -160,26 +163,23 @@ def _parse_value(section, key, raw, problems):
                             f"match expected {unit!r}")
             return None
     try:
-        if kind in ("int", "float"):
-            value = int(token) if kind == "int" else float(token)
-            problem = _range_problem(section, key, value)
-            if problem:
-                problems.append(problem)
-                return None
-            return value
-        if kind == "complex":
-            return complex(token)
-        if kind == "list":
-            return tuple(float(tok) for tok in token.split(","))
+        value = PARSERS[kind](token)
     except ValueError:
         problems.append(f"[{section}] {key}: cannot parse {token!r} as {kind}")
         return None
-    problems.append(f"[{section}] {key}: unknown kind {kind!r}")
-    return None
+    problem = _range_problem(section, key, value)
+    if problem:
+        problems.append(problem)
+        return None
+    return value
 
 
 def _range_problem(section, key, value):
     where = (section, key)
+    entries = value if isinstance(value, tuple) else (value,)
+    # false for inf and nan; exact for ints of any size
+    if not all(-INF < part < INF for v in entries for part in (v.real, v.imag)):
+        return f"[{section}] {key}: must be finite, got {value!r}"
     if where in POSITIVE_INTS and value < 1:
         return f"[{section}] {key}: must be at least 1, got {value}"
     if where in SEED_INTS and not 0 <= value <= MAX_SEED:

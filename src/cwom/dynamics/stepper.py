@@ -105,15 +105,15 @@ state. All stochastic draws come from one Generator in a fixed order, so
 a seed pins the whole trajectory bit-for-bit. A Wigner step draws m
 standard normals: 2 n per noisy damped row (real parts, then imaginary
 parts), then a (re, im) pair per vacuum inlet. :meth:`SplitStepper.run`
-draws K = NOISE_BLOCK_VALUES // m steps of them (at least 1, at most the
-steps left) as one (K, m) array, scales each row's (K, 2, n) slice once
+draws K = NOISE_BLOCK_VALUES // m steps of them (at most the steps
+left) as one (K, m) array, scales each row's (K, 2, n) slice once
 (``draw_noise_field``: sigma, then sqrt(rate), then dt) and hands each
 step its row of the block. Philox streams are counter-based and a
 Generator fills an array in stream order (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), so K steps drawn at once
 are the numbers, and the bytes, of K steps drawn one by one, and a run
 leaves its Generator where the steps one by one would. A step called on
-its own draws a block of one.
+its own, or in a run where K would be under 2, draws after its RK4.
 
 Batch axis. :meth:`SplitStepper.step_inplace` packs fields of shape
 (..., n) into an array of shape (..., rows, n); the leading axes are
@@ -313,14 +313,14 @@ class SplitStepper:
         return list(zip(zip(*fields) if fields else repeat((), k), pairs))
 
     def _noise_steps(self, rng, n_steps: int):
-        """The noise of each of ``n_steps`` steps (None without Wigner
-        sampling), drawn ``NOISE_BLOCK_VALUES // m`` steps per call (at
-        least 1, at most the steps left), each block only when a step
-        needs it."""
-        if not self._wigner:
+        """The noise of each of ``n_steps`` steps, ``NOISE_BLOCK_VALUES //
+        m`` steps per call (at most the steps left), each block drawn when a
+        step needs it; None without Wigner sampling or for blocks of one."""
+        per_call = (NOISE_BLOCK_VALUES // max(1, self._step_values())
+                    if self._wigner else 0)
+        if per_call <= 1:
             yield from repeat(None, n_steps)
             return
-        per_call = max(1, NOISE_BLOCK_VALUES // max(1, self._step_values()))
         for start in range(0, n_steps, per_call):
             yield from self._draw(rng, min(per_call, n_steps - start))
 
@@ -408,12 +408,12 @@ class SplitStepper:
 
         ``noise`` is this step's item of a block that :meth:`run` drew
         ahead. Without it, a step with Wigner sampling draws its own from
-        ``rng``, as a block of one step: the same stream and bytes.
+        ``rng`` after its RK4, as a block of one step: the same stream and
+        bytes.
         """
-        if self._wigner and noise is None:
-            if rng is None:
-                raise ValueError("Wigner sampling requires an rng")
-            noise = self._draw(rng, 1)[0]
+        draw = self._wigner and noise is None
+        if draw and rng is None:
+            raise ValueError("Wigner sampling requires an rng")
         dt, t, live = self.dt, state.time, self._live
         y = self._pack(state)
         if open_half:
@@ -422,6 +422,8 @@ class SplitStepper:
             y = np.multiply(self._uncoupled, y)  # fresh, as the RK4's result
         else:
             y = self._rk4(y, t)
+        if draw:
+            noise = self._draw(rng, 1)[0]
         self._kick(y, t, noise)
         if self._decay is not None:
             y[..., live, :] *= self._decay
@@ -459,7 +461,8 @@ class SplitStepper:
 
         With Wigner sampling the noise of up to ``NOISE_BLOCK_VALUES // m``
         steps (m normals per step, see :meth:`_draw`) is drawn from ``rng``
-        in one call, and each step takes its row of the block. The run
+        in one call, and each step takes its row of the block (a block of
+        one is drawn by :meth:`step_inplace`, after its RK4). The run
         draws exactly the steps it takes, so trajectories, records and the
         generator's state after the run are those of stepping one step at
         a time. A run that ends in :class:`DivergenceError` may leave

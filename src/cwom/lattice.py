@@ -161,27 +161,12 @@ class LatticeStepper(SplitStepper):
 
 
 def simulate_array(config: ArrayConfig, initial: LatticeState, dt: float,
-                   n_steps: int, sampling: str = "none", rng=None,
-                   record_every: int = 0):
-    """Integrate the discrete model; optionally record site snapshots.
-
-    Returns (final_state, snapshots) with snapshots a list of
-    (time, a_sites, b_sites) tuples after every ``record_every`` steps
-    when ``record_every`` > 0.
-    """
-    stepper = LatticeStepper(config, dt, sampling=sampling)
-    if not record_every:
-        return stepper.run(initial, n_steps, rng=rng).final_state, []
-    traj = stepper.run(initial, n_steps, observers={"snap": _snapshot},
-                       record_every=record_every, rng=rng)
-    snapshots = traj.records["snap"][1:]
-    if n_steps % record_every:
-        snapshots.pop()  # the final state, recorded off the cadence
-    return traj.final_state, snapshots
-
-
-def _snapshot(state: LatticeState):
-    return state.time, state.a.copy(), state.b.copy()
+                   n_steps: int, sampling: str = "none", rng=None) -> LatticeState:
+    """The state of the discrete model after ``n_steps`` steps of dt from
+    ``initial`` (a :class:`LatticeStepper` run; ``rng`` feeds Wigner
+    sampling)."""
+    return LatticeStepper(config, dt, sampling=sampling).run(
+        initial, n_steps, rng=rng).final_state
 
 
 def to_continuum(a_sites, b_sites, dx_lattice: float) -> FieldState:

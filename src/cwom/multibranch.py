@@ -175,6 +175,17 @@ class MultiBranchSystem:
         self.absorber = absorber
         self.photon_channels, self.phonon_channels = self._build_channels()
 
+    def bound_rates(self) -> list:
+        """The live branches' kappa, the phonon gamma and :func:`band_rates`
+        of the live bands (omega with Wigner sampling, else transport with a
+        drive or an absorber): the rates of the stepper's :func:`dt_bound`."""
+        live = [b for b in self.branches if not b.frozen]
+        return [b.kappa for b in live] + [self.phonon.gamma] + band_rates(
+            [b.dispersion for b in live] + [self.phonon.dispersion], self.grid,
+            omega=self.sampling == "wigner",
+            transport=(any(b.drive is not None for b in self.branches)
+                       or self.absorber is not None))
+
     def _phase_array(self, K: float):
         if K == 0.0:
             return None
@@ -221,11 +232,9 @@ class MultiBranchStepper(SplitStepper):
     holds frozen rows by a zero derivative, and a frozen branch passes no
     loss to the core; each driven branch takes its deposit.
 
-    A dt above :func:`dt_bound` of the loss rates and one term per live
-    band (:func:`band_rates`: max |omega(k)| with Wigner sampling, the
-    transport rate with a deposit or an absorber, none otherwise) raises
-    ``ValueError``. The pump coupling rate is the caller's to add (see
-    ``experiments.run_two_branch_gain``).
+    A dt above :func:`dt_bound` of :meth:`MultiBranchSystem.bound_rates`
+    raises ``ValueError``. The pump coupling rate is the caller's to add
+    to those rates (see ``experiments.run_two_branch_gain``).
     """
 
     def __init__(self, system: MultiBranchSystem, dt: float):
@@ -250,11 +259,7 @@ class MultiBranchStepper(SplitStepper):
             (j, DepositPlan(system.grid, b.dispersion, b.drive,
                             Frame(b.frame_omega, b.frame_k), dt))
             for j, b in enumerate(branches) if b.drive is not None]
-        kept = [b for b in branches if not b.frozen]
-        bound = dt_bound([b.kappa for b in kept] + [system.phonon.gamma] + band_rates(
-            [b.dispersion for b in kept] + [system.phonon.dispersion], system.grid,
-            omega=self._wigner,
-            transport=bool(self._deposits) or system.absorber is not None))
+        bound = dt_bound(system.bound_rates())
         if dt > bound:
             raise ValueError(f"dt = {dt:.3e} s exceeds the multi-branch stability "
                              f"bound {bound:.3e} s; reduce dt")

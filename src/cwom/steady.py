@@ -234,9 +234,10 @@ class FluctuationState:
                                 self.db.copy(), self.db_conj.copy(), self.time)
 
 
-def linearized_rhs(fluct: FluctuationState, steady: SteadyState,
+def linearized_rhs(da, da_conj, db, db_conj, steady: SteadyState,
                    couplings: CouplingSet):
-    """Interaction part of the linearized equations.
+    """Interaction part of the linearized equations for the fluctuation
+    rows (da, da*, db, db*) on ``steady.grid``.
 
     Generated from the bilinear kernels: each nonlinear channel is linear
     in (photon, displacement) and (photon-dagger, photon), so the
@@ -245,20 +246,20 @@ def linearized_rhs(fluct: FluctuationState, steady: SteadyState,
     background displacement in the photon channel. Free evolution and
     the loss are applied separately by the split-step integrator.
     """
-    grid = fluct.grid
+    grid = steady.grid
     u_beta = steady.beta + np.conj(steady.beta)
-    du = fluct.db + fluct.db_conj
+    du = db + db_conj
     alpha = steady.alpha
     alpha_c = np.conj(steady.alpha)
 
-    dda = (photon_channel(fluct.da, u_beta, couplings, grid)
+    dda = (photon_channel(da, u_beta, couplings, grid)
            + photon_channel(alpha, du, couplings, grid))
-    dda_c = (photon_channel(fluct.da_conj, u_beta, couplings, grid, conjugate=True)
+    dda_c = (photon_channel(da_conj, u_beta, couplings, grid, conjugate=True)
              + photon_channel(alpha_c, du, couplings, grid, conjugate=True))
-    ddb = (phonon_channel(alpha_c, fluct.da, couplings, grid)
-           + phonon_channel(fluct.da_conj, alpha, couplings, grid))
-    ddb_c = (phonon_channel(alpha, fluct.da_conj, couplings, grid, conjugate=True)
-             + phonon_channel(fluct.da, alpha_c, couplings, grid, conjugate=True))
+    ddb = (phonon_channel(alpha_c, da, couplings, grid)
+           + phonon_channel(da_conj, alpha, couplings, grid))
+    ddb_c = (phonon_channel(alpha, da_conj, couplings, grid, conjugate=True)
+             + phonon_channel(da, alpha_c, couplings, grid, conjugate=True))
     return dda, dda_c, ddb, ddb_c
 
 
@@ -293,8 +294,7 @@ class LinearizedStepper(SplitStepper):
         f.da, f.da_conj, f.db, f.db_conj = y
 
     def _rhs(self, y, t):
-        return np.stack(linearized_rhs(
-            FluctuationState(self.grid, *y, time=t), self.steady, self.couplings))
+        return np.stack(linearized_rhs(*y, self.steady, self.couplings))
 
 
 def evolve_linearized(fluct: FluctuationState, steady: SteadyState,

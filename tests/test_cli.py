@@ -61,10 +61,9 @@ base_seed = 7
 
 
 def schema_value(section, key):
-    """Values the parser can produce for one key: in range, finite or
-    infinite, never NaN (NaN != NaN)."""
+    """Values the parser can produce for one key: in range and finite."""
     kind, unit = SCHEMA[section][key]
-    floats = st.floats(allow_nan=False)
+    floats = st.floats(allow_nan=False, allow_infinity=False)
     if kind == "str":
         return st.sampled_from(SCENARIOS)
     if kind == "enum":
@@ -77,7 +76,8 @@ def schema_value(section, key):
         return st.integers()
     if kind == "float":
         if (section, key) in POSITIVE_FLOATS:
-            return st.floats(min_value=0.0, exclude_min=True)
+            return st.floats(min_value=0.0, exclude_min=True,
+                             allow_infinity=False)
         return floats
     if kind == "complex":
         return st.builds(complex, floats, floats)
@@ -524,6 +524,52 @@ class TestCliRangeChecks:
         assert "Traceback" not in err and "OverflowError" not in err
         assert main(["run", "--config", str(cfg), "--validate-only",
                      "--seed", str(2**64 - 1)]) == 0
+
+    @pytest.mark.parametrize("entry, bad", [
+        ("t_total = 20.0 s", "t_total = inf s"),
+        ("t_total = 20.0 s", "t_total = -inf s"),
+        ("t_total = 20.0 s", "t_total = 1e400 s"),
+        ("t_total = 20.0 s", "t_total = nan s"),
+        ("kappa = 0.2 /s", "kappa = nan /s"),
+        ("gamma_mech = 0.5 /s", "gamma_mech = nan /s"),
+        ("sampling = none", "sampling = none\nn_th = nan"),
+        ("g_ppp = 0.05 Hz*m^(1/2)", "g_ppp = nan Hz*m^(1/2)"),
+        ("alpha_in = 1.0+0j s^(-1/2)", "alpha_in = nan+0j s^(-1/2)"),
+        ("dx = 0.5 m", "dx = inf m"),
+        ("absorber = on", "absorber = on\nabsorber_opacity = nan"),
+        ("absorber = on", "absorber = on\nabsorber_speed = inf m/s"),
+    ], ids=["t_total-inf", "t_total-neg-inf", "t_total-overflow", "t_total-nan",
+            "kappa-nan", "gamma_mech-nan", "n_th-nan", "g_ppp-nan",
+            "alpha_in-nan", "dx-inf", "absorber_opacity-nan",
+            "absorber_speed-inf"])
+    def test_non_finite_key_exits_two(self, tmp_path, capsys, entry, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(GOOD_CONFIG.replace(entry, bad))
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        key = bad.split("\n")[-1].split(" =")[0]
+        assert err.count(f"] {key}: must be finite") == 2, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_list_entry_rejected(self):
+        text = "[scenario]\nname = array_convergence\n\n[array]\nsizes = 32,nan\n"
+        with pytest.raises(ConfigError, match=r"\[array\] sizes: must be finite"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_dt_override_exits_two(self, tmp_path, capsys, value):
+        cfg = tmp_path / "good.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        assert main(["run", "--config", str(cfg), "--validate-only",
+                     "--dt-override", value]) == 2
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out"), "--dt-override", value]) == 2
+        err = capsys.readouterr().err
+        assert err.count("[integration] dt: must be finite") == 2, err
+        assert not (tmp_path / "out").exists()
 
     def test_dt_above_stability_bound_exits_two(self, tmp_path, capsys):
         # GOOD_CONFIG's transport bound: 0.5 / (2 m/s / (2 * 0.5 * 0.5 m))

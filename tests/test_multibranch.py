@@ -5,12 +5,16 @@ the divergence report.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cwom import DispersionSpec, Grid1D
+from cwom import DispersionSpec, Grid1D, experiments
+from cwom.brillouin import brillouin_gain
+from cwom.constants import HBAR
 from cwom.dynamics import DivergenceError, EndfireDrive, make_absorber
+from cwom.dynamics.stepper import dt_bound, transport_rate
 from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
                               MultiBranchSystem, PhononConfig)
 from cwom.strongcoupling import classify
@@ -254,6 +258,97 @@ class TestStepperDtBound:
         MultiBranchStepper(system, 0.99 * bound)
         with pytest.raises(ValueError, match=re.escape(f"bound {bound:.3e} s")):
             MultiBranchStepper(system, 1.01 * bound)
+
+
+class TestBoundRates:
+    # bound_system: the frozen pump (a fast band) is left out; the signal's
+    # kappa 0.4 and the phonon's gamma 0.2 come first, then one term per
+    # live band
+    def test_closed_system_adds_no_band_term(self):
+        assert bound_system(Grid1D(128, 1.0)).bound_rates() == [0.4, 0.2]
+
+    @pytest.mark.parametrize("drive, absorber", [(True, False), (False, True)],
+                             ids=["drive", "absorber"])
+    def test_drive_or_absorber_adds_transport(self, drive, absorber):
+        # max(|v| / (2 NU_MAX dx), |omega(0)|): 2 for the signal, 0.5 for
+        # the flat phonon
+        grid = Grid1D(128, 1.0)
+        system = bound_system(
+            grid, drive=EndfireDrive(alpha_in=0.5, inlet_cell=8) if drive else None,
+            absorber=make_absorber(grid, speed=2.0) if absorber else None)
+        assert system.bound_rates() == [0.4, 0.2, 2.0, 0.5]
+
+    def test_wigner_sampling_adds_max_abs_omega(self):
+        # max |2 k| = 2 pi / dx for the signal, 0.5 for the flat phonon,
+        # even with a drive and an absorber
+        grid = Grid1D(128, 1.0)
+        rates = bound_system(grid, "wigner", EndfireDrive(alpha_in=0.5, inlet_cell=8),
+                             make_absorber(grid, speed=2.0)).bound_rates()
+        assert rates[:2] == [0.4, 0.2]
+        assert rates[2:] == pytest.approx([2.0 * np.pi, 0.5], rel=1e-15)
+
+    def test_frozen_branch_is_left_out(self):
+        # a frozen branch's loss and band count for nothing, with or
+        # without its flag: only the live rows are stepped
+        grid = Grid1D(128, 1.0)
+        phonon = PhononConfig(DispersionSpec.flat(0.5), gamma=0.2)
+        signal = BranchConfig("signal", DispersionSpec.linear(2.0), kappa=0.4)
+        pump = BranchConfig("pump", DispersionSpec.linear(30.0), kappa=9.0,
+                            drive=EndfireDrive(alpha_in=0.5, inlet_cell=8))
+        frozen, live = (MultiBranchSystem(grid, (replace(pump, frozen=flag), signal),
+                                          phonon, [[0.0, 0.1], [0.1, 0.0]])
+                        for flag in (True, False))
+        assert frozen.bound_rates() == [0.4, 0.2, 2.0, 0.5]
+        assert live.bound_rates() == [9.0, 0.4, 0.2, 30.0, 2.0, 0.5]
+
+
+class TestWorkflowDt:
+    """The dt each multi-branch workflow hands its stepper is, bit for
+    bit, the one of the hand-written rates it used before the system
+    owned them."""
+
+    class Stop(Exception):
+        pass
+
+    def captured(self, monkeypatch, run, **kwargs):
+        seen = []
+
+        def stepper(system, dt):
+            seen.append((system, dt))
+            raise self.Stop
+
+        monkeypatch.setattr(experiments, "MultiBranchStepper", stepper)
+        with pytest.raises(self.Stop):
+            run(**kwargs)
+        return seen[0]
+
+    @pytest.mark.parametrize("power, direction, Gamma", [
+        (0.05, +1, 2 * np.pi * 3e8), (5.0, -1, 2 * np.pi * 9e8)],
+        ids=["forward", "backward"])
+    def test_two_branch_gain(self, monkeypatch, power, direction, Gamma):
+        g0_12, v, vb, omega1 = 1e4, 7e7, 1e3, 2 * np.pi * 193.5e12
+        kappa2 = 0.15 * brillouin_gain(g0_12, v, v, Gamma, omega1) * power * v
+        system, dt = self.captured(
+            monkeypatch, experiments.run_two_branch_gain, g0_12=g0_12, v1=v,
+            v2=v, vb=vb, Gamma=Gamma, kappa2=kappa2, omega1=omega1,
+            pump_power_W=power, direction=direction)
+        alpha1_in = np.sqrt(power / (HBAR * omega1))
+        grid = system.grid
+        assert dt == experiments.DT_MARGIN * dt_bound(
+            [kappa2, Gamma, abs(g0_12) * abs(alpha1_in) / np.sqrt(v)]
+            + [transport_rate(b.dispersion, grid)
+               for b in (*system.branches, system.phonon)])
+
+    def test_swap_profile(self, monkeypatch):
+        g12, v2, vb, gamma2, gamma_b = 0.0707, 2.0, 1.0, 0.02, 0.03
+        system, dt = self.captured(
+            monkeypatch, experiments.run_swap_profile, g12=g12, v2=v2, vb=vb,
+            gamma2=gamma2, gamma_b=gamma_b)
+        grid = system.grid
+        assert dt == experiments.DT_MARGIN * dt_bound(
+            [gamma2 * v2, gamma_b * vb, abs(g12)]
+            + [transport_rate(b.dispersion, grid)
+               for b in (system.branches[1], system.phonon)])
 
 
 def mixed_system(sampling):

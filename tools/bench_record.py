@@ -7,7 +7,9 @@ For each workload of ``BENCHMARK.json`` it runs ``perfbench/run.py --trace
 0`` in both checkouts for ten pairs of runs of the benchmark's
 ``run_seconds``, one seed per pair, alternating which checkout runs
 first, and records every end-to-end metric with its median and quartiles
-per side, and for ``solve_rel`` how many pairs the change won. Then it
+per side, and for ``solve_rel`` how many pairs the change won. Each
+end-to-end metric of ``BENCHMARK.json`` gets a ``verdict`` (see
+:func:`verdict`), and a table of them is printed at the end. Then it
 traces one run of each workload per checkout (``--trace 1``, seed
 ``TRACE_SEED``) and records its per-layer metrics side by side. Last, it
 runs the tier-1 suite three times per checkout in the order
@@ -34,6 +36,7 @@ from run import machine_facts  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = {m["name"]: m for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10  # a claimed gain must win at least 9 of 10 alternating pairs
 TRACE_SEED = 7001
@@ -46,6 +49,30 @@ CRITERIA = {"C2": "test_criterion_2_", "C4": "test_criterion_4_",
 def quartiles(values) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def verdict(metric: dict, bound: float, better: str) -> str:
+    """One end-to-end metric's verdict from its parent and change runs (a
+    :func:`bench_workload` entry), with the benchmark's relative ``bound``
+    and ``better`` ("lower" or "higher"):
+
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median;
+    - ``unresolved``: not worse, but the parent's quartile spread exceeds
+      ``bound`` times its median, and not every change run beats every
+      parent run;
+    - ``no worse``: otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0  # sign * (c - p) > 0: c is worse
+    parent, samples = metric["parent"], metric["samples"]
+    scale = bound * abs(parent["median"])
+    if sign * (metric["change"]["median"] - parent["median"]) > scale:
+        return "worse"
+    beats_all = all(sign * (c - p) < 0 for c in samples["change"]
+                    for p in samples["parent"])
+    if parent["q3"] - parent["q1"] > scale and not beats_all:
+        return "unresolved"
+    return "no worse"
 
 
 def bench_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -73,6 +100,8 @@ def bench_workload(parent: Path, change: Path, workload: str, seeds) -> dict:
                        for side in runs}
         out[metric]["samples"] = {side: [r[metric] for r in runs[side]]
                                   for side in runs}
+    for metric, spec in END_TO_END.items():
+        out[metric]["verdict"] = verdict(out[metric], spec["bound"], spec["better"])
     rel = out["solve_rel"]
     rel["change_lower_in_pairs"] = sum(
         c < p for p, c in zip(rel["samples"]["parent"], rel["samples"]["change"]))
@@ -123,6 +152,15 @@ def traced(parent: Path, change: Path, workload: str) -> dict:
     return out
 
 
+def print_verdicts(workloads: dict) -> None:
+    """One row per workload, one column per end-to-end metric."""
+    width = max(len(name) for name in workloads)
+    print("verdicts".ljust(width) + "".join(f"  {m:>16}" for m in END_TO_END))
+    for name, out in workloads.items():
+        print(name.ljust(width)
+              + "".join(f"  {out[m]['verdict']:>16}" for m in END_TO_END))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -141,6 +179,7 @@ def main(argv=None) -> int:
                         for workload in WORKLOADS}
     record["tier1"] = tier1(parent, change)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    print_verdicts(record["workloads"])
     return 0
 
 
