@@ -1,11 +1,11 @@
-"""Brillouin-limit analysis: adiabatic phonon elimination, the gain
-coefficient, and the induced nonlinear susceptibility.
+"""Brillouin-limit analysis: the gain coefficient and the induced
+nonlinear susceptibility.
 
 When the phonon decay length 1/gamma_b is far shorter than both the
 optical decay length and the gain length, the phonon field is generated
-locally and can be eliminated: the signal branch then sees an effective
-local gain. In traveling-wave powers (P = hbar omega v |amplitude|^2) the
-small-signal result is the textbook form
+locally and the signal branch sees an effective local gain. In
+traveling-wave powers (P = hbar omega v |amplitude|^2) the small-signal
+result is the textbook form
 
     dP2/dx = G_B P1 P2 - gamma2 P2,
     G_B = 4 |g0_12|^2 / (v1 v2 Gamma hbar omega1)   [1/(W m)].
@@ -15,61 +15,14 @@ The equivalent single-photon statement is the nonlinear susceptibility
     chi3(Omega) = -(1/v2) |g0_12|^2 / (Omega - Omega0 - i Gamma/2),
 
 a Lorentzian whose imaginary part reproduces the frequency-dependent gain
-via G_B(Omega) = -2 Im chi3(Omega) / (hbar omega1 v1), exactly.
-
-Bookkeeping note: the amplitude-level gain coefficient returned by
-:func:`adiabatic_eliminate` is 2 |g12|^2 / (v2 Gamma) = G_B P1 / 2, with
-the *signal* velocity v2 in the denominator; shorthand forms quoting
-v1 instead are interchangeable only for v1 = v2. The power-level slope
-G_B P1 - gamma2 is what the dynamical solver reproduces and what the
-cross-validation suite asserts.
+via G_B(Omega) = -2 Im chi3(Omega) / (hbar omega1 v1), exactly. The
+power-level slope G_B P1 - gamma2 is what the two-branch solver
+(:func:`cwom.experiments.run_two_branch_gain`) reproduces.
 """
-
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR
-
-ADIABATIC_REJECT_RATIO = 10.0
-ADIABATIC_WARN_RATIO = 100.0
-
-
-@dataclass(frozen=True)
-class BrillouinParams:
-    """Two-branch pump-signal-phonon parameter bundle (SI units).
-
-    ``g12`` is the pump-enhanced coupling g0_12 * alpha_1 (Hz); ``g0_12``
-    the bare inter-branch coupling (Hz m^(1/2)). Spatial power decay
-    rates gamma2 = kappa2/v2 and gamma_b = Gamma/vb are derived.
-    """
-
-    g12: complex
-    g0_12: float
-    v1: float
-    v2: float
-    vb: float
-    Gamma: float
-    kappa2: float = 0.0
-    omega1: float = 0.0
-    omega2: float = 0.0
-    Omega: float = 0.0
-    Omega0: float = 0.0
-
-    def __post_init__(self):
-        if self.v1 <= 0 or self.v2 <= 0 or self.vb <= 0:
-            raise ValueError("velocities must be positive")
-        if self.Gamma < 0 or self.kappa2 < 0:
-            raise ValueError("decay rates must be non-negative")
-
-    @property
-    def gamma2(self) -> float:
-        return self.kappa2 / self.v2
-
-    @property
-    def gamma_b(self) -> float:
-        return self.Gamma / self.vb
 
 
 def brillouin_gain(g0_12: float, v1: float, v2: float, Gamma: float,
@@ -83,14 +36,6 @@ def brillouin_gain(g0_12: float, v1: float, v2: float, Gamma: float,
     if Gamma <= 0:
         raise ValueError("Gamma = 0 invalidates the adiabatic (local) limit")
     return 4.0 * abs(g0_12) ** 2 / (v1 * v2 * Gamma * HBAR * omega1)
-
-
-def g0_from_gain(G_B: float, v1: float, v2: float, Gamma: float,
-                 omega1: float) -> float:
-    """Invert :func:`brillouin_gain`: the bare coupling from a measured G_B."""
-    if G_B < 0:
-        raise ValueError("G_B must be non-negative")
-    return np.sqrt(G_B * v1 * v2 * Gamma * HBAR * omega1 / 4.0)
 
 
 def nonlinear_susceptibility(Omega, g0_12: float, v2: float, Omega0: float,
@@ -108,60 +53,3 @@ def nonlinear_susceptibility(Omega, g0_12: float, v2: float, Omega0: float,
         return complex(out)
     return out
 
-
-def gain_spectrum(Omega, g0_12: float, v1: float, v2: float, Omega0: float,
-                  Gamma: float, omega1: float):
-    """Frequency-dependent gain G_B(Omega) = -2 Im chi3(Omega)/(hbar omega1 v1)."""
-    chi = nonlinear_susceptibility(Omega, g0_12, v2, Omega0, Gamma)
-    return -2.0 * np.imag(chi) / (HBAR * omega1 * v1)
-
-
-@dataclass(frozen=True)
-class AdiabaticCoefficients:
-    """Photon-only spatial ODE coefficients after phonon elimination.
-
-    d<a2>/dx = (amplitude_gain - gamma2/2) <a2>; the locally generated
-    phonon amplitude is <b> = i * phonon_per_photon * conj(<a2>) with
-    phonon_per_photon = 2 g12 / Gamma (dimensionless).
-    """
-
-    amplitude_gain: float
-    amplitude_loss: float
-    power_slope: float
-    phonon_per_photon: complex
-    adiabatic_ratio: float
-
-    @property
-    def amplitude_slope(self) -> float:
-        return self.amplitude_gain - self.amplitude_loss
-
-
-def adiabatic_eliminate(params: BrillouinParams) -> AdiabaticCoefficients:
-    """Eliminate the locally generated phonon and return the signal ODE.
-
-    Requires a spatial decay-rate contrast gamma_b/gamma2 of at least 10
-    (hard error) and warns below 100, where the local approximation
-    degrades. At line center the power slope is G_B P1 - gamma2 with
-    G_B P1 = 4 |g12|^2/(v2 Gamma).
-    """
-    if params.Gamma <= 0:
-        raise ValueError("Gamma = 0 invalidates the adiabatic (local) limit")
-    gamma2 = params.gamma2
-    gamma_b = params.gamma_b
-    ratio = gamma_b / gamma2 if gamma2 > 0 else np.inf
-    if ratio < ADIABATIC_REJECT_RATIO:
-        raise ValueError(
-            f"gamma_b/gamma2 = {ratio:.2f} < {ADIABATIC_REJECT_RATIO}: phonons are "
-            "not generated locally; use the full solver")
-    if ratio < ADIABATIC_WARN_RATIO:
-        warnings.warn(
-            f"gamma_b/gamma2 = {ratio:.1f} < {ADIABATIC_WARN_RATIO}: adiabatic "
-            "elimination is marginal", stacklevel=2)
-    amplitude_gain = 2.0 * abs(params.g12) ** 2 / (params.v2 * params.Gamma)
-    return AdiabaticCoefficients(
-        amplitude_gain=amplitude_gain,
-        amplitude_loss=0.5 * gamma2,
-        power_slope=2.0 * amplitude_gain - gamma2,
-        phonon_per_photon=2.0 * params.g12 / params.Gamma,
-        adiabatic_ratio=ratio,
-    )

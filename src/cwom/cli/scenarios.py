@@ -36,6 +36,9 @@ from ..strongcoupling import sweep_coupling
 from .config import ConfigError, ScenarioConfig, serialize_config
 from .output import write_csv, write_json_report, write_snapshot
 
+# the most steps a custom run takes; t_total / dt above it is refused
+MAX_STEPS = 10 ** 8
+
 DEFAULTS = {
     "regime_sweep": {
         "sweep": {"v2": 7e7, "vb": 1e3, "gamma2": 10.0, "gamma_b": 2e5,
@@ -321,9 +324,9 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     (the grid, finite bands, couplings, bath, absorber or the stepper's
     deposit plan) rejects its entries, when dt exceeds the stability bound
     of the initial (vacuum) state under this run's drive, absorber and
-    bath, when t_total is less than one step, and
-    when the absorber's speed is neither given nor the photon band's group
-    velocity at k = 0."""
+    bath, when t_total is less than one step or more than
+    :data:`MAX_STEPS` steps, and when the absorber's speed is neither given
+    nor the photon band's group velocity at k = 0."""
     grid = _build("grid", Grid1D, **config.section("grid"))
     disp = DispersionPair(_build("photon", _band, config.section("photon"), grid),
                           _build("phonon", _band, config.section("phonon"), grid))
@@ -357,6 +360,10 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     if n_steps < 1:
         raise ConfigError([f"[integration] t_total: {integ['t_total']:.3e} s is "
                            f"less than one step of dt = {dt:.3e} s"])
+    if n_steps > MAX_STEPS:
+        raise ConfigError([f"[integration] t_total: {integ['t_total']:.3e} s is "
+                           f"{n_steps:.3e} steps of dt = {dt:.3e} s, more than "
+                           f"the cap of {MAX_STEPS:.0e} steps"])
     # the stepper builds the drive's deposit plan, checked before anything
     # is written
     stepper = _build("drive", Stepper, grid, couplings, disp, bath=bath,

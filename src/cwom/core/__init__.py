@@ -6,12 +6,12 @@ from .fields import FieldState, Frame
 from .grid import Grid1D
 from .interaction import (interaction_rhs, phonon_channel, photon_channel,
                           total_energy)
-from .spectral import (apply_phase, conjugate_dispersion_phase, dispersion_phase,
-                       mode_amplitudes, spectral_derivative)
+from .spectral import (apply_phase, dispersion_phase, mode_amplitudes,
+                       spectral_derivative)
 
 __all__ = [
     "CouplingSet", "DispersionSpec", "FieldState", "Frame", "Grid1D",
     "interaction_rhs", "phonon_channel", "photon_channel", "total_energy",
-    "apply_phase", "conjugate_dispersion_phase", "dispersion_phase",
-    "mode_amplitudes", "spectral_derivative",
+    "apply_phase", "dispersion_phase", "mode_amplitudes",
+    "spectral_derivative",
 ]

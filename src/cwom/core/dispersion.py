@@ -117,12 +117,6 @@ class DispersionSpec:
         k = np.asarray(k, dtype=float)
         return np.interp(k, ks, v_sorted)
 
-    def negated_reflection(self, grid: Grid1D) -> np.ndarray:
-        """-omega(-k) on the grid: phase weights of the conjugate channel."""
-        vals = self.values_on(grid)
-        idx = (-np.arange(grid.n_points)) % grid.n_points
-        return -vals[idx]
-
     def _grid_index(self, k):
         dk = self.grid.dk
         idx = np.rint(np.asarray(k) / dk).astype(int) % self.grid.n_points

@@ -22,9 +22,9 @@ usually written out, so the derivation is spelled out term by term in the
 channel functions below. Every term carries exactly one a+ and one a, so
 the interaction conserves total photon number identically.
 
-The channels are deliberately *bilinear* in (photon field, displacement)
-and (photon-dagger field, photon field): the linearized fluctuation
-equations reuse them with background and fluctuation fields in either slot.
+The channels evaluate each term on its own, with one transform pair per
+derivative; they are the term-by-term reference that the fused kernel is
+checked against.
 
 The nonlinear right-hand side :func:`interaction_rhs` evaluates the same
 terms fused, with every derivative summed in k-space: one batched forward
@@ -56,18 +56,9 @@ from .spectral import multiply_modes, spectral_derivative
 
 
 def photon_channel(f: np.ndarray, u: np.ndarray, couplings: CouplingSet,
-                   grid: Grid1D, conjugate: bool = False) -> np.ndarray:
-    """Photon-equation interaction terms, bilinear in (f, u).
-
-    With ``conjugate=True`` returns the formally conjugated operator
-    (all coupling constants conjugated, i -> -i), which propagates the
-    tracked conjugate partner in the doubled fluctuation system.
-    """
+                   grid: Grid1D) -> np.ndarray:
+    """Photon-equation interaction terms, bilinear in (f, u)."""
     c = couplings
-    s = -1.0 if conjugate else 1.0
-
-    def g(val):
-        return np.conj(val) if conjugate else val
 
     def D(z):
         return spectral_derivative(z, grid, 1)
@@ -75,42 +66,36 @@ def photon_channel(f: np.ndarray, u: np.ndarray, couplings: CouplingSet,
     out = np.zeros(grid.n_points, dtype=np.complex128)
     df = du = None
     if c.g_ppp != 0:
-        out += (1j * s) * g(c.g_ppp) * u * f
+        out += 1j * c.g_ppp * u * f
     if c.g_mmp != 0:
         df = D(f)
-        out += (-1j * s) * g(c.g_mmp) * D(u * df)
+        out += -1j * c.g_mmp * D(u * df)
     if c.g_mpm != 0:
         df = D(f) if df is None else df
         du = D(u)
-        out += (-1j * s) * g(c.g_mpm) * D(f * du)
-        out += (1j * s) * g(np.conj(c.g_mpm)) * df * du
+        out += -1j * c.g_mpm * D(f * du)
+        out += 1j * np.conj(c.g_mpm) * df * du
     if c.g_ppm != 0:
         du = D(u) if du is None else du
-        out += (1j * s) * g(c.g_ppm) * f * du
+        out += 1j * c.g_ppm * f * du
     if c.g_mpp != 0:
         df = D(f) if df is None else df
-        out += (-1j * s) * g(c.g_mpp) * D(f * u)
-        out += (1j * s) * g(np.conj(c.g_mpp)) * df * u
+        out += -1j * c.g_mpp * D(f * u)
+        out += 1j * np.conj(c.g_mpp) * df * u
     if c.g_mmm != 0:
         df = D(f) if df is None else df
         du = D(u) if du is None else du
-        out += (-1j * s) * g(c.g_mmm) * D(df * du)
+        out += -1j * c.g_mmm * D(df * du)
     return out
 
 
 def phonon_channel(fdag: np.ndarray, f: np.ndarray, couplings: CouplingSet,
-                   grid: Grid1D, conjugate: bool = False) -> np.ndarray:
+                   grid: Grid1D) -> np.ndarray:
     """Phonon-equation interaction terms, bilinear in (fdag, f).
 
-    ``fdag`` stands in for the daggered photon field; the nonlinear
-    equations pass conj(a), the linearized ones pass background or
-    fluctuation fields independently.
+    ``fdag`` stands in for the daggered photon field, conj(a).
     """
     c = couplings
-    s = -1.0 if conjugate else 1.0
-
-    def g(val):
-        return np.conj(val) if conjugate else val
 
     def D(z):
         return spectral_derivative(z, grid, 1)
@@ -118,26 +103,26 @@ def phonon_channel(fdag: np.ndarray, f: np.ndarray, couplings: CouplingSet,
     out = np.zeros(grid.n_points, dtype=np.complex128)
     dfd = df = None
     if c.g_ppp != 0:
-        out += (1j * s) * g(c.g_ppp) * fdag * f
+        out += 1j * c.g_ppp * fdag * f
     if c.g_mmp != 0:
         dfd, df = D(fdag), D(f)
-        out += (1j * s) * g(c.g_mmp) * dfd * df
+        out += 1j * c.g_mmp * dfd * df
     if c.g_mpm != 0:
         dfd = D(fdag) if dfd is None else dfd
         df = D(f) if df is None else df
-        out += (-1j * s) * g(c.g_mpm) * D(dfd * f)
-        out += (-1j * s) * g(np.conj(c.g_mpm)) * D(fdag * df)
+        out += -1j * c.g_mpm * D(dfd * f)
+        out += -1j * np.conj(c.g_mpm) * D(fdag * df)
     if c.g_ppm != 0:
-        out += (-1j * s) * g(c.g_ppm) * D(fdag * f)
+        out += -1j * c.g_ppm * D(fdag * f)
     if c.g_mpp != 0:
         dfd = D(fdag) if dfd is None else dfd
         df = D(f) if df is None else df
-        out += (1j * s) * g(c.g_mpp) * dfd * f
-        out += (1j * s) * g(np.conj(c.g_mpp)) * fdag * df
+        out += 1j * c.g_mpp * dfd * f
+        out += 1j * np.conj(c.g_mpp) * fdag * df
     if c.g_mmm != 0:
         dfd = D(fdag) if dfd is None else dfd
         df = D(f) if df is None else df
-        out += (-1j * s) * g(c.g_mmm) * D(dfd * df)
+        out += -1j * c.g_mmm * D(dfd * df)
     return out
 
 

@@ -86,14 +86,6 @@ def dispersion_phase(dispersion: DispersionSpec, grid: Grid1D, dt: float) -> np.
     return np.exp(-1j * dispersion.values_on(grid) * dt)
 
 
-def conjugate_dispersion_phase(dispersion: DispersionSpec, grid: Grid1D,
-                               dt: float) -> np.ndarray:
-    """Phase factors exp(+i omega(-k) dt): free step of a conjugated field."""
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    return np.exp(-1j * dispersion.negated_reflection(grid) * dt)
-
-
 def apply_phase(field: np.ndarray, phase: np.ndarray,
                 out: np.ndarray = None) -> np.ndarray:
     """Multiply the field's k-space representation by precomputed phases.

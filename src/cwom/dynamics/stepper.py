@@ -37,10 +37,9 @@ whole steps in the last bits only.
 :class:`SplitStepper` runs this step on one stacked complex array of shape
 (rows, n), and the RK4 substep is whole-array arithmetic on the
 right-hand side a model fills row by row. The waveguide model
-:class:`Stepper` stacks (a, b); the multi-branch, lattice and linearized
-models (``multibranch``, ``lattice``, ``steady``) are its siblings. The
-multi-branch state already is one stacked array, which a step copies
-once and hands back.
+:class:`Stepper` stacks (a, b); the multi-branch and lattice models
+(``multibranch``, ``lattice``) are its siblings. The multi-branch state
+already is one stacked array, which a step copies once and hands back.
 
 What the linear parts of a step cost is settled at construction, per
 row, from the half-step phase rows a model builds and from its loss

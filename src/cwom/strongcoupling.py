@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REGIMES = ("overdamped", "oscillatory", "strong_coupling")
-
 
 def build_matrix(g12: complex, v2: float, vb: float, gamma2: float,
                  gamma_b: float) -> np.ndarray:

@@ -67,6 +67,25 @@ class TestInjection:
         flux = C * np.abs(st.a[40:200]) ** 2
         assert abs(flux.mean() - abs(alpha) ** 2) < 1e-3 * abs(alpha) ** 2
 
+    def test_transport_decay_profile(self):
+        # closed-form oracle: with g = 0 and uniform kappa the driven cw
+        # envelope decays along the guide as |alpha|^2 ~ exp(-(kappa/v) x)
+        grid = Grid1D(256, 1.0)
+        v, kappa = 2.0, 0.03
+        disp = DispersionPair(DispersionSpec.linear(v), DispersionSpec.flat(1.0))
+        bath = BathSpec(kappa=kappa, gamma_mech=1.0)
+        drive = EndfireDrive(alpha_in=1.0, inlet_cell=4)
+        absorber = make_absorber(grid, speed=v, width_fraction=0.1)
+        dt = 0.9 * 0.5 / (v * np.pi / grid.dx)
+        stepper = Stepper(grid, CouplingSet.simple(0.0), disp, bath, drive,
+                          absorber, dt)
+        n_steps = round(3 * grid.length / (v * dt))  # three transits
+        st = stepper.run(FieldState.vacuum(grid), n_steps).final_state
+        cells = np.arange(30, 190)
+        lnp = np.log(np.abs(st.a[cells]) ** 2)
+        slope = np.polyfit(cells * grid.dx, lnp, 1)[0]
+        assert abs(slope + kappa / v) < 0.01 * (kappa / v)
+
     def test_vacuum_correlator_half_per_mover(self):
         # Vacuum-only injection: equal-time diagonal 1/(2 dx) downstream.
         grid, disp, dt, absorber = transport_setup(n=128)

@@ -14,7 +14,7 @@ from cwom.cli.config import (POSITIVE_FLOATS, POSITIVE_INTS, SCENARIOS, SCHEMA,
                              parse_config_text, serialize_config)
 from cwom.cli.main import main
 from cwom.cli.output import read_snapshot, write_csv, write_snapshot
-from cwom.cli.scenarios import resolve_config, run_scenario
+from cwom.cli.scenarios import MAX_STEPS, resolve_config, run_scenario
 from cwom.dynamics.rng import MAX_SEED
 
 GOOD_CONFIG = """
@@ -579,6 +579,18 @@ class TestCliRangeChecks:
         err = capsys.readouterr().err
         assert err.count("[integration] dt: 1.000e+00 s exceeds the stability "
                          "bound 1.250e-01 s") == 4, err
+        assert "Traceback" not in err
+
+    def test_step_count_above_the_cap_exits_two(self, tmp_path, capsys):
+        # 1e300 s at dt = 0.02 s, and 20 s at dt = 1e-9 s, are 5e301 and
+        # 2e10 steps: both above MAX_STEPS
+        self._all_exit_two(tmp_path,
+                           GOOD_CONFIG.replace("t_total = 20.0 s", "t_total = 1e300 s"),
+                           "--dt-override", "1e-9")
+        err = capsys.readouterr().err
+        assert err.count("[integration] t_total: ") == 4, err
+        assert err.count(f"more than the cap of {MAX_STEPS:.0e} steps") == 4, err
+        assert "5.000e+301 steps" in err and "2.000e+10 steps" in err
         assert "Traceback" not in err
 
     def test_closed_custom_run_above_the_band_bound_validates(self, tmp_path,

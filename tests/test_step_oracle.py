@@ -38,7 +38,6 @@ from cwom.dynamics.bath import sample_noise_field
 from cwom.lattice import ArrayConfig, LatticeState, LatticeStepper
 from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
                               MultiBranchSystem, PhononConfig)
-from cwom.steady import FluctuationState, LinearizedStepper, SteadyState
 
 from conftest import random_band_limited
 
@@ -230,10 +229,6 @@ def stack_branches(state):
     return np.stack(list(state.fields) + [state.b])
 
 
-def stack_fluctuations(f):
-    return np.stack((f.da, f.da_conj, f.db, f.db_conj))
-
-
 def waveguide_case():
     # derivative couplings, linear bands, Wigner noise, an end-fire drive,
     # an absorber
@@ -320,23 +315,6 @@ def lattice_case():
                 seed=4)
 
 
-def linearized_case():
-    grid = Grid1D(128, 0.1)
-    rng = np.random.default_rng(11)
-    steady = SteadyState.from_fields(grid, random_band_limited(grid, rng, amplitude=0.5),
-                                     random_band_limited(grid, rng, amplitude=0.2), 0.3)
-    fluct = FluctuationState.from_classical(
-        grid, random_band_limited(grid, rng, amplitude=0.1),
-        random_band_limited(grid, rng, amplitude=0.1))
-    disp = DispersionPair(DispersionSpec.polynomial([0.0, 1.0, 0.05]),
-                          DispersionSpec.linear(0.4, 2.0))
-    absorber = make_absorber(grid, speed=1.0)
-    stepper = LinearizedStepper(steady, CouplingSet.odd(g_ppm=0.05, g_mpp=0.01 - 0.02j),
-                                disp, BathSpec(kappa=0.4, gamma_mech=0.7), 2e-3,
-                                absorber=absorber)
-    return Case(stepper, fluct, stack_fluctuations, absorber=absorber)
-
-
 def reference_uncoupled_rhs(bath):
     """The uncoupled right-hand side written plainly: zeros, then minus
     half the decay rate times each damped row."""
@@ -389,7 +367,6 @@ def uncoupled_case(name):
 
 CASES = {"waveguide": waveguide_case, "multibranch": multibranch_case,
          "forward_gain": forward_gain_case, "lattice": lattice_case,
-         "linearized": linearized_case,
          "undamped_endfire_vacuum": lambda: uncoupled_case("undamped_endfire_vacuum"),
          "damped_wigner": lambda: uncoupled_case("damped_wigner")}
 
@@ -414,10 +391,6 @@ def test_multibranch_stepper_matches_reference():
 
 def test_lattice_stepper_matches_reference():
     assert_matches_reference(lattice_case())
-
-
-def test_linearized_stepper_matches_reference():
-    assert_matches_reference(linearized_case())
 
 
 def test_uncoupled_steppers_match_the_plain_reference():
@@ -596,19 +569,6 @@ def test_lattice_free_step_plan(K, Omega_frame, plan):
     assert free_plan(LatticeStepper(config, 0.01), 2) == plan
 
 
-@pytest.mark.parametrize("phonon, plan", [
-    (DispersionSpec.linear(0.4, 2.0), ["transform"] * 4),
-    (DispersionSpec.flat(0.7), ["transform", "transform", "scalar", "scalar"]),
-    (DispersionSpec.flat(0.0), ["transform", "transform", "skip", "skip"]),
-])
-def test_linearized_free_step_plan(phonon, plan):
-    case = linearized_case()
-    disp = DispersionPair(DispersionSpec.polynomial([0.0, 1.0, 0.05]), phonon)
-    stepper = LinearizedStepper(case.stepper.steady, case.stepper.couplings, disp,
-                                BathSpec(kappa=0.4), 2e-3)
-    assert free_plan(stepper, 4) == plan
-
-
 CORE_STEP = ("_kick", "_derivative", "_rk4", "_free_step", "step_inplace", "run")
 
 
@@ -629,7 +589,7 @@ def test_models_supply_only_their_interaction():
             if sub.__module__.startswith("cwom."):
                 models.append(sub)
     assert {m.__name__ for m in models} >= {
-        "Stepper", "MultiBranchStepper", "LatticeStepper", "LinearizedStepper"}
+        "Stepper", "MultiBranchStepper", "LatticeStepper"}
     for model in models:
         own = sorted(set(CORE_STEP) & set(vars(model)))
         assert not own, f"{model.__name__} defines {own}"
