@@ -4,10 +4,12 @@ Every physical quantity carries a unit suffix checked against the schema
 (`Gamma = 6.28e6 /s`); dimensionless keys use no suffix. Enumerated keys
 (dispersion kind, coupling sector, drive mode, absorber, sampling, array
 coupling kind) accept only their declared values. Unknown sections or
-keys are rejected, numbers must be finite, step and trajectory counts and
-dt positive and seeds in [0, 2**64 - 1], and validation reports every
-offending entry at once rather than stopping at the first. Command-line overrides pass the same
-range checks (:func:`check_ranges`).
+keys are rejected, numbers must be finite, counts (steps, trajectories,
+sweep points, comb orders) and dt positive, the preset runs' grid sizes
+powers of two, the gain direction +1 or -1, the comb at least 2 periods
+long and seeds in [0, 2**64 - 1], and validation reports every offending
+entry at once rather than stopping at the first. Command-line overrides
+pass the same range checks (:func:`check_ranges`).
 Unit bugs dominate this domain, so the parser refuses to guess.
 """
 
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.couplings import SECTORS
+from ..core.grid import is_power_of_two
 from ..dynamics.rng import MAX_SEED
 from ..lattice import COUPLING_KINDS
 
@@ -94,8 +97,14 @@ SCHEMA = {
     },
 }
 
-# int keys that count steps or runs and must be at least 1
-POSITIVE_INTS = {("integration", "record_every"), ("ensemble", "trajectories")}
+# int keys that count steps, runs, points or orders and must be at least 1
+POSITIVE_INTS = {("integration", "record_every"), ("ensemble", "trajectories"),
+                 ("sweep", "points"), ("comb", "orders")}
+# the preset runs' grid sizes ([grid] n_points is Grid1D's to refuse)
+POWER_OF_TWO_INTS = {("gain", "n_points"), ("swap", "n_points"),
+                     ("comb", "n_points")}
+# a propagation direction: +1 forward, -1 backward
+SIGN_INTS = {("gain", "direction")}
 # RNG seeds: a Philox key word, 0 to MAX_SEED = 2**64 - 1
 SEED_INTS = {("ensemble", "base_seed")}
 POSITIVE_FLOATS = {("integration", "dt")}
@@ -182,6 +191,13 @@ def _range_problem(section, key, value):
         return f"[{section}] {key}: must be finite, got {value!r}"
     if where in POSITIVE_INTS and value < 1:
         return f"[{section}] {key}: must be at least 1, got {value}"
+    if where in POWER_OF_TWO_INTS and not is_power_of_two(value):
+        return f"[{section}] {key}: must be a power of two, got {value}"
+    if where in SIGN_INTS and value not in (-1, 1):
+        return f"[{section}] {key}: must be +1 or -1, got {value}"
+    if where == ("comb", "periods") and not value >= 2:
+        # the comb analyses whole phonon periods of its run's second half
+        return f"[{section}] {key}: must be at least 2, got {value!r}"
     if where in SEED_INTS and not 0 <= value <= MAX_SEED:
         return f"[{section}] {key}: must be in [0, 2**64 - 1], got {value}"
     if where in POSITIVE_FLOATS and not value > 0:

@@ -29,15 +29,12 @@ from ..dynamics.rng import trajectory_generator
 from ..dynamics.stepper import (DispersionPair, Stepper, make_energy_observer,
                                 observe_phonon_number, observe_photon_number,
                                 stability_bound)
-from ..experiments import (array_convergence_study, convergence_study_problems,
-                           run_forward_comb, run_swap_profile,
-                           run_two_branch_gain)
-from ..strongcoupling import sweep_coupling
+from ..experiments import (MAX_STEPS, array_convergence_study,
+                           convergence_study_problems, run_forward_comb,
+                           run_swap_profile, run_two_branch_gain)
+from ..strongcoupling import sweep_coupling, thresholds
 from .config import ConfigError, ScenarioConfig, serialize_config
 from .output import write_csv, write_json_report, write_snapshot
-
-# the most steps a custom run takes; t_total / dt above it is refused
-MAX_STEPS = 10 ** 8
 
 DEFAULTS = {
     "regime_sweep": {
@@ -182,8 +179,8 @@ def _run_regime_sweep(config: ScenarioConfig, out: Path) -> dict:
         ("D", "1/m^2", D),
         ("regime", "label", list(regimes)),
     ])
-    threshold_osc = np.sqrt(p["v2"] * p["vb"]) * abs(p["gamma2"] - p["gamma_b"]) / 4
-    threshold_strong = np.sqrt(p["v2"] * p["vb"]) * (p["gamma2"] + p["gamma_b"]) / 4
+    threshold_osc, threshold_strong = thresholds(p["v2"], p["vb"], p["gamma2"],
+                                                 p["gamma_b"])
     oscillatory = regimes != "overdamped"
     return {
         "threshold_osc_Hz": threshold_osc,
@@ -285,9 +282,7 @@ def _array_study_inputs(config: ScenarioConfig) -> dict:
     inputs = dict(kind=p["kind"], sizes=tuple(int(s) for s in p["sizes"]),
                   length=p["length"], D2=p["curvature"], g_cont=p["g_cont"],
                   T=p["t_total"], n_ref=int(p["n_ref"]))
-    problems = convergence_study_problems(
-        inputs["kind"], inputs["sizes"], inputs["length"], inputs["T"],
-        inputs["n_ref"])
+    problems = convergence_study_problems(**inputs)
     if problems:
         raise ConfigError([f"[array] {_ARRAY_KEYS[arg]}: {message}"
                            for arg, message in problems])
@@ -367,7 +362,7 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     # the stepper builds the drive's deposit plan, checked before anything
     # is written
     stepper = _build("drive", Stepper, grid, couplings, disp, bath=bath,
-                     drive=drive, absorber=absorber, dt=dt, frame=vacuum.frame)
+                     drive=drive, absorber=absorber, dt=dt)
     ens = config.section("ensemble")
     return SimpleNamespace(
         grid=grid, disp=disp, couplings=couplings, stepper=stepper,

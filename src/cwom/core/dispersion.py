@@ -37,13 +37,13 @@ class DispersionSpec:
         elif self.kind == "tabulated":
             if self.table is None or self.grid is None:
                 raise ValueError("tabulated dispersion requires table and grid")
-            tab = np.asarray(self.table, dtype=float)
+            if np.any(np.imag(self.table) != 0):
+                raise ValueError("tabulated dispersion values must be real")
+            tab = np.asarray(np.real(self.table), dtype=float)
             if tab.shape != (self.grid.n_points,):
                 raise ValueError("table length must match grid.n_points")
             if not np.all(np.isfinite(tab)):
                 raise ValueError("tabulated dispersion values must be finite")
-            if np.iscomplexobj(self.table) and np.any(np.abs(np.imag(self.table)) > 0):
-                raise ValueError("tabulated dispersion values must be real")
             tab.flags.writeable = False
             object.__setattr__(self, "table", tab)
         else:
@@ -69,16 +69,6 @@ class DispersionSpec:
     def two_sided(speed: float, grid: Grid1D) -> "DispersionSpec":
         """omega(k) = speed*|k|: counter-propagating movers at fixed |v|."""
         return DispersionSpec(kind="tabulated", table=speed * np.abs(grid.k_axis),
-                              grid=grid)
-
-    @staticmethod
-    def tabulated(values, grid: Grid1D) -> "DispersionSpec":
-        values = np.asarray(values)
-        if np.iscomplexobj(values):
-            if np.any(np.abs(np.imag(values)) > 0):
-                raise ValueError("tabulated dispersion values must be real")
-            values = np.real(values)
-        return DispersionSpec(kind="tabulated", table=values.astype(float),
                               grid=grid)
 
     # -- evaluation -----------------------------------------------------

@@ -9,7 +9,7 @@ from .grid import Grid1D
 
 @dataclass(frozen=True)
 class Frame:
-    """Reference frame of a field state: rotating at (omega, k); the
+    """Rotating reference frame at (omega, k) of a driven field; the
     default ``Frame()`` is the lab frame."""
 
     omega: float = 0.0
@@ -21,19 +21,15 @@ class FieldState:
     """Photon field a(x) and phonon field b(x) on one grid.
 
     Both fields carry units m^(-1/2): sum |a_i|^2 dx is the photon number
-    in the domain, likewise for phonons. ``frame`` records whether the
-    amplitudes are lab-frame or envelopes around a carrier.
+    in the domain, likewise for phonons, in the lab frame.
     """
 
     grid: Grid1D
     a: np.ndarray
     b: np.ndarray
-    frame: Frame = None
     time: float = 0.0
 
     def __post_init__(self):
-        if self.frame is None:
-            self.frame = Frame()
         self.a = np.asarray(self.a, dtype=np.complex128)
         self.b = np.asarray(self.b, dtype=np.complex128)
         n = self.grid.n_points
@@ -41,8 +37,8 @@ class FieldState:
             raise ValueError("field arrays must match grid.n_points")
 
     @staticmethod
-    def vacuum(grid: Grid1D, frame: Frame = None) -> "FieldState":
-        return FieldState(grid, grid.zeros(), grid.zeros(), frame=frame)
+    def vacuum(grid: Grid1D) -> "FieldState":
+        return FieldState(grid, grid.zeros(), grid.zeros())
 
     def photon_number(self) -> float:
         return float(np.sum(np.abs(self.a) ** 2) * self.grid.dx)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _is_power_of_two(n: int) -> bool:
+def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
@@ -26,7 +26,7 @@ class Grid1D:
     derivative_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not _is_power_of_two(self.n_points):
+        if not is_power_of_two(self.n_points):
             raise ValueError(f"n_points must be a power of two, got {self.n_points}")
         if not (self.dx > 0):
             raise ValueError(f"dx must be positive, got {self.dx}")

@@ -1,11 +1,7 @@
-"""Drive specifications: end-fire injection and side illumination."""
+"""Drive specification: light injected through the waveguide entrance."""
 
 from dataclasses import dataclass
 from typing import Callable, Union
-
-import numpy as np
-
-from ..constants import HBAR
 
 
 @dataclass(frozen=True)
@@ -16,13 +12,12 @@ class EndfireDrive:
     ----------
     alpha_in : complex cw amplitude (s^(-1/2); photon flux |alpha_in|^2),
         or a callable t -> complex for shaped envelopes.
-    omega_L : lab-frame carrier frequency (rad/s). ``None`` means resonant
-        with the evolving field's frame (zero envelope detuning), the
-        common case; give it explicitly for detuned drives or for the
-        power conversion.
-    k_L : lab-frame carrier wavenumber (rad/m). ``None`` means the frame
-        carrier. The injected wave picks up its wavenumber from the
-        dispersion resonance; k_L fixes where the local velocity is
+    omega_L : carrier frequency (rad/s) in the lab frame. ``None`` means
+        resonant with the frame the driven field evolves in (zero envelope
+        detuning), the common case; give it explicitly for detuned drives.
+    k_L : carrier wavenumber (rad/m) in the lab frame. ``None`` means the
+        frame's carrier. The injected wave picks up its wavenumber from
+        the dispersion resonance; k_L fixes where the local velocity is
         validated.
     inlet_cell : grid cell receiving the source deposit.
     """
@@ -31,8 +26,6 @@ class EndfireDrive:
     omega_L: float = None
     k_L: float = None
     inlet_cell: int = 4
-
-    mode = "endfire"
 
     def amplitude(self, t: float) -> complex:
         if callable(self.alpha_in):
@@ -49,33 +42,3 @@ class EndfireDrive:
         if self.k_L is None:
             return 0.0
         return self.k_L - frame_k
-
-    @property
-    def power_W(self) -> float:
-        """Launched power hbar omega_L |alpha_in|^2 of a cw drive."""
-        if callable(self.alpha_in):
-            raise ValueError("power_W is defined for cw (constant) drives only")
-        if self.omega_L is None:
-            raise ValueError("power_W requires an explicit omega_L")
-        return HBAR * self.omega_L * abs(complex(self.alpha_in)) ** 2
-
-
-@dataclass(frozen=True)
-class SideDrive:
-    """Illumination from the side through an external coupling kappa_ex.
-
-    ``profile(x_axis, t)`` returns the complex drive amplitude per unit
-    length; the equations of motion gain sqrt(kappa_ex) * profile.
-    """
-
-    kappa_ex: float
-    profile: Callable[[np.ndarray, float], np.ndarray]
-
-    mode = "side"
-
-    def __post_init__(self):
-        if self.kappa_ex < 0:
-            raise ValueError("kappa_ex must be non-negative")
-
-
-DriveSpec = Union[EndfireDrive, SideDrive]

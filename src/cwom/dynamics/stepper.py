@@ -1,11 +1,11 @@
-"""Time evolution: one Strang split-step core with damping, drive, and
-Langevin noise, and the waveguide model built on it.
+"""Time evolution: one Strang split-step core with damping, end-fire
+drive and Langevin noise, and the waveguide model built on it.
 
 Step layout (one dt), shared by every solver in the package:
 
     half free evolution (exact k-space rotation of the live rows)
     middle substep over dt:
-        RK4 on interaction - loss + forces          (4th order, explicit)
+        RK4 on interaction - loss                   (4th order, explicit)
         Euler-Maruyama noise increments             (if Wigner sampling)
         end-fire source deposits + inlet vacuum     (if driven)
         absorbing-layer decay                       (if configured)
@@ -50,24 +50,22 @@ rates:
     free half step, phase exactly 1 (a band flat    nothing
         at 0), or a frozen multi-branch row
     free half step, dispersive                      the transform pair
-    middle substep, no interaction and no force     one column product,
+    middle substep, no interaction                  one column product,
                                                     P(-rate dt / 2) * y
     middle substep, otherwise                       the RK4 (below)
 
 A flat band's half step is exactly one phase, so the transform pair only
 added rounding there; the dispersive rows go through one batched
-forward/inverse pair, over one slice of the state when they are
-consecutive rows, else over one gathered index. With
-P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the column product is the RK4 of
-pure decay y' = -rate y / 2 written out (a factor of 1 on undamped
-rows); it replaces four derivative evaluations and is still a fresh
-array. Runs whose live rows are all dispersive and that have an
-interaction or a force take the same bytes as the plain transform-pair
-and RK4 step; the shortcuts change other runs only in the last bits.
+forward/inverse pair per run of consecutive rows (one run in every model
+here). With P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the column product is
+the RK4 of pure decay y' = -rate y / 2 written out (a factor of 1 on
+undamped rows); it replaces four derivative evaluations and is still a
+fresh array. Runs whose live rows are all dispersive and that have an
+interaction take the same bytes as the plain transform-pair and RK4
+step; the shortcuts change other runs only in the last bits.
 
 A half step writes its inverse transform straight into the rows of the
-state (``apply_phase(rows, half, out=rows)``); only a fancy index of rows
-gathers a copy and scatters it back. The transforms call numpy's
+state (``apply_phase(rows, half, out=rows)``). The transforms call numpy's
 pocketfft kernels directly (``core.spectral``): at the small grids of
 the noise ensembles the ``np.fft`` wrapper took longer than the
 transform itself, and its ``out=`` alone bought nothing. Writing into
@@ -93,12 +91,9 @@ interaction:
     derivative couplings   interaction, 8 transforms, then the loss: one
                            (k, 1) column product per run of k damped rows
     pointwise (g_ppp only) interaction, no transform, then the loss
-    all zero, with a force no interaction: 0.0 minus one product with a
-                           full-height column (0 for undamped rows)
 
-plus one evaluation per force (a side drive's profile, on cell positions
-taken once). Wigner noise scales are settled per damped row and each
-step only draws; a cw end-fire drive settles its source deposit
+Wigner noise scales are settled per damped row and each step only
+draws; a cw end-fire drive settles its source deposit
 (``DepositPlan``), which writes straight into its row of the stacked
 state. All stochastic draws come from one Generator in a fixed order, so
 a seed pins the whole trajectory bit-for-bit. A Wigner step draws m
@@ -142,7 +137,7 @@ from ..core.interaction import CouplingTerms, energy_from_bands, fused_rhs
 from ..core.spectral import apply_phase, dispersion_phase
 from .bath import BathSpec, draw_noise_field, noise_scales
 from .boundary import AbsorberProfile, DepositPlan
-from .drive import DriveSpec, EndfireDrive, SideDrive
+from .drive import EndfireDrive
 from .rng import trajectory_generator
 
 NU_MAX = 0.5  # advection fraction c dt / dx of a transport-bound run
@@ -154,11 +149,15 @@ def _rk4_decay(z: float) -> float:
     return 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
 
 
-def _consecutive(index: np.ndarray):
-    """A slice for sorted consecutive indices, else the index array."""
-    if index.size and index[-1] - index[0] == index.size - 1:
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
+def _runs(rows) -> list:
+    """One slice per run of consecutive values of the sorted ``rows``."""
+    runs = []
+    for row in map(int, rows):
+        if runs and runs[-1].stop == row:
+            runs[-1] = slice(runs[-1].start, row + 1)
+        else:
+            runs.append(slice(row, row + 1))
+    return runs
 
 
 class DivergenceError(RuntimeError):
@@ -203,8 +202,7 @@ class SplitStepper:
     None`` without one. That array must be fresh on every call: the core
     subtracts the loss from it and overwrites the k's while summing them,
     so it may neither alias ``y`` nor be a buffer the model keeps. Drives
-    are ``_forces`` (row, f), adding ``f(t)`` to the row's derivative, and
-    ``_deposits`` (row, DepositPlan). A model may override
+    are ``_deposits`` (row, DepositPlan). A model may override
     ``_pack``/``_unpack`` (default: a state with fields ``a`` and ``b``;
     ``_pack`` must return a new array, which the step mutates, so a step
     that raises leaves the state as it was) and ``photon_rows`` (the
@@ -213,7 +211,6 @@ class SplitStepper:
     """
 
     photon_rows = 1
-    _forces = ()
     _deposits = ()
 
     def __init__(self, grid, dt: float, live=slice(None),
@@ -234,15 +231,10 @@ class SplitStepper:
         free-step plan (from ``_half``, set before), settled once."""
         self._damped = [(row, rate, occupation)
                         for row, (rate, occupation) in enumerate(losses) if rate]
-        self._half_rates = np.array([[0.5 * rate] for rate, _ in losses],
-                                    dtype=np.complex128)
-        runs = []
-        for row, _, _ in self._damped:
-            if runs and runs[-1].stop == row:
-                runs[-1] = slice(runs[-1].start, row + 1)
-            else:
-                runs.append(slice(row, row + 1))
-        self._loss_runs = [(rows, self._half_rates[rows]) for rows in runs]
+        half_rates = np.array([[0.5 * rate] for rate, _ in losses],
+                              dtype=np.complex128)
+        self._loss_runs = [(rows, half_rates[rows])
+                           for rows in _runs(row for row, _, _ in self._damped)]
         self._noise = ([(row, *noise_scales(dx, rate, occupation, self.dt))
                         for row, rate, occupation in self._damped]
                        if self._wigner else [])
@@ -254,22 +246,21 @@ class SplitStepper:
     def _settle_free_step(self, n_rows: int):
         """Sort the live rows by their half-step phase row: the same phase on
         every mode is one scalar product, or nothing when it is exactly 1;
-        the other rows keep the transform pair, over one slice when they
-        are consecutive, else over one gathered index. The full step
-        between two merged steps moves the same rows by the squared phases
-        ``half * half``."""
+        the other rows keep the transform pair, one per run of consecutive
+        rows. Each entry holds the half-step phases and the squared phases
+        ``half * half`` of the full step between two merged steps."""
         rows = np.arange(n_rows)[self._live]
         first = self._half[:, 0]
         flat = (self._half == first[:, None]).all(axis=1)
-        scalar = [i for i, (p, f) in enumerate(zip(first, flat)) if f and p != 1]
-        moving = _consecutive(np.flatnonzero(~flat))
         full = self._half * self._half
-        self._scalar_phases = [(int(rows[i]), first[i]) for i in scalar]
-        self._full_scalar_phases = [(int(rows[i]), full[i, 0]) for i in scalar]
-        # a slice of _half is a view: no second copy of the phase rows
-        self._phases = self._half[moving]
-        self._full_phases = full[moving]
-        self._moving = _consecutive(rows[~flat]) if not flat.all() else None
+        self._scalar_phases = [(int(rows[i]), first[i], full[i, 0])
+                               for i in np.flatnonzero(flat & (first != 1))]
+        # the live rows are sorted, so a run of them is a run of _half's
+        # rows too, and its slice of _half a view, not a copy
+        self._moving = []
+        for run in _runs(rows[~flat]):
+            at = slice(*np.searchsorted(rows, (run.start, run.stop)))
+            self._moving.append((run, self._half[at], full[at]))
 
     def _pack(self, state):
         a = state.a
@@ -336,30 +327,21 @@ class SplitStepper:
         for (row, plan), pair in zip(self._deposits, pairs):
             plan.apply(y[row], t, pair)
 
-    def _free_step(self, y, scalar_phases, phases):
+    def _free_step(self, y, full: bool = False):
         """Free evolution of the live rows of ``y`` in place, by the settled
-        half-step phases or by their squares (a full step)."""
-        for row, phase in scalar_phases:
+        half-step phases, or by their squares (a full step) when ``full``."""
+        for row, half, whole in self._scalar_phases:
             values = y[..., row, :]
-            np.multiply(phase, values, out=values)
-        moving = self._moving
-        if isinstance(moving, slice):
-            rows = y[..., moving, :]
-            apply_phase(rows, phases, out=rows)
-        elif moving is not None:  # a fancy index selects a copy: gather, scatter
-            y[..., moving, :] = apply_phase(y[..., moving, :], phases)
+            np.multiply(whole if full else half, values, out=values)
+        for run, half, whole in self._moving:
+            rows = y[..., run, :]
+            apply_phase(rows, whole if full else half, out=rows)
 
     def _derivative(self, y, t):
-        """Interaction - loss + forces of ``y`` at ``t``, a fresh array."""
-        if self._rhs is None:
-            dy = np.multiply(self._half_rates, y)
-            np.subtract(0.0, dy, out=dy)
-        else:
-            dy = self._rhs(y, t)
-            for rows, half_rates in self._loss_runs:
-                dy[..., rows, :] -= half_rates * y[..., rows, :]
-        for row, force in self._forces:
-            dy[..., row, :] += force(t)
+        """Interaction - loss of ``y`` at ``t``, a fresh array."""
+        dy = self._rhs(y, t)
+        for rows, half_rates in self._loss_runs:
+            dy[..., rows, :] -= half_rates * y[..., rows, :]
         return dy
 
     def _rk4(self, y, t):
@@ -416,8 +398,8 @@ class SplitStepper:
         dt, t, live = self.dt, state.time, self._live
         y = self._pack(state)
         if open_half:
-            self._free_step(y, self._scalar_phases, self._phases)
-        if self._rhs is None and not self._forces:  # linear decay only
+            self._free_step(y)
+        if self._rhs is None:  # linear decay only
             y = np.multiply(self._uncoupled, y)  # fresh, as the RK4's result
         else:
             y = self._rk4(y, t)
@@ -433,10 +415,7 @@ class SplitStepper:
             raise DivergenceError.from_fields(step_index, t, y[..., :p, :],
                                               y[..., p:, :])
 
-        if close_full:
-            self._free_step(y, self._full_scalar_phases, self._full_phases)
-        else:
-            self._free_step(y, self._scalar_phases, self._phases)
+        self._free_step(y, full=close_full)
         self._unpack(y, state)
         state.time += dt
         return state
@@ -510,7 +489,7 @@ def transport_rate(band, grid) -> float:
 
 def band_rates(bands, grid, *, omega: bool, transport: bool) -> list:
     """The band terms of a run's :func:`dt_bound`, one per band: max
-    |omega(k)| when ``omega`` (Wigner sampling or a side drive), else its
+    |omega(k)| when ``omega`` (Wigner sampling), else its
     :func:`transport_rate` when ``transport`` (a deposit or an absorber),
     else none (a closed run). See :func:`stability_bound`."""
     if omega:
@@ -528,7 +507,7 @@ def dt_bound(rates) -> float:
 
 def stability_bound(state: FieldState, couplings: CouplingSet,
                     dispersions: DispersionPair, bath: BathSpec,
-                    drive: DriveSpec = None,
+                    drive: EndfireDrive = None,
                     absorber: AbsorberProfile = None) -> float:
     """:func:`dt_bound` of a waveguide run from ``state``.
 
@@ -538,28 +517,27 @@ def stability_bound(state: FieldState, couplings: CouplingSet,
     flow needs none (Lubich, Math. Comp. 77, 2141 (2008)). A noiseless run
     with an end-fire ``drive`` or an ``absorber`` adds each band's
     :func:`transport_rate`: its fastest mode moves NU_MAX = 0.5 cells per
-    step, half the fraction up to which a deposit is exact, and the
-    frame the drive fixes makes a band offset w a detuning, at which
-    Strang's forced response is off by (w dt / 2) / sin(w dt / 2). Wigner
-    sampling (whose Euler-Maruyama bias it sets) and a side drive (which
-    deposits nothing) add each band's max |omega(k)|.
+    step, half the fraction up to which a deposit is exact, and the lab
+    frame the drive is deposited in makes a band offset w a detuning, at
+    which Strang's forced response is off by (w dt / 2) / sin(w dt / 2).
+    Wigner sampling (whose Euler-Maruyama bias it sets) adds each band's
+    max |omega(k)| instead.
     """
     grid = state.grid
     rates = [couplings.magnitude_scale(np.pi / grid.dx)
              * 2.0 * float(np.max(np.abs(state.b))), bath.kappa, bath.gamma_mech]
     return dt_bound(rates + band_rates(
         (dispersions.photon, dispersions.phonon), grid,
-        omega=bath.is_stochastic or isinstance(drive, SideDrive),
+        omega=bath.is_stochastic,
         transport=drive is not None or absorber is not None))
 
 
 class Stepper(SplitStepper):
     """Precomputed single-trajectory integrator for one configuration.
 
-    Rows of the stacked state: photon field a, phonon field b. What an RK4
-    stage needs is settled here: the coupling terms the fused interaction
-    multiplies, and the side drive's sqrt(kappa_ex), profile and cell
-    positions.
+    Rows of the stacked state: photon field a, phonon field b, in the lab
+    frame. What an RK4 stage needs is settled here: the coupling terms
+    the fused interaction multiplies.
 
     ``couplings`` may also be a sequence of B sets of one coupling class.
     Such a stepper steps a state whose fields have shape (B, n), row i
@@ -568,9 +546,8 @@ class Stepper(SplitStepper):
     """
 
     def __init__(self, grid, couplings, dispersions: DispersionPair,
-                 bath: BathSpec = None, drive: DriveSpec = None,
-                 absorber: AbsorberProfile = None, dt: float = None,
-                 frame: Frame = None):
+                 bath: BathSpec = None, drive: EndfireDrive = None,
+                 absorber: AbsorberProfile = None, dt: float = None):
         bath = bath if bath is not None else BathSpec()
         super().__init__(grid, dt, absorber=absorber, wigner=bath.is_stochastic)
         self._terms = CouplingTerms.resolve(couplings)
@@ -584,13 +561,9 @@ class Stepper(SplitStepper):
                                dispersion_phase(dispersions.phonon, grid, 0.5 * dt)))
         self._set_losses(((bath.kappa, 0.0), (bath.gamma_mech, bath.n_th)),
                          grid.dx)
-        if isinstance(drive, EndfireDrive):
-            self._deposits = [(0, DepositPlan(
-                grid, dispersions.photon, drive,
-                frame if frame is not None else Frame(), dt))]
-        if isinstance(drive, SideDrive):
-            scale, profile, x = np.sqrt(drive.kappa_ex), drive.profile, grid.x_axis
-            self._forces = [(0, lambda t: scale * profile(x, t))]
+        if drive is not None:
+            self._deposits = [(0, DepositPlan(grid, dispersions.photon, drive,
+                                              Frame(), dt))]
         if self._terms.kind == "zero":
             self._rhs = None
 
@@ -620,7 +593,7 @@ def _stability_error(state, couplings, dispersions, bath, dt, drive=None,
 
 
 def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPair,
-           bath: BathSpec = None, drive: DriveSpec = None, dt: float = None,
+           bath: BathSpec = None, drive: EndfireDrive = None, dt: float = None,
            n_steps: int = 0, observers: dict = None, record_every: int = 1,
            rng: np.random.Generator = None,
            absorber: AbsorberProfile = None) -> Trajectory:
@@ -644,7 +617,7 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
     if error:
         raise ValueError(error)
     stepper = Stepper(state.grid, couplings, dispersions, bath=bath, drive=drive,
-                      absorber=absorber, dt=dt, frame=state.frame)
+                      absorber=absorber, dt=dt)
     return stepper.run(state, n_steps, observers=observers,
                        record_every=record_every, rng=rng)
 
@@ -668,8 +641,7 @@ def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
         error = _stability_error(state, couplings, dispersions, BathSpec(), dt)
         if error:
             raise ValueError(f"coupling set {i}: {error}")
-    stepper = Stepper(state.grid, coupling_sets, dispersions, dt=dt,
-                      frame=state.frame)
+    stepper = Stepper(state.grid, coupling_sets, dispersions, dt=dt)
     rows = len(coupling_sets)
     batch = SimpleNamespace(a=np.repeat(state.a[None], rows, axis=0),
                             b=np.repeat(state.b[None], rows, axis=0),
@@ -677,7 +649,7 @@ def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
     for i in range(n_steps):  # one merged segment, as ``run`` without observers
         stepper.step_inplace(batch, step_index=i, open_half=i == 0,
                              close_full=i < n_steps - 1)
-    return [FieldState(state.grid, a, b, frame=state.frame, time=batch.time)
+    return [FieldState(state.grid, a, b, time=batch.time)
             for a, b in zip(batch.a, batch.b)]
 
 

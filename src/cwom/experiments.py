@@ -17,7 +17,7 @@ from .constants import HBAR
 from .core.couplings import CouplingSet
 from .core.dispersion import DispersionSpec
 from .core.fields import FieldState
-from .core.grid import Grid1D
+from .core.grid import Grid1D, is_power_of_two
 from .dynamics.bath import BathSpec
 from .dynamics.boundary import make_absorber
 from .dynamics.drive import EndfireDrive
@@ -37,6 +37,8 @@ from .strongcoupling import classify
 # (plus the phonon relaxation time), at this fraction of the step bound
 N_TRANSITS = 2.0
 DT_MARGIN = 0.9
+# the most steps a run takes: more in a custom run or the array study is refused
+MAX_STEPS = 10 ** 8
 
 
 @dataclass
@@ -332,15 +334,38 @@ def _smooth_initial(length):
     return a0, b0
 
 
-def convergence_study_problems(kind: str, sizes, length: float, T: float,
-                               n_ref: int) -> list:
+def _study_references(kind: str, sizes, length: float, D2: float,
+                      g_cont: float, T: float, n_ref: int):
+    """The initial state, bands, coupling sets (pointwise first) and link
+    couplings of :func:`array_convergence_study`'s references, its step
+    count ceil(T / dt) as a float (inf when T / dt overflows) and its dt
+    before rounding to whole steps of ``T``."""
+    a0_fn, b0_fn = _smooth_initial(length)
+    ref_grid = Grid1D(n_ref, length / n_ref)
+    disp_ref = DispersionPair(DispersionSpec.polynomial([0.0, 0.0, D2]),
+                              DispersionSpec.flat(0.0))
+    initial = FieldState(ref_grid, a0_fn(ref_grid.x_axis), b0_fn(ref_grid.x_axis))
+    # the pointwise model is the same for every size (2 g_link sqrt(dx) =
+    # g_cont): the site reference and the link study's plain reference
+    dxs = [length / n_sites for n_sites in sizes]
+    g_links = [0.5 * g_cont / np.sqrt(dxl) for dxl in dxs]  # g_ppp_eff = 2 g0 sqrt(dx)
+    sets = [CouplingSet.simple(g_cont)] + (
+        [link_effective_couplings(g, dxl) for g, dxl in zip(g_links, dxs)]
+        if kind == "link" else [])
+    dt = min(DT_MARGIN * min(stability_bound(initial, c, disp_ref, BathSpec())
+                             for c in sets), T)
+    return initial, disp_ref, sets, g_links, np.ceil(T / dt), dt
+
+
+def convergence_study_problems(kind: str, sizes, length: float, D2: float,
+                               g_cont: float, T: float, n_ref: int) -> list:
     """(argument, message) for each input :func:`array_convergence_study`
     refuses; empty when it takes them all."""
     problems = [(name, f"must be positive and finite, got {value!r}")
                 for name, value in (("length", length), ("T", T))
                 if not (value > 0 and np.isfinite(value))]
     if isinstance(n_ref, bool) or not isinstance(n_ref, Integral) or n_ref < 2 \
-            or n_ref & (n_ref - 1):
+            or not is_power_of_two(n_ref):
         problems.append(("n_ref", f"must be a power of two of at least 2, "
                                   f"got {n_ref!r}"))
         return problems
@@ -354,6 +379,12 @@ def convergence_study_problems(kind: str, sizes, length: float, T: float,
         problems.append(("sizes", f"must be at least two distinct divisors of "
                                   f"n_ref = {n_ref} of at most {top}, got "
                                   f"{tuple(sizes)!r}"))
+    if not problems:
+        *_, steps, dt = _study_references(kind, sizes, length, D2, g_cont, T, n_ref)
+        if steps > MAX_STEPS:
+            problems.append(("T", f"{T:.3e} s is {steps:.3e} steps of dt = "
+                                  f"{dt:.3e} s, more than the cap of "
+                                  f"{MAX_STEPS:.0e} steps"))
     return problems
 
 
@@ -381,31 +412,18 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
     same dt.
 
     ``length`` and ``T`` must be positive and finite, ``n_ref`` a power of
-    two and
-    ``sizes`` at least two distinct divisors of ``n_ref``, below it for
-    ``kind = "link"``; anything else raises ``ValueError`` naming the
-    argument.
+    two, ``sizes`` at least two distinct divisors of ``n_ref``, below it
+    for ``kind = "link"``, and ``T`` at most ``MAX_STEPS`` steps; anything
+    else raises ``ValueError`` naming the argument.
     """
     if kind not in ("site", "link"):
         raise ValueError("kind must be 'site' or 'link'")
-    problems = convergence_study_problems(kind, sizes, length, T, n_ref)
+    problems = convergence_study_problems(kind, sizes, length, D2, g_cont, T, n_ref)
     if problems:
         raise ValueError("; ".join(f"{arg} {message}" for arg, message in problems))
-    a0_fn, b0_fn = _smooth_initial(length)
-    ref_grid = Grid1D(n_ref, length / n_ref)
-    disp_ref = DispersionPair(DispersionSpec.polynomial([0.0, 0.0, D2]),
-                              DispersionSpec.flat(0.0))
-    initial = FieldState(ref_grid, a0_fn(ref_grid.x_axis), b0_fn(ref_grid.x_axis))
-    # the pointwise model is the same for every size (2 g_link sqrt(dx) =
-    # g_cont): the site reference and the link study's plain reference
-    pointwise = CouplingSet.simple(g_cont)
-    dxs = [length / n_sites for n_sites in sizes]
-    g_links = [0.5 * g_cont / np.sqrt(dxl) for dxl in dxs]  # g_ppp_eff = 2 g0 sqrt(dx)
-    link_sets = ([link_effective_couplings(g, dxl) for g, dxl in zip(g_links, dxs)]
-                 if kind == "link" else [])
-    dt = min(DT_MARGIN * min(stability_bound(initial, c, disp_ref, BathSpec())
-                             for c in [pointwise, *link_sets]), T)
-    n_steps = int(np.ceil(T / dt))
+    initial, disp_ref, (pointwise, *link_sets), g_links, steps, dt = \
+        _study_references(kind, sizes, length, D2, g_cont, T, n_ref)
+    n_steps = int(steps)
     dt = T / n_steps
 
     ref = evolve(initial, pointwise, disp_ref, dt=dt, n_steps=n_steps).final_state
@@ -414,6 +432,8 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
         link_refs = evolve_batch(initial, link_sets, disp_ref, dt=dt,
                                  n_steps=n_steps)
 
+    a0_fn, b0_fn = _smooth_initial(length)
+    dxs = [length / n_sites for n_sites in sizes]
     errors, errors_plain = [], []
     for index, (n_sites, dxl) in enumerate(zip(sizes, dxs)):
         stride = n_ref // n_sites

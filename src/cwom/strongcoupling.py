@@ -35,6 +35,13 @@ def build_matrix(g12: complex, v2: float, vb: float, gamma2: float,
                      [1j * np.conj(g12) / vb, -gamma_b / 2.0]], dtype=complex)
 
 
+def thresholds(v2: float, vb: float, gamma2: float, gamma_b: float) -> tuple:
+    """(threshold_osc, threshold_strong) in Hz, as :func:`classify` states them."""
+    scale = np.sqrt(v2 * vb)
+    return (scale * abs(gamma2 - gamma_b) / 4.0,
+            scale * (0.5 * (gamma2 + gamma_b)) / 2.0)
+
+
 def _regime_map(g_abs, v2: float, vb: float, gamma2: float, gamma_b: float,
                 strong_ratio: float):
     """(lambda_plus, lambda_minus, D, |Im|/|Re| ratio, regime labels) at
@@ -96,11 +103,9 @@ def classify(g12: complex, v2: float, vb: float, gamma2: float, gamma_b: float,
     M = build_matrix(g12, v2, vb, gamma2, gamma_b)
     lam_p, lam_m, D, ratio, regime = _regime_map(abs(g12), v2, vb, gamma2,
                                                  gamma_b, strong_ratio)
-    gamma_bar = 0.5 * (gamma2 + gamma_b)
-    threshold_osc = np.sqrt(v2 * vb) * abs(gamma2 - gamma_b) / 4.0
-    threshold_strong = np.sqrt(v2 * vb) * gamma_bar / 2.0
+    threshold_osc, threshold_strong = thresholds(v2, vb, gamma2, gamma_b)
     return RegimeReport(M=M, lambda_plus=lam_p[()], lambda_minus=lam_m[()],
-                        D=float(D), gamma_bar=gamma_bar,
+                        D=float(D), gamma_bar=0.5 * (gamma2 + gamma_b),
                         threshold_osc=threshold_osc,
                         threshold_strong=threshold_strong, regime=str(regime),
                         im_re_ratio=float(ratio), strong_ratio=strong_ratio)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwom.cli.config import (POSITIVE_FLOATS, POSITIVE_INTS, SCENARIOS, SCHEMA,
-                             SEED_INTS, ConfigError, ScenarioConfig, load_config,
-                             parse_config_text, serialize_config)
+from cwom.cli.config import (POSITIVE_FLOATS, POSITIVE_INTS, POWER_OF_TWO_INTS,
+                             SCENARIOS, SCHEMA, SEED_INTS, SIGN_INTS, ConfigError,
+                             ScenarioConfig, load_config, parse_config_text,
+                             serialize_config)
 from cwom.cli.main import main
 from cwom.cli.output import read_snapshot, write_csv, write_snapshot
 from cwom.cli.scenarios import MAX_STEPS, resolve_config, run_scenario
@@ -73,11 +74,17 @@ def schema_value(section, key):
             return st.integers(min_value=1)
         if (section, key) in SEED_INTS:
             return st.integers(min_value=0, max_value=MAX_SEED)
+        if (section, key) in POWER_OF_TWO_INTS:
+            return st.integers(min_value=0, max_value=30).map(lambda e: 2 ** e)
+        if (section, key) in SIGN_INTS:
+            return st.sampled_from((-1, 1))
         return st.integers()
     if kind == "float":
         if (section, key) in POSITIVE_FLOATS:
             return st.floats(min_value=0.0, exclude_min=True,
                              allow_infinity=False)
+        if (section, key) == ("comb", "periods"):
+            return st.floats(min_value=2.0, allow_infinity=False)
         return floats
     if kind == "complex":
         return st.builds(complex, floats, floats)
@@ -361,7 +368,7 @@ points = 201
         assert not (tmp_path / "out").exists()
 
     def test_side_drive_kappa_ex_is_an_unknown_key(self, tmp_path, capsys):
-        # no scenario builds a side drive, so the key must not be accepted
+        # the end-fire deposit is the only drive, so the key must not be accepted
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(GOOD_CONFIG.replace("inlet_cell = 4",
                                            "inlet_cell = 4\nkappa_ex = 0.3 /s"))
@@ -617,6 +624,10 @@ class TestCliRangeChecks:
     @pytest.mark.parametrize("entry, message", [
         ("t_total = 0 s", "[array] t_total: must be positive"),
         ("t_total = -1 s", "[array] t_total: must be positive"),
+        # the study's dt comes from its initial fields: the cap is on the
+        # step count ceil(T / dt) it gives
+        ("t_total = 1e300 s", "[array] t_total: 1.000e+300 s is 1.556e+299 steps "
+                              "of dt = 6.429e+00 s, more than the cap of 1e+08 steps"),
         ("length = 0 m", "[array] length: must be positive"),
         ("sizes = 32,64,512", "[array] sizes: must be at least two distinct "
                               "divisors of n_ref = 256"),
@@ -625,6 +636,37 @@ class TestCliRangeChecks:
     def test_array_study_inputs_exit_two(self, tmp_path, capsys, entry, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"[scenario]\nname = array_convergence\n\n[array]\n{entry}\n")
+        assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
+        assert main(["run", "--config", str(cfg), "--output",
+                     str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 2, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, entry, message", [
+        ("backward_gain", "[gain]\nn_points = 100",
+         "[gain] n_points: must be a power of two, got 100"),
+        ("intermodal_swap", "[swap]\nn_points = 100",
+         "[swap] n_points: must be a power of two, got 100"),
+        ("comb", "[comb]\nn_points = 100",
+         "[comb] n_points: must be a power of two, got 100"),
+        ("backward_gain", "[gain]\ndirection = 3",
+         "[gain] direction: must be +1 or -1, got 3"),
+        ("comb", "[comb]\nperiods = -1", "[comb] periods: must be at least 2"),
+        ("comb", "[comb]\nperiods = 1.5", "[comb] periods: must be at least 2"),
+        ("regime_sweep", "[sweep]\npoints = 0",
+         "[sweep] points: must be at least 1, got 0"),
+        ("comb", "[comb]\norders = 0", "[comb] orders: must be at least 1, got 0"),
+    ], ids=["gain-n_points", "swap-n_points", "comb-n_points", "gain-direction",
+            "comb-periods-neg", "comb-periods-short", "sweep-points",
+            "comb-orders"])
+    def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,
+                                            entry, message):
+        # each once validated, then failed the run after writing its
+        # effective config or ran to empty outputs
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[scenario]\nname = {scenario}\n\n{entry}\n")
         assert main(["run", "--config", str(cfg), "--validate-only"]) == 2
         assert main(["run", "--config", str(cfg), "--output",
                      str(tmp_path / "out")]) == 2

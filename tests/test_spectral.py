@@ -230,6 +230,8 @@ class TestDispersionSpec:
         assert np.isclose(disp.group_velocity_at(k_probe), v, rtol=1e-9)
         assert np.isclose(disp.group_velocity_at(-k_probe), -v, rtol=1e-9)
 
+    @pytest.mark.filterwarnings("error")  # no ComplexWarning before the check
     def test_tabulated_requires_real(self, grid64):
-        with pytest.raises(ValueError):
-            DispersionSpec.tabulated(np.full(grid64.n_points, 1.0 + 1e-3j), grid64)
+        table = np.full(grid64.n_points, 1.0 + 1e-3j)
+        with pytest.raises(ValueError, match="must be real"):
+            DispersionSpec(kind="tabulated", table=table, grid=grid64)

@@ -32,7 +32,7 @@ import pytest
 
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
 from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
-                           EndfireDrive, SideDrive, Stepper, make_absorber,
+                           EndfireDrive, Stepper, make_absorber,
                            observe_photon_number)
 from cwom.dynamics.bath import sample_noise_field
 from cwom.lattice import ArrayConfig, LatticeState, LatticeStepper
@@ -461,13 +461,8 @@ def test_each_record_is_the_end_of_a_shorter_run(name):
 
 
 def nan_after(t_nan):
-    """A side-drive profile that turns one cell NaN from time ``t_nan``."""
-    def profile(x, t):
-        out = np.zeros(x.size, complex)
-        if t >= t_nan:
-            out[3] = np.nan
-        return out
-    return profile
+    """An end-fire amplitude, 0 before time ``t_nan`` and NaN from it."""
+    return lambda t: np.nan if t >= t_nan else 0.0
 
 
 @pytest.mark.parametrize("observers, record_every", [(False, 1), (False, 5),
@@ -477,8 +472,10 @@ def test_divergence_in_a_merged_segment_reports_the_stepwise_step(
     grid = Grid1D(64, 0.1)
     disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(2.0))
     dt = 1e-2
+    # a deposit samples its drive at the start of a step: step 12 starts
+    # at 0.1 + 12 dt, the first start past 0.1 + 11.5 dt
     stepper = Stepper(grid, CouplingSet.even(g_ppp=0.2, g_mmp=0.01), disp,
-                      drive=SideDrive(kappa_ex=1.0, profile=nan_after(0.1 + 12.5 * dt)),
+                      drive=EndfireDrive(alpha_in=nan_after(0.1 + 11.5 * dt)),
                       dt=dt)
     rng = np.random.default_rng(29)
     start = FieldState(grid, random_band_limited(grid, rng, amplitude=0.5),
@@ -522,9 +519,9 @@ def test_inf_in_an_undamped_row_reports_the_plain_step():
 def free_plan(stepper, n_rows):
     """How the half step moves each stacked row: "transform", "scalar"
     (one product with the row's phase) or "skip"."""
-    moving = (set(np.arange(n_rows)[stepper._moving].tolist())
-              if stepper._moving is not None else set())
-    scalar = dict(stepper._scalar_phases)
+    moving = {row for run, _, _ in stepper._moving
+              for row in range(n_rows)[run]}
+    scalar = {row: half for row, half, _ in stepper._scalar_phases}
     for row, phase in scalar.items():
         assert phase == stepper._half[np.arange(n_rows)[stepper._live] == row][0, 0]
     return ["transform" if row in moving else "scalar" if row in scalar else "skip"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
 from cwom.core.interaction import interaction_rhs, total_energy
 from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
-                           EndfireDrive, SideDrive, Stepper, evolve, evolve_batch,
+                           EndfireDrive, Stepper, evolve, evolve_batch,
                            make_absorber, make_energy_observer,
                            observe_photon_number, run_ensemble, stability_bound,
                            trajectory_generator)
@@ -253,9 +253,9 @@ class TestPinnedZeroCouplingRuns:
 
 class TestRightHandSide:
     # the stepper settles in its constructor which terms a stage evaluates;
-    # every coupling class must still give interaction + damping + drive
+    # every coupling class must still give interaction + damping (a zero
+    # set takes the uncoupled substep instead, checked in test_step_oracle)
     SETS = {
-        "zero": CouplingSet(),
         "pointwise": CouplingSet.simple(0.3),
         "even": CouplingSet.even(g_ppp=0.2, g_mmp=0.01, g_mpm=0.004 + 0.002j),
         "odd": CouplingSet.odd(g_ppm=0.05, g_mpp=0.01 - 0.02j, g_mmm=0.003),
@@ -265,26 +265,17 @@ class TestRightHandSide:
     }
 
     @pytest.mark.parametrize("name", sorted(SETS))
-    @pytest.mark.parametrize("side", [False, True])
-    def test_equals_interaction_plus_damping_plus_drive(self, grid64, rng,
-                                                        name, side):
+    def test_equals_interaction_plus_damping(self, grid64, rng, name):
         couplings = self.SETS[name]
         disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(2.0))
         bath = BathSpec(kappa=0.3, gamma_mech=0.7)
-
-        def profile(x, t):
-            return np.exp(-((x - 3.0) / 0.5) ** 2) * np.exp(-0.4j * t)
-
-        drive = SideDrive(kappa_ex=0.8, profile=profile) if side else None
-        stepper = Stepper(grid64, couplings, disp, bath=bath, drive=drive, dt=1e-3)
+        stepper = Stepper(grid64, couplings, disp, bath=bath, dt=1e-3)
         y = np.stack((random_band_limited(grid64, rng, amplitude=0.5),
                       random_band_limited(grid64, rng, amplitude=0.3)))
         t = 0.37
         da, db = interaction_rhs(FieldState(grid64, y[0], y[1], time=t), couplings)
         want_a = da - 0.5 * bath.kappa * y[0]
         want_b = db - 0.5 * bath.gamma_mech * y[1]
-        if side:
-            want_a = want_a + np.sqrt(0.8) * profile(grid64.x_axis, t)
         got = stepper._derivative(y, t)
         assert np.array_equal(got[0], want_a)
         assert np.array_equal(got[1], want_b)
@@ -334,7 +325,7 @@ class TestEvolveBatch:
             want = evolve(state, couplings, disp, dt=2e-3, n_steps=60).final_state
             assert np.array_equal(row.a, want.a)
             assert np.array_equal(row.b, want.b)
-            assert row.time == want.time and row.frame == want.frame
+            assert row.time == want.time
         assert state.time == 0.25
 
     def test_zero_steps_echoes_initial_state(self):
@@ -373,10 +364,9 @@ class TestEvolveBatch:
         bath = BathSpec(gamma_mech=1.0, n_th=0.5, sampling="wigner")
         with pytest.raises(ValueError, match="Wigner"):
             Stepper(grid, sets, disp, bath=bath, dt=1e-3)
-        for drive in (EndfireDrive(alpha_in=1.0, inlet_cell=8),
-                      SideDrive(kappa_ex=0.5, profile=lambda x, t: 0 * x)):
-            with pytest.raises(ValueError, match="drive"):
-                Stepper(grid, sets, disp, drive=drive, dt=1e-3)
+        with pytest.raises(ValueError, match="drive"):
+            Stepper(grid, sets, disp, drive=EndfireDrive(alpha_in=1.0, inlet_cell=8),
+                    dt=1e-3)
 
     def test_empty_batch_rejected(self):
         grid, state, disp = self._setup()
@@ -431,17 +421,14 @@ class TestInputChecks:
 
 
 class TestDivergenceReport:
-    def test_one_cell_nan_reports_finite_maxima(self, grid64):
-        # the side drive puts a NaN into one cell of a during the middle
-        # substep; the report must name the largest finite |a|, not inf
-        def profile(x, t):
-            out = np.zeros(x.size, complex)
-            out[3] = np.nan
-            return out
-
-        disp = DispersionPair(DispersionSpec.flat(0.0), DispersionSpec.flat(0.0))
+    def test_nan_deposit_reports_finite_maxima(self, grid64):
+        # an end-fire drive whose amplitude is NaN deposits NaN into the
+        # cells of its kernel during the middle substep; the report must
+        # name the largest finite |a|, not inf (a deposit needs a group
+        # velocity, so the photon band is linear)
+        disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(0.0))
         stepper = Stepper(grid64, CouplingSet(), disp,
-                          drive=SideDrive(kappa_ex=1.0, profile=profile), dt=1e-2)
+                          drive=EndfireDrive(alpha_in=lambda t: np.nan), dt=1e-2)
         state = FieldState(grid64, np.full(64, 2.0 + 0j), np.full(64, 0.5 + 0j))
         with pytest.raises(DivergenceError) as err:
             stepper.step_inplace(state)
@@ -658,9 +645,7 @@ def bound_cases(draw):
     amplitude = draw(st.floats(min_value=0.0, max_value=10.0))
     state = FieldState(grid, np.zeros(grid.n_points, complex),
                        amplitude * np.exp(1j * grid.k_axis[3] * grid.x_axis))
-    drive = draw(st.sampled_from((
-        None, EndfireDrive(alpha_in=1.0, inlet_cell=8),
-        SideDrive(kappa_ex=0.5, profile=lambda x, t: np.ones_like(x)))))
+    drive = draw(st.sampled_from((None, EndfireDrive(alpha_in=1.0, inlet_cell=8))))
     absorber = make_absorber(grid, speed=1.0) if draw(st.booleans()) else None
     return state, couplings, disp, bath, drive, absorber
 
@@ -682,7 +667,7 @@ class TestClosedRunBound:
     @example(case=offset_quadratic_case(), offset=1.0)
     def test_never_below_the_band_bound_and_equal_for_open_runs(self, case,
                                                                 offset):
-        # Wigner and side-driven runs keep the band bound and closed runs
+        # Wigner runs keep the band bound and closed runs
         # the rate bound, bit for bit; a noiseless run with an end-fire
         # drive or an absorber takes the transport bound (nu = 0.5), raised
         # to each band's detuning |omega(0)|, so a constant added to a band
@@ -693,7 +678,7 @@ class TestClosedRunBound:
         bound = stability_bound(state, couplings, disp, bath, drive=drive,
                                 absorber=absorber)
         before = bound_with_bands(state, couplings, disp, bath)
-        if bath.is_stochastic or isinstance(drive, SideDrive):
+        if bath.is_stochastic:
             assert bound == before
         elif drive is None and absorber is None:
             assert bound == closed_bound(state, couplings, bath)
