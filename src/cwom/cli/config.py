@@ -6,7 +6,8 @@ Every physical quantity carries a unit suffix checked against the schema
 coupling kind) accept only their declared values. Unknown sections or
 keys are rejected, numbers must be finite, counts (steps, trajectories,
 sweep points, comb orders) and dt positive, the preset runs' grid sizes
-powers of two, the gain direction +1 or -1, the comb at least 2 periods
+powers of two (and, under an absorbing bump, large enough for its 8
+cells), the gain direction +1 or -1, the comb at least 2 periods
 long and seeds in [0, 2**64 - 1], and validation reports every offending
 entry at once rather than stopping at the first. Command-line overrides
 pass the same range checks (:func:`check_ranges`).
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from ..core.couplings import SECTORS
 from ..core.grid import is_power_of_two
+from ..dynamics.boundary import absorber_fits
 from ..dynamics.rng import MAX_SEED
 from ..lattice import COUPLING_KINDS
 
@@ -103,6 +105,8 @@ POSITIVE_INTS = {("integration", "record_every"), ("ensemble", "trajectories"),
 # the preset runs' grid sizes ([grid] n_points is Grid1D's to refuse)
 POWER_OF_TWO_INTS = {("gain", "n_points"), ("swap", "n_points"),
                      ("comb", "n_points")}
+# the grid sizes of the preset runs with an absorbing bump over 10% of the grid
+ABSORBED_INTS = {("gain", "n_points"), ("swap", "n_points")}
 # a propagation direction: +1 forward, -1 backward
 SIGN_INTS = {("gain", "direction")}
 # RNG seeds: a Philox key word, 0 to MAX_SEED = 2**64 - 1
@@ -193,6 +197,9 @@ def _range_problem(section, key, value):
         return f"[{section}] {key}: must be at least 1, got {value}"
     if where in POWER_OF_TWO_INTS and not is_power_of_two(value):
         return f"[{section}] {key}: must be a power of two, got {value}"
+    if where in ABSORBED_INTS and not absorber_fits(value):
+        return (f"[{section}] {key}: too few points for the absorbing bump "
+                f"(10% of the grid, at least 8 cells), got {value}")
     if where in SIGN_INTS and value not in (-1, 1):
         return f"[{section}] {key}: must be +1 or -1, got {value}"
     if where == ("comb", "periods") and not value >= 2:

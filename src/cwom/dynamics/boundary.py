@@ -157,6 +157,12 @@ class AbsorberProfile:
         return np.exp(-self.sigma * dt)
 
 
+def absorber_fits(n_points: int, width_fraction: float = 0.1) -> bool:
+    """Whether :func:`make_absorber`'s bump over ``width_fraction`` of
+    ``n_points`` cells spans the 8 cells its smooth rise and fall need."""
+    return round(width_fraction * n_points) >= 8
+
+
 def make_absorber(grid: Grid1D, speed: float, width_fraction: float = 0.1,
                   opacity: float = 10.0) -> AbsorberProfile:
     """Smooth damping bump over the far end of the grid.
@@ -169,9 +175,9 @@ def make_absorber(grid: Grid1D, speed: float, width_fraction: float = 0.1,
     reappear across the periodic seam are absorbed without reflection.
     """
     n = grid.n_points
-    width = int(round(width_fraction * n))
-    if width < 8:
+    if not absorber_fits(n, width_fraction):
         raise ValueError("absorbing bump needs at least 8 cells")
+    width = int(round(width_fraction * n))
     xi = np.linspace(0.0, 1.0, width, endpoint=True)
     up = np.minimum(2.0 * xi, 1.0)
     down = np.minimum(2.0 - 2.0 * xi, 1.0)

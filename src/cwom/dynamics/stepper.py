@@ -140,7 +140,6 @@ from .boundary import AbsorberProfile, DepositPlan
 from .drive import EndfireDrive
 from .rng import trajectory_generator
 
-NU_MAX = 0.5  # advection fraction c dt / dx of a transport-bound run
 NOISE_BLOCK_VALUES = 8192  # standard normals a run draws per call (64 KB)
 
 
@@ -481,10 +480,10 @@ class DispersionPair:
 
 
 def transport_rate(band, grid) -> float:
-    """max_k |v_g(k)| / (2 NU_MAX dx) of ``band`` on ``grid``, or its
-    detuning |omega(0)| from the frame if larger (see :func:`stability_bound`)."""
+    """max_k |v_g(k)| / (2 dx) of ``band`` on ``grid``, or its detuning
+    |omega(0)| from the frame if larger (see :func:`stability_bound`)."""
     return max(float(np.max(np.abs(band.group_velocity_at(grid.k_axis))))
-               / (2.0 * NU_MAX * grid.dx), abs(float(band.omega_at(0.0))))
+               / (2.0 * grid.dx), abs(float(band.omega_at(0.0))))
 
 
 def band_rates(bands, grid, *, omega: bool, transport: bool) -> list:
@@ -516,10 +515,11 @@ def stability_bound(state: FieldState, couplings: CouplingSet,
     NaN check backs it). A closed run adds no band rate: an exact free
     flow needs none (Lubich, Math. Comp. 77, 2141 (2008)). A noiseless run
     with an end-fire ``drive`` or an ``absorber`` adds each band's
-    :func:`transport_rate`: its fastest mode moves NU_MAX = 0.5 cells per
-    step, half the fraction up to which a deposit is exact, and the lab
-    frame the drive is deposited in makes a band offset w a detuning, at
-    which Strang's forced response is off by (w dt / 2) / sin(w dt / 2).
+    :func:`transport_rate`: its fastest mode moves one cell per bound step
+    (nu = 0.9 at ``experiments.DT_MARGIN``), the fraction up to which a
+    deposit is exact, and the lab frame the drive is deposited in makes a
+    band offset w a detuning, at which Strang's forced response is off by
+    (w dt / 2) / sin(w dt / 2).
     Wigner sampling (whose Euler-Maruyama bias it sets) adds each band's
     max |omega(k)| instead.
     """

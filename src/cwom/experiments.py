@@ -182,6 +182,9 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
     no Stokes/anti-Stokes asymmetry mechanism, so order-n line pairs must
     be symmetric in power.
     """
+    if not periods >= 2:
+        # the analysis takes whole phonon periods of the run's second half
+        raise ValueError(f"periods must be at least 2, got {periods!r}")
     grid = Grid1D(n_points, dx)
     q = q_mode * grid.dk
     couplings = CouplingSet.simple(g0)

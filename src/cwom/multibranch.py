@@ -245,6 +245,10 @@ class MultiBranchStepper(SplitStepper):
                                else np.array(live + [len(branches)])),
                          absorber=system.absorber,
                          wigner=system.sampling == "wigner")
+        bound = dt_bound(system.bound_rates())
+        if dt > bound:
+            raise ValueError(f"dt = {dt:.3e} s exceeds the multi-branch stability "
+                             f"bound {bound:.3e} s; reduce dt")
         self.system = system
         self.photon_rows = len(branches)
         self._half = np.stack(
@@ -259,10 +263,6 @@ class MultiBranchStepper(SplitStepper):
             (j, DepositPlan(system.grid, b.dispersion, b.drive,
                             Frame(b.frame_omega, b.frame_k), dt))
             for j, b in enumerate(branches) if b.drive is not None]
-        bound = dt_bound(system.bound_rates())
-        if dt > bound:
-            raise ValueError(f"dt = {dt:.3e} s exceeds the multi-branch stability "
-                             f"bound {bound:.3e} s; reduce dt")
 
     def _pack(self, state: MultiBranchState):
         return state.rows.copy()

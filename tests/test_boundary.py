@@ -12,14 +12,17 @@ from cwom.experiments import DT_MARGIN
 
 C = 2.0
 # the steps a deposit and the absorber are checked at: DT_MARGIN times the
-# band bound 0.5 / max|omega| (nu = 0.143), or times the noiseless open
-# run's transport bound (nu = 0.45)
-BOUNDS = ("band", "transport")
+# band bound 0.5 / max|omega| (nu = 0.143), DT_MARGIN times the noiseless
+# open run's transport bound (nu = 0.9), or next to the edge nu = 1 up to
+# which a deposit is exact (nu = 0.99)
+BOUNDS = ("band", "transport", "edge")
 
 
 def margin_dt(bound, grid, disp, absorber):
     if bound == "band":
         return DT_MARGIN * 0.5 / (C * np.pi / grid.dx)
+    if bound == "edge":
+        return 0.99 * grid.dx / C
     return DT_MARGIN * stability_bound(FieldState.vacuum(grid), CouplingSet(),
                                        disp, BathSpec(), absorber=absorber)
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwom.cli.config import (POSITIVE_FLOATS, POSITIVE_INTS, POWER_OF_TWO_INTS,
-                             SCENARIOS, SCHEMA, SEED_INTS, SIGN_INTS, ConfigError,
-                             ScenarioConfig, load_config, parse_config_text,
-                             serialize_config)
+from cwom.cli.config import (ABSORBED_INTS, POSITIVE_FLOATS, POSITIVE_INTS,
+                             POWER_OF_TWO_INTS, SCENARIOS, SCHEMA, SEED_INTS,
+                             SIGN_INTS, ConfigError, ScenarioConfig, load_config,
+                             parse_config_text, serialize_config)
 from cwom.cli.main import main
 from cwom.cli.output import read_snapshot, write_csv, write_snapshot
 from cwom.cli.scenarios import MAX_STEPS, resolve_config, run_scenario
@@ -75,7 +75,9 @@ def schema_value(section, key):
         if (section, key) in SEED_INTS:
             return st.integers(min_value=0, max_value=MAX_SEED)
         if (section, key) in POWER_OF_TWO_INTS:
-            return st.integers(min_value=0, max_value=30).map(lambda e: 2 ** e)
+            # 2**7 points are the fewest whose absorbing bump spans 8 cells
+            low = 7 if (section, key) in ABSORBED_INTS else 0
+            return st.integers(min_value=low, max_value=30).map(lambda e: 2 ** e)
         if (section, key) in SIGN_INTS:
             return st.sampled_from((-1, 1))
         return st.integers()
@@ -579,13 +581,13 @@ class TestCliRangeChecks:
         assert not (tmp_path / "out").exists()
 
     def test_dt_above_stability_bound_exits_two(self, tmp_path, capsys):
-        # GOOD_CONFIG's transport bound: 0.5 / (2 m/s / (2 * 0.5 * 0.5 m))
-        # = 1.250e-01 s
+        # GOOD_CONFIG's transport bound: 0.5 / (2 m/s / (2 * 0.5 m))
+        # = 2.500e-01 s
         self._all_exit_two(tmp_path, GOOD_CONFIG.replace("dt = 0.02 s", "dt = 1.0 s"),
                            "--dt-override", "1.0")
         err = capsys.readouterr().err
         assert err.count("[integration] dt: 1.000e+00 s exceeds the stability "
-                         "bound 1.250e-01 s") == 4, err
+                         "bound 2.500e-01 s") == 4, err
         assert "Traceback" not in err
 
     def test_step_count_above_the_cap_exits_two(self, tmp_path, capsys):
@@ -651,6 +653,10 @@ class TestCliRangeChecks:
          "[swap] n_points: must be a power of two, got 100"),
         ("comb", "[comb]\nn_points = 100",
          "[comb] n_points: must be a power of two, got 100"),
+        ("backward_gain", "[gain]\nn_points = 64",
+         "[gain] n_points: too few points for the absorbing bump"),
+        ("intermodal_swap", "[swap]\nn_points = 64",
+         "[swap] n_points: too few points for the absorbing bump"),
         ("backward_gain", "[gain]\ndirection = 3",
          "[gain] direction: must be +1 or -1, got 3"),
         ("comb", "[comb]\nperiods = -1", "[comb] periods: must be at least 2"),
@@ -658,7 +664,8 @@ class TestCliRangeChecks:
         ("regime_sweep", "[sweep]\npoints = 0",
          "[sweep] points: must be at least 1, got 0"),
         ("comb", "[comb]\norders = 0", "[comb] orders: must be at least 1, got 0"),
-    ], ids=["gain-n_points", "swap-n_points", "comb-n_points", "gain-direction",
+    ], ids=["gain-n_points", "swap-n_points", "comb-n_points",
+            "gain-n_points-small", "swap-n_points-small", "gain-direction",
             "comb-periods-neg", "comb-periods-short", "sweep-points",
             "comb-orders"])
     def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,

@@ -241,13 +241,13 @@ def bound_system(grid, sampling="none", drive=None, absorber=None):
 
 class TestStepperDtBound:
     # 0.5 / max of the loss rates (0.4, 0.2) and one term per live band:
-    # none when closed; max(|v| / (2 NU_MAX dx), |omega(0)|) = 2 and 0.5
-    # with a deposit or an absorber; max |omega(k)| = 2 pi / dx and 0.5
+    # none when closed; max(|v| / (2 dx), |omega(0)|) = 1 and 0.5 with a
+    # deposit or an absorber; max |omega(k)| = 2 pi / dx and 0.5
     # with Wigner sampling
     @pytest.mark.parametrize("sampling, drive, absorber, bound", [
         ("none", False, False, 1.25),
-        ("none", True, False, 0.25),
-        ("none", False, True, 0.25),
+        ("none", True, False, 0.5),
+        ("none", False, True, 0.5),
         ("wigner", True, True, 0.5 / (2.0 * np.pi)),
     ], ids=["closed", "deposit", "absorber", "wigner"])
     def test_dt_above_the_bound_rejected(self, sampling, drive, absorber, bound):
@@ -270,13 +270,13 @@ class TestBoundRates:
     @pytest.mark.parametrize("drive, absorber", [(True, False), (False, True)],
                              ids=["drive", "absorber"])
     def test_drive_or_absorber_adds_transport(self, drive, absorber):
-        # max(|v| / (2 NU_MAX dx), |omega(0)|): 2 for the signal, 0.5 for
-        # the flat phonon
+        # max(|v| / (2 dx), |omega(0)|): 1 for the signal, 0.5 for the
+        # flat phonon
         grid = Grid1D(128, 1.0)
         system = bound_system(
             grid, drive=EndfireDrive(alpha_in=0.5, inlet_cell=8) if drive else None,
             absorber=make_absorber(grid, speed=2.0) if absorber else None)
-        assert system.bound_rates() == [0.4, 0.2, 2.0, 0.5]
+        assert system.bound_rates() == [0.4, 0.2, 1.0, 0.5]
 
     def test_wigner_sampling_adds_max_abs_omega(self):
         # max |2 k| = 2 pi / dx for the signal, 0.5 for the flat phonon,
@@ -298,8 +298,8 @@ class TestBoundRates:
         frozen, live = (MultiBranchSystem(grid, (replace(pump, frozen=flag), signal),
                                           phonon, [[0.0, 0.1], [0.1, 0.0]])
                         for flag in (True, False))
-        assert frozen.bound_rates() == [0.4, 0.2, 2.0, 0.5]
-        assert live.bound_rates() == [9.0, 0.4, 0.2, 30.0, 2.0, 0.5]
+        assert frozen.bound_rates() == [0.4, 0.2, 1.0, 0.5]
+        assert live.bound_rates() == [9.0, 0.4, 0.2, 15.0, 1.0, 0.5]
 
 
 class TestWorkflowDt:

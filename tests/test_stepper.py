@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D
+from cwom import CouplingSet, DispersionSpec, FieldState, Grid1D, experiments
 from cwom.core.interaction import interaction_rhs, total_energy
 from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
                            EndfireDrive, Stepper, evolve, evolve_batch,
@@ -419,6 +419,17 @@ class TestInputChecks:
                            record_every=np.int64(2))
         assert len(traj.records["n"]) == 4  # start, steps 2, 4 and 5
 
+    @pytest.mark.parametrize("periods", [1.5, 0.0, -1.0, np.nan])
+    def test_comb_shorter_than_two_periods_rejected_before_stepping(
+            self, monkeypatch, periods):
+        # the comb analyses whole phonon periods of its run's second half
+        def evolve_not_reached(*args, **kwargs):
+            raise AssertionError("the comb stepped")
+
+        monkeypatch.setattr(experiments, "evolve", evolve_not_reached)
+        with pytest.raises(ValueError, match="periods"):
+            experiments.run_forward_comb(periods=periods)
+
 
 class TestDivergenceReport:
     def test_nan_deposit_reports_finite_maxima(self, grid64):
@@ -617,10 +628,11 @@ def max_velocity_over_dx(dispersions, grid):
 
 
 def transport_rates(dispersions, grid):
-    """max(max_k |v_g(k)| / dx, |omega(0)|) of each polynomial band: its
-    transport term at NU_MAX = 0.5, at least its detuning from the frame."""
+    """max(max_k |v_g(k)| / (2 dx), |omega(0)|) of each polynomial band:
+    its transport term, one cell per bound step, at least its detuning
+    from the frame."""
     bands = (dispersions.photon, dispersions.phonon)
-    return [max(speed, abs(band.coeffs[0]))
+    return [max(0.5 * speed, abs(band.coeffs[0]))
             for speed, band in zip(max_velocity_over_dx(dispersions, grid), bands)]
 
 
@@ -650,12 +662,15 @@ def bound_cases(draw):
     return state, couplings, disp, bath, drive, absorber
 
 
-def offset_quadratic_case(D=0.3, dx=0.5):
-    """An absorbing run whose photon band D k^2 - D K^2 / 2 (K = pi / dx)
-    the transport bound refuses below the band bound."""
+def cubic_case(A=1.0, dx=0.5):
+    """An absorbing run whose photon band A T3(k / K) (K = pi / dx, T3 the
+    Chebyshev cubic 4 s^3 - 3 s) the transport bound refuses below the
+    band bound. No band of degree two or less is refused there: its
+    max|v_g| / (2 dx) never exceeds its max|omega|."""
     grid = Grid1D(128, dx)
     K = np.pi / dx
-    disp = DispersionPair(DispersionSpec.polynomial([-0.5 * D * K ** 2, 0.0, D]),
+    disp = DispersionPair(DispersionSpec.polynomial([0.0, -3.0 * A / K, 0.0,
+                                                     4.0 * A / K ** 3]),
                           DispersionSpec.flat(0.0))
     return (FieldState.vacuum(grid), CouplingSet(), disp, BathSpec(), None,
             make_absorber(grid, speed=1.0))
@@ -664,15 +679,15 @@ def offset_quadratic_case(D=0.3, dx=0.5):
 class TestClosedRunBound:
     @settings(max_examples=300, deadline=None)
     @given(case=bound_cases(), offset=st.floats(min_value=-10.0, max_value=10.0))
-    @example(case=offset_quadratic_case(), offset=1.0)
+    @example(case=cubic_case(), offset=1.0)
     def test_never_below_the_band_bound_and_equal_for_open_runs(self, case,
                                                                 offset):
         # Wigner runs keep the band bound and closed runs
         # the rate bound, bit for bit; a noiseless run with an end-fire
-        # drive or an absorber takes the transport bound (nu = 0.5), raised
+        # drive or an absorber takes the transport bound (nu = 1), raised
         # to each band's detuning |omega(0)|, so a constant added to a band
         # moves it through that detuning only. A case the band bound admits
-        # and the transport bound refuses has max|v_g| / dx > max|omega|.
+        # and the transport bound refuses has max|v_g| / (2 dx) > max|omega|.
         state, couplings, disp, bath, drive, absorber = case
         grid = state.grid
         bound = stability_bound(state, couplings, disp, bath, drive=drive,
@@ -692,18 +707,17 @@ class TestClosedRunBound:
                                    absorber=absorber) == closed_bound(
                 state, couplings, bath, transport_rates(shifted, grid))
             if bound < before:
-                assert max(max_velocity_over_dx(disp, grid)) > max_omega(disp, grid)
+                assert 0.5 * max(max_velocity_over_dx(disp, grid)) \
+                    > max_omega(disp, grid)
 
-    def test_offset_quadratic_band_refused_between_the_two_bounds(self):
-        # max|omega| = D K^2 / 2 but max|v_g| / dx = 2 D K / dx, so the
-        # transport bound is the lower one
-        state, couplings, disp, bath, _, absorber = offset_quadratic_case(D=0.3)
-        dx = state.grid.dx
-        K = np.pi / dx
+    def test_cubic_band_refused_between_the_two_bounds(self):
+        # max|omega| = A but max|v_g| / (2 dx) = 9 A / (2 K dx) = 9 A / (2 pi),
+        # so the transport bound is the lower one
+        state, couplings, disp, bath, _, absorber = cubic_case(A=1.0)
         band = bound_with_bands(state, couplings, disp, bath)
         bound = stability_bound(state, couplings, disp, bath, absorber=absorber)
-        assert band == pytest.approx(1.0 / (0.3 * K ** 2))
-        assert bound == pytest.approx(0.25 * dx / (0.3 * K))
+        assert band == pytest.approx(0.5)
+        assert bound == pytest.approx(np.pi / 9.0)
         with pytest.raises(ValueError, match="stability bound"):
             evolve(state, couplings, disp, dt=0.5 * (bound + band), n_steps=1,
                    absorber=absorber)
@@ -713,7 +727,7 @@ class TestClosedRunBound:
         # by Omega0 from its force g |a|^2. At DT_MARGIN x the bound Strang's
         # forced response, (Omega0 dt / 2) / sin(Omega0 dt / 2) times the
         # exact one, is within 1% of i g |a|^2 / (i Omega0 + Gamma / 2);
-        # the transport term alone would step at Omega0 dt = 5.6.
+        # the transport term alone would step at Omega0 dt = 11.
         grid = Grid1D(128, 0.5)
         v, Omega0, Gamma, g = 2.0, 50.0, 2.0, 0.05
         disp = DispersionPair(DispersionSpec.linear(v), DispersionSpec.flat(Omega0))
