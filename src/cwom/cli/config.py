@@ -5,7 +5,9 @@ Every physical quantity carries a unit suffix checked against the schema
 (dispersion kind, coupling sector, drive mode, absorber, sampling, array
 coupling kind) accept only their declared values. Unknown sections or
 keys are rejected, numbers must be finite, counts (steps, trajectories,
-sweep points, comb orders) and dt positive, the preset runs' grid sizes
+sweep points, comb orders), dt, the absorber's speed and opacity and the
+preset runs' velocities, frequencies, damping, powers, spans and sweep
+bounds positive (``POSITIVE_FLOATS``), the preset runs' grid sizes
 powers of two (and, under an absorbing bump, large enough for its 8
 cells), the gain direction +1 or -1, the comb at least 2 periods
 long and seeds in [0, 2**64 - 1], and validation reports every offending
@@ -111,7 +113,15 @@ ABSORBED_INTS = {("gain", "n_points"), ("swap", "n_points")}
 SIGN_INTS = {("gain", "direction")}
 # RNG seeds: a Philox key word, 0 to MAX_SEED = 2**64 - 1
 SEED_INTS = {("ensemble", "base_seed")}
-POSITIVE_FLOATS = {("integration", "dt")}
+# a step, and the lengths, speeds, rates, frequencies, powers and spans a
+# run divides by, takes the log or root of, or needs above zero to absorb
+POSITIVE_FLOATS = {(section, key) for section, keys in (
+    ("integration", ("dt", "absorber_speed", "absorber_opacity")),
+    ("gain", ("v1", "v2", "vb", "Gamma", "omega1", "pump_power", "seed_ratio",
+              "efolds")),
+    ("sweep", ("v2", "vb", "g_min", "g_max")),
+    ("swap", ("v2", "vb", "decay_lengths")),
+    ("comb", ("dx", "omega0"))) for key in keys}
 PARSERS = {"int": int, "float": float, "complex": complex,
            "list": lambda token: tuple(float(t) for t in token.split(","))}
 INF = float("inf")

@@ -135,13 +135,26 @@ def _band(section: dict, grid: Grid1D) -> DispersionSpec:
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` layered over its preset and checked for what parsing
-    cannot see: unread choice keys, a custom run's objects and dt, and the
-    inputs of the array study. Raises :class:`ConfigError`."""
+    cannot see: unread choice keys, a custom run's objects and dt, the
+    inputs of the array study, a sweep's g_min above its g_max and swap
+    decay rates that are negative or both zero. Raises :class:`ConfigError`."""
     config = resolve_config(config)
     if config.scenario == "custom":
         _custom_setup(config)
     if config.scenario == "array_convergence":
         _array_study_inputs(config)
+    if config.scenario == "regime_sweep":
+        g_min, g_max = config.get("sweep", "g_min"), config.get("sweep", "g_max")
+        if g_min > g_max:  # the sweep would run backwards
+            raise ConfigError([f"[sweep] g_min: must not exceed g_max = "
+                               f"{g_max:.3e} Hz, got {g_min:.3e} Hz"])
+    if config.scenario == "intermodal_swap":
+        # the swap spans decay_lengths over the rates' mean
+        rates = config.get("swap", "gamma2"), config.get("swap", "gamma_b")
+        if min(rates) < 0 or sum(rates) == 0:
+            raise ConfigError([f"[swap] gamma2, gamma_b: must be non-negative "
+                               f"and not both zero, got {rates[0]!r} and "
+                               f"{rates[1]!r} /m"])
     return config
 
 

@@ -1,8 +1,8 @@
 """Reproducible per-trajectory random streams.
 
 Streams are counter-based (Philox) and keyed by (base seed, trajectory
-index), so ensemble members can run in any order, on any number of
-workers, and still replay bit-identically.
+index), so each ensemble member's stream depends only on those two
+numbers, not on the members run before it, and replays bit-identically.
 """
 
 import numpy as np

@@ -121,7 +121,6 @@ constant as a (B, 1) column. Only closed, undriven runs are
 batched: per-row noise streams would need one Generator per row.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral
@@ -687,15 +686,12 @@ def observe_snapshot(state: FieldState) -> FieldState:
 def run_ensemble(run_one: Callable[[np.random.Generator, int], object],
                  n_trajectories: int, base_seed: int,
                  workers: int = 1) -> list:
-    """Run ``run_one(rng, index)`` for each trajectory with its own stream.
-
-    Streams are keyed by (base_seed, index); results come back ordered by
-    index regardless of scheduling, so fixed seeds replay identically.
+    """Run ``run_one(rng, index)`` for each trajectory, serially in index
+    order, with its own stream keyed by (base_seed, index), so fixed seeds
+    replay identically. ``workers`` other than 1 raises ``ValueError``.
     """
-    indices = range(n_trajectories)
-    if workers <= 1:
-        return [run_one(trajectory_generator(base_seed, i), i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_one, trajectory_generator(base_seed, i), i)
-                   for i in indices]
-        return [f.result() for f in futures]
+    if workers != 1:
+        raise ValueError(f"run_ensemble runs serially: workers must be 1, "
+                         f"got {workers!r}")
+    return [run_one(trajectory_generator(base_seed, i), i)
+            for i in range(n_trajectories)]

@@ -106,8 +106,7 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
                           frame_omega=Omega_sym, gamma=Gamma)
     g0 = np.array([[0.0, g0_12], [g0_12, 0.0]])
     absorber = make_absorber(grid, speed=v_fast, width_fraction=0.1, opacity=10.0)
-    system = MultiBranchSystem(grid, branches, phonon, g0, rotating_wave=True,
-                               absorber=absorber)
+    system = MultiBranchSystem(grid, branches, phonon, g0, absorber=absorber)
     # the launched pump amplitude is alpha_in / sqrt(v1)
     dt = DT_MARGIN * dt_bound(
         system.bound_rates() + [abs(g0_12) * abs(alpha1_in) / np.sqrt(v1)])
@@ -155,6 +154,8 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
 # forward-scattering comb
 # ---------------------------------------------------------------------------
 
+COMB_STEPS_PER_PERIOD = 400
+
 
 @dataclass
 class CombResult:
@@ -170,7 +171,7 @@ class CombResult:
 def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
                      Omega0: float = 1.0, g0: float = 0.02, pump: float = 1.0,
                      seed_b: float = 2.0, q_mode: int = 6, n_orders: int = 2,
-                     periods: float = 24.0, steps_per_period: int = 400) -> CombResult:
+                     periods: float = 24.0) -> CombResult:
     """Single-branch pump over a seeded phonon grating: sideband comb.
 
     A strong uniform pump phase-modulates off the travelling displacement
@@ -180,7 +181,8 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
     transformed over the analysis window and the power is summed over k
     in a band around each expected line. With one optical branch there is
     no Stokes/anti-Stokes asymmetry mechanism, so order-n line pairs must
-    be symmetric in power.
+    be symmetric in power. The run takes ``periods`` (at least 2) phonon
+    periods of ``COMB_STEPS_PER_PERIOD`` steps each.
     """
     if not periods >= 2:
         # the analysis takes whole phonon periods of the run's second half
@@ -193,8 +195,8 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
     # seeded grating plus the adiabatic static displacement of the pump
     b0 = seed_b * np.exp(1j * q * grid.x_axis) + g0 * pump ** 2 / Omega0
     state = FieldState(grid, a0, b0)
-    dt = 2.0 * np.pi / Omega0 / steps_per_period
-    n_steps = int(periods * steps_per_period)
+    dt = 2.0 * np.pi / Omega0 / COMB_STEPS_PER_PERIOD
+    n_steps = int(periods * COMB_STEPS_PER_PERIOD)
 
     def observer(st):
         return np.fft.fft(st.a) / n_points
@@ -284,8 +286,7 @@ def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
     phonon = PhononConfig(dispersion=DispersionSpec.linear(vb),
                           frame_omega=Omega, gamma=Gamma)
     g0 = np.array([[0.0, np.conj(g12 / A1)], [g12 / A1, 0.0]])
-    system = MultiBranchSystem(grid, branches, phonon, g0, rotating_wave=True,
-                               absorber=absorber)
+    system = MultiBranchSystem(grid, branches, phonon, g0, absorber=absorber)
     state = MultiBranchState(grid, [np.full(n_points, A1, complex),
                                     np.zeros(n_points, complex)],
                              np.zeros(n_points, complex))

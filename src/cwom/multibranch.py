@@ -8,12 +8,11 @@ these frames the pointwise interaction splits into channels
                                 b* with phase (k_l-k_j-q_d, w_l-w_j-Omega_d)}
     d b/dt   += i g(j,l) conj(a_j) a_l * phase (k_l-k_j-q_d, w_l-w_j-Omega_d)
 
-with phase (K, W) meaning exp(i K x - i W t). A channel is resonant when
-its phase vanishes; choosing frames that satisfy three-wave matching makes
-the physical process (amplifying or swapping) autonomous. With
-``rotating_wave=True`` only resonant channels are kept, which is the
-standard envelope model for phase-matched two-branch runs; the full set
-retains counter-rotating channels at the cost of resolving them in dt.
+with phase (K, W) meaning exp(i K x - i W t). Only phase-matched
+channels, whose K and W both lie within ``MATCH_TOL`` of zero, are built:
+frames that satisfy three-wave matching make the physical process
+(amplifying or swapping) autonomous, and the counter-rotating and
+mismatched channels are dropped.
 
 Branch equations reuse the pointwise coupling only; derivative couplings
 are a single-branch feature of the core interaction.
@@ -55,6 +54,8 @@ from .dynamics.bath import SAMPLING_MODES
 from .dynamics.boundary import AbsorberProfile, DepositPlan
 from .dynamics.drive import EndfireDrive
 from .dynamics.stepper import SplitStepper, band_rates, dt_bound
+
+MATCH_TOL = 1e-9  # |K| (rad/m) and |W| (rad/s) below this count as matched
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,13 @@ class _Channel:
     l: int
     g: complex
     conjugate_b: bool
-    W: float
-    spatial: Optional[np.ndarray]  # e^{iKx}, None when K = 0
-
-    @property
-    def resonant(self) -> bool:
-        return self.W == 0.0 and self.spatial is None
 
 
 class MultiBranchSystem:
-    """Validated configuration + precomputed channel phases."""
+    """Validated configuration + its phase-matched channels."""
 
     def __init__(self, grid: Grid1D, branches, phonon: PhononConfig,
-                 g0_matrix, rotating_wave: bool = False, sampling: str = "none",
+                 g0_matrix, sampling: str = "none",
                  absorber: AbsorberProfile = None):
         self.grid = grid
         self.branches = tuple(branches)
@@ -168,7 +163,6 @@ class MultiBranchSystem:
         if not np.allclose(g, g.conj().T, rtol=1e-12, atol=0.0):
             raise ValueError("g0_matrix must be Hermitian")
         self.g0 = g
-        self.rotating_wave = rotating_wave
         if sampling not in SAMPLING_MODES:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
         self.sampling = sampling
@@ -186,16 +180,6 @@ class MultiBranchSystem:
             transport=(any(b.drive is not None for b in self.branches)
                        or self.absorber is not None))
 
-    def _phase_array(self, K: float):
-        if K == 0.0:
-            return None
-        steps = K / self.grid.dk
-        if abs(steps - round(steps)) > 1e-6:
-            raise ValueError(
-                f"channel wavenumber offset {K:.6e} rad/m is not commensurate "
-                "with the grid; adjust the frame carriers")
-        return np.exp(1j * K * self.grid.x_axis)
-
     def _build_channels(self):
         photon, phonon = [], []
         qd, Od = self.phonon.frame_k, self.phonon.frame_omega
@@ -207,22 +191,17 @@ class MultiBranchSystem:
                 dk = bl.frame_k - bj.frame_k
                 dw = bl.frame_omega - bj.frame_omega
                 for conj_b, sgn in ((False, +1.0), (True, -1.0)):
-                    W = dw + sgn * Od
-                    K = dk + sgn * qd
-                    ch = _Channel(j=j, l=l, g=g, conjugate_b=conj_b, W=_snap(W),
-                                  spatial=self._phase_array(_snap(K)))
-                    if not self.rotating_wave or ch.resonant:
-                        photon.append(ch)
+                    if _matched(dk + sgn * qd, dw + sgn * Od):
+                        photon.append(_Channel(j=j, l=l, g=g, conjugate_b=conj_b))
                 # phonon channel: conj(a_j) a_l with phase (dk - qd, dw - Od)
-                ch = _Channel(j=j, l=l, g=g, conjugate_b=False, W=_snap(dw - Od),
-                              spatial=self._phase_array(_snap(dk - qd)))
-                if not self.rotating_wave or ch.resonant:
-                    phonon.append(ch)
+                if _matched(dk - qd, dw - Od):
+                    phonon.append(_Channel(j=j, l=l, g=g, conjugate_b=False))
         return photon, phonon
 
 
-def _snap(x: float, tol: float = 1e-9) -> float:
-    return 0.0 if abs(x) < tol else x
+def _matched(K: float, W: float) -> bool:
+    """Whether a channel's phase offsets (K, W) both vanish."""
+    return abs(K) < MATCH_TOL and abs(W) < MATCH_TOL
 
 
 class MultiBranchStepper(SplitStepper):
@@ -274,7 +253,7 @@ class MultiBranchStepper(SplitStepper):
         """What each right-hand side evaluation does, settled once.
 
         One term per kept channel, photon channels first, each
-        ``coef * left * right [* e^{iKx}] [* e^{-iWt}]`` with an operand
+        ``coef * left * right`` with an operand
         given as (conjugated, row). A row's first term is written straight
         into it (a zero term keeps its sign here, where a sum into zeros
         would give +0.0), later ones are added in channel order.
@@ -289,21 +268,16 @@ class MultiBranchStepper(SplitStepper):
         self._terms = []
         written = set()
         for row, left, right, ch in channels:
-            self._terms.append((row, row not in written, 1j * ch.g, left, right,
-                                ch.spatial, ch.W))
+            self._terms.append((row, row not in written, 1j * ch.g, left, right))
             written.add(row)
 
     def _rhs(self, y, t):
         """Interaction derivative of every row of ``y``."""
         dy = np.zeros(y.shape, dtype=y.dtype)
         operands = (y, np.conj(y))
-        for row, first, coef, (lc, l), (rc, r), spatial, W in self._terms:
+        for row, first, coef, (lc, l), (rc, r) in self._terms:
             term = np.multiply(coef, operands[lc][l], out=dy[row] if first else None)
             term *= operands[rc][r]
-            if spatial is not None:
-                term *= spatial
-            if W != 0.0:
-                term *= np.exp(-1j * W * t)
             if not first:
                 dy[row] += term
         return dy

@@ -1,4 +1,5 @@
-"""The verdict rule of ``tools/bench_record.py``, on hand-made runs."""
+"""The verdict rule of ``tools/bench_record.py``, on hand-made runs, and
+its count of source lines."""
 
 import importlib.util
 from pathlib import Path
@@ -38,3 +39,20 @@ WIDE = [0.7, 1.3, 0.8, 1.2, 1.0, 0.6, 1.4, 0.9, 1.1, 1.0]  # quartile spread 0.4
         "worse-despite-spread", "equal"])
 def test_verdict(parent, change, better, want):
     assert bench_record.verdict(metric(parent, change), 0.25, better) == want
+
+
+def test_src_lines_counts_python_files_under_src(tmp_path, capsys):
+    for side, files in (("parent", {"src/a.py": "x = 1\ny = 2\n",
+                                    "src/pkg/b.py": "z = 3\n",
+                                    "src/pkg/data.txt": "not\ncounted\n",
+                                    "tools/c.py": "not = 'counted'\n"}),
+                        ("change", {"src/a.py": "x = 1\n"})):
+        for name, text in files.items():
+            path = tmp_path / side / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    lines = {side: bench_record.src_lines(tmp_path / side)
+             for side in ("parent", "change")}
+    assert lines == {"parent": 3, "change": 1}
+    bench_record.print_src_lines(lines)
+    assert capsys.readouterr().out == "src/**/*.py lines: parent 3, change 1 (-2)\n"

@@ -61,6 +61,13 @@ base_seed = 7
 """
 
 
+def read_report(out):
+    """``out``'s report.json as strict JSON: a bare NaN or Infinity raises."""
+    def refuse(constant):
+        raise ValueError(f"report.json holds a bare {constant}")
+    return json.loads((out / "report.json").read_text(), parse_constant=refuse)
+
+
 def schema_value(section, key):
     """Values the parser can produce for one key: in range and finite."""
     kind, unit = SCHEMA[section][key]
@@ -244,7 +251,7 @@ class TestCliRuns:
         out = tmp_path / "out"
         csv = (out / "regime_sweep.csv").read_text().splitlines()
         assert csv[0].startswith("g12 [Hz],re_lambda_plus [1/m]")
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         assert report["scenario"] == "regime_sweep"
         assert (out / "effective_config.cfg").exists()
 
@@ -253,7 +260,7 @@ class TestCliRuns:
         # oscillation threshold (1.32e10 Hz)
         out = tmp_path / "preset"
         assert main(["run", "--scenario", "regime_sweep", "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         assert report["threshold_osc_Hz"] > 1e8
         assert report["first_oscillatory_g_Hz"] is None
         cfg = tmp_path / "sweep.cfg"
@@ -267,7 +274,7 @@ points = 201
 """)
         out = tmp_path / "across"
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         rows = [line.split(",") for line in
                 (out / "regime_sweep.csv").read_text().splitlines()[1:]]
         first = next(float(row[0]) for row in rows if row[-1] != "overdamped")
@@ -279,7 +286,7 @@ points = 201
         assert main(["run", "--scenario", "regime_sweep", "--output", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
         assert list(timing) == ["wall_time_s"] and timing["wall_time_s"] >= 0
-        assert "wall_time_s" not in json.loads((out / "report.json").read_text())
+        assert "wall_time_s" not in read_report(out)
         assert f"({timing['wall_time_s']:.2f} s)" in capsys.readouterr().out
 
     def test_validate_only_exits_zero(self, tmp_path):
@@ -415,7 +422,7 @@ points = 201
             cfg.write_text(driven.replace("absorber = on", f"absorber = {setting}"))
             out = tmp_path / setting
             assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
-            reports[setting] = json.loads((out / "report.json").read_text())
+            reports[setting] = read_report(out)
         assert (tmp_path / "on" / "final_state.snap").read_bytes() \
             != (tmp_path / "off" / "final_state.snap").read_bytes()
         assert reports["on"]["final_photon_number"] \
@@ -458,7 +465,7 @@ efolds = 2.5
 """)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         assert report["relative_mismatch"] < 0.05
         # slope is reported along the propagation direction: positive gain
         assert report["measured_power_slope_per_m"] > 0
@@ -476,7 +483,7 @@ sizes = 32,64,128
 """)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         assert abs(report["fitted_order"] - 2.0) < 0.2
         header = (out / "array_convergence.csv").read_text().splitlines()[0]
         assert header.startswith("dx [m],l2_error [1]")
@@ -492,7 +499,7 @@ decay_lengths = 3.0
 """)
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         assert report["max_rel_error"] < 1e-3
         assert report["regime"] in ("oscillatory", "strong_coupling",
                                     "overdamped")
@@ -500,7 +507,7 @@ decay_lengths = 3.0
     def test_comb_report(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--scenario", "comb", "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         assert report["asymmetry"]["1"] < 0.05
         assert report["asymmetry"]["2"] < 0.05
 
@@ -615,7 +622,7 @@ class TestCliRangeChecks:
         assert main(["run", "--config", str(cfg), "--validate-only"]) == 0
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = read_report(out)
         assert report["n_steps"] == 200
         assert np.isfinite(report["final_photon_number"])
         cfg.write_text(closed.replace("dt = 0.02 s", "dt = 1.5 s"))
@@ -664,10 +671,65 @@ class TestCliRangeChecks:
         ("regime_sweep", "[sweep]\npoints = 0",
          "[sweep] points: must be at least 1, got 0"),
         ("comb", "[comb]\norders = 0", "[comb] orders: must be at least 1, got 0"),
+        ("comb", "[comb]\ndx = 0 m", "[comb] dx: must be positive, got 0.0"),
+        ("comb", "[comb]\ndx = -1 m", "[comb] dx: must be positive, got -1.0"),
+        ("comb", "[comb]\nomega0 = 0 rad/s",
+         "[comb] omega0: must be positive, got 0.0"),
+        ("comb", "[comb]\nomega0 = -1 rad/s",
+         "[comb] omega0: must be positive, got -1.0"),
+        ("backward_gain", "[gain]\nv1 = -1 m/s",
+         "[gain] v1: must be positive, got -1.0"),
+        ("backward_gain", "[gain]\nv2 = -1 m/s",
+         "[gain] v2: must be positive, got -1.0"),
+        ("backward_gain", "[gain]\nvb = 0 m/s",
+         "[gain] vb: must be positive, got 0.0"),
+        ("backward_gain", "[gain]\nGamma = 0 /s",
+         "[gain] Gamma: must be positive, got 0.0"),
+        ("backward_gain", "[gain]\nomega1 = 0 rad/s",
+         "[gain] omega1: must be positive, got 0.0"),
+        ("backward_gain", "[gain]\npump_power = 0 W",
+         "[gain] pump_power: must be positive, got 0.0"),
+        ("backward_gain", "[gain]\nseed_ratio = 0",
+         "[gain] seed_ratio: must be positive, got 0.0"),
+        ("backward_gain", "[gain]\nefolds = 0",
+         "[gain] efolds: must be positive, got 0.0"),
+        ("intermodal_swap", "[swap]\ndecay_lengths = -1",
+         "[swap] decay_lengths: must be positive, got -1.0"),
+        ("intermodal_swap", "[swap]\nvb = 0 m/s",
+         "[swap] vb: must be positive, got 0.0"),
+        ("intermodal_swap", "[swap]\nv2 = -2 m/s",
+         "[swap] v2: must be positive, got -2.0"),
+        ("regime_sweep", "[sweep]\ng_min = 0 Hz",
+         "[sweep] g_min: must be positive, got 0.0"),
+        ("regime_sweep", "[sweep]\ng_max = -1 Hz",
+         "[sweep] g_max: must be positive, got -1.0"),
+        ("regime_sweep", "[sweep]\nv2 = 0 m/s",
+         "[sweep] v2: must be positive, got 0.0"),
+        ("regime_sweep", "[sweep]\nvb = 0 m/s",
+         "[sweep] vb: must be positive, got 0.0"),
+        ("custom", "[integration]\nabsorber_speed = 0 m/s",
+         "[integration] absorber_speed: must be positive, got 0.0"),
+        ("custom", "[integration]\nabsorber_opacity = 0",
+         "[integration] absorber_opacity: must be positive, got 0.0"),
+        ("regime_sweep", "[sweep]\ng_min = 1e12 Hz\ng_max = 1e8 Hz",
+         "[sweep] g_min: must not exceed g_max = 1.000e+08 Hz, got 1.000e+12 Hz"),
+        ("intermodal_swap", "[swap]\ngamma2 = 0 /m\ngamma_b = 0 /m",
+         "[swap] gamma2, gamma_b: must be non-negative and not both zero, "
+         "got 0.0 and 0.0 /m"),
+        ("intermodal_swap", "[swap]\ngamma_b = -0.03 /m",
+         "[swap] gamma2, gamma_b: must be non-negative and not both zero, "
+         "got 0.02 and -0.03 /m"),
     ], ids=["gain-n_points", "swap-n_points", "comb-n_points",
             "gain-n_points-small", "swap-n_points-small", "gain-direction",
             "comb-periods-neg", "comb-periods-short", "sweep-points",
-            "comb-orders"])
+            "comb-orders", "comb-dx-zero", "comb-dx-neg", "comb-omega0-zero",
+            "comb-omega0-neg", "gain-v1-neg", "gain-v2-neg", "gain-vb-zero",
+            "gain-Gamma-zero", "gain-omega1-zero", "gain-pump_power-zero",
+            "gain-seed_ratio-zero", "gain-efolds-zero", "swap-decay_lengths-neg",
+            "swap-vb-zero", "swap-v2-neg",
+            "sweep-g_min-zero", "sweep-g_max-neg", "sweep-v2-zero",
+            "sweep-vb-zero", "absorber_speed-zero", "absorber_opacity-zero",
+            "sweep-g-reversed", "swap-decay-zero", "swap-gamma_b-neg"])
     def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,
                                             entry, message):
         # each once validated, then failed the run after writing its
@@ -699,7 +761,7 @@ class TestCliRangeChecks:
         ("mode = endfire\nalpha_in = 1.0+0j s^(-1/2)\ninlet_cell = 4",
          "mode = none\nalpha_in = 5.0+0j s^(-1/2)\ninlet_cell = 1",
          "[drive] inlet_cell: not read when mode = none"),
-        ("absorber = on", "absorber = off\nabsorber_opacity = -5.0",
+        ("absorber = on", "absorber = off\nabsorber_opacity = 5.0",
          "[integration] absorber_opacity: not read when absorber = off"),
         ("omega0 = 1.0 rad/s", "omega0 = 1.0 rad/s\nvelocity = 3.0 m/s",
          "[phonon] velocity: not read when kind = flat"),

@@ -1,7 +1,7 @@
 """Two-branch envelope dynamics: swap oscillation, spatial strong-coupling
 profile against the matrix exponential, Manley-Rowe flux bookkeeping, the
-full (non-rotating-wave) channel set, Wigner replay, a pinned mixed run and
-the divergence report.
+phase-matching rule, the full channel set of frames at rest, Wigner
+replay, a pinned mixed run and the divergence report.
 """
 
 import re
@@ -24,7 +24,7 @@ def swap_system(grid, g, Omega, v2=0.0, vb=0.0, kappa2=0.0, Gamma=0.0,
                 frozen_pump=False, drive2=None, absorber=None):
     """Pump (branch 0) + signal (branch 1) + phonon in swap matching:
     signal sits Omega above the pump, so signal creation absorbs a phonon.
-    Counter-rotating channels are dropped (rotating-wave envelope model)."""
+    Only the phase-matched channels are built."""
     branches = (
         BranchConfig(label="pump", dispersion=DispersionSpec.flat(0.0),
                      frame_omega=0.0, frozen=frozen_pump),
@@ -37,8 +37,7 @@ def swap_system(grid, g, Omega, v2=0.0, vb=0.0, kappa2=0.0, Gamma=0.0,
         dispersion=DispersionSpec.linear(vb) if vb else DispersionSpec.flat(0.0),
         frame_omega=Omega, gamma=Gamma)
     g0 = np.array([[0.0, np.conj(g)], [g, 0.0]])
-    return MultiBranchSystem(grid, branches, phonon, g0, rotating_wave=True,
-                             absorber=absorber)
+    return MultiBranchSystem(grid, branches, phonon, g0, absorber=absorber)
 
 
 class TestSwapOscillation:
@@ -166,8 +165,7 @@ class TestGainConfigManleyRowe:
         phonon = PhononConfig(dispersion=DispersionSpec.linear(vb),
                               frame_omega=Omega, gamma=Gamma)
         g0 = np.array([[0.0, g0c], [g0c, 0.0]])
-        system = MultiBranchSystem(grid, branches, phonon, g0,
-                                   rotating_wave=True, absorber=absorber)
+        system = MultiBranchSystem(grid, branches, phonon, g0, absorber=absorber)
         state = MultiBranchState.vacuum(grid, 2)
         dt = 0.05
         n_steps = int(3.0 * grid.length / (v * dt))
@@ -207,25 +205,48 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="non-negative"):
             make()
 
-    def test_incommensurate_frame_offset_rejected(self, grid64):
-        branches = (BranchConfig("a", DispersionSpec.flat(0.0), frame_k=0.0),
-                    BranchConfig("b", DispersionSpec.flat(0.0),
-                                 frame_k=0.37 * grid64.dk))
-        phonon = PhononConfig(DispersionSpec.flat(0.0))
-        with pytest.raises(ValueError, match="commensurate"):
-            MultiBranchSystem(grid64, branches, phonon,
-                              [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_rotating_wave_drops_counter_rotating(self, grid64):
-        branches = (BranchConfig("a", DispersionSpec.flat(0.0), frame_omega=0.0),
-                    BranchConfig("b", DispersionSpec.flat(0.0), frame_omega=2.0))
-        phonon = PhononConfig(DispersionSpec.flat(0.0), frame_omega=2.0)
-        g0 = [[0.0, 1.0], [1.0, 0.0]]
-        full = MultiBranchSystem(grid64, branches, phonon, g0, rotating_wave=False)
-        rwa = MultiBranchSystem(grid64, branches, phonon, g0, rotating_wave=True)
-        assert len(rwa.photon_channels) < len(full.photon_channels)
-        assert all(ch.resonant for ch in rwa.photon_channels)
-        assert all(ch.resonant for ch in rwa.phonon_channels)
+def frame_pair(grid, signal_frame, phonon_frame):
+    """Pump at rest, signal and phonon at the (omega, k) frames given,
+    coupled both ways."""
+    branches = (BranchConfig("pump", DispersionSpec.flat(0.0)),
+                BranchConfig("signal", DispersionSpec.flat(0.0),
+                             frame_omega=signal_frame[0], frame_k=signal_frame[1]))
+    phonon = PhononConfig(DispersionSpec.flat(0.0), frame_omega=phonon_frame[0],
+                          frame_k=phonon_frame[1])
+    return MultiBranchSystem(grid, branches, phonon, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def channel_table(system):
+    return ([(ch.j, ch.l, ch.conjugate_b) for ch in system.photon_channels],
+            [(ch.j, ch.l) for ch in system.phonon_channels])
+
+
+class TestPhaseMatching:
+    # (j, l, conjugate_b) photon channels and (j, l) phonon channels
+    @pytest.mark.parametrize("signal, phonon, want", [
+        # C2's frames (run_two_branch_gain, Omega = 40 Gamma at Gamma = 0.5):
+        # the Stokes signal grows with b*, the phonon with conj(a_s) a_p
+        ((-20.0, 0.0), (20.0, 0.0), ([(0, 1, False), (1, 0, True)], [(1, 0)])),
+        # swap matching with a wavenumber offset: signal creation absorbs
+        # a phonon
+        ((2.0, 3.0), (2.0, 3.0), ([(0, 1, True), (1, 0, False)], [(0, 1)])),
+    ], ids=["c2", "swap"])
+    def test_matched_frames_keep_only_resonant_channels(self, grid64, signal,
+                                                        phonon, want):
+        signal = (signal[0], signal[1] * grid64.dk)
+        phonon = (phonon[0], phonon[1] * grid64.dk)
+        assert channel_table(frame_pair(grid64, signal, phonon)) == want
+
+    @pytest.mark.parametrize("phonon", [
+        (2.0, 4.0), (2.0, 3.37), (2.0 + 1e-6, 3.0),
+    ], ids=["K", "K-off-grid", "W"])
+    def test_mismatched_frames_keep_no_channel(self, grid64, phonon):
+        # a wavenumber offset that does not fit the grid is admitted: its
+        # channels are dropped like any other mismatched ones
+        system = frame_pair(grid64, (2.0, 3.0 * grid64.dk),
+                            (phonon[0], phonon[1] * grid64.dk))
+        assert channel_table(system) == ([], [])
 
 
 def bound_system(grid, sampling="none", drive=None, absorber=None):
@@ -363,7 +384,7 @@ def mixed_system(sampling):
                           gamma=0.03, n_th=0.2)
     g0 = np.array([[0.0, 0.07], [0.07, 0.0]])
     absorber = make_absorber(grid, speed=2.0, width_fraction=0.1, opacity=10.0)
-    system = MultiBranchSystem(grid, branches, phonon, g0, rotating_wave=True,
+    system = MultiBranchSystem(grid, branches, phonon, g0,
                                sampling=sampling, absorber=absorber)
     state = MultiBranchState(grid, [np.full(128, 1.0 + 0.5j),
                                     np.zeros(128, complex)],
@@ -382,25 +403,21 @@ def run_steps(system, state, dt, n_steps, seed=None):
 
 class TestFullChannelSet:
     def test_closed_photon_number_drift_is_high_order(self):
-        # rotating_wave=False keeps every channel: some carry a time phase
-        # W, some a spatial phase K, two are resonant. The photon coupling
-        # matrix is Hermitian for any b, so sum_j N_j is conserved by the
-        # exact flow; the split step's drift must be small and shrink fast.
+        # With every frame at rest every channel is phase matched, so the
+        # full set is kept: the diagonal couplings and both the b and b*
+        # channels of each pair. The photon coupling matrix is Hermitian
+        # for any b, so sum_j N_j is conserved by the exact flow; the split
+        # step's drift must be small and shrink fast.
         grid = Grid1D(32, 1.0)
         dk = grid.dk
         branches = (BranchConfig("a", DispersionSpec.linear(1.0)),
-                    BranchConfig("b", DispersionSpec.linear(-0.5),
-                                 frame_omega=1.5, frame_k=dk))
-        phonon = PhononConfig(DispersionSpec.flat(0.3), frame_omega=1.5,
-                              frame_k=dk)
+                    BranchConfig("b", DispersionSpec.linear(-0.5)))
+        phonon = PhononConfig(DispersionSpec.flat(0.3))
         g = 0.3 * np.exp(0.6j)
         g0 = np.array([[0.2, g], [np.conj(g), -0.1]])
-        system = MultiBranchSystem(grid, branches, phonon, g0,
-                                   rotating_wave=False)
-        channels = system.photon_channels
-        assert any(ch.W != 0.0 for ch in channels)
-        assert any(ch.spatial is not None for ch in channels)
-        assert any(ch.resonant for ch in channels)
+        system = MultiBranchSystem(grid, branches, phonon, g0)
+        assert len(system.photon_channels) == 8
+        assert len(system.phonon_channels) == 4
         x = grid.x_axis
         state = MultiBranchState(
             grid, [np.exp(1j * dk * x) * (1 + 0.3 * np.cos(dk * x)),

@@ -147,30 +147,19 @@ def transform_reference_run(stepper, y, t, rng=None, absorber=None, rhs=None):
 def reference_multibranch_rhs(stepper):
     """The channel sum into a zero-filled array, one temporary per term."""
     system = stepper.system
-    photon = [(ch.j, ch.l, 1j * ch.g, ch.conjugate_b, ch.W, ch.spatial)
+    photon = [(ch.j, ch.l, 1j * ch.g, ch.conjugate_b)
               for ch in system.photon_channels
               if not system.branches[ch.j].frozen]
-    phonon = [(ch.j, ch.l, 1j * ch.g, ch.W, ch.spatial)
-              for ch in system.phonon_channels]
+    phonon = [(ch.j, ch.l, 1j * ch.g) for ch in system.phonon_channels]
 
     def rhs(y, t):
         dy = np.zeros(y.shape, dtype=y.dtype)
         b = y[-1]
         b_conj = np.conj(b)
-        for j, l, coef, conjugate_b, W, spatial in photon:
-            term = coef * y[l] * (b_conj if conjugate_b else b)
-            if spatial is not None:
-                term *= spatial
-            if W != 0.0:
-                term *= np.exp(-1j * W * t)
-            dy[j] += term
-        for j, l, coef, W, spatial in phonon:
-            term = coef * np.conj(y[j]) * y[l]
-            if spatial is not None:
-                term *= spatial
-            if W != 0.0:
-                term *= np.exp(-1j * W * t)
-            dy[-1] += term
+        for j, l, coef, conjugate_b in photon:
+            dy[j] += coef * y[l] * (b_conj if conjugate_b else b)
+        for j, l, coef in phonon:
+            dy[-1] += coef * np.conj(y[j]) * y[l]
         for row, rate, _ in stepper._damped:
             dy[row] -= 0.5 * rate * y[row]
         return dy
@@ -248,9 +237,8 @@ def waveguide_case():
 
 
 def full_channel_system(grid):
-    """Three branches, one frozen; rotating_wave=False keeps channels with a
-    time phase W and with a spatial phase K; damping, Wigner noise, a
-    driven branch and an absorber."""
+    """Three branches, one frozen, in frames that match the a-b process;
+    damping, Wigner noise, a driven branch and an absorber."""
     dk = grid.dk
     branches = (
         BranchConfig("a", DispersionSpec.linear(1.0), kappa=0.05,
@@ -263,8 +251,7 @@ def full_channel_system(grid):
                           gamma=0.03, n_th=0.2)
     g = 0.3 * np.exp(0.6j)
     g0 = np.array([[0.2, g, 0.1], [np.conj(g), -0.1, 0.05j], [0.1, -0.05j, 0.0]])
-    return MultiBranchSystem(grid, branches, phonon, g0, rotating_wave=False,
-                             sampling="wigner",
+    return MultiBranchSystem(grid, branches, phonon, g0, sampling="wigner",
                              absorber=make_absorber(grid, speed=1.0))
 
 
@@ -279,9 +266,7 @@ def branch_start(grid, n_branches):
 def multibranch_case():
     grid = Grid1D(128, 1.0)
     system = full_channel_system(grid)
-    channels = system.photon_channels + system.phonon_channels
-    assert any(ch.W != 0.0 for ch in channels)
-    assert any(ch.spatial is not None for ch in channels)
+    assert system.photon_channels and system.phonon_channels
     stepper = MultiBranchStepper(system, 0.01)
     return Case(stepper, branch_start(grid, 3), stack_branches, seed=9,
                 absorber=system.absorber, rhs=reference_multibranch_rhs(stepper))
@@ -289,7 +274,7 @@ def multibranch_case():
 
 def forward_gain_case():
     """The C2 forward shape: pump and signal end-fire driven, a damped
-    signal and phonon, linear bands, rotating-wave channels, an absorber."""
+    signal and phonon, linear bands, phase-matched channels, an absorber."""
     grid = Grid1D(128, 0.5)
     branches = (
         BranchConfig("pump", DispersionSpec.linear(1.0),
@@ -298,7 +283,7 @@ def forward_gain_case():
                      kappa=0.05, drive=EndfireDrive(alpha_in=0.1, inlet_cell=8)))
     phonon = PhononConfig(DispersionSpec.linear(0.05), frame_omega=0.4, gamma=0.2)
     system = MultiBranchSystem(grid, branches, phonon,
-                               np.array([[0.0, 0.3], [0.3, 0.0]]), rotating_wave=True,
+                               np.array([[0.0, 0.3], [0.3, 0.0]]),
                                absorber=make_absorber(grid, speed=1.0, opacity=10.0))
     stepper = MultiBranchStepper(system, 0.9 * 0.5 / (np.pi / grid.dx))
     return Case(stepper, branch_start(grid, 2), stack_branches,

@@ -143,14 +143,14 @@ class TestEvolveMachinery:
         vals = run_ensemble(one, 8, base_seed=5)
         assert len(set(np.round(vals, 12))) == 8
 
-    def test_parallel_workers_match_serial_order(self, grid64):
-        # counter-based streams make scheduling irrelevant
-        def one(rng, index):
-            return (index, rng.standard_normal(4).sum())
-
-        serial = run_ensemble(one, 12, base_seed=31, workers=1)
-        threaded = run_ensemble(one, 12, base_seed=31, workers=4)
-        assert serial == threaded
+    @pytest.mark.parametrize("workers", [2, 0])
+    def test_workers_other_than_one_rejected(self, workers):
+        # ensembles run serially; no trajectory runs before the refusal
+        ran = []
+        with pytest.raises(ValueError, match="workers must be 1"):
+            run_ensemble(lambda rng, index: ran.append(index), 4, base_seed=31,
+                         workers=workers)
+        assert ran == []
 
     def test_divergence_detected(self, grid64):
         # deliberately violate the stability bound
@@ -513,7 +513,7 @@ def multibranch_block_case():
                             kappa=0.04, drive=INLET)),
         PhononConfig(DispersionSpec.linear(1.0), frame_omega=5.0, gamma=0.03,
                      n_th=0.2),
-        np.array([[0.0, 0.07], [0.07, 0.0]]), rotating_wave=True,
+        np.array([[0.0, 0.07], [0.07, 0.0]]),
         sampling="wigner", absorber=make_absorber(grid, speed=2.0))
     zero = np.zeros(128, complex)
     return (MultiBranchStepper(system, 0.01),

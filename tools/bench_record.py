@@ -16,8 +16,10 @@ runs the tier-1 suite three times per checkout in the order
 ``TIER1_ORDER`` (parent, change, change, parent, parent, change), so the
 machine's drift falls on both sides alike, and records every run's wall
 time, pytest summary line and durations of the acceptance criteria C2,
-C4 and C6, with their medians per side. Run it on an otherwise idle
-machine; it is not part of the test suite.
+C4 and C6, with their medians per side. It also records the line count
+of each checkout's ``src/**/*.py`` (``src_lines``), which is printed after
+the verdict table. Run it on an otherwise idle machine; it is not part of
+the test suite.
 """
 
 import argparse
@@ -152,6 +154,17 @@ def traced(parent: Path, change: Path, workload: str) -> dict:
     return out
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the checkout's ``src/**/*.py``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src").rglob("*.py"))
+
+
+def print_src_lines(lines: dict) -> None:
+    print(f"src/**/*.py lines: parent {lines['parent']}, change "
+          f"{lines['change']} ({lines['change'] - lines['parent']:+d})")
+
+
 def print_verdicts(workloads: dict) -> None:
     """One row per workload, one column per end-to-end metric."""
     width = max(len(name) for name in workloads)
@@ -170,6 +183,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     record = {"machine": machine_facts(), "seconds_per_run": SECONDS,
+              "src_lines": {"parent": src_lines(parent),
+                            "change": src_lines(change)},
               "workloads": {}}
     for k, workload in enumerate(WORKLOADS):
         first = args.first_seed + 100 * k
@@ -180,6 +195,7 @@ def main(argv=None) -> int:
     record["tier1"] = tier1(parent, change)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print_verdicts(record["workloads"])
+    print_src_lines(record["src_lines"])
     return 0
 
 
