@@ -8,7 +8,7 @@ regime classification, and a discrete-array oracle for the continuum limit.
 """
 
 from .constants import HBAR, K_B
-from .core import (CouplingSet, DispersionSpec, FieldState, Frame, Grid1D,
+from .core import (CouplingSet, DispersionSpec, FieldState, Grid1D,
                    interaction_rhs, spectral_derivative, total_energy)
 
 __version__ = "0.1.0"

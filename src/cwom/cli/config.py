@@ -7,7 +7,9 @@ coupling kind) accept only their declared values. Unknown sections or
 keys are rejected, numbers must be finite, counts (steps, trajectories,
 sweep points, comb orders), dt, the absorber's speed and opacity and the
 preset runs' velocities, frequencies, damping, powers, spans and sweep
-bounds positive (``POSITIVE_FLOATS``), the preset runs' grid sizes
+bounds positive (``POSITIVE_FLOATS``), their decay rates non-negative
+(``NONNEGATIVE_FLOATS``), the swap seed and comb pump amplitudes nonzero
+(``NONZERO_FLOATS``), the preset runs' grid sizes
 powers of two (and, under an absorbing bump, large enough for its 8
 cells), the gain direction +1 or -1, the comb at least 2 periods
 long and seeds in [0, 2**64 - 1], and validation reports every offending
@@ -122,6 +124,12 @@ POSITIVE_FLOATS = {(section, key) for section, keys in (
     ("sweep", ("v2", "vb", "g_min", "g_max")),
     ("swap", ("v2", "vb", "decay_lengths")),
     ("comb", ("dx", "omega0"))) for key in keys}
+# decay rates: a negative one would amplify instead of damp
+NONNEGATIVE_FLOATS = {("gain", "kappa2"), ("sweep", "gamma2"), ("sweep", "gamma_b"),
+                      ("swap", "gamma2"), ("swap", "gamma_b")}
+# amplitudes the run divides by or predicts a profile from; a negative one
+# only flips the phase
+NONZERO_FLOATS = {("swap", "seed"), ("comb", "pump")}
 PARSERS = {"int": int, "float": float, "complex": complex,
            "list": lambda token: tuple(float(t) for t in token.split(","))}
 INF = float("inf")
@@ -219,6 +227,10 @@ def _range_problem(section, key, value):
         return f"[{section}] {key}: must be in [0, 2**64 - 1], got {value}"
     if where in POSITIVE_FLOATS and not value > 0:
         return f"[{section}] {key}: must be positive, got {value}"
+    if where in NONNEGATIVE_FLOATS and not value >= 0:
+        return f"[{section}] {key}: must be non-negative, got {value}"
+    if where in NONZERO_FLOATS and value == 0:
+        return f"[{section}] {key}: must be nonzero, got {value}"
     return None
 
 

@@ -30,8 +30,9 @@ from ..dynamics.stepper import (DispersionPair, Stepper, make_energy_observer,
                                 observe_phonon_number, observe_photon_number,
                                 stability_bound)
 from ..experiments import (MAX_STEPS, array_convergence_study,
-                           convergence_study_problems, run_forward_comb,
-                           run_swap_profile, run_two_branch_gain)
+                           convergence_study_problems, net_gain_slope,
+                           run_forward_comb, run_swap_profile,
+                           run_two_branch_gain)
 from ..strongcoupling import sweep_coupling, thresholds
 from .config import ConfigError, ScenarioConfig, serialize_config
 from .output import write_csv, write_json_report, write_snapshot
@@ -136,13 +137,21 @@ def _band(section: dict, grid: Grid1D) -> DispersionSpec:
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` layered over its preset and checked for what parsing
     cannot see: unread choice keys, a custom run's objects and dt, the
-    inputs of the array study, a sweep's g_min above its g_max and swap
-    decay rates that are negative or both zero. Raises :class:`ConfigError`."""
+    inputs of the array study, a gain run whose signal would not grow, a
+    sweep's g_min above its g_max and swap decay rates that are both zero.
+    Raises :class:`ConfigError`."""
     config = resolve_config(config)
     if config.scenario == "custom":
         _custom_setup(config)
     if config.scenario == "array_convergence":
         _array_study_inputs(config)
+    if config.scenario == "backward_gain":
+        p = config.section("gain")
+        try:
+            net_gain_slope(p["g0_12"], p["v1"], p["v2"], p["Gamma"], p["kappa2"],
+                           p["omega1"], p["pump_power"])
+        except ValueError as err:
+            raise ConfigError([f"[gain] g0_12, kappa2: {err}"]) from err
     if config.scenario == "regime_sweep":
         g_min, g_max = config.get("sweep", "g_min"), config.get("sweep", "g_max")
         if g_min > g_max:  # the sweep would run backwards
@@ -151,10 +160,8 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     if config.scenario == "intermodal_swap":
         # the swap spans decay_lengths over the rates' mean
         rates = config.get("swap", "gamma2"), config.get("swap", "gamma_b")
-        if min(rates) < 0 or sum(rates) == 0:
-            raise ConfigError([f"[swap] gamma2, gamma_b: must be non-negative "
-                               f"and not both zero, got {rates[0]!r} and "
-                               f"{rates[1]!r} /m"])
+        if sum(rates) == 0:
+            raise ConfigError(["[swap] gamma2, gamma_b: must not both be zero"])
     return config
 
 
@@ -280,8 +287,8 @@ def _run_comb(config: ScenarioConfig, out: Path) -> dict:
 
 
 # the config key of each array_convergence_study argument it can refuse
-_ARRAY_KEYS = {"length": "length", "T": "t_total", "sizes": "sizes",
-               "n_ref": "n_ref"}
+_ARRAY_KEYS = {"length": "length", "D2": "curvature", "T": "t_total",
+               "sizes": "sizes", "n_ref": "n_ref"}
 
 
 def _array_study_inputs(config: ScenarioConfig) -> dict:

@@ -7,15 +7,6 @@ import numpy as np
 from .grid import Grid1D
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Rotating reference frame at (omega, k) of a driven field; the
-    default ``Frame()`` is the lab frame."""
-
-    omega: float = 0.0
-    k: float = 0.0
-
-
 @dataclass
 class FieldState:
     """Photon field a(x) and phonon field b(x) on one grid.

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.dispersion import DispersionSpec
-from ..core.fields import Frame
 from ..core.grid import Grid1D
 from .drive import EndfireDrive
 
@@ -74,16 +73,19 @@ def boundary_velocity(dispersion: DispersionSpec, grid: Grid1D,
 class DepositPlan:
     """Precomputed per-step source terms for one end-fire drive.
 
-    A constant, undetuned ``alpha_in`` deposits the same source every
-    step, so ``scale * alpha_in * kernel`` is settled here once (and no
-    source at all for ``alpha_in = 0``, as for a vacuum inlet); a callable
-    or detuned drive is evaluated at each step's start time.
+    ``frame_omega`` is the frequency (rad/s) of the frame the driven field
+    evolves in: 0 for the waveguide's lab frame, a branch's own frame in a
+    multi-branch run. The drive's detuning is taken from it; the carrier
+    wavenumber is the drive's ``k_L``. A constant, undetuned ``alpha_in``
+    deposits the same source every step, so ``scale * alpha_in * kernel``
+    is settled here once (and no source at all for ``alpha_in = 0``, as
+    for a vacuum inlet); a callable or detuned drive is evaluated at each
+    step's start time.
     """
 
     def __init__(self, grid: Grid1D, dispersion: DispersionSpec,
-                 drive: EndfireDrive, frame: Frame, dt: float):
-        carrier = drive.carrier_in_frame(frame.k)
-        c = boundary_velocity(dispersion, grid, carrier)
+                 drive: EndfireDrive, frame_omega: float, dt: float):
+        c = boundary_velocity(dispersion, grid, drive.k_L)
         nu = c * dt / grid.dx
         if nu > 1.0:
             raise BoundaryError(
@@ -94,7 +96,7 @@ class DepositPlan:
             raise BoundaryError("inlet_cell too close to the grid edge for the "
                                 "drive kernel")
         self.drive = drive
-        self.detuning = drive.detuning(frame.omega)
+        self.detuning = drive.detuning(frame_omega)
         # Python floats: the per-step scalar products round as numpy's do
         # and cost a fraction of numpy scalar arithmetic
         self.scale = float(np.sqrt(c) * dt / grid.dx)
@@ -103,7 +105,7 @@ class DepositPlan:
         window = 0.5 * (1.0 + np.cos(np.pi * offs / (KERNEL_HALFWIDTH + 1)))
         cells = (drive.inlet_cell + offs) % grid.n_points
         # matched normalization: unit response of the resonant wavenumber
-        khat = np.sum(window * np.exp(-1j * carrier * cells * grid.dx))
+        khat = np.sum(window * np.exp(-1j * drive.k_L * cells * grid.dx))
         self.kernel_cells = slice(cells[0], cells[-1] + 1)  # never wraps
         self.kernel = window / khat
         self._constant = not callable(drive.alpha_in) and self.detuning == 0.0

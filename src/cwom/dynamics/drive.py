@@ -15,16 +15,16 @@ class EndfireDrive:
     omega_L : carrier frequency (rad/s) in the lab frame. ``None`` means
         resonant with the frame the driven field evolves in (zero envelope
         detuning), the common case; give it explicitly for detuned drives.
-    k_L : carrier wavenumber (rad/m) in the lab frame. ``None`` means the
-        frame's carrier. The injected wave picks up its wavenumber from
-        the dispersion resonance; k_L fixes where the local velocity is
-        validated.
+    k_L : carrier wavenumber (rad/m); 0, the default, is the lab carrier,
+        which every solver deposits in. The injected wave picks up its
+        wavenumber from the dispersion resonance; k_L fixes where the
+        local velocity is validated and where the kernel is normalized.
     inlet_cell : grid cell receiving the source deposit.
     """
 
     alpha_in: Union[complex, Callable[[float], complex]]
     omega_L: float = None
-    k_L: float = None
+    k_L: float = 0.0
     inlet_cell: int = 4
 
     def amplitude(self, t: float) -> complex:
@@ -37,8 +37,3 @@ class EndfireDrive:
         if self.omega_L is None:
             return 0.0
         return self.omega_L - frame_omega
-
-    def carrier_in_frame(self, frame_k: float) -> float:
-        if self.k_L is None:
-            return 0.0
-        return self.k_L - frame_k

@@ -131,7 +131,7 @@ import numpy as np
 
 from ..core.couplings import CouplingSet
 from ..core.dispersion import DispersionSpec
-from ..core.fields import FieldState, Frame
+from ..core.fields import FieldState
 from ..core.interaction import CouplingTerms, energy_from_bands, fused_rhs
 from ..core.spectral import apply_phase, dispersion_phase
 from .bath import BathSpec, draw_noise_field, noise_scales
@@ -562,7 +562,7 @@ class Stepper(SplitStepper):
                          grid.dx)
         if drive is not None:
             self._deposits = [(0, DepositPlan(grid, dispersions.photon, drive,
-                                              Frame(), dt))]
+                                              0.0, dt))]
         if self._terms.kind == "zero":
             self._rhs = None
 

@@ -64,6 +64,19 @@ class GainRunResult:
     direction: int = +1
 
 
+def net_gain_slope(g0_12: float, v1: float, v2: float, Gamma: float,
+                   kappa2: float, omega1: float, pump_power_W: float) -> float:
+    """The signal's nominal net power slope G_B P1 - kappa2 / v2 (1/m) at
+    pump power P1, by which :func:`run_two_branch_gain` sizes its domain.
+    Raises ``ValueError`` unless it is positive: a signal that does not
+    grow gives no slope to measure."""
+    slope = brillouin_gain(g0_12, v1, v2, Gamma, omega1) * pump_power_W - kappa2 / v2
+    if not slope > 0:
+        raise ValueError(f"net gain G_B P1 - kappa2 / v2 must be positive for a "
+                         f"slope measurement, got {slope:.3e} /m")
+    return slope
+
+
 def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
                         Gamma: float, kappa2: float, omega1: float,
                         pump_power_W: float, seed_power_ratio: float = 1e-10,
@@ -80,9 +93,8 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
     alpha1_in = np.sqrt(flux1)
     G_B = brillouin_gain(g0_12, v1, v2, Gamma, omega1)
     gamma2 = kappa2 / v2
-    slope_pred_nominal = G_B * pump_power_W - gamma2
-    if slope_pred_nominal <= 0:
-        raise ValueError("net gain must be positive for a slope measurement")
+    slope_pred_nominal = net_gain_slope(g0_12, v1, v2, Gamma, kappa2, omega1,
+                                        pump_power_W)
     length = target_efolds / (0.6 * slope_pred_nominal)
     grid = Grid1D(n_points, length / n_points)
     v_fast = max(v1, v2)
@@ -368,6 +380,9 @@ def convergence_study_problems(kind: str, sizes, length: float, D2: float,
     problems = [(name, f"must be positive and finite, got {value!r}")
                 for name, value in (("length", length), ("T", T))
                 if not (value > 0 and np.isfinite(value))]
+    if not (D2 != 0 and np.isfinite(D2)):
+        # a flat band gives the lattice nothing to converge to
+        problems.append(("D2", f"must be nonzero and finite, got {D2!r}"))
     if isinstance(n_ref, bool) or not isinstance(n_ref, Integral) or n_ref < 2 \
             or not is_power_of_two(n_ref):
         problems.append(("n_ref", f"must be a power of two of at least 2, "
@@ -415,10 +430,11 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
     step (no free-band term), capped at ``T``; the lattice runs take the
     same dt.
 
-    ``length`` and ``T`` must be positive and finite, ``n_ref`` a power of
-    two, ``sizes`` at least two distinct divisors of ``n_ref``, below it
-    for ``kind = "link"``, and ``T`` at most ``MAX_STEPS`` steps; anything
-    else raises ``ValueError`` naming the argument.
+    ``length`` and ``T`` must be positive and finite, ``D2`` nonzero and
+    finite, ``n_ref`` a power of two, ``sizes`` at least two distinct
+    divisors of ``n_ref``, below it for ``kind = "link"``, and ``T`` at
+    most ``MAX_STEPS`` steps; anything else raises ``ValueError`` naming
+    the argument.
     """
     if kind not in ("site", "link"):
         raise ValueError("kind must be 'site' or 'link'")

@@ -1,11 +1,13 @@
 """Discrete optomechanical arrays and the array -> continuum mapping.
 
-A 1D ring of sites with tight-binding photon/phonon hopping and either a
-local on-site coupling or a link coupling (phonons dressing the tunneling
-between neighbors). Site amplitudes map to continuum fields as
-a_j = a(j dx) sqrt(dx), which preserves total photon number exactly; the
-continuum coupling is g0_cont = g0_site sqrt(dx), so the proper continuum
-limit holds g0_cont fixed while g0_site grows as 1/sqrt(dx).
+A closed 1D ring of sites with tight-binding photon hopping, static
+(non-hopping, undamped) phonons and either a local on-site coupling or a
+link coupling (phonons dressing the tunneling between neighbors), as the
+array -> continuum study runs it. Site amplitudes map to continuum
+fields as a_j = a(j dx) sqrt(dx), which preserves total photon number
+exactly; the continuum coupling is g0_cont = g0_site sqrt(dx), so the
+proper continuum limit holds g0_cont fixed while g0_site grows as
+1/sqrt(dx).
 
 The link coupling expands, around each link center, into the canonical
 continuum terms: a pointwise coupling 2 g0 sqrt(dx), plus
@@ -23,8 +25,8 @@ test suite confirms them numerically at second order.
 
 :class:`LatticeStepper` is a model of the shared split-step core
 (:class:`cwom.dynamics.stepper.SplitStepper`) over the stacked (a, b)
-site amplitudes: the tunneling bands give the exact half-step phases, and
-the sites are cells of unit width for the core's loss and noise.
+site amplitudes: the photon tunneling band gives the exact half-step
+phases, the phonon row has none (the core skips it), and nothing is lost.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +36,6 @@ import numpy as np
 from .core.couplings import CouplingSet
 from .core.fields import FieldState
 from .core.grid import Grid1D
-from .dynamics.bath import SAMPLING_MODES
 from .dynamics.stepper import SplitStepper
 
 COUPLING_KINDS = ("site", "link")
@@ -61,39 +62,28 @@ def band_structure(J: dict, dx_lattice: float, k_samples) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Discrete-array parameters (SI units; per-site rates)."""
+    """Discrete-array parameters (SI units; per-site rates) of a closed
+    array with static phonons."""
 
     n_sites: int
     dx_lattice: float
     J: dict = field(default_factory=dict)
-    K: dict = field(default_factory=dict)
     g0_site: float = 0.0
     g0_link: float = 0.0
-    kappa: float = 0.0
-    Gamma: float = 0.0
-    n_th: float = 0.0
     omega_frame: float = 0.0   # constant subtracted from the photon band
-    Omega_frame: float = 0.0   # constant subtracted from the phonon band
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("need at least two sites")
         if self.dx_lattice <= 0:
             raise ValueError("lattice constant must be positive")
-        if self.kappa < 0 or self.Gamma < 0 or self.n_th < 0:
-            raise ValueError("rates and occupation must be non-negative")
-        for hops in (self.J, self.K):
-            for hop in hops:
-                if not isinstance(hop, (int, np.integer)) or hop < 1:
-                    raise ValueError("hop distances must be integers >= 1")
+        for hop in self.J:
+            if not isinstance(hop, (int, np.integer)) or hop < 1:
+                raise ValueError("hop distances must be integers >= 1")
 
     def photon_band(self) -> np.ndarray:
         k = 2.0 * np.pi * np.fft.fftfreq(self.n_sites, d=self.dx_lattice)
         return band_structure(self.J, self.dx_lattice, k) - self.omega_frame
-
-    def phonon_band(self) -> np.ndarray:
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n_sites, d=self.dx_lattice)
-        return band_structure(self.K, self.dx_lattice, k) - self.Omega_frame
 
 
 @dataclass
@@ -121,17 +111,15 @@ class LatticeStepper(SplitStepper):
     explicit RK4 on the site and link interaction.
 
     Rows of the stacked state: site photon amplitudes, site phonon
-    amplitudes.
+    amplitudes (static: a half-step phase of 1, no loss).
     """
 
-    def __init__(self, config: ArrayConfig, dt: float, sampling: str = "none"):
-        if sampling not in SAMPLING_MODES:
-            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
-        super().__init__(None, dt, wigner=sampling == "wigner")
+    def __init__(self, config: ArrayConfig, dt: float):
+        super().__init__(None, dt)
         self.config = config
-        self._half = np.exp(-0.5j * np.stack((config.photon_band(),
-                                               config.phonon_band())) * dt)
-        self._set_losses(((config.kappa, 0.0), (config.Gamma, config.n_th)), 1.0)
+        self._half = np.ones((2, config.n_sites), dtype=np.complex128)
+        self._half[0] = np.exp(-0.5j * config.photon_band() * dt)
+        self._set_losses(((0.0, 0.0), (0.0, 0.0)), 1.0)
         sites = np.arange(config.n_sites)
         self._next = np.roll(sites, -1)  # a[self._next][j] = a[j + 1]
         self._prev = np.roll(sites, 1)
@@ -161,12 +149,10 @@ class LatticeStepper(SplitStepper):
 
 
 def simulate_array(config: ArrayConfig, initial: LatticeState, dt: float,
-                   n_steps: int, sampling: str = "none", rng=None) -> LatticeState:
+                   n_steps: int) -> LatticeState:
     """The state of the discrete model after ``n_steps`` steps of dt from
-    ``initial`` (a :class:`LatticeStepper` run; ``rng`` feeds Wigner
-    sampling)."""
-    return LatticeStepper(config, dt, sampling=sampling).run(
-        initial, n_steps, rng=rng).final_state
+    ``initial`` (a :class:`LatticeStepper` run)."""
+    return LatticeStepper(config, dt).run(initial, n_steps).final_state
 
 
 def to_continuum(a_sites, b_sites, dx_lattice: float) -> FieldState:

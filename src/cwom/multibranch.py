@@ -1,18 +1,19 @@
 """Coupled evolution of several optical branches and one phonon field.
 
-Each branch carries its own rotating frame (lab carrier omega, k) and
-envelope dispersion; the phonon frame (Omega_d, q_d) is independent. In
-these frames the pointwise interaction splits into channels
+Each branch carries its own rotating frame at the lab carrier frequency
+omega (its carrier wavenumber is the lab one, k = 0) and its envelope
+dispersion; the phonon frame Omega_d is independent. In these frames the
+pointwise interaction splits into channels
 
-    d a_j/dt += i g(j,l) a_l * {b  with phase (k_l-k_j+q_d, w_l-w_j+Omega_d)
-                                b* with phase (k_l-k_j-q_d, w_l-w_j-Omega_d)}
-    d b/dt   += i g(j,l) conj(a_j) a_l * phase (k_l-k_j-q_d, w_l-w_j-Omega_d)
+    d a_j/dt += i g(j,l) a_l * {b  with phase offset w_l-w_j+Omega_d
+                                b* with phase offset w_l-w_j-Omega_d}
+    d b/dt   += i g(j,l) conj(a_j) a_l * phase offset w_l-w_j-Omega_d
 
-with phase (K, W) meaning exp(i K x - i W t). Only phase-matched
-channels, whose K and W both lie within ``MATCH_TOL`` of zero, are built:
-frames that satisfy three-wave matching make the physical process
-(amplifying or swapping) autonomous, and the counter-rotating and
-mismatched channels are dropped.
+with phase offset W meaning a factor exp(-i W t). Only phase-matched
+channels, whose W lies within ``MATCH_TOL`` of zero, are built: frames
+that satisfy three-wave matching make the physical process (amplifying
+or swapping) autonomous, and the counter-rotating and mismatched
+channels are dropped.
 
 Branch equations reuse the pointwise coupling only; derivative couplings
 are a single-branch feature of the core interaction.
@@ -47,15 +48,13 @@ from typing import Optional
 import numpy as np
 
 from .core.dispersion import DispersionSpec
-from .core.fields import Frame
 from .core.grid import Grid1D
 from .core.spectral import dispersion_phase
-from .dynamics.bath import SAMPLING_MODES
 from .dynamics.boundary import AbsorberProfile, DepositPlan
 from .dynamics.drive import EndfireDrive
 from .dynamics.stepper import SplitStepper, band_rates, dt_bound
 
-MATCH_TOL = 1e-9  # |K| (rad/m) and |W| (rad/s) below this count as matched
+MATCH_TOL = 1e-9  # a phase offset |W| (rad/s) below this counts as matched
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class BranchConfig:
     label: str
     dispersion: DispersionSpec
     frame_omega: float = 0.0
-    frame_k: float = 0.0
     kappa: float = 0.0
     drive: Optional[EndfireDrive] = None
     frozen: bool = False
@@ -81,14 +79,11 @@ class PhononConfig:
 
     dispersion: DispersionSpec
     frame_omega: float = 0.0
-    frame_k: float = 0.0
     gamma: float = 0.0
-    n_th: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0 or self.n_th < 0:
-            raise ValueError("phonon decay rate and occupation must be "
-                             "non-negative")
+        if self.gamma < 0:
+            raise ValueError("phonon decay rate gamma must be non-negative")
 
 
 class MultiBranchState:
@@ -148,11 +143,10 @@ class _Channel:
 
 
 class MultiBranchSystem:
-    """Validated configuration + its phase-matched channels."""
+    """Validated configuration + its phase-matched channels; noiseless."""
 
     def __init__(self, grid: Grid1D, branches, phonon: PhononConfig,
-                 g0_matrix, sampling: str = "none",
-                 absorber: AbsorberProfile = None):
+                 g0_matrix, absorber: AbsorberProfile = None):
         self.grid = grid
         self.branches = tuple(branches)
         self.phonon = phonon
@@ -163,45 +157,41 @@ class MultiBranchSystem:
         if not np.allclose(g, g.conj().T, rtol=1e-12, atol=0.0):
             raise ValueError("g0_matrix must be Hermitian")
         self.g0 = g
-        if sampling not in SAMPLING_MODES:
-            raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
-        self.sampling = sampling
         self.absorber = absorber
         self.photon_channels, self.phonon_channels = self._build_channels()
 
     def bound_rates(self) -> list:
         """The live branches' kappa, the phonon gamma and :func:`band_rates`
-        of the live bands (omega with Wigner sampling, else transport with a
-        drive or an absorber): the rates of the stepper's :func:`dt_bound`."""
+        of the live bands (transport with a drive or an absorber): the rates
+        of the stepper's :func:`dt_bound`."""
         live = [b for b in self.branches if not b.frozen]
         return [b.kappa for b in live] + [self.phonon.gamma] + band_rates(
             [b.dispersion for b in live] + [self.phonon.dispersion], self.grid,
-            omega=self.sampling == "wigner",
+            omega=False,
             transport=(any(b.drive is not None for b in self.branches)
                        or self.absorber is not None))
 
     def _build_channels(self):
         photon, phonon = [], []
-        qd, Od = self.phonon.frame_k, self.phonon.frame_omega
+        Od = self.phonon.frame_omega
         for j, bj in enumerate(self.branches):
             for l, bl in enumerate(self.branches):
                 g = complex(self.g0[j, l])
                 if g == 0.0:
                     continue
-                dk = bl.frame_k - bj.frame_k
                 dw = bl.frame_omega - bj.frame_omega
                 for conj_b, sgn in ((False, +1.0), (True, -1.0)):
-                    if _matched(dk + sgn * qd, dw + sgn * Od):
+                    if _matched(dw + sgn * Od):
                         photon.append(_Channel(j=j, l=l, g=g, conjugate_b=conj_b))
-                # phonon channel: conj(a_j) a_l with phase (dk - qd, dw - Od)
-                if _matched(dk - qd, dw - Od):
+                # phonon channel: conj(a_j) a_l with phase offset dw - Od
+                if _matched(dw - Od):
                     phonon.append(_Channel(j=j, l=l, g=g, conjugate_b=False))
         return photon, phonon
 
 
-def _matched(K: float, W: float) -> bool:
-    """Whether a channel's phase offsets (K, W) both vanish."""
-    return abs(K) < MATCH_TOL and abs(W) < MATCH_TOL
+def _matched(W: float) -> bool:
+    """Whether a channel's phase offset W vanishes."""
+    return abs(W) < MATCH_TOL
 
 
 class MultiBranchStepper(SplitStepper):
@@ -222,8 +212,7 @@ class MultiBranchStepper(SplitStepper):
         super().__init__(system.grid, dt,
                          live=(slice(None) if len(live) == len(branches)
                                else np.array(live + [len(branches)])),
-                         absorber=system.absorber,
-                         wigner=system.sampling == "wigner")
+                         absorber=system.absorber)
         bound = dt_bound(system.bound_rates())
         if dt > bound:
             raise ValueError(f"dt = {dt:.3e} s exceeds the multi-branch stability "
@@ -235,12 +224,11 @@ class MultiBranchStepper(SplitStepper):
             + [dispersion_phase(system.phonon.dispersion, system.grid, 0.5 * dt)]
         )[self._live]
         self._set_losses([(0.0 if b.frozen else b.kappa, 0.0) for b in branches]
-                         + [(system.phonon.gamma, system.phonon.n_th)],
-                         system.grid.dx)
+                         + [(system.phonon.gamma, 0.0)], system.grid.dx)
         self._settle_rhs(system)
         self._deposits = [
-            (j, DepositPlan(system.grid, b.dispersion, b.drive,
-                            Frame(b.frame_omega, b.frame_k), dt))
+            (j, DepositPlan(system.grid, b.dispersion, b.drive, b.frame_omega,
+                            dt))
             for j, b in enumerate(branches) if b.drive is not None]
 
     def _pack(self, state: MultiBranchState):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwom.cli.config import (ABSORBED_INTS, POSITIVE_FLOATS, POSITIVE_INTS,
-                             POWER_OF_TWO_INTS, SCENARIOS, SCHEMA, SEED_INTS,
-                             SIGN_INTS, ConfigError, ScenarioConfig, load_config,
-                             parse_config_text, serialize_config)
+from cwom.cli.config import (ABSORBED_INTS, NONNEGATIVE_FLOATS, NONZERO_FLOATS,
+                             POSITIVE_FLOATS, POSITIVE_INTS, POWER_OF_TWO_INTS,
+                             SCENARIOS, SCHEMA, SEED_INTS, SIGN_INTS, ConfigError,
+                             ScenarioConfig, load_config, parse_config_text,
+                             serialize_config)
 from cwom.cli.main import main
 from cwom.cli.output import read_snapshot, write_csv, write_snapshot
 from cwom.cli.scenarios import MAX_STEPS, resolve_config, run_scenario
@@ -92,6 +93,10 @@ def schema_value(section, key):
         if (section, key) in POSITIVE_FLOATS:
             return st.floats(min_value=0.0, exclude_min=True,
                              allow_infinity=False)
+        if (section, key) in NONNEGATIVE_FLOATS:
+            return st.floats(min_value=0.0, allow_infinity=False)
+        if (section, key) in NONZERO_FLOATS:
+            return floats.filter(lambda value: value != 0.0)
         if (section, key) == ("comb", "periods"):
             return st.floats(min_value=2.0, allow_infinity=False)
         return floats
@@ -714,11 +719,26 @@ class TestCliRangeChecks:
         ("regime_sweep", "[sweep]\ng_min = 1e12 Hz\ng_max = 1e8 Hz",
          "[sweep] g_min: must not exceed g_max = 1.000e+08 Hz, got 1.000e+12 Hz"),
         ("intermodal_swap", "[swap]\ngamma2 = 0 /m\ngamma_b = 0 /m",
-         "[swap] gamma2, gamma_b: must be non-negative and not both zero, "
-         "got 0.0 and 0.0 /m"),
+         "[swap] gamma2, gamma_b: must not both be zero"),
         ("intermodal_swap", "[swap]\ngamma_b = -0.03 /m",
-         "[swap] gamma2, gamma_b: must be non-negative and not both zero, "
-         "got 0.02 and -0.03 /m"),
+         "[swap] gamma_b: must be non-negative, got -0.03"),
+        ("intermodal_swap", "[swap]\nseed = 0 s^(-1/2)",
+         "[swap] seed: must be nonzero, got 0.0"),
+        ("comb", "[comb]\npump = 0 m^(-1/2)", "[comb] pump: must be nonzero, got 0.0"),
+        ("backward_gain", "[gain]\nkappa2 = -1 /s",
+         "[gain] kappa2: must be non-negative, got -1.0"),
+        ("regime_sweep", "[sweep]\ngamma2 = -10 /m",
+         "[sweep] gamma2: must be non-negative, got -10.0"),
+        ("regime_sweep", "[sweep]\ngamma_b = -10 /m",
+         "[sweep] gamma_b: must be non-negative, got -10.0"),
+        ("intermodal_swap", "[swap]\ngamma2 = -0.02 /m",
+         "[swap] gamma2: must be non-negative, got -0.02"),
+        ("backward_gain", "[gain]\ng0_12 = 0 Hz*m^(1/2)",
+         "[gain] g0_12, kappa2: net gain G_B P1 - kappa2 / v2 must be positive"),
+        ("backward_gain", "[gain]\nkappa2 = 1e12 /s",
+         "[gain] g0_12, kappa2: net gain G_B P1 - kappa2 / v2 must be positive"),
+        ("array_convergence", "[array]\ncurvature = 0 m^2/s",
+         "[array] curvature: must be nonzero and finite, got 0.0"),
     ], ids=["gain-n_points", "swap-n_points", "comb-n_points",
             "gain-n_points-small", "swap-n_points-small", "gain-direction",
             "comb-periods-neg", "comb-periods-short", "sweep-points",
@@ -729,7 +749,10 @@ class TestCliRangeChecks:
             "swap-vb-zero", "swap-v2-neg",
             "sweep-g_min-zero", "sweep-g_max-neg", "sweep-v2-zero",
             "sweep-vb-zero", "absorber_speed-zero", "absorber_opacity-zero",
-            "sweep-g-reversed", "swap-decay-zero", "swap-gamma_b-neg"])
+            "sweep-g-reversed", "swap-decay-zero", "swap-gamma_b-neg",
+            "swap-seed-zero", "comb-pump-zero", "gain-kappa2-neg",
+            "sweep-gamma2-neg", "sweep-gamma_b-neg", "swap-gamma2-neg",
+            "gain-g0_12-zero", "gain-kappa2-above-gain", "array-curvature-zero"])
     def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,
                                             entry, message):
         # each once validated, then failed the run after writing its

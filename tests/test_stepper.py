@@ -16,9 +16,6 @@ from cwom.dynamics import (BathSpec, DispersionPair, DivergenceError,
                            trajectory_generator)
 from cwom.dynamics.stepper import NOISE_BLOCK_VALUES
 from cwom.experiments import DT_MARGIN
-from cwom.lattice import ArrayConfig, LatticeState, LatticeStepper
-from cwom.multibranch import (BranchConfig, MultiBranchState, MultiBranchStepper,
-                              MultiBranchSystem, PhononConfig)
 
 from conftest import random_band_limited
 
@@ -505,22 +502,6 @@ THERMAL = BathSpec(kappa=0.3, gamma_mech=0.5, n_th=0.4, sampling="wigner")
 INLET = EndfireDrive(alpha_in=0.6, inlet_cell=4)
 
 
-def multibranch_block_case():
-    grid = Grid1D(128, 1.0)
-    system = MultiBranchSystem(
-        grid, (BranchConfig("pump", DispersionSpec.flat(0.0), frozen=True),
-               BranchConfig("signal", DispersionSpec.linear(2.0), frame_omega=5.0,
-                            kappa=0.04, drive=INLET)),
-        PhononConfig(DispersionSpec.linear(1.0), frame_omega=5.0, gamma=0.03,
-                     n_th=0.2),
-        np.array([[0.0, 0.07], [0.07, 0.0]]),
-        sampling="wigner", absorber=make_absorber(grid, speed=2.0))
-    zero = np.zeros(128, complex)
-    return (MultiBranchStepper(system, 0.01),
-            MultiBranchState(grid, [np.full(128, 1.0 + 0.5j), zero], zero),
-            lambda state: state.rows, 100, 2 * 128 * 2 + 2)
-
-
 def waveguide_block_case(n, bath, drive, absorber, n_steps, couplings=None,
                          dt=0.01):
     grid = Grid1D(n, 1.0)
@@ -545,13 +526,6 @@ BLOCK_CASES = {
     "cli_shaped": lambda: waveguide_block_case(
         4096, THERMAL, INLET, True, 12, couplings=CouplingSet.even(g_ppp=0.05),
         dt=0.05),
-    "lattice": lambda: (
-        LatticeStepper(ArrayConfig(n_sites=32, dx_lattice=1.0, J={1: 0.4},
-                                   g0_site=0.1, kappa=0.1, Gamma=0.2, n_th=0.3),
-                       0.01, sampling="wigner"),
-        LatticeState(np.zeros(32, complex), np.zeros(32, complex)), stacked, 150,
-        2 * 32 * 2),
-    "multibranch": multibranch_block_case,
 }
 
 
