@@ -2,18 +2,10 @@
 
 Every physical quantity carries a unit suffix checked against the schema
 (`Gamma = 6.28e6 /s`); dimensionless keys use no suffix. Enumerated keys
-(dispersion kind, coupling sector, drive mode, absorber, sampling, array
-coupling kind) accept only their declared values. Unknown sections or
-keys are rejected, numbers must be finite, counts (steps, trajectories,
-sweep points, comb orders), dt, the absorber's speed and opacity and the
-preset runs' velocities, frequencies, damping, powers, spans and sweep
-bounds positive (``POSITIVE_FLOATS``), their decay rates non-negative
-(``NONNEGATIVE_FLOATS``), the swap seed and comb pump amplitudes nonzero
-(``NONZERO_FLOATS``), the preset runs' grid sizes
-powers of two (and, under an absorbing bump, large enough for its 8
-cells), the gain direction +1 or -1, the comb at least 2 periods
-long and seeds in [0, 2**64 - 1], and validation reports every offending
-entry at once rather than stopping at the first. Command-line overrides
+accept only their declared values, unknown sections or keys are rejected,
+numbers must be finite and each key meets the range rule that its
+``SCHEMA`` entry names in ``RULES``. Validation reports every offending
+entry at once rather than stopping at the first; command-line overrides
 pass the same range checks (:func:`check_ranges`).
 Unit bugs dominate this domain, so the parser refuses to guess.
 """
@@ -34,102 +26,95 @@ DISPERSION_KINDS = ("linear", "flat", "polynomial")
 
 # value kinds: float / int / complex / str / enum / list (comma-separated
 # floats). The second slot is the unit: "1" marks dimensionless numerics,
-# None free strings; for enum it is the tuple of allowed values.
+# None free strings; for enum it is the tuple of allowed values. The third
+# names the value's range rule in RULES.
 SCHEMA = {
-    "scenario": {"name": ("str", None)},
-    "grid": {"n_points": ("int", "1"), "dx": ("float", "m")},
-    "photon": {
-        "kind": ("enum", DISPERSION_KINDS), "velocity": ("float", "m/s"),
-        "omega0": ("float", "rad/s"), "coeffs": ("list", "SI"),
-    },
-    "phonon": {
-        "kind": ("enum", DISPERSION_KINDS), "velocity": ("float", "m/s"),
-        "omega0": ("float", "rad/s"), "coeffs": ("list", "SI"),
-    },
-    "couplings": {
-        "sector": ("enum", SECTORS),
-        "g_ppp": ("float", "Hz*m^(1/2)"), "g_mmp": ("float", "Hz*m^(5/2)"),
-        "g_mpm": ("complex", "Hz*m^(5/2)"), "g_ppm": ("float", "Hz*m^(3/2)"),
-        "g_mpp": ("complex", "Hz*m^(3/2)"), "g_mmm": ("float", "Hz*m^(7/2)"),
-    },
-    "bath": {
-        "kappa": ("float", "/s"), "gamma_mech": ("float", "/s"),
-        "n_th": ("float", "1"), "temperature": ("float", "K"),
-        "omega_ref": ("float", "rad/s"), "sampling": ("enum", ("none", "wigner")),
-    },
-    "drive": {
-        "mode": ("enum", ("none", "endfire")), "alpha_in": ("complex", "s^(-1/2)"),
-        "omega_L": ("float", "rad/s"), "k_L": ("float", "rad/m"),
-        "inlet_cell": ("int", "1"),
-    },
-    "integration": {
-        "dt": ("float", "s"), "t_total": ("float", "s"),
-        "record_every": ("int", "1"), "absorber": ("enum", ("on", "off")),
-        "absorber_opacity": ("float", "1"), "absorber_speed": ("float", "m/s"),
-    },
-    "ensemble": {"trajectories": ("int", "1"), "base_seed": ("int", "1")},
-    "gain": {
-        "g0_12": ("float", "Hz*m^(1/2)"), "v1": ("float", "m/s"),
-        "v2": ("float", "m/s"), "vb": ("float", "m/s"),
-        "Gamma": ("float", "/s"), "kappa2": ("float", "/s"),
-        "omega1": ("float", "rad/s"), "pump_power": ("float", "W"),
-        "seed_ratio": ("float", "1"), "n_points": ("int", "1"),
-        "efolds": ("float", "1"), "direction": ("int", "1"),
-    },
-    "sweep": {
-        "v2": ("float", "m/s"), "vb": ("float", "m/s"),
-        "gamma2": ("float", "/m"), "gamma_b": ("float", "/m"),
-        "g_min": ("float", "Hz"), "g_max": ("float", "Hz"),
-        "points": ("int", "1"), "strong_ratio": ("float", "1"),
-    },
-    "swap": {
-        "g12": ("float", "Hz"), "v2": ("float", "m/s"), "vb": ("float", "m/s"),
-        "gamma2": ("float", "/m"), "gamma_b": ("float", "/m"),
-        "n_points": ("int", "1"), "seed": ("float", "s^(-1/2)"),
-        "decay_lengths": ("float", "1"),
-    },
-    "comb": {
-        "n_points": ("int", "1"), "dx": ("float", "m"),
-        "velocity": ("float", "m/s"), "omega0": ("float", "rad/s"),
-        "g0": ("float", "Hz*m^(1/2)"), "pump": ("float", "m^(-1/2)"),
-        "seed_b": ("float", "m^(-1/2)"), "q_mode": ("int", "1"),
-        "orders": ("int", "1"), "periods": ("float", "1"),
-    },
-    "array": {
-        "kind": ("enum", COUPLING_KINDS), "sizes": ("list", "1"),
-        "length": ("float", "m"), "curvature": ("float", "m^2/s"),
-        "g_cont": ("float", "Hz*m^(1/2)"), "t_total": ("float", "s"),
-        "n_ref": ("int", "1"),
-    },
+    "scenario": {"name": ("str", None, "any")},
+    # [grid] and [bath] are Grid1D's and BathSpec's to refuse
+    "grid": {"n_points": ("int", "1", "any"), "dx": ("float", "m", "any")},
+    "photon": {"kind": ("enum", DISPERSION_KINDS, "any"),
+               "velocity": ("float", "m/s", "any"), "omega0": ("float", "rad/s", "any"),
+               "coeffs": ("list", "SI", "any")},
+    "phonon": {"kind": ("enum", DISPERSION_KINDS, "any"),
+               "velocity": ("float", "m/s", "any"), "omega0": ("float", "rad/s", "any"),
+               "coeffs": ("list", "SI", "any")},
+    "couplings": {"sector": ("enum", SECTORS, "any"),
+                  "g_ppp": ("float", "Hz*m^(1/2)", "any"),
+                  "g_mmp": ("float", "Hz*m^(5/2)", "any"),
+                  "g_mpm": ("complex", "Hz*m^(5/2)", "any"),
+                  "g_ppm": ("float", "Hz*m^(3/2)", "any"),
+                  "g_mpp": ("complex", "Hz*m^(3/2)", "any"),
+                  "g_mmm": ("float", "Hz*m^(7/2)", "any")},
+    "bath": {"kappa": ("float", "/s", "any"), "gamma_mech": ("float", "/s", "any"),
+             "n_th": ("float", "1", "any"), "temperature": ("float", "K", "any"),
+             "omega_ref": ("float", "rad/s", "any"),
+             "sampling": ("enum", ("none", "wigner"), "any")},
+    "drive": {"mode": ("enum", ("none", "endfire"), "any"),
+              "alpha_in": ("complex", "s^(-1/2)", "any"),
+              "omega_L": ("float", "rad/s", "any"), "k_L": ("float", "rad/m", "any"),
+              "inlet_cell": ("int", "1", "any")},
+    "integration": {"dt": ("float", "s", "positive"), "t_total": ("float", "s", "any"),
+                    "record_every": ("int", "1", "count"),
+                    "absorber": ("enum", ("on", "off"), "any"),
+                    "absorber_opacity": ("float", "1", "positive"),
+                    "absorber_speed": ("float", "m/s", "positive")},
+    "ensemble": {"trajectories": ("int", "1", "count"),
+                 "base_seed": ("int", "1", "seed")},
+    "gain": {"g0_12": ("float", "Hz*m^(1/2)", "any"),
+             "v1": ("float", "m/s", "positive"), "v2": ("float", "m/s", "positive"),
+             "vb": ("float", "m/s", "positive"), "Gamma": ("float", "/s", "positive"),
+             "kappa2": ("float", "/s", "nonnegative"),
+             "omega1": ("float", "rad/s", "positive"),
+             "pump_power": ("float", "W", "positive"),
+             "seed_ratio": ("float", "1", "positive"),
+             "n_points": ("int", "1", "absorbed_grid"),
+             "efolds": ("float", "1", "positive"), "direction": ("int", "1", "sign")},
+    "sweep": {"v2": ("float", "m/s", "positive"), "vb": ("float", "m/s", "positive"),
+              "gamma2": ("float", "/m", "nonnegative"),
+              "gamma_b": ("float", "/m", "nonnegative"),
+              "g_min": ("float", "Hz", "positive"),
+              "g_max": ("float", "Hz", "positive"), "points": ("int", "1", "count"),
+              "strong_ratio": ("float", "1", "positive")},
+    "swap": {"g12": ("float", "Hz", "any"), "v2": ("float", "m/s", "positive"),
+             "vb": ("float", "m/s", "positive"),
+             "gamma2": ("float", "/m", "nonnegative"),
+             "gamma_b": ("float", "/m", "nonnegative"),
+             "n_points": ("int", "1", "absorbed_grid"),
+             "seed": ("float", "s^(-1/2)", "nonzero"),
+             "decay_lengths": ("float", "1", "positive")},
+    # q_mode, orders and periods also meet experiments.comb_problems
+    "comb": {"n_points": ("int", "1", "power_of_two"), "dx": ("float", "m", "positive"),
+             "velocity": ("float", "m/s", "any"),
+             "omega0": ("float", "rad/s", "positive"),
+             "g0": ("float", "Hz*m^(1/2)", "nonzero"),
+             "pump": ("float", "m^(-1/2)", "nonzero"),
+             "seed_b": ("float", "m^(-1/2)", "nonzero"), "q_mode": ("int", "1", "any"),
+             "orders": ("int", "1", "count"), "periods": ("float", "1", "any")},
+    # [array] is experiments.convergence_study_problems' to refuse
+    "array": {"kind": ("enum", COUPLING_KINDS, "any"), "sizes": ("list", "1", "any"),
+              "length": ("float", "m", "any"), "curvature": ("float", "m^2/s", "any"),
+              "g_cont": ("float", "Hz*m^(1/2)", "any"),
+              "t_total": ("float", "s", "any"), "n_ref": ("int", "1", "any")},
 }
 
-# int keys that count steps, runs, points or orders and must be at least 1
-POSITIVE_INTS = {("integration", "record_every"), ("ensemble", "trajectories"),
-                 ("sweep", "points"), ("comb", "orders")}
-# the preset runs' grid sizes ([grid] n_points is Grid1D's to refuse)
-POWER_OF_TWO_INTS = {("gain", "n_points"), ("swap", "n_points"),
-                     ("comb", "n_points")}
-# the grid sizes of the preset runs with an absorbing bump over 10% of the grid
-ABSORBED_INTS = {("gain", "n_points"), ("swap", "n_points")}
-# a propagation direction: +1 forward, -1 backward
-SIGN_INTS = {("gain", "direction")}
-# RNG seeds: a Philox key word, 0 to MAX_SEED = 2**64 - 1
-SEED_INTS = {("ensemble", "base_seed")}
-# a step, and the lengths, speeds, rates, frequencies, powers and spans a
-# run divides by, takes the log or root of, or needs above zero to absorb
-POSITIVE_FLOATS = {(section, key) for section, keys in (
-    ("integration", ("dt", "absorber_speed", "absorber_opacity")),
-    ("gain", ("v1", "v2", "vb", "Gamma", "omega1", "pump_power", "seed_ratio",
-              "efolds")),
-    ("sweep", ("v2", "vb", "g_min", "g_max")),
-    ("swap", ("v2", "vb", "decay_lengths")),
-    ("comb", ("dx", "omega0"))) for key in keys}
-# decay rates: a negative one would amplify instead of damp
-NONNEGATIVE_FLOATS = {("gain", "kappa2"), ("sweep", "gamma2"), ("sweep", "gamma_b"),
-                      ("swap", "gamma2"), ("swap", "gamma_b")}
-# amplitudes the run divides by or predicts a profile from; a negative one
-# only flips the phase
-NONZERO_FLOATS = {("swap", "seed"), ("comb", "pump")}
+# the (holds, message) checks a finite value must pass under each rule, in
+# order. Positive: what a run divides by, takes the log or root of, or needs
+# above zero to absorb; non-negative: decay rates; nonzero: amplitudes and
+# couplings a run predicts from (a negative one only flips the phase)
+_POWER_OF_TWO = (is_power_of_two, "must be a power of two, got {}")
+RULES = {
+    "any": (),
+    "count": ((lambda v: v >= 1, "must be at least 1, got {}"),),
+    "seed": ((lambda v: 0 <= v <= MAX_SEED, "must be in [0, 2**64 - 1], got {}"),),
+    "sign": ((lambda v: v in (-1, 1), "must be +1 or -1, got {}"),),
+    "power_of_two": (_POWER_OF_TWO,),
+    "absorbed_grid": (_POWER_OF_TWO, (absorber_fits, (
+        "too few points for the absorbing bump (10% of the grid, at least 8 "
+        "cells), got {}"))),
+    "positive": ((lambda v: v > 0, "must be positive, got {}"),),
+    "nonnegative": ((lambda v: v >= 0, "must be non-negative, got {}"),),
+    "nonzero": ((lambda v: v != 0, "must be nonzero, got {}"),),
+}
 PARSERS = {"int": int, "float": float, "complex": complex,
            "list": lambda token: tuple(float(t) for t in token.split(","))}
 INF = float("inf")
@@ -166,7 +151,7 @@ class ScenarioConfig:
 
 
 def _parse_value(section, key, raw, problems):
-    kind, unit = SCHEMA[section][key]
+    kind, unit, _ = SCHEMA[section][key]
     raw = raw.strip()
     if kind == "str":
         return raw
@@ -206,31 +191,13 @@ def _parse_value(section, key, raw, problems):
 
 
 def _range_problem(section, key, value):
-    where = (section, key)
     entries = value if isinstance(value, tuple) else (value,)
     # false for inf and nan; exact for ints of any size
     if not all(-INF < part < INF for v in entries for part in (v.real, v.imag)):
         return f"[{section}] {key}: must be finite, got {value!r}"
-    if where in POSITIVE_INTS and value < 1:
-        return f"[{section}] {key}: must be at least 1, got {value}"
-    if where in POWER_OF_TWO_INTS and not is_power_of_two(value):
-        return f"[{section}] {key}: must be a power of two, got {value}"
-    if where in ABSORBED_INTS and not absorber_fits(value):
-        return (f"[{section}] {key}: too few points for the absorbing bump "
-                f"(10% of the grid, at least 8 cells), got {value}")
-    if where in SIGN_INTS and value not in (-1, 1):
-        return f"[{section}] {key}: must be +1 or -1, got {value}"
-    if where == ("comb", "periods") and not value >= 2:
-        # the comb analyses whole phonon periods of its run's second half
-        return f"[{section}] {key}: must be at least 2, got {value!r}"
-    if where in SEED_INTS and not 0 <= value <= MAX_SEED:
-        return f"[{section}] {key}: must be in [0, 2**64 - 1], got {value}"
-    if where in POSITIVE_FLOATS and not value > 0:
-        return f"[{section}] {key}: must be positive, got {value}"
-    if where in NONNEGATIVE_FLOATS and not value >= 0:
-        return f"[{section}] {key}: must be non-negative, got {value}"
-    if where in NONZERO_FLOATS and value == 0:
-        return f"[{section}] {key}: must be nonzero, got {value}"
+    for holds, message in RULES[SCHEMA[section][key][2]]:
+        if not holds(value):
+            return f"[{section}] {key}: " + message.format(value)
     return None
 
 
@@ -297,7 +264,7 @@ def serialize_config(config: ScenarioConfig) -> str:
             continue
         lines.append(f"[{section}]")
         for key, value in config.sections[section].items():
-            kind, unit = SCHEMA[section][key]
+            kind, unit, _ = SCHEMA[section][key]
             if kind in ("str", "enum"):
                 lines.append(f"{key} = {value}")
                 continue

@@ -29,7 +29,7 @@ from ..dynamics.rng import trajectory_generator
 from ..dynamics.stepper import (DispersionPair, Stepper, make_energy_observer,
                                 observe_phonon_number, observe_photon_number,
                                 stability_bound)
-from ..experiments import (MAX_STEPS, array_convergence_study,
+from ..experiments import (MAX_STEPS, array_convergence_study, comb_problems,
                            convergence_study_problems, net_gain_slope,
                            run_forward_comb, run_swap_profile,
                            run_two_branch_gain)
@@ -137,14 +137,18 @@ def _band(section: dict, grid: Grid1D) -> DispersionSpec:
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` layered over its preset and checked for what parsing
     cannot see: unread choice keys, a custom run's objects and dt, the
-    inputs of the array study, a gain run whose signal would not grow, a
-    sweep's g_min above its g_max and swap decay rates that are both zero.
-    Raises :class:`ConfigError`."""
+    inputs of the array study and the comb, a gain run whose signal would
+    not grow, a sweep's g_min above its g_max and swap decay rates that are
+    both zero. Raises :class:`ConfigError`."""
     config = resolve_config(config)
     if config.scenario == "custom":
         _custom_setup(config)
     if config.scenario == "array_convergence":
         _array_study_inputs(config)
+    if config.scenario == "comb":
+        p = config.section("comb")
+        _refuse("comb", comb_problems(p["n_points"], p["q_mode"], p["orders"],
+                                      p["periods"]))
     if config.scenario == "backward_gain":
         p = config.section("gain")
         try:
@@ -286,9 +290,15 @@ def _run_comb(config: ScenarioConfig, out: Path) -> dict:
     }
 
 
-# the config key of each array_convergence_study argument it can refuse
-_ARRAY_KEYS = {"length": "length", "D2": "curvature", "T": "t_total",
-               "sizes": "sizes", "n_ref": "n_ref"}
+# the config key of a run's argument, where the two differ
+_KEYS = {"D2": "curvature", "T": "t_total", "n_orders": "orders"}
+
+
+def _refuse(section: str, problems) -> None:
+    """Raise :class:`ConfigError` naming the key of each (argument, message)."""
+    if problems:
+        raise ConfigError([f"[{section}] {_KEYS.get(arg, arg)}: {message}"
+                           for arg, message in problems])
 
 
 def _array_study_inputs(config: ScenarioConfig) -> dict:
@@ -302,10 +312,7 @@ def _array_study_inputs(config: ScenarioConfig) -> dict:
     inputs = dict(kind=p["kind"], sizes=tuple(int(s) for s in p["sizes"]),
                   length=p["length"], D2=p["curvature"], g_cont=p["g_cont"],
                   T=p["t_total"], n_ref=int(p["n_ref"]))
-    problems = convergence_study_problems(**inputs)
-    if problems:
-        raise ConfigError([f"[array] {_ARRAY_KEYS[arg]}: {message}"
-                           for arg, message in problems])
+    _refuse("array", convergence_study_problems(**inputs))
     return inputs
 
 

@@ -167,6 +167,7 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
 # ---------------------------------------------------------------------------
 
 COMB_STEPS_PER_PERIOD = 400
+COMB_RECORD_EVERY = 4  # steps per record of the comb's mode spectra
 
 
 @dataclass
@@ -178,6 +179,26 @@ class CombResult:
     peak_frequency: dict
     expected_frequency: dict
     Omega0: float
+
+
+def comb_problems(n_points: int, q_mode: int, n_orders: int, periods: float) -> list:
+    """(argument, message) for each input :func:`run_forward_comb` refuses;
+    empty when it takes them all."""
+    problems = []
+    if not 1 <= abs(q_mode) < n_points / 2:
+        # mode 0 is a uniform offset, n_points / 2 the Nyquist mode, above it aliases
+        problems.append(("q_mode", f"must have 1 <= |q_mode| < n_points / 2 = "
+                                   f"{n_points // 2}, got {q_mode}"))
+    # each order's +-0.5 Omega0 line search stays below the records' Nyquist
+    nyquist = COMB_STEPS_PER_PERIOD / (2 * COMB_RECORD_EVERY)  # in Omega0
+    top = int(np.ceil(nyquist - 0.5)) - 1
+    if n_orders > top:
+        problems.append(("n_orders", f"must be at most {top}, below the records' "
+                                     f"Nyquist of {nyquist:g} Omega0, got {n_orders}"))
+    if not periods >= 2:
+        # the analysis takes whole phonon periods of the run's second half
+        problems.append(("periods", f"must be at least 2, got {periods!r}"))
+    return problems
 
 
 def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
@@ -193,12 +214,13 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
     transformed over the analysis window and the power is summed over k
     in a band around each expected line. With one optical branch there is
     no Stokes/anti-Stokes asymmetry mechanism, so order-n line pairs must
-    be symmetric in power. The run takes ``periods`` (at least 2) phonon
-    periods of ``COMB_STEPS_PER_PERIOD`` steps each.
+    be symmetric in power. The run takes ``periods`` phonon periods of
+    ``COMB_STEPS_PER_PERIOD`` steps each; :func:`comb_problems` names the
+    inputs it refuses with ``ValueError``.
     """
-    if not periods >= 2:
-        # the analysis takes whole phonon periods of the run's second half
-        raise ValueError(f"periods must be at least 2, got {periods!r}")
+    problems = comb_problems(n_points, q_mode, n_orders, periods)
+    if problems:
+        raise ValueError("; ".join(f"{arg} {message}" for arg, message in problems))
     grid = Grid1D(n_points, dx)
     q = q_mode * grid.dk
     couplings = CouplingSet.simple(g0)
@@ -213,9 +235,8 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
     def observer(st):
         return np.fft.fft(st.a) / n_points
 
-    record_every = 4
     traj = evolve(state, couplings, disp, dt=dt, n_steps=n_steps,
-                  observers={"modes": observer}, record_every=record_every)
+                  observers={"modes": observer}, record_every=COMB_RECORD_EVERY)
     t_rec = traj.times
     dt_rec = t_rec[1] - t_rec[0]
     # analysis window: an integer number of phonon periods at the tail

@@ -1,5 +1,5 @@
-"""The verdict rule of ``tools/bench_record.py``, on hand-made runs, and
-its count of source lines."""
+"""The verdict rule of ``tools/bench_record.py``, on hand-made runs, its
+count of source lines and its reading of the criteria's durations."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +56,13 @@ def test_src_lines_counts_python_files_under_src(tmp_path, capsys):
     assert lines == {"parent": 3, "change": 1}
     bench_record.print_src_lines(lines)
     assert capsys.readouterr().out == "src/**/*.py lines: parent 3, change 1 (-2)\n"
+
+
+def test_criterion_seconds_reads_all_eight_criteria():
+    lines = [f"{n + 0.25:.2f}s call     tests/test_acceptance.py::"
+             f"test_criterion_{n}_name" for n in range(1, 9)]
+    lines += ["0.50s setup    tests/test_acceptance.py::test_criterion_8_name",
+              "9.00s call     tests/test_cli.py::test_other"]
+    seconds = bench_record.criterion_seconds(lines)
+    assert seconds == {f"C{n}_s": n + 0.25 for n in range(1, 9)}
+    assert bench_record.criterion_seconds(lines[1:])["C1_s"] is None

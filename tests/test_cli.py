@@ -9,11 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwom.cli.config import (ABSORBED_INTS, NONNEGATIVE_FLOATS, NONZERO_FLOATS,
-                             POSITIVE_FLOATS, POSITIVE_INTS, POWER_OF_TWO_INTS,
-                             SCENARIOS, SCHEMA, SEED_INTS, SIGN_INTS, ConfigError,
-                             ScenarioConfig, load_config, parse_config_text,
-                             serialize_config)
+from cwom.cli.config import (RULES, SCENARIOS, SCHEMA, ConfigError, ScenarioConfig,
+                             load_config, parse_config_text, serialize_config)
 from cwom.cli.main import main
 from cwom.cli.output import read_snapshot, write_csv, write_snapshot
 from cwom.cli.scenarios import MAX_STEPS, resolve_config, run_scenario
@@ -69,40 +66,31 @@ def read_report(out):
     return json.loads((out / "report.json").read_text(), parse_constant=refuse)
 
 
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# the values the parser admits under each range rule; under "any", per kind
+RULE_VALUES = {
+    "any": {"str": st.sampled_from(SCENARIOS), "int": st.integers(), "float": FLOATS,
+            "complex": st.builds(complex, FLOATS, FLOATS),
+            "list": st.lists(FLOATS, min_size=1, max_size=4).map(tuple)},
+    "count": st.integers(min_value=1),
+    "seed": st.integers(min_value=0, max_value=MAX_SEED),
+    "sign": st.sampled_from((-1, 1)),
+    "power_of_two": st.integers(min_value=0, max_value=30).map(lambda e: 2 ** e),
+    # 2**7 points are the fewest whose absorbing bump spans 8 cells
+    "absorbed_grid": st.integers(min_value=7, max_value=30).map(lambda e: 2 ** e),
+    "positive": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "nonnegative": st.floats(min_value=0.0, allow_infinity=False),
+    "nonzero": FLOATS.filter(lambda value: value != 0.0),
+}
+assert RULE_VALUES.keys() == RULES.keys()
+
+
 def schema_value(section, key):
     """Values the parser can produce for one key: in range and finite."""
-    kind, unit = SCHEMA[section][key]
-    floats = st.floats(allow_nan=False, allow_infinity=False)
-    if kind == "str":
-        return st.sampled_from(SCENARIOS)
+    kind, unit, rule = SCHEMA[section][key]
     if kind == "enum":
         return st.sampled_from(unit)
-    if kind == "int":
-        if (section, key) in POSITIVE_INTS:
-            return st.integers(min_value=1)
-        if (section, key) in SEED_INTS:
-            return st.integers(min_value=0, max_value=MAX_SEED)
-        if (section, key) in POWER_OF_TWO_INTS:
-            # 2**7 points are the fewest whose absorbing bump spans 8 cells
-            low = 7 if (section, key) in ABSORBED_INTS else 0
-            return st.integers(min_value=low, max_value=30).map(lambda e: 2 ** e)
-        if (section, key) in SIGN_INTS:
-            return st.sampled_from((-1, 1))
-        return st.integers()
-    if kind == "float":
-        if (section, key) in POSITIVE_FLOATS:
-            return st.floats(min_value=0.0, exclude_min=True,
-                             allow_infinity=False)
-        if (section, key) in NONNEGATIVE_FLOATS:
-            return st.floats(min_value=0.0, allow_infinity=False)
-        if (section, key) in NONZERO_FLOATS:
-            return floats.filter(lambda value: value != 0.0)
-        if (section, key) == ("comb", "periods"):
-            return st.floats(min_value=2.0, allow_infinity=False)
-        return floats
-    if kind == "complex":
-        return st.builds(complex, floats, floats)
-    return st.lists(floats, min_size=1, max_size=4).map(tuple)  # list
+    return RULE_VALUES[rule][kind] if rule == "any" else RULE_VALUES[rule]
 
 
 @st.composite
@@ -121,6 +109,13 @@ def schema_valid_configs(draw):
 
 
 class TestConfigParsing:
+    def test_every_numeric_key_names_a_range_rule(self):
+        # "any" is spelled out, so a new key cannot land unguarded
+        for section, keys in SCHEMA.items():
+            for key, (kind, _, rule) in keys.items():
+                if kind in ("int", "float", "complex", "list"):
+                    assert rule in RULES, (section, key, rule)
+
     def test_good_config_parses(self):
         cfg = parse_config_text(GOOD_CONFIG)
         assert cfg.scenario == "custom"
@@ -739,6 +734,25 @@ class TestCliRangeChecks:
          "[gain] g0_12, kappa2: net gain G_B P1 - kappa2 / v2 must be positive"),
         ("array_convergence", "[array]\ncurvature = 0 m^2/s",
          "[array] curvature: must be nonzero and finite, got 0.0"),
+        ("comb", "[comb]\nq_mode = 0",
+         "[comb] q_mode: must have 1 <= |q_mode| < n_points / 2 = 64, got 0"),
+        ("comb", "[comb]\nq_mode = 64",
+         "[comb] q_mode: must have 1 <= |q_mode| < n_points / 2 = 64, got 64"),
+        ("comb", "[comb]\nq_mode = 134",
+         "[comb] q_mode: must have 1 <= |q_mode| < n_points / 2 = 64, got 134"),
+        ("comb", "[comb]\nq_mode = -64",
+         "[comb] q_mode: must have 1 <= |q_mode| < n_points / 2 = 64, got -64"),
+        ("comb", "[comb]\norders = 50", "[comb] orders: must be at most 49, below "
+                                        "the records' Nyquist of 50 Omega0, got 50"),
+        ("comb", "[comb]\norders = 100", "[comb] orders: must be at most 49, below "
+                                         "the records' Nyquist of 50 Omega0, got 100"),
+        ("comb", "[comb]\ng0 = 0 Hz*m^(1/2)", "[comb] g0: must be nonzero, got 0.0"),
+        ("comb", "[comb]\nseed_b = 0 m^(-1/2)",
+         "[comb] seed_b: must be nonzero, got 0.0"),
+        ("regime_sweep", "[sweep]\nstrong_ratio = 0",
+         "[sweep] strong_ratio: must be positive, got 0.0"),
+        ("regime_sweep", "[sweep]\nstrong_ratio = -1",
+         "[sweep] strong_ratio: must be positive, got -1.0"),
     ], ids=["gain-n_points", "swap-n_points", "comb-n_points",
             "gain-n_points-small", "swap-n_points-small", "gain-direction",
             "comb-periods-neg", "comb-periods-short", "sweep-points",
@@ -752,7 +766,11 @@ class TestCliRangeChecks:
             "sweep-g-reversed", "swap-decay-zero", "swap-gamma_b-neg",
             "swap-seed-zero", "comb-pump-zero", "gain-kappa2-neg",
             "sweep-gamma2-neg", "sweep-gamma_b-neg", "swap-gamma2-neg",
-            "gain-g0_12-zero", "gain-kappa2-above-gain", "array-curvature-zero"])
+            "gain-g0_12-zero", "gain-kappa2-above-gain", "array-curvature-zero",
+            "comb-q_mode-zero", "comb-q_mode-nyquist", "comb-q_mode-alias",
+            "comb-q_mode-neg-nyquist", "comb-orders-nyquist", "comb-orders-above",
+            "comb-g0-zero", "comb-seed_b-zero", "sweep-strong_ratio-zero",
+            "sweep-strong_ratio-neg"])
     def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,
                                             entry, message):
         # each once validated, then failed the run after writing its

@@ -427,6 +427,21 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="periods"):
             experiments.run_forward_comb(periods=periods)
 
+    @pytest.mark.parametrize("inputs, arg", [
+        ({"q_mode": 0}, "q_mode"), ({"q_mode": 64}, "q_mode"),
+        ({"n_orders": 50}, "n_orders"),
+    ])
+    def test_comb_inputs_out_of_range_rejected_before_stepping(
+            self, monkeypatch, inputs, arg):
+        # no grating, the Nyquist mode, and an order whose line search band
+        # reaches the records' Nyquist frequency
+        def evolve_not_reached(*args, **kwargs):
+            raise AssertionError("the comb stepped")
+
+        monkeypatch.setattr(experiments, "evolve", evolve_not_reached)
+        with pytest.raises(ValueError, match=arg):
+            experiments.run_forward_comb(**inputs)
+
 
 class TestDivergenceReport:
     def test_nan_deposit_reports_finite_maxima(self, grid64):

@@ -15,8 +15,8 @@ traces one run of each workload per checkout (``--trace 1``, seed
 runs the tier-1 suite three times per checkout in the order
 ``TIER1_ORDER`` (parent, change, change, parent, parent, change), so the
 machine's drift falls on both sides alike, and records every run's wall
-time, pytest summary line and durations of the acceptance criteria C2,
-C4 and C6, with their medians per side. It also records the line count
+time, pytest summary line and durations of the eight acceptance criteria
+C1 to C8, with their medians per side. It also records the line count
 of each checkout's ``src/**/*.py`` (``src_lines``), which is printed after
 the verdict table. Run it on an otherwise idle machine; it is not part of
 the test suite.
@@ -44,8 +44,7 @@ PAIRS = 10  # a claimed gain must win at least 9 of 10 alternating pairs
 TRACE_SEED = 7001
 # alternated, so drift over the suite runs does not fall on one side
 TIER1_ORDER = ("parent", "change", "change", "parent", "parent", "change")
-CRITERIA = {"C2": "test_criterion_2_", "C4": "test_criterion_4_",
-            "C6": "test_criterion_6_"}
+CRITERIA = {f"C{n}": f"test_criterion_{n}_" for n in range(1, 9)}
 
 
 def quartiles(values) -> dict:
@@ -123,6 +122,14 @@ def tier1_once(checkout: Path) -> dict:
     lines = done.stdout.splitlines()
     out = {"wall_s": wall, "returncode": done.returncode,
            "summary": lines[-1] if lines else ""}
+    out.update(criterion_seconds(lines))
+    return out
+
+
+def criterion_seconds(lines) -> dict:
+    """``<label>_s`` of each of ``CRITERIA``: its call time in the lines of a
+    ``pytest --durations=0`` run, None where it did not run."""
+    out = {}
     for label, stem in CRITERIA.items():
         found = [ln for ln in lines if stem in ln and " call " in ln]
         out[f"{label}_s"] = (float(re.match(r"\s*([\d.]+)s", found[0]).group(1))
