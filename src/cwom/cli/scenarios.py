@@ -12,6 +12,10 @@ Every run writes into the output directory:
 Presets are sized to finish in seconds; the config file scales them up.
 """
 
+import contextlib
+import functools
+import os
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,6 +40,10 @@ from ..experiments import (MAX_STEPS, array_convergence_study, comb_problems,
 from ..strongcoupling import sweep_coupling, thresholds
 from .config import ConfigError, ScenarioConfig, serialize_config
 from .output import write_csv, write_json_report, write_snapshot
+
+# the most points a regime sweep takes: each costs about 0.6 kB at the
+# run's peak (573 MB for 10^6 points) and 91 bytes of CSV
+MAX_SWEEP_POINTS = 10 ** 6
 
 DEFAULTS = {
     "regime_sweep": {
@@ -138,8 +146,9 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` layered over its preset and checked for what parsing
     cannot see: unread choice keys, a custom run's objects and dt, the
     inputs of the array study and the comb, a gain run whose signal would
-    not grow, a sweep's g_min above its g_max and swap decay rates that are
-    both zero. Raises :class:`ConfigError`."""
+    not grow, a sweep's g_min above its g_max or its points above
+    :data:`MAX_SWEEP_POINTS`, and swap decay rates that are both zero.
+    Raises :class:`ConfigError`."""
     config = resolve_config(config)
     if config.scenario == "custom":
         _custom_setup(config)
@@ -157,10 +166,16 @@ def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
         except ValueError as err:
             raise ConfigError([f"[gain] g0_12, kappa2: {err}"]) from err
     if config.scenario == "regime_sweep":
-        g_min, g_max = config.get("sweep", "g_min"), config.get("sweep", "g_max")
-        if g_min > g_max:  # the sweep would run backwards
-            raise ConfigError([f"[sweep] g_min: must not exceed g_max = "
-                               f"{g_max:.3e} Hz, got {g_min:.3e} Hz"])
+        p = config.section("sweep")
+        problems = []
+        if p["g_min"] > p["g_max"]:  # the sweep would run backwards
+            problems.append(f"[sweep] g_min: must not exceed g_max = "
+                            f"{p['g_max']:.3e} Hz, got {p['g_min']:.3e} Hz")
+        if p["points"] > MAX_SWEEP_POINTS:
+            problems.append(f"[sweep] points: must be at most {MAX_SWEEP_POINTS:.0e}, "
+                            f"about 0.6 GB at the run's peak, got {p['points']}")
+        if problems:
+            raise ConfigError(problems)
     if config.scenario == "intermodal_swap":
         # the swap spans decay_lengths over the rates' mean
         rates = config.get("swap", "gamma2"), config.get("swap", "gamma_b")
@@ -397,7 +412,64 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
         n_traj=ens["trajectories"], base_seed=ens["base_seed"])
 
 
+def _trajectory(setup, observers, idx: int):
+    """Trajectory ``idx`` of a custom run, on its own Philox stream, so it
+    is the same in whichever process steps it."""
+    return setup.stepper.run(FieldState.vacuum(setup.grid), setup.n_steps,
+                             observers=observers, record_every=setup.record_every,
+                             rng=trajectory_generator(setup.base_seed, idx))
+
+
+# the (setup, observers) of the run a worker process steps, set as it starts
+_WORKER_RUN = None
+
+
+def _init_worker(setup, observers) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = setup, observers
+
+
+def _worker_trajectory(idx: int):
+    return _trajectory(*_WORKER_RUN, idx)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _trajectories(setup, observers):
+    """The custom run's trajectories in index order, stepped on
+    ``min(trajectories, usable CPUs)`` forked worker processes, or in this
+    process when that is fewer than 2. No worker outlives the block."""
+    workers = min(setup.n_traj, _usable_cpus())
+    if workers < 2:
+        yield map(functools.partial(_trajectory, setup, observers),
+                  range(setup.n_traj))
+        return
+    # imported here, not at the top, to keep them out of a run's startup
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    # a worker flushes the standard streams it inherits when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # forked, not spawned: a worker inherits the run, whose observers hold
+    # a closure that cannot be pickled, and each task sends only an index
+    with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(setup, observers)) as pool:
+        yield pool.map(_worker_trajectory, range(setup.n_traj))
+
+
 def _run_custom(config: ScenarioConfig, out: Path) -> dict:
+    """The custom scenario: ``trajectories`` runs from vacuum, trajectory i
+    on Philox stream (base_seed, i), with their records averaged in index
+    order. The trajectories run on ``min(trajectories, usable CPUs)``
+    forked worker processes, and the artifacts are byte for byte those of
+    a serial run; the final state written is the last trajectory's."""
     setup = _custom_setup(config)
     grid, couplings, disp = setup.grid, setup.couplings, setup.disp
     n_traj, n_steps = setup.n_traj, setup.n_steps
@@ -408,19 +480,16 @@ def _run_custom(config: ScenarioConfig, out: Path) -> dict:
     }
     mean_records = None
     final = None
-    for idx in range(n_traj):
-        rng = trajectory_generator(setup.base_seed, idx)
-        traj = setup.stepper.run(FieldState.vacuum(grid), n_steps,
-                                 observers=observers,
-                                 record_every=setup.record_every, rng=rng)
-        if mean_records is None:
-            times = traj.times
-            mean_records = {k: np.asarray(v, dtype=float)
-                            for k, v in traj.records.items()}
-        else:
-            for k, v in traj.records.items():
-                mean_records[k] += np.asarray(v, dtype=float)
-        final = traj.final_state
+    with _trajectories(setup, observers) as trajectories:
+        for traj in trajectories:
+            if mean_records is None:
+                times = traj.times
+                mean_records = {k: np.asarray(v, dtype=float)
+                                for k, v in traj.records.items()}
+            else:
+                for k, v in traj.records.items():
+                    mean_records[k] += np.asarray(v, dtype=float)
+            final = traj.final_state
     for k in mean_records:
         mean_records[k] /= n_traj
     write_csv(out / "observables.csv", [

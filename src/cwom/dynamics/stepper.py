@@ -164,10 +164,17 @@ class DivergenceError(RuntimeError):
     def __init__(self, step_index: int, time: float, max_a: float, max_b: float):
         self.step_index = step_index
         self.time = time
+        self.max_a = max_a
+        self.max_b = max_b
         super().__init__(
             f"divergence at step {step_index} (t = {time:.6e} s): "
             f"max|a| = {max_a:.3e}, max|b| = {max_b:.3e}; "
             "reduce dt or check the stability bound")
+
+    def __reduce__(self):
+        # pickling (a worker process's error) rebuilds from the fields,
+        # not from the message
+        return type(self), (self.step_index, self.time, self.max_a, self.max_b)
 
     @classmethod
     def from_fields(cls, step_index: int, time: float, a, b) -> "DivergenceError":

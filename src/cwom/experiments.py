@@ -37,7 +37,8 @@ from .strongcoupling import classify
 # (plus the phonon relaxation time), at this fraction of the step bound
 N_TRANSITS = 2.0
 DT_MARGIN = 0.9
-# the most steps a run takes: more in a custom run or the array study is refused
+# the most steps a run takes: more in a custom run, the array study or the
+# comb is refused
 MAX_STEPS = 10 ** 8
 
 
@@ -198,6 +199,10 @@ def comb_problems(n_points: int, q_mode: int, n_orders: int, periods: float) -> 
     if not periods >= 2:
         # the analysis takes whole phonon periods of the run's second half
         problems.append(("periods", f"must be at least 2, got {periods!r}"))
+    elif periods * COMB_STEPS_PER_PERIOD > MAX_STEPS:
+        problems.append(("periods", f"{periods:.3e} periods is "
+                                    f"{periods * COMB_STEPS_PER_PERIOD:.3e} steps, "
+                                    f"more than the cap of {MAX_STEPS:.0e} steps"))
     return problems
 
 

@@ -1,6 +1,7 @@
 """Configuration parsing, artifact formats, CLI behavior, replayability."""
 
 import json
+import multiprocessing
 import struct
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cwom.cli.config import (RULES, SCENARIOS, SCHEMA, ConfigError, ScenarioConfig,
                              load_config, parse_config_text, serialize_config)
+from cwom.cli import scenarios
 from cwom.cli.main import main
 from cwom.cli.output import read_snapshot, write_csv, write_snapshot
 from cwom.cli.scenarios import MAX_STEPS, resolve_config, run_scenario
@@ -401,6 +403,40 @@ points = 201
             assert (out2 / name).read_bytes() == ref
             assert (out3 / name).read_bytes() == ref
 
+    def test_worker_trajectories_match_the_in_process_run(self, tmp_path,
+                                                          monkeypatch):
+        # three Wigner trajectories on forked workers, then in this process
+        noisy = GOOD_CONFIG.replace("sampling = none", "sampling = wigner")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(noisy)
+        outs = {}
+        for cpus in (3, 1):
+            monkeypatch.setattr(scenarios, "_usable_cpus", lambda: cpus)
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            assert main(["run", "--config", str(cfg), "--output", str(outs[cpus]),
+                         "--trajectories", "3"]) == 0
+            assert multiprocessing.active_children() == []
+        for name in ("observables.csv", "final_state.snap", "report.json"):
+            assert (outs[3] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert read_report(outs[3])["trajectories"] == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("trajectories", [1, 2])
+    def test_divergence_exits_three(self, tmp_path, capsys, monkeypatch,
+                                    trajectories):
+        # the first step deposits a field whose square overflows; with 2
+        # trajectories a forked worker raises it
+        monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 2)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("alpha_in = 1.0+0j", "alpha_in = 1e200+0j"))
+        assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out"),
+                     "--trajectories", str(trajectories)]) == 3
+        err = capsys.readouterr().err
+        assert "error: divergence at step 1 (t = 2.000000e-02 s)" in err, err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
     def test_seed_override_changes_stochastic_run(self, tmp_path):
         noisy = GOOD_CONFIG.replace("sampling = none", "sampling = wigner")
         cfg = tmp_path / "run.cfg"
@@ -753,6 +789,15 @@ class TestCliRangeChecks:
          "[sweep] strong_ratio: must be positive, got 0.0"),
         ("regime_sweep", "[sweep]\nstrong_ratio = -1",
          "[sweep] strong_ratio: must be positive, got -1.0"),
+        ("comb", "[comb]\nperiods = 1e12",
+         "[comb] periods: 1.000e+12 periods is 4.000e+14 steps, more than the "
+         "cap of 1e+08 steps"),
+        ("regime_sweep", "[sweep]\npoints = 1000000000000",
+         "[sweep] points: must be at most 1e+06, about 0.6 GB at the run's peak, "
+         "got 1000000000000"),
+        ("regime_sweep", "[sweep]\npoints = 1000001",
+         "[sweep] points: must be at most 1e+06, about 0.6 GB at the run's peak, "
+         "got 1000001"),
     ], ids=["gain-n_points", "swap-n_points", "comb-n_points",
             "gain-n_points-small", "swap-n_points-small", "gain-direction",
             "comb-periods-neg", "comb-periods-short", "sweep-points",
@@ -770,7 +815,8 @@ class TestCliRangeChecks:
             "comb-q_mode-zero", "comb-q_mode-nyquist", "comb-q_mode-alias",
             "comb-q_mode-neg-nyquist", "comb-orders-nyquist", "comb-orders-above",
             "comb-g0-zero", "comb-seed_b-zero", "sweep-strong_ratio-zero",
-            "sweep-strong_ratio-neg"])
+            "sweep-strong_ratio-neg", "comb-periods-cap", "sweep-points-cap",
+            "sweep-points-above-cap"])
     def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,
                                             entry, message):
         # each once validated, then failed the run after writing its

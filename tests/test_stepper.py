@@ -1,5 +1,6 @@
 """Strang integrator behavior: exactness limits, decay, order, replay."""
 
+import pickle
 import re
 
 import numpy as np
@@ -458,6 +459,15 @@ class TestDivergenceReport:
         found = re.search(r"max\|a\| = (\S+), max\|b\| = (\S+);", str(err.value))
         assert float(found.group(1)) == pytest.approx(2.0, rel=1e-3)
         assert float(found.group(2)) == pytest.approx(0.5, rel=1e-3)
+
+    def test_survives_pickling(self):
+        # a worker process hands its error back to the parent by pickle
+        err = DivergenceError(3, 1.0, 2.0, np.inf)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is DivergenceError
+        assert str(back) == str(err)
+        assert (back.step_index, back.time, back.max_a, back.max_b) \
+            == (3, 1.0, 2.0, np.inf)
 
 
 class TestStepStateSemantics:
