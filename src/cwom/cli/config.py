@@ -13,7 +13,6 @@ Unit bugs dominate this domain, so the parser refuses to guess.
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core.couplings import SECTORS
 from ..core.grid import is_power_of_two
 from ..dynamics.boundary import absorber_fits
 from ..dynamics.rng import MAX_SEED
@@ -38,7 +37,8 @@ SCHEMA = {
     "phonon": {"kind": ("enum", DISPERSION_KINDS, "any"),
                "velocity": ("float", "m/s", "any"), "omega0": ("float", "rad/s", "any"),
                "coeffs": ("list", "SI", "any")},
-    "couplings": {"sector": ("enum", SECTORS, "any"),
+    # CouplingSet's "mixed" sector needs a flag no key sets
+    "couplings": {"sector": ("enum", ("even", "odd"), "any"),
                   "g_ppp": ("float", "Hz*m^(1/2)", "any"),
                   "g_mmp": ("float", "Hz*m^(5/2)", "any"),
                   "g_mpm": ("complex", "Hz*m^(5/2)", "any"),

@@ -44,6 +44,9 @@ from .output import write_csv, write_json_report, write_snapshot
 # the most points a regime sweep takes: each costs about 0.6 kB at the
 # run's peak (573 MB for 10^6 points) and 91 bytes of CSV
 MAX_SWEEP_POINTS = 10 ** 6
+# the most records a custom trajectory keeps: each costs about 0.48 kB at
+# the run's peak (143 MB more for 3e5 more records at 128 points)
+MAX_RECORDS = 10 ** 6
 
 DEFAULTS = {
     "regime_sweep": {
@@ -142,60 +145,30 @@ def _band(section: dict, grid: Grid1D) -> DispersionSpec:
     return band
 
 
+def _checked(config: ScenarioConfig):
+    """``config`` layered over its preset, and the inputs of its run."""
+    config = resolve_config(config)
+    return config, _SCENARIOS[config.scenario][0](config)
+
+
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
     """``config`` layered over its preset and checked for what parsing
-    cannot see: unread choice keys, a custom run's objects and dt, the
-    inputs of the array study and the comb, a gain run whose signal would
-    not grow, a sweep's g_min above its g_max or its points above
-    :data:`MAX_SWEEP_POINTS`, and swap decay rates that are both zero.
-    Raises :class:`ConfigError`."""
-    config = resolve_config(config)
-    if config.scenario == "custom":
-        _custom_setup(config)
-    if config.scenario == "array_convergence":
-        _array_study_inputs(config)
-    if config.scenario == "comb":
-        p = config.section("comb")
-        _refuse("comb", comb_problems(p["n_points"], p["q_mode"], p["orders"],
-                                      p["periods"]))
-    if config.scenario == "backward_gain":
-        p = config.section("gain")
-        try:
-            net_gain_slope(p["g0_12"], p["v1"], p["v2"], p["Gamma"], p["kappa2"],
-                           p["omega1"], p["pump_power"])
-        except ValueError as err:
-            raise ConfigError([f"[gain] g0_12, kappa2: {err}"]) from err
-    if config.scenario == "regime_sweep":
-        p = config.section("sweep")
-        problems = []
-        if p["g_min"] > p["g_max"]:  # the sweep would run backwards
-            problems.append(f"[sweep] g_min: must not exceed g_max = "
-                            f"{p['g_max']:.3e} Hz, got {p['g_min']:.3e} Hz")
-        if p["points"] > MAX_SWEEP_POINTS:
-            problems.append(f"[sweep] points: must be at most {MAX_SWEEP_POINTS:.0e}, "
-                            f"about 0.6 GB at the run's peak, got {p['points']}")
-        if problems:
-            raise ConfigError(problems)
-    if config.scenario == "intermodal_swap":
-        # the swap spans decay_lengths over the rates' mean
-        rates = config.get("swap", "gamma2"), config.get("swap", "gamma_b")
-        if sum(rates) == 0:
-            raise ConfigError(["[swap] gamma2, gamma_b: must not both be zero"])
-    return config
+    cannot see: unread choice keys, and every check that the scenario's
+    inputs make (see ``_SCENARIOS``). Raises :class:`ConfigError`."""
+    return _checked(config)[0]
 
 
 def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     """Execute one scenario; returns the report dict written to report.json
     plus ``wall_time_s``, which goes to timing.json instead, so that
-    report.json replays byte for byte. Nothing is written when the
-    configuration is rejected."""
-    config = validate_scenario(config)
+    report.json replays byte for byte. It runs on the inputs its checks
+    built, and writes nothing when the configuration is rejected."""
+    config, inputs = _checked(config)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "effective_config.cfg").write_text(serialize_config(config))
-    runner = _RUNNERS[config.scenario]
     t0 = time.time()
-    report = runner(config, out)
+    report = _SCENARIOS[config.scenario][1](inputs, out)
     report["scenario"] = config.scenario
     wall_time_s = time.time() - t0
     write_json_report(out / "report.json", report)
@@ -204,8 +177,21 @@ def run_scenario(config: ScenarioConfig, output_dir) -> dict:
     return report
 
 
-def _run_regime_sweep(config: ScenarioConfig, out: Path) -> dict:
+def _sweep_inputs(config: ScenarioConfig) -> dict:
+    """``[sweep]``, unless g_min > g_max or points > MAX_SWEEP_POINTS."""
     p = config.section("sweep")
+    problems = []
+    if p["g_min"] > p["g_max"]:  # the sweep would run backwards
+        problems.append(("g_min", f"must not exceed g_max = {p['g_max']:.3e} Hz, "
+                                  f"got {p['g_min']:.3e} Hz"))
+    if p["points"] > MAX_SWEEP_POINTS:
+        problems.append(("points", f"must be at most {MAX_SWEEP_POINTS:.0e}, about "
+                                   f"0.6 GB at the run's peak, got {p['points']}"))
+    _refuse("sweep", problems)
+    return p
+
+
+def _run_regime_sweep(p: dict, out: Path) -> dict:
     g = np.logspace(np.log10(p["g_min"]), np.log10(p["g_max"]), int(p["points"]))
     lam_p, lam_m, D, regimes = sweep_coupling(g, p["v2"], p["vb"], p["gamma2"],
                                               p["gamma_b"], p["strong_ratio"])
@@ -231,8 +217,18 @@ def _run_regime_sweep(config: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _run_backward_gain(config: ScenarioConfig, out: Path) -> dict:
+def _gain_inputs(config: ScenarioConfig) -> dict:
+    """``[gain]``, unless its signal would not grow."""
     p = config.section("gain")
+    try:
+        net_gain_slope(p["g0_12"], p["v1"], p["v2"], p["Gamma"], p["kappa2"],
+                       p["omega1"], p["pump_power"])
+    except ValueError as err:
+        raise ConfigError([f"[gain] g0_12, kappa2: {err}"]) from err
+    return p
+
+
+def _run_backward_gain(p: dict, out: Path) -> dict:
     result = run_two_branch_gain(
         g0_12=p["g0_12"], v1=p["v1"], v2=p["v2"], vb=p["vb"], Gamma=p["Gamma"],
         kappa2=p["kappa2"], omega1=p["omega1"], pump_power_W=p["pump_power"],
@@ -258,8 +254,15 @@ def _run_backward_gain(config: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _run_intermodal_swap(config: ScenarioConfig, out: Path) -> dict:
+def _swap_inputs(config: ScenarioConfig) -> dict:
+    """``[swap]``, unless both decay rates, whose mean spans it, are zero."""
     p = config.section("swap")
+    if p["gamma2"] + p["gamma_b"] == 0:
+        raise ConfigError(["[swap] gamma2, gamma_b: must not both be zero"])
+    return p
+
+
+def _run_intermodal_swap(p: dict, out: Path) -> dict:
     result = run_swap_profile(g12=p["g12"], v2=p["v2"], vb=p["vb"],
                               gamma2=p["gamma2"], gamma_b=p["gamma_b"],
                               n_points=int(p["n_points"]),
@@ -280,8 +283,15 @@ def _run_intermodal_swap(config: ScenarioConfig, out: Path) -> dict:
     }
 
 
-def _run_comb(config: ScenarioConfig, out: Path) -> dict:
+def _comb_inputs(config: ScenarioConfig) -> dict:
+    """``[comb]``, unless :func:`comb_problems` refuses it."""
     p = config.section("comb")
+    _refuse("comb", comb_problems(p["n_points"], p["q_mode"], p["orders"],
+                                  p["periods"]))
+    return p
+
+
+def _run_comb(p: dict, out: Path) -> dict:
     result = run_forward_comb(
         n_points=int(p["n_points"]), dx=p["dx"], v=p["velocity"],
         Omega0=p["omega0"], g0=p["g0"], pump=p["pump"], seed_b=p["seed_b"],
@@ -331,8 +341,7 @@ def _array_study_inputs(config: ScenarioConfig) -> dict:
     return inputs
 
 
-def _run_array_convergence(config: ScenarioConfig, out: Path) -> dict:
-    inputs = _array_study_inputs(config)
+def _run_array_convergence(inputs: dict, out: Path) -> dict:
     result = array_convergence_study(**inputs)
     columns = [
         ("dx", "m", result.dxs),
@@ -362,8 +371,9 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     deposit plan) rejects its entries, when dt exceeds the stability bound
     of the initial (vacuum) state under this run's drive, absorber and
     bath, when t_total is less than one step or more than
-    :data:`MAX_STEPS` steps, and when the absorber's speed is neither given
-    nor the photon band's group velocity at k = 0."""
+    :data:`MAX_STEPS` steps, when a trajectory would keep more than
+    :data:`MAX_RECORDS` records, and when the absorber's speed is neither
+    given nor the photon band's group velocity at k = 0."""
     grid = _build("grid", Grid1D, **config.section("grid"))
     disp = DispersionPair(_build("photon", _band, config.section("photon"), grid),
                           _build("phonon", _band, config.section("phonon"), grid))
@@ -386,9 +396,8 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
     drive = None
     if drivec.pop("mode") == "endfire":
         drive = EndfireDrive(**drivec)
-    vacuum = FieldState.vacuum(grid)
-    bound = stability_bound(vacuum, couplings, disp, bath, drive=drive,
-                            absorber=absorber)
+    bound = stability_bound(FieldState.vacuum(grid), couplings, disp, bath,
+                            drive=drive, absorber=absorber)
     if dt > bound:
         raise ConfigError([f"[integration] dt: {dt:.3e} s exceeds the stability "
                            f"bound {bound:.3e} s of this grid, dispersion and "
@@ -401,36 +410,45 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
         raise ConfigError([f"[integration] t_total: {integ['t_total']:.3e} s is "
                            f"{n_steps:.3e} steps of dt = {dt:.3e} s, more than "
                            f"the cap of {MAX_STEPS:.0e} steps"])
+    n_records = 1 + -(-n_steps // integ["record_every"])  # with the initial state
+    if n_records > MAX_RECORDS:
+        raise ConfigError([f"[integration] t_total, record_every: {n_steps} steps "
+                           f"recorded every {integ['record_every']} keep "
+                           f"{n_records} records, more than the cap of "
+                           f"{MAX_RECORDS:.0e}, about 0.5 GB at the run's peak"])
     # the stepper builds the drive's deposit plan, checked before anything
     # is written
     stepper = _build("drive", Stepper, grid, couplings, disp, bath=bath,
                      drive=drive, absorber=absorber, dt=dt)
     ens = config.section("ensemble")
     return SimpleNamespace(
-        grid=grid, disp=disp, couplings=couplings, stepper=stepper,
-        n_steps=n_steps, record_every=integ["record_every"],
-        n_traj=ens["trajectories"], base_seed=ens["base_seed"])
+        grid=grid, stepper=stepper, n_steps=n_steps,
+        record_every=integ["record_every"], n_traj=ens["trajectories"],
+        base_seed=ens["base_seed"],
+        observers={"photon_number": observe_photon_number,
+                   "phonon_number": observe_phonon_number,
+                   "energy": make_energy_observer(couplings, disp)})
 
 
-def _trajectory(setup, observers, idx: int):
+def _trajectory(setup, idx: int):
     """Trajectory ``idx`` of a custom run, on its own Philox stream, so it
     is the same in whichever process steps it."""
     return setup.stepper.run(FieldState.vacuum(setup.grid), setup.n_steps,
-                             observers=observers, record_every=setup.record_every,
+                             observers=setup.observers, record_every=setup.record_every,
                              rng=trajectory_generator(setup.base_seed, idx))
 
 
-# the (setup, observers) of the run a worker process steps, set as it starts
+# the setup of the run a worker process steps, set as it starts
 _WORKER_RUN = None
 
 
-def _init_worker(setup, observers) -> None:
+def _init_worker(setup) -> None:
     global _WORKER_RUN
-    _WORKER_RUN = setup, observers
+    _WORKER_RUN = setup
 
 
 def _worker_trajectory(idx: int):
-    return _trajectory(*_WORKER_RUN, idx)
+    return _trajectory(_WORKER_RUN, idx)
 
 
 def _usable_cpus() -> int:
@@ -441,14 +459,13 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _trajectories(setup, observers):
+def _trajectories(setup):
     """The custom run's trajectories in index order, stepped on
     ``min(trajectories, usable CPUs)`` forked worker processes, or in this
     process when that is fewer than 2. No worker outlives the block."""
     workers = min(setup.n_traj, _usable_cpus())
     if workers < 2:
-        yield map(functools.partial(_trajectory, setup, observers),
-                  range(setup.n_traj))
+        yield map(functools.partial(_trajectory, setup), range(setup.n_traj))
         return
     # imported here, not at the top, to keep them out of a run's startup
     from concurrent.futures import ProcessPoolExecutor
@@ -460,27 +477,19 @@ def _trajectories(setup, observers):
     # a closure that cannot be pickled, and each task sends only an index
     with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                              initializer=_init_worker,
-                             initargs=(setup, observers)) as pool:
+                             initargs=(setup,)) as pool:
         yield pool.map(_worker_trajectory, range(setup.n_traj))
 
 
-def _run_custom(config: ScenarioConfig, out: Path) -> dict:
+def _run_custom(setup: SimpleNamespace, out: Path) -> dict:
     """The custom scenario: ``trajectories`` runs from vacuum, trajectory i
     on Philox stream (base_seed, i), with their records averaged in index
     order. The trajectories run on ``min(trajectories, usable CPUs)``
     forked worker processes, and the artifacts are byte for byte those of
     a serial run; the final state written is the last trajectory's."""
-    setup = _custom_setup(config)
-    grid, couplings, disp = setup.grid, setup.couplings, setup.disp
-    n_traj, n_steps = setup.n_traj, setup.n_steps
-    observers = {
-        "photon_number": observe_photon_number,
-        "phonon_number": observe_phonon_number,
-        "energy": make_energy_observer(couplings, disp),
-    }
     mean_records = None
     final = None
-    with _trajectories(setup, observers) as trajectories:
+    with _trajectories(setup) as trajectories:
         for traj in trajectories:
             if mean_records is None:
                 times = traj.times
@@ -491,27 +500,29 @@ def _run_custom(config: ScenarioConfig, out: Path) -> dict:
                     mean_records[k] += np.asarray(v, dtype=float)
             final = traj.final_state
     for k in mean_records:
-        mean_records[k] /= n_traj
+        mean_records[k] /= setup.n_traj
     write_csv(out / "observables.csv", [
         ("t", "s", times),
         ("photon_number", "1", mean_records["photon_number"]),
         ("phonon_number", "1", mean_records["phonon_number"]),
         ("energy", "hbar*rad/s", mean_records["energy"]),
     ])
-    write_snapshot(out / "final_state.snap", final.a, final.b, grid.dx)
+    write_snapshot(out / "final_state.snap", final.a, final.b, setup.grid.dx)
     return {
-        "trajectories": n_traj,
-        "n_steps": n_steps,
+        "trajectories": setup.n_traj,
+        "n_steps": setup.n_steps,
         "final_photon_number": final.photon_number(),
         "final_phonon_number": final.phonon_number(),
     }
 
 
-_RUNNERS = {
-    "regime_sweep": _run_regime_sweep,
-    "backward_gain": _run_backward_gain,
-    "intermodal_swap": _run_intermodal_swap,
-    "comb": _run_comb,
-    "array_convergence": _run_array_convergence,
-    "custom": _run_custom,
+# each scenario's (inputs, run): inputs(config) makes every check of the
+# scenario and returns what run(inputs, out) consumes
+_SCENARIOS = {
+    "regime_sweep": (_sweep_inputs, _run_regime_sweep),
+    "backward_gain": (_gain_inputs, _run_backward_gain),
+    "intermodal_swap": (_swap_inputs, _run_intermodal_swap),
+    "comb": (_comb_inputs, _run_comb),
+    "array_convergence": (_array_study_inputs, _run_array_convergence),
+    "custom": (_custom_setup, _run_custom),
 }

@@ -12,7 +12,8 @@ class FieldState:
     """Photon field a(x) and phonon field b(x) on one grid.
 
     Both fields carry units m^(-1/2): sum |a_i|^2 dx is the photon number
-    in the domain, likewise for phonons, in the lab frame.
+    in the domain, likewise for phonons, in the lab frame. Axes in front
+    of the grid's are batch axes, one state per row (``evolve_batch``).
     """
 
     grid: Grid1D
@@ -24,8 +25,8 @@ class FieldState:
         self.a = np.asarray(self.a, dtype=np.complex128)
         self.b = np.asarray(self.b, dtype=np.complex128)
         n = self.grid.n_points
-        if self.a.shape != (n,) or self.b.shape != (n,):
-            raise ValueError("field arrays must match grid.n_points")
+        if self.a.shape != self.b.shape or self.a.shape[-1:] != (n,):
+            raise ValueError("field arrays must share one (..., n_points) shape")
 
     @staticmethod
     def vacuum(grid: Grid1D) -> "FieldState":

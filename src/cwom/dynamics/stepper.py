@@ -30,8 +30,8 @@ merges them between two points where the state is read:
 Every step still goes through :meth:`SplitStepper.step_inplace`, which
 takes the seams as two keyword flags; its defaults are one whole step.
 Between seams the state is half a free step ahead of a whole step, and
-nothing reads it there. A run without observers, and
-:func:`evolve_batch`, is one segment; a run that records every step with
+nothing reads it there. A run without observers (as in
+:func:`evolve_batch`) is one segment; a run that records every step with
 observers takes whole steps only. The merged sequence differs from the
 whole steps in the last bits only.
 :class:`SplitStepper` runs this step on one stacked complex array of shape
@@ -115,7 +115,7 @@ batch rows, each stepped exactly as it would be alone (batched
 transforms and column-broadcast products round row for row like the
 single calls). :func:`evolve_batch` uses one leading axis for
 configurations: B coupling sets of one class, from one initial state,
-on one grid, dt and step count, step as one state whose fields have
+on one grid, dt and step count, run as one state whose fields have
 shape (B, n), packed to (B, 2, n), and the term table holds each
 constant as a (B, 1) column. Only closed, undriven runs are
 batched: per-row noise streams would need one Generator per row.
@@ -124,7 +124,6 @@ batched: per-row noise streams would need one Generator per row.
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Integral
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -631,7 +630,8 @@ def evolve(state: FieldState, couplings: CouplingSet, dispersions: DispersionPai
 def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
                  dt: float, n_steps: int) -> list:
     """Final states of closed, undriven ``evolve`` runs from one initial
-    state under each of ``coupling_sets``, stepped as one (B, 2, n) array.
+    state under each of ``coupling_sets``, one :meth:`SplitStepper.run`
+    of a state whose fields have shape (B, n), packed to (B, 2, n).
 
     Row i is bit-identical to ``evolve(state, coupling_sets[i], ...)``.
     The sets must share one coupling class (zero, pointwise or
@@ -649,14 +649,11 @@ def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
             raise ValueError(f"coupling set {i}: {error}")
     stepper = Stepper(state.grid, coupling_sets, dispersions, dt=dt)
     rows = len(coupling_sets)
-    batch = SimpleNamespace(a=np.repeat(state.a[None], rows, axis=0),
-                            b=np.repeat(state.b[None], rows, axis=0),
-                            time=state.time)
-    for i in range(n_steps):  # one merged segment, as ``run`` without observers
-        stepper.step_inplace(batch, step_index=i, open_half=i == 0,
-                             close_full=i < n_steps - 1)
-    return [FieldState(state.grid, a, b, time=batch.time)
-            for a, b in zip(batch.a, batch.b)]
+    batch = FieldState(state.grid, np.repeat(state.a[None], rows, axis=0),
+                       np.repeat(state.b[None], rows, axis=0), time=state.time)
+    final = stepper.run(batch, n_steps).final_state
+    return [FieldState(state.grid, a, b, time=final.time)
+            for a, b in zip(final.a, final.b)]
 
 
 # -- standard observers ----------------------------------------------------

@@ -108,11 +108,10 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
     drive1 = EndfireDrive(alpha_in=alpha1_in, inlet_cell=inlet1)
     drive2 = EndfireDrive(alpha_in=np.sqrt(seed_power_ratio) * alpha1_in,
                           inlet_cell=inlet2)
-    branches = (
-        BranchConfig(label="pump", dispersion=DispersionSpec.linear(v1),
-                     frame_omega=0.0, kappa=0.0, drive=drive1),
-        BranchConfig(label="signal",
-                     dispersion=DispersionSpec.linear(direction * v2),
+    branches = (  # the pump, then the signal
+        BranchConfig(dispersion=DispersionSpec.linear(v1), frame_omega=0.0,
+                     kappa=0.0, drive=drive1),
+        BranchConfig(dispersion=DispersionSpec.linear(direction * v2),
                      frame_omega=-Omega_sym, kappa=kappa2, drive=drive2),
     )
     phonon = PhononConfig(dispersion=DispersionSpec.linear(direction * vb),
@@ -169,6 +168,9 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
 
 COMB_STEPS_PER_PERIOD = 400
 COMB_RECORD_EVERY = 4  # steps per record of the comb's mode spectra
+# the most mode amplitudes a comb run records: each costs about 40 bytes at
+# the run's peak (0.51 MB more per period at 128 points, 1.97 MB at 512)
+COMB_MAX_AMPLITUDES = 25 * 10 ** 6
 
 
 @dataclass
@@ -196,13 +198,19 @@ def comb_problems(n_points: int, q_mode: int, n_orders: int, periods: float) -> 
     if n_orders > top:
         problems.append(("n_orders", f"must be at most {top}, below the records' "
                                      f"Nyquist of {nyquist:g} Omega0, got {n_orders}"))
+    steps = periods * COMB_STEPS_PER_PERIOD
+    amplitudes = steps / COMB_RECORD_EVERY * n_points  # the records' size
     if not periods >= 2:
         # the analysis takes whole phonon periods of the run's second half
         problems.append(("periods", f"must be at least 2, got {periods!r}"))
-    elif periods * COMB_STEPS_PER_PERIOD > MAX_STEPS:
-        problems.append(("periods", f"{periods:.3e} periods is "
-                                    f"{periods * COMB_STEPS_PER_PERIOD:.3e} steps, "
+    elif steps > MAX_STEPS:
+        problems.append(("periods", f"{periods:.3e} periods is {steps:.3e} steps, "
                                     f"more than the cap of {MAX_STEPS:.0e} steps"))
+    elif amplitudes > COMB_MAX_AMPLITUDES:
+        problems.append(("periods", f"{periods:.3e} periods of {n_points} points "
+                                    f"record {amplitudes:.3e} mode amplitudes, more "
+                                    f"than the cap of {COMB_MAX_AMPLITUDES:.1e}, "
+                                    "about 1 GB at the run's peak"))
     return problems
 
 
@@ -315,11 +323,11 @@ def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
     drive2 = EndfireDrive(alpha_in=seed_amplitude, inlet_cell=8)
     absorber = make_absorber(grid, speed=max(v2, vb), width_fraction=0.1,
                              opacity=10.0)
-    branches = (
-        BranchConfig(label="pump", dispersion=DispersionSpec.flat(0.0),
-                     frame_omega=0.0, frozen=True),
-        BranchConfig(label="signal", dispersion=DispersionSpec.linear(v2),
-                     frame_omega=Omega, kappa=kappa2, drive=drive2),
+    branches = (  # the pump, then the signal
+        BranchConfig(dispersion=DispersionSpec.flat(0.0), frame_omega=0.0,
+                     frozen=True),
+        BranchConfig(dispersion=DispersionSpec.linear(v2), frame_omega=Omega,
+                     kappa=kappa2, drive=drive2),
     )
     phonon = PhononConfig(dispersion=DispersionSpec.linear(vb),
                           frame_omega=Omega, gamma=Gamma)

@@ -61,7 +61,6 @@ MATCH_TOL = 1e-9  # a phase offset |W| (rad/s) below this counts as matched
 class BranchConfig:
     """One optical branch: envelope dispersion in its own rotating frame."""
 
-    label: str
     dispersion: DispersionSpec
     frame_omega: float = 0.0
     kappa: float = 0.0

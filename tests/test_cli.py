@@ -15,7 +15,7 @@ from cwom.cli.config import (RULES, SCENARIOS, SCHEMA, ConfigError, ScenarioConf
                              load_config, parse_config_text, serialize_config)
 from cwom.cli.main import main
 from cwom.cli.output import read_snapshot, write_csv, write_snapshot
-from cwom.cli.scenarios import MAX_STEPS, resolve_config, run_scenario
+from cwom.cli.scenarios import DEFAULTS, MAX_STEPS, resolve_config, run_scenario
 from cwom.dynamics.rng import MAX_SEED
 
 GOOD_CONFIG = """
@@ -437,6 +437,22 @@ points = 201
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
+    def test_custom_run_builds_one_stepper(self, tmp_path, monkeypatch):
+        # the run steps the stepper that its checks built
+        built, stepper = [], scenarios.Stepper
+
+        def counting_stepper(*args, **kwargs):
+            built.append(stepper(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(scenarios, "Stepper", counting_stepper)
+        monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 1)
+        run_scenario(ScenarioConfig("custom", {"scenario": {"name": "custom"}}),
+                     tmp_path / "out")
+        assert len(built) == 1
+
+    def test_every_scenario_has_a_preset_and_inputs(self):
+        assert set(SCENARIOS) == set(DEFAULTS) == set(scenarios._SCENARIOS)
+
     def test_seed_override_changes_stochastic_run(self, tmp_path):
         noisy = GOOD_CONFIG.replace("sampling = none", "sampling = wigner")
         cfg = tmp_path / "run.cfg"
@@ -798,6 +814,22 @@ class TestCliRangeChecks:
         ("regime_sweep", "[sweep]\npoints = 1000001",
          "[sweep] points: must be at most 1e+06, about 0.6 GB at the run's peak, "
          "got 1000001"),
+        ("custom", "[couplings]\nsector = mixed",
+         "[couplings] sector: 'mixed' is not one of even, odd"),
+        ("comb", "[comb]\nperiods = 200000",
+         "[comb] periods: 2.000e+05 periods of 128 points record 2.560e+09 mode "
+         "amplitudes, more than the cap of 2.5e+07, about 1 GB at the run's peak"),
+        ("comb", "[comb]\nperiods = 1954",
+         "[comb] periods: 1.954e+03 periods of 128 points record 2.501e+07 mode "
+         "amplitudes, more than the cap of 2.5e+07, about 1 GB at the run's peak"),
+        ("custom", "[integration]\nt_total = 1.9e6 s\nrecord_every = 1",
+         "[integration] t_total, record_every: 95000000 steps recorded every 1 "
+         "keep 95000001 records, more than the cap of 1e+06, about 0.5 GB at "
+         "the run's peak"),
+        ("custom", "[integration]\nt_total = 20000 s\nrecord_every = 1",
+         "[integration] t_total, record_every: 1000000 steps recorded every 1 "
+         "keep 1000001 records, more than the cap of 1e+06, about 0.5 GB at "
+         "the run's peak"),
     ], ids=["gain-n_points", "swap-n_points", "comb-n_points",
             "gain-n_points-small", "swap-n_points-small", "gain-direction",
             "comb-periods-neg", "comb-periods-short", "sweep-points",
@@ -816,7 +848,9 @@ class TestCliRangeChecks:
             "comb-q_mode-neg-nyquist", "comb-orders-nyquist", "comb-orders-above",
             "comb-g0-zero", "comb-seed_b-zero", "sweep-strong_ratio-zero",
             "sweep-strong_ratio-neg", "comb-periods-cap", "sweep-points-cap",
-            "sweep-points-above-cap"])
+            "sweep-points-above-cap", "sector-mixed", "comb-records-cap",
+            "comb-records-above-cap", "custom-records-cap",
+            "custom-records-above-cap"])
     def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,
                                             entry, message):
         # each once validated, then failed the run after writing its

@@ -26,10 +26,9 @@ def swap_system(grid, g, Omega, v2=0.0, vb=0.0, kappa2=0.0, Gamma=0.0,
     signal sits Omega above the pump, so signal creation absorbs a phonon.
     Only the phase-matched channels are built."""
     branches = (
-        BranchConfig(label="pump", dispersion=DispersionSpec.flat(0.0),
+        BranchConfig(dispersion=DispersionSpec.flat(0.0),
                      frame_omega=0.0, frozen=frozen_pump),
-        BranchConfig(label="signal",
-                     dispersion=DispersionSpec.linear(v2) if v2 else
+        BranchConfig(dispersion=DispersionSpec.linear(v2) if v2 else
                      DispersionSpec.flat(0.0),
                      frame_omega=Omega, kappa=kappa2, drive=drive2),
     )
@@ -157,9 +156,9 @@ class TestGainConfigManleyRowe:
         drive2 = EndfireDrive(alpha_in=1.2, inlet_cell=8)
         absorber = make_absorber(grid, speed=v, width_fraction=0.1, opacity=10.0)
         branches = (
-            BranchConfig(label="pump", dispersion=DispersionSpec.linear(v),
+            BranchConfig(dispersion=DispersionSpec.linear(v),
                          frame_omega=0.0, drive=drive1),
-            BranchConfig(label="signal", dispersion=DispersionSpec.linear(v),
+            BranchConfig(dispersion=DispersionSpec.linear(v),
                          frame_omega=-Omega, kappa=0.0, drive=drive2),
         )
         phonon = PhononConfig(dispersion=DispersionSpec.linear(vb),
@@ -188,15 +187,15 @@ class TestGainConfigManleyRowe:
 
 class TestSystemValidation:
     def test_non_hermitian_matrix_rejected(self, grid64):
-        branches = (BranchConfig("a", DispersionSpec.flat(0.0)),
-                    BranchConfig("b", DispersionSpec.flat(0.0)))
+        branches = (BranchConfig(DispersionSpec.flat(0.0)),
+                    BranchConfig(DispersionSpec.flat(0.0)))
         phonon = PhononConfig(DispersionSpec.flat(0.0))
         with pytest.raises(ValueError):
             MultiBranchSystem(grid64, branches, phonon,
                               [[0.0, 1.0], [2.0, 0.0]])
 
     @pytest.mark.parametrize("make", [
-        lambda: BranchConfig("a", DispersionSpec.flat(0.0), kappa=-0.5),
+        lambda: BranchConfig(DispersionSpec.flat(0.0), kappa=-0.5),
         lambda: PhononConfig(DispersionSpec.flat(0.0), gamma=-1.0),
     ], ids=["kappa", "gamma"])
     def test_negative_rates_rejected(self, make):
@@ -208,8 +207,8 @@ class TestSystemValidation:
 def frame_pair(grid, signal_frame, phonon_frame):
     """Pump at rest, signal and phonon at the frame frequencies given,
     coupled both ways."""
-    branches = (BranchConfig("pump", DispersionSpec.flat(0.0)),
-                BranchConfig("signal", DispersionSpec.flat(0.0),
+    branches = (BranchConfig(DispersionSpec.flat(0.0)),
+                BranchConfig(DispersionSpec.flat(0.0),
                              frame_omega=signal_frame))
     phonon = PhononConfig(DispersionSpec.flat(0.0), frame_omega=phonon_frame)
     return MultiBranchSystem(grid, branches, phonon, [[0.0, 1.0], [1.0, 0.0]])
@@ -241,8 +240,8 @@ class TestPhaseMatching:
 def bound_system(grid, drive=None, absorber=None):
     """A frozen fast pump (its band counts for nothing), a damped linear
     signal and a damped flat phonon at 0.5."""
-    branches = (BranchConfig("pump", DispersionSpec.linear(3.0), frozen=True),
-                BranchConfig("signal", DispersionSpec.linear(2.0), kappa=0.4,
+    branches = (BranchConfig(DispersionSpec.linear(3.0), frozen=True),
+                BranchConfig(DispersionSpec.linear(2.0), kappa=0.4,
                              drive=drive))
     phonon = PhononConfig(DispersionSpec.flat(0.5), gamma=0.2)
     return MultiBranchSystem(grid, branches, phonon, [[0.0, 0.1], [0.1, 0.0]],
@@ -291,8 +290,8 @@ class TestBoundRates:
         # without its flag: only the live rows are stepped
         grid = Grid1D(128, 1.0)
         phonon = PhononConfig(DispersionSpec.flat(0.5), gamma=0.2)
-        signal = BranchConfig("signal", DispersionSpec.linear(2.0), kappa=0.4)
-        pump = BranchConfig("pump", DispersionSpec.linear(30.0), kappa=9.0,
+        signal = BranchConfig(DispersionSpec.linear(2.0), kappa=0.4)
+        pump = BranchConfig(DispersionSpec.linear(30.0), kappa=9.0,
                             drive=EndfireDrive(alpha_in=0.5, inlet_cell=8))
         frozen, live = (MultiBranchSystem(grid, (replace(pump, frozen=flag), signal),
                                           phonon, [[0.0, 0.1], [0.1, 0.0]])
@@ -354,8 +353,8 @@ def mixed_system():
     """Frozen pump, driven damped signal, damped phonon, absorber."""
     grid = Grid1D(128, 1.0)
     branches = (
-        BranchConfig("pump", DispersionSpec.flat(0.0), frozen=True),
-        BranchConfig("signal", DispersionSpec.linear(2.0), frame_omega=5.0,
+        BranchConfig(DispersionSpec.flat(0.0), frozen=True),
+        BranchConfig(DispersionSpec.linear(2.0), frame_omega=5.0,
                      kappa=0.04, drive=EndfireDrive(alpha_in=0.5, inlet_cell=8)),
     )
     phonon = PhononConfig(DispersionSpec.linear(1.0), frame_omega=5.0, gamma=0.03)
@@ -385,8 +384,8 @@ class TestFullChannelSet:
         # step's drift must be small and shrink fast.
         grid = Grid1D(32, 1.0)
         dk = grid.dk
-        branches = (BranchConfig("a", DispersionSpec.linear(1.0)),
-                    BranchConfig("b", DispersionSpec.linear(-0.5)))
+        branches = (BranchConfig(DispersionSpec.linear(1.0)),
+                    BranchConfig(DispersionSpec.linear(-0.5)))
         phonon = PhononConfig(DispersionSpec.flat(0.3))
         g = 0.3 * np.exp(0.6j)
         g0 = np.array([[0.2, g], [np.conj(g), -0.1]])

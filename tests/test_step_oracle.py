@@ -236,11 +236,11 @@ def full_channel_system(grid):
     """Three branches, one frozen, in frames that match the a-b process;
     damping, a driven branch and an absorber."""
     branches = (
-        BranchConfig("a", DispersionSpec.linear(1.0), kappa=0.05,
+        BranchConfig(DispersionSpec.linear(1.0), kappa=0.05,
                      drive=EndfireDrive(alpha_in=0.3, inlet_cell=6)),
-        BranchConfig("b", DispersionSpec.linear(-0.5), frame_omega=1.5,
+        BranchConfig(DispersionSpec.linear(-0.5), frame_omega=1.5,
                      frozen=True),
-        BranchConfig("c", DispersionSpec.flat(0.2), frame_omega=-0.5, kappa=0.02))
+        BranchConfig(DispersionSpec.flat(0.2), frame_omega=-0.5, kappa=0.02))
     phonon = PhononConfig(DispersionSpec.flat(0.3), frame_omega=1.5, gamma=0.03)
     g = 0.3 * np.exp(0.6j)
     g0 = np.array([[0.2, g, 0.1], [np.conj(g), -0.1, 0.05j], [0.1, -0.05j, 0.0]])
@@ -270,9 +270,9 @@ def forward_gain_case():
     signal and phonon, linear bands, phase-matched channels, an absorber."""
     grid = Grid1D(128, 0.5)
     branches = (
-        BranchConfig("pump", DispersionSpec.linear(1.0),
+        BranchConfig(DispersionSpec.linear(1.0),
                      drive=EndfireDrive(alpha_in=0.8, inlet_cell=8)),
-        BranchConfig("signal", DispersionSpec.linear(0.9), frame_omega=-0.4,
+        BranchConfig(DispersionSpec.linear(0.9), frame_omega=-0.4,
                      kappa=0.05, drive=EndfireDrive(alpha_in=0.1, inlet_cell=8)))
     phonon = PhononConfig(DispersionSpec.linear(0.05), frame_omega=0.4, gamma=0.2)
     system = MultiBranchSystem(grid, branches, phonon,
@@ -525,8 +525,8 @@ def test_multibranch_free_step_plan():
     assert free_plan(forward_gain_case().stepper, 3) == ["transform"] * 3
     grid = Grid1D(32, 1.0)
     system = MultiBranchSystem(
-        grid, (BranchConfig("a", DispersionSpec.flat(0.0)),
-               BranchConfig("b", DispersionSpec.linear(1.0))),
+        grid, (BranchConfig(DispersionSpec.flat(0.0)),
+               BranchConfig(DispersionSpec.linear(1.0))),
         PhononConfig(DispersionSpec.flat(0.0)), np.array([[0.0, 0.1], [0.1, 0.0]]))
     assert free_plan(MultiBranchStepper(system, 0.01), 3) == [
         "skip", "transform", "skip"]

@@ -326,6 +326,16 @@ class TestEvolveBatch:
             assert row.time == want.time
         assert state.time == 0.25
 
+    def test_field_state_takes_leading_batch_axes_of_one_shape(self):
+        grid = Grid1D(16, 0.1)
+        batch = FieldState(grid, np.ones((3, 16)), np.zeros((3, 16)))
+        assert batch.a.shape == batch.b.shape == (3, 16)
+        for a, b in ((np.zeros(16), np.zeros((1, 16))),
+                     (np.zeros((3, 8)), np.zeros((3, 8))),
+                     (np.zeros(()), np.zeros(()))):
+            with pytest.raises(ValueError, match="one .*n_points. shape"):
+                FieldState(grid, a, b)
+
     def test_zero_steps_echoes_initial_state(self):
         grid, state, disp = self._setup()
         got = evolve_batch(state, self.BATCHES["mixed"], disp, dt=None, n_steps=0)
