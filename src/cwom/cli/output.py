@@ -54,13 +54,9 @@ def write_snapshot(path, a, b, dx: float):
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("snapshot requires two 1D fields of equal length")
     header = SNAPSHOT_MAGIC + struct.pack("<HQd", SNAPSHOT_VERSION, a.size, dx)
-    body = bytearray()
-    for fieldvals in (a, b):
-        inter = np.empty(2 * fieldvals.size, dtype="<f8")
-        inter[0::2] = np.real(fieldvals)
-        inter[1::2] = np.imag(fieldvals)
-        body += inter.tobytes()
-    Path(path).write_bytes(header + bytes(body))
+    # a little-endian complex128 is its (re, im) f64 pair
+    body = np.concatenate((a, b)).astype("<c16").tobytes()
+    Path(path).write_bytes(header + body)
 
 
 def read_snapshot(path):
@@ -74,11 +70,9 @@ def read_snapshot(path):
     expect = 22 + 2 * 16 * n_points
     if len(raw) != expect:
         raise ValueError(f"snapshot truncated: {len(raw)} bytes, need {expect}")
-    flat = np.frombuffer(raw, dtype="<f8", offset=22)
-    a = flat[0:2 * n_points:2] + 1j * flat[1:2 * n_points:2]
-    rest = flat[2 * n_points:]
-    b = rest[0::2] + 1j * rest[1::2]
-    return a.copy(), b.copy(), dx
+    pairs = np.frombuffer(raw, dtype="<c16", offset=22)
+    return (pairs[:n_points].astype(np.complex128),
+            pairs[n_points:].astype(np.complex128), dx)
 
 
 def write_json_report(path, payload: dict):

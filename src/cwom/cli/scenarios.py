@@ -12,6 +12,7 @@ Every run writes into the output directory:
 Presets are sized to finish in seconds; the config file scales them up.
 """
 
+import collections
 import contextlib
 import functools
 import os
@@ -47,6 +48,9 @@ MAX_SWEEP_POINTS = 10 ** 6
 # the most records a custom trajectory keeps: each costs about 0.48 kB at
 # the run's peak (143 MB more for 3e5 more records at 128 points)
 MAX_RECORDS = 10 ** 6
+# tasks a custom run queues per worker: no worker waits for an index,
+# and 10^8 trajectories hold no more pending results than 10 do
+PENDING_PER_WORKER = 2
 
 DEFAULTS = {
     "regime_sweep": {
@@ -458,11 +462,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _in_order(pool, n_traj: int, pending: int):
+    """Trajectories 0 to ``n_traj - 1`` from ``pool`` in index order, index
+    i + ``pending`` submitted as trajectory i is taken; on an error the
+    tasks not yet started are cancelled."""
+    futures = collections.deque()
+    try:
+        for idx in range(n_traj):
+            if len(futures) == pending:
+                yield futures.popleft().result()
+            futures.append(pool.submit(_worker_trajectory, idx))
+        while futures:
+            yield futures.popleft().result()
+    finally:
+        for future in futures:
+            future.cancel()
+
+
 @contextlib.contextmanager
 def _trajectories(setup):
     """The custom run's trajectories in index order, stepped on
     ``min(trajectories, usable CPUs)`` forked worker processes, or in this
-    process when that is fewer than 2. No worker outlives the block."""
+    process when that is fewer than 2, with ``PENDING_PER_WORKER`` tasks
+    queued per worker. No worker outlives the block."""
     workers = min(setup.n_traj, _usable_cpus())
     if workers < 2:
         yield map(functools.partial(_trajectory, setup), range(setup.n_traj))
@@ -478,7 +500,7 @@ def _trajectories(setup):
     with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                              initializer=_init_worker,
                              initargs=(setup,)) as pool:
-        yield pool.map(_worker_trajectory, range(setup.n_traj))
+        yield _in_order(pool, setup.n_traj, PENDING_PER_WORKER * workers)
 
 
 def _run_custom(setup: SimpleNamespace, out: Path) -> dict:

@@ -1,32 +1,32 @@
 """Field containers: complex photon/phonon amplitudes on a shared grid."""
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .grid import Grid1D
 
 
-@dataclass
 class FieldState:
     """Photon field a(x) and phonon field b(x) on one grid.
 
     Both fields carry units m^(-1/2): sum |a_i|^2 dx is the photon number
-    in the domain, likewise for phonons, in the lab frame. Axes in front
-    of the grid's are batch axes, one state per row (``evolve_batch``).
+    in the domain, likewise for phonons, in the lab frame. The fields are
+    stored as the rows of one (..., 2, n) array ``rows``, a first and b
+    second; ``a`` and ``b`` are views of its rows, so a stepper steps the
+    state without restacking it. Axes in front of (2, n) are batch axes,
+    one state per row (``evolve_batch``). ``copy()`` is deep.
     """
 
-    grid: Grid1D
-    a: np.ndarray
-    b: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.complex128)
-        self.b = np.asarray(self.b, dtype=np.complex128)
-        n = self.grid.n_points
-        if self.a.shape != self.b.shape or self.a.shape[-1:] != (n,):
+    def __init__(self, grid: Grid1D, a, b, time: float = 0.0):
+        a = np.asarray(a, dtype=np.complex128)
+        b = np.asarray(b, dtype=np.complex128)
+        if a.shape != b.shape or a.shape[-1:] != (grid.n_points,):
             raise ValueError("field arrays must share one (..., n_points) shape")
+        self.grid = grid
+        self.rows = np.stack((a, b), axis=-2)
+        self.time = time
+
+    a = property(lambda self: self.rows[..., 0, :], doc="The photon row.")
+    b = property(lambda self: self.rows[..., 1, :], doc="The phonon row.")
 
     @staticmethod
     def vacuum(grid: Grid1D) -> "FieldState":
@@ -43,4 +43,4 @@ class FieldState:
         return self.b + np.conj(self.b)
 
     def copy(self) -> "FieldState":
-        return replace(self, a=self.a.copy(), b=self.b.copy())
+        return FieldState(self.grid, self.a, self.b, self.time)

@@ -76,11 +76,10 @@ class DepositPlan:
     ``frame_omega`` is the frequency (rad/s) of the frame the driven field
     evolves in: 0 for the waveguide's lab frame, a branch's own frame in a
     multi-branch run. The drive's detuning is taken from it; the carrier
-    wavenumber is the drive's ``k_L``. A constant, undetuned ``alpha_in``
-    deposits the same source every step, so ``scale * alpha_in * kernel``
-    is settled here once (and no source at all for ``alpha_in = 0``, as
-    for a vacuum inlet); a callable or detuned drive is evaluated at each
-    step's start time.
+    wavenumber is the drive's ``k_L``. An undetuned drive deposits the
+    same source every step, so ``scale * alpha_in * kernel`` is settled
+    here once (and no source at all for ``alpha_in = 0``, as for a vacuum
+    inlet); a detuned drive is evaluated at each step's start time.
     """
 
     def __init__(self, grid: Grid1D, dispersion: DispersionSpec,
@@ -108,12 +107,11 @@ class DepositPlan:
         khat = np.sum(window * np.exp(-1j * drive.k_L * cells * grid.dx))
         self.kernel_cells = slice(cells[0], cells[-1] + 1)  # never wraps
         self.kernel = window / khat
-        self._constant = not callable(drive.alpha_in) and self.detuning == 0.0
-        self._settled = self._source(0.0) if self._constant else None
+        self._settled = self._source(0.0) if self.detuning == 0.0 else None
 
     def _source(self, time: float):
         """The drive's deposit at ``time``; None when the amplitude is 0."""
-        s = self.drive.amplitude(time)
+        s = complex(self.drive.alpha_in)
         if self.detuning != 0.0:
             s = s * np.exp(-1j * self.detuning * time)
         return self.scale * s * self.kernel if s != 0.0 else None
@@ -130,7 +128,7 @@ class DepositPlan:
         equal-time correlator diagonal downstream; without it the inlet
         adds none.
         """
-        source = self._settled if self._constant else self._source(time)
+        source = self._source(time) if self.detuning != 0.0 else self._settled
         if source is not None:
             a[self.kernel_cells] += source
         if pair is not None:

@@ -1,7 +1,6 @@
 """Drive specification: light injected through the waveguide entrance."""
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 
 @dataclass(frozen=True)
@@ -10,8 +9,7 @@ class EndfireDrive:
 
     Parameters
     ----------
-    alpha_in : complex cw amplitude (s^(-1/2); photon flux |alpha_in|^2),
-        or a callable t -> complex for shaped envelopes.
+    alpha_in : complex cw amplitude (s^(-1/2); photon flux |alpha_in|^2).
     omega_L : carrier frequency (rad/s) in the lab frame. ``None`` means
         resonant with the frame the driven field evolves in (zero envelope
         detuning), the common case; give it explicitly for detuned drives.
@@ -22,15 +20,10 @@ class EndfireDrive:
     inlet_cell : grid cell receiving the source deposit.
     """
 
-    alpha_in: Union[complex, Callable[[float], complex]]
+    alpha_in: complex
     omega_L: float = None
     k_L: float = 0.0
     inlet_cell: int = 4
-
-    def amplitude(self, t: float) -> complex:
-        if callable(self.alpha_in):
-            return complex(self.alpha_in(t))
-        return complex(self.alpha_in)
 
     def detuning(self, frame_omega: float) -> float:
         """Envelope rotation rate of the drive in the given frame."""

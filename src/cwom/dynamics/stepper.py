@@ -36,10 +36,11 @@ observers takes whole steps only. The merged sequence differs from the
 whole steps in the last bits only.
 :class:`SplitStepper` runs this step on one stacked complex array of shape
 (rows, n), and the RK4 substep is whole-array arithmetic on the
-right-hand side a model fills row by row. The waveguide model
-:class:`Stepper` stacks (a, b); the multi-branch and lattice models
-(``multibranch``, ``lattice``) are its siblings. The multi-branch state
-already is one stacked array, which a step copies once and hands back.
+right-hand side a model fills row by row. Every state holds that array
+itself, as ``rows`` (its fields are views of the rows), and a step
+copies it once and hands the result back: the waveguide model
+:class:`Stepper` steps a ``FieldState``'s (a, b) rows, and its siblings
+(``multibranch``, ``lattice``) step their own states' rows.
 
 What the linear parts of a step cost is settled at construction, per
 row, from the half-step phase rows a model builds and from its loss
@@ -109,16 +110,15 @@ are the numbers, and the bytes, of K steps drawn one by one, and a run
 leaves its Generator where the steps one by one would. A step called on
 its own, or in a run where K would be under 2, draws after its RK4.
 
-Batch axis. :meth:`SplitStepper.step_inplace` packs fields of shape
-(..., n) into an array of shape (..., rows, n); the leading axes are
-batch rows, each stepped exactly as it would be alone (batched
-transforms and column-broadcast products round row for row like the
-single calls). :func:`evolve_batch` uses one leading axis for
-configurations: B coupling sets of one class, from one initial state,
-on one grid, dt and step count, run as one state whose fields have
-shape (B, n), packed to (B, 2, n), and the term table holds each
-constant as a (B, 1) column. Only closed, undriven runs are
-batched: per-row noise streams would need one Generator per row.
+Batch axis. :meth:`SplitStepper.step_inplace` steps ``rows`` of shape
+(..., rows, n); the leading axes are batch rows, each stepped exactly as
+it would be alone (batched transforms and column-broadcast products
+round row for row like the single calls). :func:`evolve_batch` uses one
+leading axis for configurations: B coupling sets of one class, from one
+initial state, on one grid, dt and step count, run as one state whose
+rows have shape (B, 2, n), and the term table holds each constant as a
+(B, 1) column. Only closed, undriven runs are batched: per-row noise
+streams would need one Generator per row.
 """
 
 from dataclasses import dataclass
@@ -198,6 +198,10 @@ class Trajectory:
 class SplitStepper:
     """Strang step over a stacked complex state ``y`` of shape (rows, n).
 
+    A state holds ``y`` itself, as its ``rows`` array, and its ``time``; a
+    step copies ``rows`` (so a step that raises leaves the state as it
+    was) and hands the stepped array back as the new ``rows``.
+
     A model subclass calls ``__init__`` first (it validates dt), sets
     ``_half``, the half-step phase rows of ``y[live]``, and then passes
     its losses to ``_set_losses``, which settles the per-row plan of the
@@ -206,12 +210,10 @@ class SplitStepper:
     None`` without one. That array must be fresh on every call: the core
     subtracts the loss from it and overwrites the k's while summing them,
     so it may neither alias ``y`` nor be a buffer the model keeps. Drives
-    are ``_deposits`` (row, DepositPlan). A model may override
-    ``_pack``/``_unpack`` (default: a state with fields ``a`` and ``b``;
-    ``_pack`` must return a new array, which the step mutates, so a step
-    that raises leaves the state as it was) and ``photon_rows`` (the
-    leading rows the divergence report counts as photon fields). Rows
-    outside ``live`` (frozen fields) skip the half steps and the absorber.
+    are ``_deposits`` (row, DepositPlan). A model may set ``photon_rows``
+    (the leading rows the divergence report counts as photon fields).
+    Rows outside ``live`` (frozen fields) skip the half steps and the
+    absorber.
     """
 
     photon_rows = 1
@@ -265,16 +267,6 @@ class SplitStepper:
         for run in _runs(rows[~flat]):
             at = slice(*np.searchsorted(rows, (run.start, run.stop)))
             self._moving.append((run, self._half[at], full[at]))
-
-    def _pack(self, state):
-        a = state.a
-        y = np.empty(a.shape[:-1] + (2, a.shape[-1]), dtype=np.complex128)
-        y[..., 0, :] = a
-        y[..., 1, :] = state.b
-        return y
-
-    def _unpack(self, y, state):
-        state.a, state.b = y[..., 0, :], y[..., 1, :]
 
     def _step_values(self) -> int:
         """Standard normals one Wigner step draws: 2 n per noisy damped
@@ -378,8 +370,8 @@ class SplitStepper:
     def step_inplace(self, state, rng=None, step_index: int = 0, *,
                      open_half: bool = True, close_full: bool = False,
                      noise=None):
-        """One Strang step of ``state``. Axes of its fields in front of
-        (n,) are batch axes, stepped row for row as each row would be
+        """One Strang step of ``state``. Axes of its ``rows`` in front of
+        (rows, n) are batch axes, stepped row for row as each row would be
         alone, for a model whose ``_rhs`` takes them (a coupling-batch
         :class:`Stepper`).
 
@@ -400,7 +392,8 @@ class SplitStepper:
         if draw and rng is None:
             raise ValueError("Wigner sampling requires an rng")
         dt, t, live = self.dt, state.time, self._live
-        y = self._pack(state)
+        # a copy: a step that raises leaves the state as it was
+        y = state.rows.copy()
         if open_half:
             self._free_step(y)
         if self._rhs is None:  # linear decay only
@@ -420,7 +413,7 @@ class SplitStepper:
                                               y[..., p:, :])
 
         self._free_step(y, full=close_full)
-        self._unpack(y, state)
+        state.rows = y
         state.time += dt
         return state
 
@@ -631,7 +624,7 @@ def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
                  dt: float, n_steps: int) -> list:
     """Final states of closed, undriven ``evolve`` runs from one initial
     state under each of ``coupling_sets``, one :meth:`SplitStepper.run`
-    of a state whose fields have shape (B, n), packed to (B, 2, n).
+    of a state whose rows have shape (B, 2, n).
 
     Row i is bit-identical to ``evolve(state, coupling_sets[i], ...)``.
     The sets must share one coupling class (zero, pointwise or
@@ -648,9 +641,8 @@ def evolve_batch(state: FieldState, coupling_sets, dispersions: DispersionPair,
         if error:
             raise ValueError(f"coupling set {i}: {error}")
     stepper = Stepper(state.grid, coupling_sets, dispersions, dt=dt)
-    rows = len(coupling_sets)
-    batch = FieldState(state.grid, np.repeat(state.a[None], rows, axis=0),
-                       np.repeat(state.b[None], rows, axis=0), time=state.time)
+    batch = state.copy()
+    batch.rows = np.repeat(state.rows[None], len(coupling_sets), axis=0)
     final = stepper.run(batch, n_steps).final_state
     return [FieldState(state.grid, a, b, time=final.time)
             for a, b in zip(final.a, final.b)]

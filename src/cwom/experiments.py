@@ -168,8 +168,8 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
 
 COMB_STEPS_PER_PERIOD = 400
 COMB_RECORD_EVERY = 4  # steps per record of the comb's mode spectra
-# the most mode amplitudes a comb run records: each costs about 40 bytes at
-# the run's peak (0.51 MB more per period at 128 points, 1.97 MB at 512)
+# the most mode amplitudes a comb run records: each costs about 20 bytes at
+# the run's peak (0.25 MB more per period at 128 points, 0.98 MB at 512)
 COMB_MAX_AMPLITUDES = 25 * 10 ** 6
 
 
@@ -210,7 +210,7 @@ def comb_problems(n_points: int, q_mode: int, n_orders: int, periods: float) -> 
         problems.append(("periods", f"{periods:.3e} periods of {n_points} points "
                                     f"record {amplitudes:.3e} mode amplitudes, more "
                                     f"than the cap of {COMB_MAX_AMPLITUDES:.1e}, "
-                                    "about 1 GB at the run's peak"))
+                                    "about 0.5 GB at the run's peak"))
     return problems
 
 
@@ -244,20 +244,26 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
     state = FieldState(grid, a0, b0)
     dt = 2.0 * np.pi / Omega0 / COMB_STEPS_PER_PERIOD
     n_steps = int(periods * COMB_STEPS_PER_PERIOD)
+    # analysis window: an integer number of phonon periods at the tail,
+    # the last n_win of the run's records (the initial state's included)
+    n_rec = 1 + -(-n_steps // COMB_RECORD_EVERY)
+    per_rec = COMB_STEPS_PER_PERIOD // COMB_RECORD_EVERY
+    n_win = (n_rec // (2 * per_rec)) * per_rec
+    window = np.empty((n_win, n_points), dtype=complex)  # (time, k)
+    rows = iter(range(n_win - n_rec, n_win))
 
     def observer(st):
-        return np.fft.fft(st.a) / n_points
+        # the window's records go straight into it; earlier ones are dropped
+        row = next(rows)
+        if row >= 0:
+            window[row] = np.fft.fft(st.a) / n_points
 
-    traj = evolve(state, couplings, disp, dt=dt, n_steps=n_steps,
-                  observers={"modes": observer}, record_every=COMB_RECORD_EVERY)
-    t_rec = traj.times
-    dt_rec = t_rec[1] - t_rec[0]
-    # analysis window: an integer number of phonon periods at the tail
-    per_rec = int(round(2 * np.pi / Omega0 / dt_rec))
-    n_win = (len(t_rec) // (2 * per_rec)) * per_rec
-    window = np.asarray(traj.records["modes"][-n_win:])  # (time, k)
-    taper = np.hanning(n_win)[:, None]
-    spect = np.abs(np.fft.fft(window * taper, axis=0)) ** 2
+    times = evolve(state, couplings, disp, dt=dt, n_steps=n_steps,
+                   observers={"modes": observer},
+                   record_every=COMB_RECORD_EVERY).times
+    dt_rec = times[1] - times[0]
+    window *= np.hanning(n_win)[:, None]
+    spect = np.abs(np.fft.fft(window, axis=0)) ** 2
     power_vs_freq = spect.sum(axis=1)
     freqs = -2 * np.pi * np.fft.fftfreq(n_win, d=dt_rec)  # carrier offset
 

@@ -86,15 +86,17 @@ class ArrayConfig:
         return band_structure(self.J, self.dx_lattice, k) - self.omega_frame
 
 
-@dataclass
 class LatticeState:
-    a: np.ndarray
-    b: np.ndarray
-    time: float = 0.0
+    """Site amplitudes a (photons) and b (phonons), stored as the rows of
+    one (2, n) array ``rows`` that the stepper steps; ``a`` and ``b`` are
+    views of its rows. ``copy()`` is deep."""
 
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.complex128)
-        self.b = np.asarray(self.b, dtype=np.complex128)
+    def __init__(self, a, b, time: float = 0.0):
+        self.rows = np.stack((a, b)).astype(np.complex128, copy=False)
+        self.time = time
+
+    a = property(lambda self: self.rows[0], doc="The photon row.")
+    b = property(lambda self: self.rows[1], doc="The phonon row.")
 
     def photon_number(self) -> float:
         return float(np.sum(np.abs(self.a) ** 2))
@@ -103,7 +105,7 @@ class LatticeState:
         return float(np.sum(np.abs(self.b) ** 2))
 
     def copy(self) -> "LatticeState":
-        return LatticeState(self.a.copy(), self.b.copy(), self.time)
+        return LatticeState(self.a, self.b, self.time)
 
 
 class LatticeStepper(SplitStepper):

@@ -23,10 +23,10 @@ are a single-branch feature of the core interaction.
 shape (n_branches + 1, n), branch rows first and the phonon row last.
 Frozen branches are left out of the live rows, so they skip the free
 half steps and the absorber and carry a zero derivative; a step costs 4
-transforms however many branches there are. ``MultiBranchState`` holds
-that stacked array itself (``rows``), with ``fields`` and ``b`` as row
-views for callers, so a step copies it once and hands the result back
-without restacking.
+transforms however many branches there are. Like every state the core
+steps, ``MultiBranchState`` holds that stacked array itself (``rows``),
+with ``fields`` and ``b`` as row views for callers, so a step copies it
+once and hands the result back without restacking.
 
 What one right-hand side evaluation does is settled in the stepper's
 constructor: the kept channels become a term table whose first term per
@@ -107,15 +107,8 @@ class MultiBranchState:
         self.rows = np.stack(fields + [b])
         self.time = time
 
-    @property
-    def fields(self) -> tuple:
-        """The branch rows, in order."""
-        return tuple(self.rows[:-1])
-
-    @property
-    def b(self) -> np.ndarray:
-        """The phonon row."""
-        return self.rows[-1]
+    fields = property(lambda self: tuple(self.rows[:-1]), doc="The branch rows.")
+    b = property(lambda self: self.rows[-1], doc="The phonon row.")
 
     @staticmethod
     def vacuum(grid: Grid1D, n_branches: int) -> "MultiBranchState":
@@ -229,12 +222,6 @@ class MultiBranchStepper(SplitStepper):
             (j, DepositPlan(system.grid, b.dispersion, b.drive, b.frame_omega,
                             dt))
             for j, b in enumerate(branches) if b.drive is not None]
-
-    def _pack(self, state: MultiBranchState):
-        return state.rows.copy()
-
-    def _unpack(self, y, state: MultiBranchState):
-        state.rows = y
 
     def _settle_rhs(self, system: MultiBranchSystem):
         """What each right-hand side evaluation does, settled once.

@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import struct
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +212,21 @@ class TestSnapshotFormat:
         assert np.array_equal(a2, a)
         assert np.array_equal(b2, b)
         assert dx == 0.125
+
+    def test_round_trip_keeps_every_byte(self, tmp_path):
+        # infinities, NaNs and signed zeros in either part come back as
+        # stored, bit for bit
+        a = np.array([complex(1.0, np.inf), complex(2.0, np.nan),
+                      complex(-0.0, -0.0), complex(np.inf, -0.0)])
+        b = np.array([complex(np.nan, 3.0), complex(-np.inf, np.inf),
+                      complex(0.0, -0.0), 1e-310 - 5e300j])
+        path = tmp_path / "special.snap"
+        write_snapshot(path, a, b, dx=0.5)
+        a2, b2, _ = read_snapshot(path)
+        assert a2.tobytes() == a.tobytes()
+        assert b2.tobytes() == b.tobytes()
+        write_snapshot(tmp_path / "again.snap", a2, b2, dx=0.5)
+        assert (tmp_path / "again.snap").read_bytes() == path.read_bytes()
 
     def test_exact_binary_layout(self, tmp_path):
         # layout is a frozen contract for cross-language readers
@@ -419,6 +436,38 @@ points = 201
         for name in ("observables.csv", "final_state.snap", "report.json"):
             assert (outs[3] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert read_report(outs[3])["trajectories"] == 3
+
+    def test_workers_take_indices_as_they_free_up(self, tmp_path, monkeypatch):
+        # six trajectories on two workers: at most PENDING_PER_WORKER tasks
+        # per worker are queued at once, and the sums keep the serial bytes
+        pending, most, lock = set(), [0], threading.Lock()
+        submit = ProcessPoolExecutor.submit
+
+        def settle(future):
+            with lock:
+                pending.discard(future)
+
+        def counting_submit(pool, fn, *args, **kwargs):
+            future = submit(pool, fn, *args, **kwargs)
+            with lock:
+                pending.add(future)
+                most[0] = max(most[0], len(pending))
+            future.add_done_callback(settle)
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("sampling = none", "sampling = wigner"))
+        outs = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(scenarios, "_usable_cpus", lambda: cpus)
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            assert main(["run", "--config", str(cfg), "--output", str(outs[cpus]),
+                         "--trajectories", "6"]) == 0
+            assert multiprocessing.active_children() == []
+        assert 1 <= most[0] <= 2 * scenarios.PENDING_PER_WORKER < 6
+        for name in ("observables.csv", "final_state.snap", "report.json"):
+            assert (outs[2] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -818,10 +867,10 @@ class TestCliRangeChecks:
          "[couplings] sector: 'mixed' is not one of even, odd"),
         ("comb", "[comb]\nperiods = 200000",
          "[comb] periods: 2.000e+05 periods of 128 points record 2.560e+09 mode "
-         "amplitudes, more than the cap of 2.5e+07, about 1 GB at the run's peak"),
+         "amplitudes, more than the cap of 2.5e+07, about 0.5 GB at the run's peak"),
         ("comb", "[comb]\nperiods = 1954",
          "[comb] periods: 1.954e+03 periods of 128 points record 2.501e+07 mode "
-         "amplitudes, more than the cap of 2.5e+07, about 1 GB at the run's peak"),
+         "amplitudes, more than the cap of 2.5e+07, about 0.5 GB at the run's peak"),
         ("custom", "[integration]\nt_total = 1.9e6 s\nrecord_every = 1",
          "[integration] t_total, record_every: 95000000 steps recorded every 1 "
          "keep 95000001 records, more than the cap of 1e+06, about 0.5 GB at "

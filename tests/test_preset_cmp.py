@@ -44,3 +44,32 @@ def test_timing_json_is_not_compared(tmp_path):
     write(tmp_path / "change", {"comb/timing.json": b'{"wall_time_s": 2.0}\n',
                                 "custom/timing.json": b"{}\n"})
     assert preset_cmp.compare_trees(tmp_path / "parent", tmp_path / "change") == []
+
+
+def test_wall_times_read_both_sides_timing_json(tmp_path):
+    write(tmp_path / "parent", {"comb/timing.json": b'{"wall_time_s": 1.5}\n',
+                                "comb/report.json": b"{}\n",
+                                "custom/timing.json": b'{"wall_time_s": 0.25}\n'})
+    write(tmp_path / "change", {"comb/timing.json": b'{"wall_time_s": 1.25}\n',
+                                "swap/report.json": b"{}\n"})
+    assert preset_cmp.wall_times(tmp_path / "parent", tmp_path / "change") == [
+        ("comb", 1.5, 1.25), ("custom", 0.25, None), ("swap", None, None)]
+
+
+def test_wall_times_print_one_line_per_preset(tmp_path, monkeypatch, capsys):
+    # the runs are stubbed: each writes a report and its side's wall time
+    def fake_run(checkout, scenario, out):
+        seconds = 2.0 if checkout.name == "parent" else 1.0
+        write(out, {"report.json": b"{}\n",
+                    "timing.json": f'{{"wall_time_s": {seconds}}}'.encode()})
+        return 0
+
+    monkeypatch.setattr(preset_cmp, "run_preset", fake_run)
+    work = tmp_path / "work"
+    assert preset_cmp.main(["--parent", str(tmp_path / "parent"), "--change",
+                            str(tmp_path / "change"), "--work", str(work)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("time")]
+    assert len(lines) == len(preset_cmp.PRESETS)
+    assert lines[0].split() == ["time", "array_convergence", "parent", "2.000", "s",
+                                "change", "1.000", "s"]

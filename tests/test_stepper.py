@@ -462,7 +462,7 @@ class TestDivergenceReport:
         # velocity, so the photon band is linear)
         disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(0.0))
         stepper = Stepper(grid64, CouplingSet(), disp,
-                          drive=EndfireDrive(alpha_in=lambda t: np.nan), dt=1e-2)
+                          drive=EndfireDrive(alpha_in=complex("nan")), dt=1e-2)
         state = FieldState(grid64, np.full(64, 2.0 + 0j), np.full(64, 0.5 + 0j))
         with pytest.raises(DivergenceError) as err:
             stepper.step_inplace(state)
@@ -487,16 +487,40 @@ class TestStepStateSemantics:
         a = np.full(128, 1.0 + 0j)
         a[5] = np.nan
         state = FieldState(grid, a, np.full(128, 0.5 + 0j), time=2.0)
-        arrays = (state.a, state.b)
-        before = [x.tobytes() for x in arrays]
+        rows = state.rows
+        before = [x.tobytes() for x in (state.a, state.b)]
         stepper = Stepper(grid, CouplingSet.even(g_ppp=0.2, g_mmp=0.01), disp,
                           drive=EndfireDrive(alpha_in=0.5, inlet_cell=8),
                           absorber=make_absorber(grid, speed=1.0), dt=1e-3)
         with pytest.raises(DivergenceError):
             stepper.step_inplace(state, step_index=3)
-        assert state.a is arrays[0] and state.b is arrays[1]
+        assert state.rows is rows
         assert [x.tobytes() for x in (state.a, state.b)] == before
         assert state.time == 2.0
+
+    def test_every_state_holds_the_rows_its_model_steps(self):
+        # a FieldState's fields are views of one (..., 2, n) array and a
+        # LatticeState's of one (2, n) array; the stepper hands rows back
+        from cwom.lattice import ArrayConfig, LatticeState, LatticeStepper
+
+        grid = Grid1D(16, 1.0)
+        state = FieldState(grid, np.ones(16), np.full(16, 0.5j), time=0.5)
+        assert state.rows.shape == (2, 16)
+        disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(2.0))
+        Stepper(grid, CouplingSet.simple(0.1), disp, dt=1e-2).step_inplace(state)
+        twin = state.copy()
+        assert not np.shares_memory(twin.rows, state.rows) and twin.time == state.time
+        lattice = LatticeState(np.ones(16), np.zeros(16))
+        LatticeStepper(ArrayConfig(n_sites=16, dx_lattice=1.0, J={1: 0.4},
+                                   g0_site=0.1), 1e-2).step_inplace(lattice)
+        for st in (state, twin, lattice, lattice.copy()):
+            assert st.rows.shape == (2, 16)
+            for row, field in zip(st.rows, (st.a, st.b)):
+                assert np.shares_memory(field, st.rows)
+                assert np.array_equal(field, row)
+        batch = FieldState(grid, np.ones((3, 16)), np.zeros((3, 16)))
+        assert batch.rows.shape == (3, 2, 16)
+        assert np.shares_memory(batch.a, batch.rows) and batch.a.shape == (3, 16)
 
 
 class CountingRng:

@@ -8,12 +8,15 @@ checkouts, with cwom imported from each checkout's ``src``, into
 or new; it defaults to a new temporary directory. Then it compares every
 artifact the two sides wrote byte for byte, except ``timing.json`` (the
 run's wall time), and prints ``same`` or ``DIFF`` per file. A file only
-one side wrote is a ``DIFF``. It exits 1 if any file differs or any run
-failed, else 0. Both checkouts together take about 17 s on a 2-vCPU VM;
-it is not part of the test suite.
+one side wrote is a ``DIFF``. Last it prints each preset's ``wall_time_s``
+from both sides' ``timing.json`` (one run each, so a timing, not a
+benchmark). It exits 1 if any file differs or any run failed, else 0.
+Both checkouts together take about 17 s on a 2-vCPU VM; it is not part
+of the test suite.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +38,22 @@ def compare_trees(parent: Path, change: Path) -> list:
     return [(rel, "same" if (parent / rel).is_file() and (change / rel).is_file()
              and (parent / rel).read_bytes() == (change / rel).read_bytes()
              else "DIFF") for rel in files]
+
+
+def wall_times(parent: Path, change: Path) -> list:
+    """(preset, parent seconds, change seconds) for every preset directory
+    under ``parent`` or ``change``, sorted by name, from its
+    ``timing.json``'s ``wall_time_s``; None for a side without one."""
+    def seconds(root, name):
+        path = root / name / "timing.json"
+        return json.loads(path.read_text())["wall_time_s"] if path.is_file() else None
+    names = sorted({path.name for root in (parent, change) if root.is_dir()
+                    for path in root.iterdir() if path.is_dir()})
+    return [(name, seconds(parent, name), seconds(change, name)) for name in names]
+
+
+def format_seconds(value) -> str:
+    return "-" if value is None else f"{value:.3f} s"
 
 
 def run_preset(checkout: Path, scenario: str, out: Path) -> int:
@@ -68,6 +87,9 @@ def main(argv=None) -> int:
     verdicts = compare_trees(work / "parent", work / "change")
     for rel, verdict in verdicts:
         print(f"{verdict:4}  {rel}")
+    for name, parent_s, change_s in wall_times(work / "parent", work / "change"):
+        print(f"time  {name:18} parent {format_seconds(parent_s):>9}  "
+              f"change {format_seconds(change_s):>9}")
     print(f"artifacts in {work}")
     return 1 if failed or any(v != "same" for _, v in verdicts) else 0
 
