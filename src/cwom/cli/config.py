@@ -82,7 +82,8 @@ SCHEMA = {
              "n_points": ("int", "1", "absorbed_grid"),
              "seed": ("float", "s^(-1/2)", "nonzero"),
              "decay_lengths": ("float", "1", "positive")},
-    # q_mode, orders and periods also meet experiments.comb_problems
+    # q_mode, orders, periods and the comb's dt also meet
+    # experiments.comb_problems
     "comb": {"n_points": ("int", "1", "power_of_two"), "dx": ("float", "m", "positive"),
              "velocity": ("float", "m/s", "any"),
              "omega0": ("float", "rad/s", "positive"),

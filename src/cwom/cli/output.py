@@ -11,6 +11,7 @@ Snapshot layout (little-endian, fixed for cross-language readers):
 """
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -75,15 +76,27 @@ def read_snapshot(path):
             pairs[n_points:].astype(np.complex128), dx)
 
 
-def write_json_report(path, payload: dict):
-    def default(obj):
-        if isinstance(obj, complex):
-            return {"re": obj.real, "im": obj.imag}
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        raise TypeError(f"not JSON-serializable: {type(obj)}")
+def _json_value(obj):
+    """``obj`` as plain JSON values: a complex as {"re", "im"}, an array as
+    a list, a numpy scalar as its Python value, and a float that is not
+    finite, which JSON has no number for (RFC 8259), as None (null)."""
+    if isinstance(obj, dict):
+        return {key: _json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(value) for value in obj]
+    if isinstance(obj, np.ndarray):
+        return _json_value(obj.tolist())
+    if isinstance(obj, complex):
+        return {"re": _json_value(obj.real), "im": _json_value(obj.imag)}
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                     default=default) + "\n")
+
+def write_json_report(path, payload: dict):
+    """``payload`` as indented JSON with sorted keys; a float that is not
+    finite is written as null, so the file is strict JSON."""
+    Path(path).write_text(json.dumps(_json_value(payload), indent=2,
+                                     sort_keys=True, allow_nan=False) + "\n")

@@ -37,7 +37,8 @@ from ..dynamics.stepper import (DispersionPair, Stepper, make_energy_observer,
 from ..experiments import (MAX_STEPS, array_convergence_study, comb_problems,
                            convergence_study_problems, net_gain_slope,
                            run_forward_comb, run_swap_profile,
-                           run_two_branch_gain)
+                           run_two_branch_gain, swap_profile_plan,
+                           two_branch_gain_plan)
 from ..strongcoupling import sweep_coupling, thresholds
 from .config import ConfigError, ScenarioConfig, serialize_config
 from .output import write_csv, write_json_report, write_snapshot
@@ -222,22 +223,25 @@ def _run_regime_sweep(p: dict, out: Path) -> dict:
 
 
 def _gain_inputs(config: ScenarioConfig) -> dict:
-    """``[gain]``, unless its signal would not grow."""
+    """The gain run's keyword arguments from ``[gain]``, unless its signal
+    would not grow or its run would take more than ``MAX_STEPS`` steps."""
     p = config.section("gain")
+    inputs = dict(
+        g0_12=p["g0_12"], v1=p["v1"], v2=p["v2"], vb=p["vb"], Gamma=p["Gamma"],
+        kappa2=p["kappa2"], omega1=p["omega1"], pump_power_W=p["pump_power"],
+        seed_power_ratio=p["seed_ratio"], n_points=int(p["n_points"]),
+        target_efolds=p["efolds"], direction=int(p["direction"]))
     try:
         net_gain_slope(p["g0_12"], p["v1"], p["v2"], p["Gamma"], p["kappa2"],
                        p["omega1"], p["pump_power"])
     except ValueError as err:
         raise ConfigError([f"[gain] g0_12, kappa2: {err}"]) from err
-    return p
+    _build("gain", two_branch_gain_plan, **inputs)
+    return inputs
 
 
-def _run_backward_gain(p: dict, out: Path) -> dict:
-    result = run_two_branch_gain(
-        g0_12=p["g0_12"], v1=p["v1"], v2=p["v2"], vb=p["vb"], Gamma=p["Gamma"],
-        kappa2=p["kappa2"], omega1=p["omega1"], pump_power_W=p["pump_power"],
-        seed_power_ratio=p["seed_ratio"], n_points=int(p["n_points"]),
-        target_efolds=p["efolds"], direction=int(p.get("direction", -1)))
+def _run_backward_gain(inputs: dict, out: Path) -> dict:
+    result = run_two_branch_gain(**inputs)
     write_csv(out / "gain_profile.csv", [
         ("x", "m", result.x),
         ("P1", "W", result.P1),
@@ -259,19 +263,21 @@ def _run_backward_gain(p: dict, out: Path) -> dict:
 
 
 def _swap_inputs(config: ScenarioConfig) -> dict:
-    """``[swap]``, unless both decay rates, whose mean spans it, are zero."""
+    """The swap run's keyword arguments from ``[swap]``, unless both decay
+    rates, whose mean spans it, are zero or its run would take more than
+    ``MAX_STEPS`` steps."""
     p = config.section("swap")
     if p["gamma2"] + p["gamma_b"] == 0:
         raise ConfigError(["[swap] gamma2, gamma_b: must not both be zero"])
-    return p
+    inputs = dict(g12=p["g12"], v2=p["v2"], vb=p["vb"], gamma2=p["gamma2"],
+                  gamma_b=p["gamma_b"], n_points=int(p["n_points"]),
+                  seed_amplitude=p["seed"], span_decay_lengths=p["decay_lengths"])
+    _build("swap", swap_profile_plan, **inputs)
+    return inputs
 
 
-def _run_intermodal_swap(p: dict, out: Path) -> dict:
-    result = run_swap_profile(g12=p["g12"], v2=p["v2"], vb=p["vb"],
-                              gamma2=p["gamma2"], gamma_b=p["gamma_b"],
-                              n_points=int(p["n_points"]),
-                              seed_amplitude=p["seed"],
-                              span_decay_lengths=p["decay_lengths"])
+def _run_intermodal_swap(inputs: dict, out: Path) -> dict:
+    result = run_swap_profile(**inputs)
     write_csv(out / "swap_profile.csv", [
         ("x", "m", result.x),
         ("a2", "m^(-1/2)", result.a2),
@@ -288,19 +294,19 @@ def _run_intermodal_swap(p: dict, out: Path) -> dict:
 
 
 def _comb_inputs(config: ScenarioConfig) -> dict:
-    """``[comb]``, unless :func:`comb_problems` refuses it."""
+    """The comb run's keyword arguments from ``[comb]``, unless
+    :func:`comb_problems` refuses them."""
     p = config.section("comb")
-    _refuse("comb", comb_problems(p["n_points"], p["q_mode"], p["orders"],
-                                  p["periods"]))
-    return p
+    inputs = dict(n_points=int(p["n_points"]), dx=p["dx"], v=p["velocity"],
+                  Omega0=p["omega0"], g0=p["g0"], pump=p["pump"],
+                  seed_b=p["seed_b"], q_mode=int(p["q_mode"]),
+                  n_orders=int(p["orders"]), periods=p["periods"])
+    _refuse("comb", comb_problems(**inputs))
+    return inputs
 
 
-def _run_comb(p: dict, out: Path) -> dict:
-    result = run_forward_comb(
-        n_points=int(p["n_points"]), dx=p["dx"], v=p["velocity"],
-        Omega0=p["omega0"], g0=p["g0"], pump=p["pump"], seed_b=p["seed_b"],
-        q_mode=int(p["q_mode"]), n_orders=int(p["orders"]),
-        periods=p["periods"])
+def _run_comb(inputs: dict, out: Path) -> dict:
+    result = run_forward_comb(**inputs)
     orders = result.orders
     write_csv(out / "comb_sidebands.csv", [
         ("order", "1", orders),
@@ -320,7 +326,8 @@ def _run_comb(p: dict, out: Path) -> dict:
 
 
 # the config key of a run's argument, where the two differ
-_KEYS = {"D2": "curvature", "T": "t_total", "n_orders": "orders"}
+_KEYS = {"D2": "curvature", "T": "t_total", "n_orders": "orders",
+         "Omega0": "omega0"}
 
 
 def _refuse(section: str, problems) -> None:

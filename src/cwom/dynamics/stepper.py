@@ -37,10 +37,15 @@ whole steps in the last bits only.
 :class:`SplitStepper` runs this step on one stacked complex array of shape
 (rows, n), and the RK4 substep is whole-array arithmetic on the
 right-hand side a model fills row by row. Every state holds that array
-itself, as ``rows`` (its fields are views of the rows), and a step
-copies it once and hands the result back: the waveguide model
+itself, as ``rows`` (its fields are views of the rows), and a step hands
+the stepped array back as the new ``rows``: the waveguide model
 :class:`Stepper` steps a ``FieldState``'s (a, b) rows, and its siblings
-(``multibranch``, ``lattice``) step their own states' rows.
+(``multibranch``, ``lattice``) step their own states' rows. A step that
+opens with its own half step copies ``rows`` first, as the half step
+writes in place; a merged step (every step of a run between two seams)
+does not copy, because its middle substep only reads ``rows`` and
+returns a fresh array, which the rest of the step writes. Either way a
+step that raises leaves the state as it was.
 
 What the linear parts of a step cost is settled at construction, per
 row, from the half-step phase rows a model builds and from its loss
@@ -84,6 +89,13 @@ commutative where the loops use FMA, so an in-place rewrite must keep
 each product's operand order (``np.multiply(phase, f, out=f)``, never
 ``f *= phase``).
 
+The step itself is a straight line over what construction settled: the
+free-step plan above, the substep (the RK4, or the column product
+without an interaction), the noise rows and deposits, and the absorber,
+one in-place product ``y * decay`` when every row is live and an indexed
+product that leaves frozen multi-branch rows alone otherwise. A state
+without batch axes is indexed by row alone.
+
 What one RK4 stage costs is settled at construction too: the loss as
 complex columns of 0.5 * rate (no cast per call), and in
 :class:`Stepper` the coupling constants as the term table of the fused
@@ -108,7 +120,9 @@ Generator fills an array in stream order (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11), so K steps drawn at once
 are the numbers, and the bytes, of K steps drawn one by one, and a run
 leaves its Generator where the steps one by one would. A step called on
-its own, or in a run where K would be under 2, draws after its RK4.
+its own, or in a run where K would be under 2, draws after its RK4; when
+its only noise is the inlets' vacuum, it takes each inlet's pair as two
+scalar normals, the same stream without an array.
 
 Batch axis. :meth:`SplitStepper.step_inplace` steps ``rows`` of shape
 (..., rows, n); the leading axes are batch rows, each stepped exactly as
@@ -199,17 +213,21 @@ class SplitStepper:
     """Strang step over a stacked complex state ``y`` of shape (rows, n).
 
     A state holds ``y`` itself, as its ``rows`` array, and its ``time``; a
-    step copies ``rows`` (so a step that raises leaves the state as it
-    was) and hands the stepped array back as the new ``rows``.
+    step hands the stepped array back as the new ``rows``. A step that
+    opens with a half step copies ``rows`` first; a merged step reads it
+    and writes only fresh arrays. So a step that raises leaves the state
+    as it was.
 
     A model subclass calls ``__init__`` first (it validates dt), sets
     ``_half``, the half-step phase rows of ``y[live]``, and then passes
     its losses to ``_set_losses``, which settles the per-row plan of the
     linear parts of the step from both. It supplies only ``_rhs(y, t)``,
     the interaction of every row as one (rows, n) array, or ``_rhs =
-    None`` without one. That array must be fresh on every call: the core
-    subtracts the loss from it and overwrites the k's while summing them,
-    so it may neither alias ``y`` nor be a buffer the model keeps. Drives
+    None`` without one. ``_rhs`` only reads ``y``, which in a merged step
+    is the state's own ``rows``. Its array must be fresh on every call:
+    the core subtracts the loss from it and overwrites the k's while
+    summing them, so it may neither alias ``y`` nor be a buffer the model
+    keeps. Drives
     are ``_deposits`` (row, DepositPlan). A model may set ``photon_rows``
     (the leading rows the divergence report counts as photon fields).
     Rows outside ``live`` (frozen fields) skip the half steps and the
@@ -230,6 +248,9 @@ class SplitStepper:
         # complex, so the decay product skips a per-step cast of the factors
         self._decay = (absorber.decay_factors(dt).astype(np.complex128)
                        if absorber is not None else None)
+        # every row live: the absorber is one in-place product of the rows
+        self._decay_all = (self._decay is not None and isinstance(live, slice)
+                           and live == slice(None))
 
     def _set_losses(self, losses, dx: float):
         """One (rate, occupation) per stacked row, on cells of width ``dx``:
@@ -282,13 +303,8 @@ class SplitStepper:
 
         The normals are one (k, m) draw, a step per row laid out as the
         step draws them alone. A draw of (k, m) is the stream of k draws
-        of m, so a block rounds and ends where k single steps would. A
-        single step without a noisy row takes its pairs from two scalar
-        calls each: the same stream, cheaper than an array.
+        of m, so a block rounds and ends where k single steps would.
         """
-        if k == 1 and not self._noise:
-            return [((), [(rng.standard_normal(), rng.standard_normal())
-                          for _ in self._deposits])]
         n, n_rows = self._half.shape[-1], len(self._noise)
         normals = rng.standard_normal((k, self._step_values()))
         rows = normals[:, :2 * n * n_rows].reshape(k, n_rows, 2, n)
@@ -319,25 +335,34 @@ class SplitStepper:
             return
         fields, pairs = noise
         for (row, _, _), field in zip(self._noise, fields):
-            y[row] += field
+            values = y[row]
+            values += field
         for (row, plan), pair in zip(self._deposits, pairs):
             plan.apply(y[row], t, pair)
 
     def _free_step(self, y, full: bool = False):
         """Free evolution of the live rows of ``y`` in place, by the settled
         half-step phases, or by their squares (a full step) when ``full``."""
-        for row, half, whole in self._scalar_phases:
-            values = y[..., row, :]
-            np.multiply(whole if full else half, values, out=values)
-        for run, half, whole in self._moving:
-            rows = y[..., run, :]
-            apply_phase(rows, whole if full else half, out=rows)
+        flat = y.ndim == 2  # no batch axes: a row is one index
+        if self._scalar_phases:
+            for row, half, whole in self._scalar_phases:
+                values = y[row] if flat else y[..., row, :]
+                np.multiply(whole if full else half, values, out=values)
+        if self._moving:
+            for run, half, whole in self._moving:
+                rows = y[run] if flat else y[..., run, :]
+                apply_phase(rows, whole if full else half, out=rows)
 
     def _derivative(self, y, t):
         """Interaction - loss of ``y`` at ``t``, a fresh array."""
         dy = self._rhs(y, t)
+        flat = y.ndim == 2
         for rows, half_rates in self._loss_runs:
-            dy[..., rows, :] -= half_rates * y[..., rows, :]
+            if flat:
+                lost, values = dy[rows], y[rows]
+            else:
+                lost, values = dy[..., rows, :], y[..., rows, :]
+            lost -= half_rates * values
         return dy
 
     def _rk4(self, y, t):
@@ -386,35 +411,48 @@ class SplitStepper:
         ``noise`` is this step's item of a block that :meth:`run` drew
         ahead. Without it, a step with Wigner sampling draws its own from
         ``rng`` after its RK4, as a block of one step: the same stream and
-        bytes.
+        bytes. A step whose only noise is its inlets' vacuum draws each
+        inlet's pair as two scalar normals, which is the same stream too.
         """
-        draw = self._wigner and noise is None
+        t = state.time
+        draw = noise is None and self._wigner
         if draw and rng is None:
             raise ValueError("Wigner sampling requires an rng")
-        dt, t, live = self.dt, state.time, self._live
-        # a copy: a step that raises leaves the state as it was
-        y = state.rows.copy()
         if open_half:
+            # a copy, which the half step writes: a step that raises leaves
+            # the state as it was
+            y = state.rows.copy()
             self._free_step(y)
+        else:
+            # no copy: the middle substep only reads the state's rows and
+            # returns a fresh array, which the rest of the step writes
+            y = state.rows
         if self._rhs is None:  # linear decay only
             y = np.multiply(self._uncoupled, y)  # fresh, as the RK4's result
         else:
             y = self._rk4(y, t)
-        if draw:
-            noise = self._draw(rng, 1)[0]
-        self._kick(y, t, noise)
-        if self._decay is not None:
-            y[..., live, :] *= self._decay
+        if not draw:
+            self._kick(y, t, noise)
+        elif self._noise:
+            self._kick(y, t, self._draw(rng, 1)[0])
+        else:
+            for row, plan in self._deposits:
+                plan.apply(y[row], t, (rng.standard_normal(), rng.standard_normal()))
+        if self._decay_all:
+            np.multiply(y, self._decay, out=y)
+        elif self._decay is not None:  # frozen rows keep their values
+            y[..., self._live, :] *= self._decay
 
-        # the float64 view checks the same entries in one faster pass
-        if not np.isfinite(y.view(np.float64)).all():
+        # the float64 view checks the same entries in one faster pass, and
+        # the reduce skips the Python layer of ndarray.all
+        if not np.logical_and.reduce(np.isfinite(y.view(np.float64)), axis=None):
             p = self.photon_rows
             raise DivergenceError.from_fields(step_index, t, y[..., :p, :],
                                               y[..., p:, :])
 
         self._free_step(y, full=close_full)
         state.rows = y
-        state.time += dt
+        state.time = t + self.dt
         return state
 
     def run(self, state, n_steps: int, observers: dict = None,
@@ -452,14 +490,16 @@ class SplitStepper:
         if n_steps and self._wigner and rng is None:
             raise ValueError("Wigner sampling requires an rng")
         observers = observers or {}
+        observed = bool(observers)
+        final = n_steps - 1
         work = state.copy()
         times = [work.time]
         records = {name: [obs(work)] for name, obs in observers.items()}
         whole = True  # the state is at a whole step
         for i, noise in zip(range(n_steps), self._noise_steps(rng, n_steps)):
-            last = i == n_steps - 1
+            last = i == final
             record = (i + 1) % record_every == 0 or last
-            seam = last or (record and bool(observers))  # read after this step
+            seam = last or (record and observed)  # read after this step
             self.step_inplace(work, rng=rng, step_index=i, open_half=whole,
                               close_full=not seam, noise=noise)
             whole = seam

@@ -78,22 +78,25 @@ def net_gain_slope(g0_12: float, v1: float, v2: float, Gamma: float,
     return slope
 
 
-def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
-                        Gamma: float, kappa2: float, omega1: float,
-                        pump_power_W: float, seed_power_ratio: float = 1e-10,
-                        n_points: int = 256, target_efolds: float = 6.0,
-                        direction: int = +1) -> GainRunResult:
-    """Stimulated amplification of a weak seed by a strong co/counter pump.
+def _capped_steps(steps: float, dt: float) -> int:
+    """A run's whole step count ``steps`` (a float) as an int; raises
+    ``ValueError`` when it is more than ``MAX_STEPS`` (or not a number)."""
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"the run takes {steps:.3e} steps of dt = {dt:.3e} s, "
+                         f"more than the cap of {MAX_STEPS:.0e} steps")
+    return int(steps)
 
-    The domain length is sized so the expected power slope accumulates
-    ``target_efolds`` over the fit window. Powers are measured in-domain
-    (P = hbar omega v |a|^2), so the comparison with the closed-form gain
-    does not depend on the injection normalization.
-    """
-    flux1 = pump_power_W / (HBAR * omega1)
-    alpha1_in = np.sqrt(flux1)
-    G_B = brillouin_gain(g0_12, v1, v2, Gamma, omega1)
-    gamma2 = kappa2 / v2
+
+def two_branch_gain_plan(g0_12: float, v1: float, v2: float, vb: float,
+                         Gamma: float, kappa2: float, omega1: float,
+                         pump_power_W: float, seed_power_ratio: float = 1e-10,
+                         n_points: int = 256, target_efolds: float = 6.0,
+                         direction: int = +1) -> tuple:
+    """The system, dt and step count of :func:`run_two_branch_gain` with
+    these arguments. Raises ``ValueError`` where the run would: a signal
+    that does not grow, a bad ``direction``, or more than ``MAX_STEPS``
+    steps."""
+    alpha1_in = np.sqrt(pump_power_W / (HBAR * omega1))
     slope_pred_nominal = net_gain_slope(g0_12, v1, v2, Gamma, kappa2, omega1,
                                         pump_power_W)
     length = target_efolds / (0.6 * slope_pred_nominal)
@@ -127,10 +130,32 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
     # not just a few transit times.
     settle = (N_TRANSITS * grid.length / min(v1, v2)
               + (6.0 * target_efolds + 8.0) / Gamma)
+    return system, dt, _capped_steps(np.ceil(settle / dt), dt)
+
+
+def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
+                        Gamma: float, kappa2: float, omega1: float,
+                        pump_power_W: float, seed_power_ratio: float = 1e-10,
+                        n_points: int = 256, target_efolds: float = 6.0,
+                        direction: int = +1) -> GainRunResult:
+    """Stimulated amplification of a weak seed by a strong co/counter pump.
+
+    The domain length is sized so the expected power slope accumulates
+    ``target_efolds`` over the fit window. Powers are measured in-domain
+    (P = hbar omega v |a|^2), so the comparison with the closed-form gain
+    does not depend on the injection normalization.
+    """
+    system, dt, n_steps = two_branch_gain_plan(
+        g0_12, v1, v2, vb, Gamma, kappa2, omega1, pump_power_W,
+        seed_power_ratio, n_points, target_efolds, direction)
+    grid = system.grid
+    G_B = brillouin_gain(g0_12, v1, v2, Gamma, omega1)
+    gamma2 = kappa2 / v2
     state = MultiBranchStepper(system, dt).run(
-        MultiBranchState.vacuum(grid, 2), int(np.ceil(settle / dt))).final_state
+        MultiBranchState.vacuum(grid, 2), n_steps).final_state
 
     x = grid.x_axis
+    Omega_sym = system.phonon.frame_omega
     omega2 = omega1 - Omega_sym
     P1 = HBAR * omega1 * v1 * np.abs(state.fields[0]) ** 2
     P2 = HBAR * omega2 * v2 * np.abs(state.fields[1]) ** 2
@@ -184,9 +209,27 @@ class CombResult:
     Omega0: float
 
 
-def comb_problems(n_points: int, q_mode: int, n_orders: int, periods: float) -> list:
-    """(argument, message) for each input :func:`run_forward_comb` refuses;
-    empty when it takes them all."""
+def _comb_start(n_points: int, dx: float, v: float, Omega0: float, g0: float,
+                pump: float, seed_b: float, q_mode: int) -> tuple:
+    """The initial state, couplings, bands and dt of a comb run."""
+    grid = Grid1D(n_points, dx)
+    q = q_mode * grid.dk
+    couplings = CouplingSet.simple(g0)
+    disp = DispersionPair(DispersionSpec.linear(v), DispersionSpec.flat(Omega0))
+    a0 = np.full(n_points, pump, dtype=complex)
+    # seeded grating plus the adiabatic static displacement of the pump
+    b0 = seed_b * np.exp(1j * q * grid.x_axis) + g0 * pump ** 2 / Omega0
+    dt = 2.0 * np.pi / Omega0 / COMB_STEPS_PER_PERIOD
+    return FieldState(grid, a0, b0), couplings, disp, dt
+
+
+def comb_problems(n_points: int, dx: float, v: float, Omega0: float, g0: float,
+                  pump: float, seed_b: float, q_mode: int, n_orders: int,
+                  periods: float) -> list:
+    """(argument, message) for each input :func:`run_forward_comb` (which
+    takes the same arguments) refuses; empty when it takes them all. Its
+    dt, 1 / ``COMB_STEPS_PER_PERIOD`` of a phonon period, must meet the
+    stability bound of its initial state, which ``evolve`` checks."""
     problems = []
     if not 1 <= abs(q_mode) < n_points / 2:
         # mode 0 is a uniform offset, n_points / 2 the Nyquist mode, above it aliases
@@ -211,6 +254,13 @@ def comb_problems(n_points: int, q_mode: int, n_orders: int, periods: float) -> 
                                     f"record {amplitudes:.3e} mode amplitudes, more "
                                     f"than the cap of {COMB_MAX_AMPLITUDES:.1e}, "
                                     "about 0.5 GB at the run's peak"))
+    state, couplings, disp, dt = _comb_start(n_points, dx, v, Omega0, g0, pump,
+                                             seed_b, q_mode)
+    bound = stability_bound(state, couplings, disp, BathSpec())
+    if dt > bound:
+        problems.append(("Omega0", f"dt = {dt:.3e} s, 1/{COMB_STEPS_PER_PERIOD} of "
+                                   f"a phonon period, exceeds the stability bound "
+                                   f"{bound:.3e} s of the initial state"))
     return problems
 
 
@@ -231,18 +281,12 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
     ``COMB_STEPS_PER_PERIOD`` steps each; :func:`comb_problems` names the
     inputs it refuses with ``ValueError``.
     """
-    problems = comb_problems(n_points, q_mode, n_orders, periods)
+    problems = comb_problems(n_points, dx, v, Omega0, g0, pump, seed_b, q_mode,
+                             n_orders, periods)
     if problems:
         raise ValueError("; ".join(f"{arg} {message}" for arg, message in problems))
-    grid = Grid1D(n_points, dx)
-    q = q_mode * grid.dk
-    couplings = CouplingSet.simple(g0)
-    disp = DispersionPair(DispersionSpec.linear(v), DispersionSpec.flat(Omega0))
-    a0 = np.full(n_points, pump, dtype=complex)
-    # seeded grating plus the adiabatic static displacement of the pump
-    b0 = seed_b * np.exp(1j * q * grid.x_axis) + g0 * pump ** 2 / Omega0
-    state = FieldState(grid, a0, b0)
-    dt = 2.0 * np.pi / Omega0 / COMB_STEPS_PER_PERIOD
+    state, couplings, disp, dt = _comb_start(n_points, dx, v, Omega0, g0, pump,
+                                             seed_b, q_mode)
     n_steps = int(periods * COMB_STEPS_PER_PERIOD)
     # analysis window: an integer number of phonon periods at the tail,
     # the last n_win of the run's records (the initial state's included)
@@ -309,16 +353,13 @@ class SwapProfileResult:
     regime: str
 
 
-def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
-                     gamma_b: float, n_points: int = 512,
-                     seed_amplitude: float = 0.5,
-                     span_decay_lengths: float = 5.0) -> SwapProfileResult:
-    """Steady swap envelopes against the 2x2 spatial matrix exponential.
-
-    A frozen uniform pump converts the two-branch swap into the linear
-    spatial problem phi' = M phi; the simulated cw envelopes are compared
-    with expm(M (x - x0)) anchored at the first clean cell.
-    """
+def swap_profile_plan(g12: float, v2: float, vb: float, gamma2: float,
+                      gamma_b: float, n_points: int = 512,
+                      seed_amplitude: float = 0.5,
+                      span_decay_lengths: float = 5.0) -> tuple:
+    """The system, initial state, dt and step count of
+    :func:`run_swap_profile` with these arguments. Raises ``ValueError``
+    for more than ``MAX_STEPS`` steps."""
     gamma_bar = 0.5 * (gamma2 + gamma_b)
     length = 1.4 * span_decay_lengths / gamma_bar
     grid = Grid1D(n_points, length / n_points)
@@ -343,7 +384,25 @@ def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
                                     np.zeros(n_points, complex)],
                              np.zeros(n_points, complex))
     dt = DT_MARGIN * dt_bound(system.bound_rates() + [abs(g12)])
-    n_steps = int(np.ceil(2.6 * grid.length / (min(v2, vb) * dt)))
+    n_steps = np.ceil(2.6 * grid.length / (min(v2, vb) * dt))
+    return system, state, dt, _capped_steps(n_steps, dt)
+
+
+def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
+                     gamma_b: float, n_points: int = 512,
+                     seed_amplitude: float = 0.5,
+                     span_decay_lengths: float = 5.0) -> SwapProfileResult:
+    """Steady swap envelopes against the 2x2 spatial matrix exponential.
+
+    A frozen uniform pump converts the two-branch swap into the linear
+    spatial problem phi' = M phi; the simulated cw envelopes are compared
+    with expm(M (x - x0)) anchored at the first clean cell.
+    """
+    system, state, dt, n_steps = swap_profile_plan(
+        g12, v2, vb, gamma2, gamma_b, n_points, seed_amplitude,
+        span_decay_lengths)
+    grid = system.grid
+    gamma_bar = 0.5 * (gamma2 + gamma_b)
     state = MultiBranchStepper(system, dt).run(state, n_steps).final_state
 
     report = classify(g12, v2, vb, gamma2, gamma_b)

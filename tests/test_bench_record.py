@@ -66,3 +66,16 @@ def test_criterion_seconds_reads_all_eight_criteria():
     seconds = bench_record.criterion_seconds(lines)
     assert seconds == {f"C{n}_s": n + 0.25 for n in range(1, 9)}
     assert bench_record.criterion_seconds(lines[1:])["C1_s"] is None
+
+
+def test_tier1_once_reads_criteria_that_take_under_5_ms(tmp_path):
+    # pytest's --durations=0 alone leaves out calls under 5 ms
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_acceptance.py").write_text("".join(
+        f"def test_criterion_{n}_quick():\n    pass\n\n\n" for n in range(1, 9)))
+    run = bench_record.tier1_once(tmp_path)
+    assert run["returncode"] == 0, run["summary"]
+    assert "8 passed" in run["summary"]
+    for n in range(1, 9):
+        assert 0.0 <= run[f"C{n}_s"] < 0.005, run

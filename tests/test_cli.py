@@ -16,7 +16,8 @@ from cwom.cli import scenarios
 from cwom.cli.config import (RULES, SCENARIOS, SCHEMA, ConfigError, ScenarioConfig,
                              load_config, parse_config_text, serialize_config)
 from cwom.cli.main import main
-from cwom.cli.output import read_snapshot, write_csv, write_snapshot
+from cwom.cli.output import (read_snapshot, write_csv, write_json_report,
+                             write_snapshot)
 from cwom.cli.scenarios import DEFAULTS, MAX_STEPS, resolve_config, run_scenario
 from cwom.dynamics.rng import MAX_SEED
 
@@ -247,6 +248,32 @@ class TestSnapshotFormat:
         path.write_bytes(b"JUNKxxxxxxxxxxxxxxxxxxxxxx")
         with pytest.raises(ValueError, match="magic"):
             read_snapshot(path)
+
+
+class TestJsonReport:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        payload = {"inf": float("inf"), "nan": np.float64("nan"),
+                   "list": [1.5, -np.inf], "array": np.array([np.nan, 2.0]),
+                   "complex": complex(np.inf, 0.5), "nested": {"x": np.float32(-np.inf)},
+                   "finite": np.float64(0.1), "count": np.int64(3), "none": None}
+        write_json_report(tmp_path / "report.json", payload)
+        assert read_report(tmp_path) == {
+            "inf": None, "nan": None, "list": [1.5, None], "array": [None, 2.0],
+            "complex": {"re": None, "im": 0.5}, "nested": {"x": None},
+            "finite": 0.1, "count": 3, "none": None}
+
+    def test_finite_values_keep_their_bytes(self, tmp_path):
+        payload = {"b": [np.float64(1.885e306), 1e-300, complex(1, -2)],
+                   "a": {"n": np.int64(7), "s": "label", "t": True}}
+        write_json_report(tmp_path / "report.json", payload)
+        assert (tmp_path / "report.json").read_text() == json.dumps(
+            {"a": {"n": 7, "s": "label", "t": True},
+             "b": [1.885e306, 1e-300, {"re": 1.0, "im": -2.0}]},
+            indent=2, sort_keys=True) + "\n"
+
+    def test_unserializable_value_raises(self, tmp_path):
+        with pytest.raises(TypeError, match="not JSON.serializable"):
+            write_json_report(tmp_path / "report.json", {"x": object()})
 
 
 class TestCsvFormat:
@@ -574,6 +601,18 @@ efolds = 2.5
         csv = (out / "gain_profile.csv").read_text().splitlines()
         assert csv[0] == "x [m],P1 [W],P2 [W],Pb [W]"
 
+    def test_gain_without_signal_loss_reports_a_null_adiabatic_ratio(self, tmp_path):
+        # with kappa2 = 0 the ratio (Gamma / vb) / max(gamma2, 1e-300)
+        # overflows at vb = 0.001 m/s; report.json stays strict JSON
+        cfg = tmp_path / "gain.cfg"
+        cfg.write_text("[scenario]\nname = backward_gain\n[gain]\nvb = 0.001 m/s\n"
+                       "n_points = 128\nefolds = 2.5\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        report = read_report(out)
+        assert report["adiabatic_ratio"] is None
+        assert report["relative_mismatch"] < 0.05
+
     def test_array_convergence_reports_fitted_order(self, tmp_path):
         cfg = tmp_path / "arr.cfg"
         cfg.write_text("""
@@ -879,6 +918,24 @@ class TestCliRangeChecks:
          "[integration] t_total, record_every: 1000000 steps recorded every 1 "
          "keep 1000001 records, more than the cap of 1e+06, about 0.5 GB at "
          "the run's peak"),
+        ("backward_gain", "[gain]\ng0_12 = 1e-8 Hz*m^(1/2)",
+         "[gain] the run takes 2.362e+24 steps of dt = 2.387e-10 s, more than "
+         "the cap of 1e+08 steps"),
+        ("backward_gain", "[gain]\nGamma = 1.885e-3 /s",
+         "[gain] the run takes 1.713e+28 steps of dt = 9.913e-25 s, more than "
+         "the cap of 1e+08 steps"),
+        ("intermodal_swap", "[swap]\ng12 = 1e6 Hz",
+         "[swap] the run takes 1.618e+09 steps of dt = 4.500e-07 s, more than "
+         "the cap of 1e+08 steps"),
+        ("intermodal_swap", "[swap]\ng12 = 1e20 Hz",
+         "[swap] the run takes 1.618e+23 steps of dt = 4.500e-21 s, more than "
+         "the cap of 1e+08 steps"),
+        ("comb", "[comb]\nomega0 = 1e-6 rad/s",
+         "[comb] omega0: dt = 1.571e+04 s, 1/400 of a phonon period, exceeds the "
+         "stability bound 6.249e-04 s of the initial state"),
+        ("comb", "[comb]\ng0 = 2e4 Hz*m^(1/2)",
+         "[comb] omega0: dt = 1.571e-02 s, 1/400 of a phonon period, exceeds the "
+         "stability bound 6.249e-10 s of the initial state"),
     ], ids=["gain-n_points", "swap-n_points", "comb-n_points",
             "gain-n_points-small", "swap-n_points-small", "gain-direction",
             "comb-periods-neg", "comb-periods-short", "sweep-points",
@@ -899,7 +956,9 @@ class TestCliRangeChecks:
             "sweep-strong_ratio-neg", "comb-periods-cap", "sweep-points-cap",
             "sweep-points-above-cap", "sector-mixed", "comb-records-cap",
             "comb-records-above-cap", "custom-records-cap",
-            "custom-records-above-cap"])
+            "custom-records-above-cap", "gain-steps-cap-g0_12",
+            "gain-steps-cap-Gamma", "swap-steps-cap", "swap-steps-overflow",
+            "comb-dt-omega0", "comb-dt-g0"])
     def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,
                                             entry, message):
         # each once validated, then failed the run after writing its

@@ -498,6 +498,74 @@ class TestStepStateSemantics:
         assert [x.tobytes() for x in (state.a, state.b)] == before
         assert state.time == 2.0
 
+    @staticmethod
+    def merged_step_case(model):
+        """A stepper of each model and a state of it at t = 2: the waveguide
+        with an interaction, a drive and an absorber; the uncoupled Wigner
+        waveguide; a multi-branch run with a frozen pump, a drive and an
+        absorber; a site- and link-coupled lattice."""
+        from cwom.lattice import ArrayConfig, LatticeState, LatticeStepper
+        from cwom.multibranch import (BranchConfig, MultiBranchState,
+                                      MultiBranchStepper, MultiBranchSystem,
+                                      PhononConfig)
+
+        grid = Grid1D(128, 0.1)
+        absorber = make_absorber(grid, speed=1.0)
+        drive = EndfireDrive(alpha_in=0.5, inlet_cell=8)
+        disp = DispersionPair(DispersionSpec.linear(1.0), DispersionSpec.flat(2.0))
+        fields = (np.full(128, 1.0 + 0.5j), np.full(128, 0.5 + 0j))
+        if model == "waveguide":
+            return (Stepper(grid, CouplingSet.even(g_ppp=0.2, g_mmp=0.01), disp,
+                            drive=drive, absorber=absorber, dt=1e-3),
+                    FieldState(grid, *fields, time=2.0))
+        if model == "waveguide-wigner":
+            bath = BathSpec(kappa=0.2, gamma_mech=0.5, n_th=0.3, sampling="wigner")
+            return (Stepper(grid, CouplingSet(), disp, bath=bath, drive=drive,
+                            absorber=absorber, dt=1e-3),
+                    FieldState(grid, *fields, time=2.0))
+        if model == "multibranch":
+            system = MultiBranchSystem(
+                grid, (BranchConfig(DispersionSpec.flat(0.0), frozen=True),
+                       BranchConfig(DispersionSpec.linear(1.0), frame_omega=5.0,
+                                    kappa=0.04, drive=drive)),
+                PhononConfig(DispersionSpec.linear(0.5), frame_omega=5.0,
+                             gamma=0.03),
+                np.array([[0.0, 0.1], [0.1, 0.0]]), absorber=absorber)
+            return (MultiBranchStepper(system, 1e-3),
+                    MultiBranchState(grid, fields, np.full(128, 0.1j), time=2.0))
+        config = ArrayConfig(n_sites=128, dx_lattice=1.0, J={1: 0.4}, g0_site=0.1,
+                             g0_link=0.05)
+        return LatticeStepper(config, 1e-2), LatticeState(*fields, time=2.0)
+
+    MODELS = ("waveguide", "waveguide-wigner", "multibranch", "lattice")
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_merged_step_reads_the_state_without_writing_it(self, model):
+        # a merged step does not copy the rows: every model's _rhs and the
+        # core's substep only read them
+        stepper, state = self.merged_step_case(model)
+        rows = state.rows
+        before = rows.tobytes()
+        stepper.step_inplace(state, rng=np.random.default_rng(2), step_index=4,
+                             open_half=False, close_full=True)
+        assert state.rows is not rows and not np.shares_memory(state.rows, rows)
+        assert rows.tobytes() == before
+        assert state.time > 2.0
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_diverging_merged_step_leaves_the_state_as_it_was(self, model):
+        stepper, state = self.merged_step_case(model)
+        state.rows[-1, 5] = np.nan
+        rows = state.rows
+        before = rows.tobytes()
+        with pytest.raises(DivergenceError) as err:
+            stepper.step_inplace(state, rng=np.random.default_rng(2), step_index=4,
+                                 open_half=False, close_full=True)
+        assert err.value.step_index == 4
+        assert state.rows is rows
+        assert rows.tobytes() == before
+        assert state.time == 2.0
+
     def test_every_state_holds_the_rows_its_model_steps(self):
         # a FieldState's fields are views of one (..., 2, n) array and a
         # LatticeState's of one (2, n) array; the stepper hands rows back

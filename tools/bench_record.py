@@ -16,7 +16,7 @@ runs the tier-1 suite three times per checkout in the order
 ``TIER1_ORDER`` (parent, change, change, parent, parent, change), so the
 machine's drift falls on both sides alike, and records every run's wall
 time, pytest summary line and durations of the eight acceptance criteria
-C1 to C8, with their medians per side. It also records the line count
+C1 to C8 (however short), with their medians per side. It also records the line count
 of each checkout's ``src/**/*.py`` (``src_lines``), which is printed after
 the verdict table. Run it on an otherwise idle machine; it is not part of
 the test suite.
@@ -116,7 +116,7 @@ def tier1_once(checkout: Path) -> dict:
     t0 = time.monotonic()
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "--durations=0", "-p", "no:cacheprovider"],
+         "--durations=0", "--durations-min=0", "-p", "no:cacheprovider"],
         cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.monotonic() - t0
     lines = done.stdout.splitlines()
@@ -128,7 +128,8 @@ def tier1_once(checkout: Path) -> dict:
 
 def criterion_seconds(lines) -> dict:
     """``<label>_s`` of each of ``CRITERIA``: its call time in the lines of a
-    ``pytest --durations=0`` run, None where it did not run."""
+    ``pytest --durations=0 --durations-min=0`` run (without the second
+    flag pytest leaves out calls under 5 ms), None where it did not run."""
     out = {}
     for label, stem in CRITERIA.items():
         found = [ln for ln in lines if stem in ln and " call " in ln]
