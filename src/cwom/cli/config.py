@@ -83,7 +83,7 @@ SCHEMA = {
              "seed": ("float", "s^(-1/2)", "nonzero"),
              "decay_lengths": ("float", "1", "positive")},
     # q_mode, orders, periods and the comb's dt also meet
-    # experiments.comb_problems
+    # experiments.comb_plan
     "comb": {"n_points": ("int", "1", "power_of_two"), "dx": ("float", "m", "positive"),
              "velocity": ("float", "m/s", "any"),
              "omega0": ("float", "rad/s", "positive"),
@@ -91,7 +91,7 @@ SCHEMA = {
              "pump": ("float", "m^(-1/2)", "nonzero"),
              "seed_b": ("float", "m^(-1/2)", "nonzero"), "q_mode": ("int", "1", "any"),
              "orders": ("int", "1", "count"), "periods": ("float", "1", "any")},
-    # [array] is experiments.convergence_study_problems' to refuse
+    # [array] is experiments.convergence_study_plan's to refuse
     "array": {"kind": ("enum", COUPLING_KINDS, "any"), "sizes": ("list", "1", "any"),
               "length": ("float", "m", "any"), "curvature": ("float", "m^2/s", "any"),
               "g_cont": ("float", "Hz*m^(1/2)", "any"),

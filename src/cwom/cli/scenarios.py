@@ -34,10 +34,10 @@ from ..dynamics.rng import trajectory_generator
 from ..dynamics.stepper import (DispersionPair, Stepper, make_energy_observer,
                                 observe_phonon_number, observe_photon_number,
                                 stability_bound)
-from ..experiments import (MAX_STEPS, array_convergence_study, comb_problems,
-                           convergence_study_problems, net_gain_slope,
-                           run_forward_comb, run_swap_profile,
-                           run_two_branch_gain, swap_profile_plan,
+from ..experiments import (InputError, array_convergence_study, comb_plan,
+                           convergence_study_plan, run_forward_comb,
+                           run_swap_profile, run_two_branch_gain,
+                           step_cap_problem, swap_profile_plan,
                            two_branch_gain_plan)
 from ..strongcoupling import sweep_coupling, thresholds
 from .config import ConfigError, ScenarioConfig, serialize_config
@@ -151,9 +151,19 @@ def _band(section: dict, grid: Grid1D) -> DispersionSpec:
 
 
 def _checked(config: ScenarioConfig):
-    """``config`` layered over its preset, and the inputs of its run."""
+    """``config`` layered over its preset, and the inputs of its run. An
+    :class:`InputError` of an experiment's plan becomes a
+    :class:`ConfigError` naming the config key of each refused argument
+    (``_PLANS``)."""
     config = resolve_config(config)
-    return config, _SCENARIOS[config.scenario][0](config)
+    try:
+        return config, _SCENARIOS[config.scenario][0](config)
+    except InputError as err:
+        section, _, args = _PLANS[config.scenario]
+        keys = {arg: key for key, arg in args.items()}
+        raise ConfigError([f"[{section}] {message}" if arg is None
+                           else f"[{section}] {keys.get(arg, arg)}: {message}"
+                           for arg, message in err.problems]) from err
 
 
 def validate_scenario(config: ScenarioConfig) -> ScenarioConfig:
@@ -187,12 +197,13 @@ def _sweep_inputs(config: ScenarioConfig) -> dict:
     p = config.section("sweep")
     problems = []
     if p["g_min"] > p["g_max"]:  # the sweep would run backwards
-        problems.append(("g_min", f"must not exceed g_max = {p['g_max']:.3e} Hz, "
-                                  f"got {p['g_min']:.3e} Hz"))
+        problems.append(f"[sweep] g_min: must not exceed g_max = {p['g_max']:.3e} "
+                        f"Hz, got {p['g_min']:.3e} Hz")
     if p["points"] > MAX_SWEEP_POINTS:
-        problems.append(("points", f"must be at most {MAX_SWEEP_POINTS:.0e}, about "
-                                   f"0.6 GB at the run's peak, got {p['points']}"))
-    _refuse("sweep", problems)
+        problems.append(f"[sweep] points: must be at most {MAX_SWEEP_POINTS:.0e}, "
+                        f"about 0.6 GB at the run's peak, got {p['points']}")
+    if problems:
+        raise ConfigError(problems)
     return p
 
 
@@ -222,21 +233,29 @@ def _run_regime_sweep(p: dict, out: Path) -> dict:
     }
 
 
-def _gain_inputs(config: ScenarioConfig) -> dict:
-    """The gain run's keyword arguments from ``[gain]``, unless its signal
-    would not grow or its run would take more than ``MAX_STEPS`` steps."""
-    p = config.section("gain")
-    inputs = dict(
-        g0_12=p["g0_12"], v1=p["v1"], v2=p["v2"], vb=p["vb"], Gamma=p["Gamma"],
-        kappa2=p["kappa2"], omega1=p["omega1"], pump_power_W=p["pump_power"],
-        seed_power_ratio=p["seed_ratio"], n_points=int(p["n_points"]),
-        target_efolds=p["efolds"], direction=int(p["direction"]))
-    try:
-        net_gain_slope(p["g0_12"], p["v1"], p["v2"], p["Gamma"], p["kappa2"],
-                       p["omega1"], p["pump_power"])
-    except ValueError as err:
-        raise ConfigError([f"[gain] g0_12, kappa2: {err}"]) from err
-    _build("gain", two_branch_gain_plan, **inputs)
+# each experiment scenario's section, the plan of its run, and the
+# argument of that run that each config key sets, where the two names differ
+_PLANS = {
+    "backward_gain": ("gain", two_branch_gain_plan,
+                      {"pump_power": "pump_power_W", "seed_ratio": "seed_power_ratio",
+                       "efolds": "target_efolds"}),
+    "intermodal_swap": ("swap", swap_profile_plan,
+                        {"seed": "seed_amplitude",
+                         "decay_lengths": "span_decay_lengths"}),
+    "comb": ("comb", comb_plan, {"velocity": "v", "omega0": "Omega0",
+                                 "orders": "n_orders"}),
+    "array_convergence": ("array", convergence_study_plan,
+                          {"curvature": "D2", "t_total": "T"}),
+}
+
+
+def _plan_inputs(config: ScenarioConfig) -> dict:
+    """The keyword arguments of an experiment scenario's run, from its
+    section through ``_PLANS``, once its plan has taken them."""
+    section, plan, args = _PLANS[config.scenario]
+    inputs = {args.get(key, key): value
+              for key, value in config.section(section).items()}
+    _build(section, plan, **inputs)
     return inputs
 
 
@@ -262,20 +281,6 @@ def _run_backward_gain(inputs: dict, out: Path) -> dict:
     }
 
 
-def _swap_inputs(config: ScenarioConfig) -> dict:
-    """The swap run's keyword arguments from ``[swap]``, unless both decay
-    rates, whose mean spans it, are zero or its run would take more than
-    ``MAX_STEPS`` steps."""
-    p = config.section("swap")
-    if p["gamma2"] + p["gamma_b"] == 0:
-        raise ConfigError(["[swap] gamma2, gamma_b: must not both be zero"])
-    inputs = dict(g12=p["g12"], v2=p["v2"], vb=p["vb"], gamma2=p["gamma2"],
-                  gamma_b=p["gamma_b"], n_points=int(p["n_points"]),
-                  seed_amplitude=p["seed"], span_decay_lengths=p["decay_lengths"])
-    _build("swap", swap_profile_plan, **inputs)
-    return inputs
-
-
 def _run_intermodal_swap(inputs: dict, out: Path) -> dict:
     result = run_swap_profile(**inputs)
     write_csv(out / "swap_profile.csv", [
@@ -291,18 +296,6 @@ def _run_intermodal_swap(inputs: dict, out: Path) -> dict:
         "lambda_minus_per_m": result.lambda_minus,
         "regime": result.regime,
     }
-
-
-def _comb_inputs(config: ScenarioConfig) -> dict:
-    """The comb run's keyword arguments from ``[comb]``, unless
-    :func:`comb_problems` refuses them."""
-    p = config.section("comb")
-    inputs = dict(n_points=int(p["n_points"]), dx=p["dx"], v=p["velocity"],
-                  Omega0=p["omega0"], g0=p["g0"], pump=p["pump"],
-                  seed_b=p["seed_b"], q_mode=int(p["q_mode"]),
-                  n_orders=int(p["orders"]), periods=p["periods"])
-    _refuse("comb", comb_problems(**inputs))
-    return inputs
 
 
 def _run_comb(inputs: dict, out: Path) -> dict:
@@ -325,33 +318,6 @@ def _run_comb(inputs: dict, out: Path) -> dict:
     }
 
 
-# the config key of a run's argument, where the two differ
-_KEYS = {"D2": "curvature", "T": "t_total", "n_orders": "orders",
-         "Omega0": "omega0"}
-
-
-def _refuse(section: str, problems) -> None:
-    """Raise :class:`ConfigError` naming the key of each (argument, message)."""
-    if problems:
-        raise ConfigError([f"[{section}] {_KEYS.get(arg, arg)}: {message}"
-                           for arg, message in problems])
-
-
-def _array_study_inputs(config: ScenarioConfig) -> dict:
-    """The array study's keyword arguments from ``[array]``. Raises
-    :class:`ConfigError` naming the key of each input the study refuses,
-    and of a size that is not a whole number."""
-    p = config.section("array")
-    if not all(float(s).is_integer() for s in p["sizes"]):
-        raise ConfigError([f"[array] sizes: must be whole numbers, got "
-                           f"{p['sizes']!r}"])
-    inputs = dict(kind=p["kind"], sizes=tuple(int(s) for s in p["sizes"]),
-                  length=p["length"], D2=p["curvature"], g_cont=p["g_cont"],
-                  T=p["t_total"], n_ref=int(p["n_ref"]))
-    _refuse("array", convergence_study_problems(**inputs))
-    return inputs
-
-
 def _run_array_convergence(inputs: dict, out: Path) -> dict:
     result = array_convergence_study(**inputs)
     columns = [
@@ -363,14 +329,17 @@ def _run_array_convergence(inputs: dict, out: Path) -> dict:
                         result.errors_pointwise_model))
     write_csv(out / "array_convergence.csv", columns)
     return {"fitted_order": result.slope, "kind": inputs["kind"],
-            "sizes": list(inputs["sizes"])}
+            "sizes": [int(size) for size in inputs["sizes"]]}
 
 
 def _build(section: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``; a ``ValueError`` it raises becomes a
-    :class:`ConfigError` naming ``section``."""
+    :class:`ConfigError` naming ``section``, but for an :class:`InputError`,
+    which :func:`_checked` keys."""
     try:
         return make(*args, **kwargs)
+    except InputError:
+        raise
     except ValueError as err:
         raise ConfigError([f"[{section}] {err}"]) from err
 
@@ -413,14 +382,14 @@ def _custom_setup(config: ScenarioConfig) -> SimpleNamespace:
         raise ConfigError([f"[integration] dt: {dt:.3e} s exceeds the stability "
                            f"bound {bound:.3e} s of this grid, dispersion and "
                            "bath; reduce dt"])
-    n_steps = int(round(integ["t_total"] / dt))
-    if n_steps < 1:
+    steps = np.round(integ["t_total"] / dt)  # a float: inf where it overflows
+    if steps < 1:
         raise ConfigError([f"[integration] t_total: {integ['t_total']:.3e} s is "
                            f"less than one step of dt = {dt:.3e} s"])
-    if n_steps > MAX_STEPS:
-        raise ConfigError([f"[integration] t_total: {integ['t_total']:.3e} s is "
-                           f"{n_steps:.3e} steps of dt = {dt:.3e} s, more than "
-                           f"the cap of {MAX_STEPS:.0e} steps"])
+    cap = step_cap_problem(f"{integ['t_total']:.3e} s", steps, dt)
+    if cap:
+        raise ConfigError([f"[integration] t_total: {cap}"])
+    n_steps = int(steps)
     n_records = 1 + -(-n_steps // integ["record_every"])  # with the initial state
     if n_records > MAX_RECORDS:
         raise ConfigError([f"[integration] t_total, record_every: {n_steps} steps "
@@ -549,9 +518,9 @@ def _run_custom(setup: SimpleNamespace, out: Path) -> dict:
 # scenario and returns what run(inputs, out) consumes
 _SCENARIOS = {
     "regime_sweep": (_sweep_inputs, _run_regime_sweep),
-    "backward_gain": (_gain_inputs, _run_backward_gain),
-    "intermodal_swap": (_swap_inputs, _run_intermodal_swap),
-    "comb": (_comb_inputs, _run_comb),
-    "array_convergence": (_array_study_inputs, _run_array_convergence),
+    "backward_gain": (_plan_inputs, _run_backward_gain),
+    "intermodal_swap": (_plan_inputs, _run_intermodal_swap),
+    "comb": (_plan_inputs, _run_comb),
+    "array_convergence": (_plan_inputs, _run_array_convergence),
     "custom": (_custom_setup, _run_custom),
 }

@@ -103,8 +103,16 @@ class DepositPlan:
         offs = np.arange(-KERNEL_HALFWIDTH, KERNEL_HALFWIDTH + 1)
         window = 0.5 * (1.0 + np.cos(np.pi * offs / (KERNEL_HALFWIDTH + 1)))
         cells = (drive.inlet_cell + offs) % grid.n_points
-        # matched normalization: unit response of the resonant wavenumber
+        # matched normalization: unit response of the resonant wavenumber.
+        # The window's response, (1 + cos k dx)(1/2 + cos k dx) in magnitude,
+        # is 0 at |k| dx = 2 pi / 3 and pi; below half its k = 0 value
+        # (|k_L| dx > pi / 3) the kernel lifts k = 0 more than twice over
         khat = np.sum(window * np.exp(-1j * drive.k_L * cells * grid.dx))
+        if abs(khat) < 0.5 * window.sum():
+            raise BoundaryError(
+                f"the drive kernel's response at k_L = {drive.k_L:.3e} rad/m is "
+                f"{abs(khat) / window.sum():.3e} of its k = 0 value, below 1/2; "
+                f"|k_L| dx must be at most pi/3, got {abs(drive.k_L) * grid.dx:.3e}")
         self.kernel_cells = slice(cells[0], cells[-1] + 1)  # never wraps
         self.kernel = window / khat
         self._settled = self._source(0.0) if self.detuning == 0.0 else None

@@ -4,7 +4,9 @@ These are the workflows behind the CLI scenarios and the cross-validation
 suite: two-branch amplification against the closed-form gain, the forward
 scattering comb, the array -> continuum convergence study, and the
 spatially resolved swap. Each returns a plain result object with the raw
-profiles next to the derived numbers, so callers can re-analyze.
+profiles next to the derived numbers, so callers can re-analyze. Each run
+builds what it steps through its plan function (``*_plan``, called once),
+which raises :class:`InputError` naming each input the run refuses.
 """
 
 from dataclasses import dataclass
@@ -37,9 +39,30 @@ from .strongcoupling import classify
 # (plus the phonon relaxation time), at this fraction of the step bound
 N_TRANSITS = 2.0
 DT_MARGIN = 0.9
-# the most steps a run takes: more in a custom run, the array study or the
-# comb is refused
+# the most steps a run takes; step_cap_problem is the one check of it
 MAX_STEPS = 10 ** 8
+
+
+class InputError(ValueError):
+    """Inputs a run refuses. ``problems`` holds one (argument, message)
+    pair per refusal, the argument None where no single input sets the
+    refused value; the text joins them as "argument message"."""
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        super().__init__("; ".join(message if arg is None else f"{arg} {message}"
+                                   for arg, message in self.problems))
+
+
+def step_cap_problem(what: str, steps: float, dt: float):
+    """Why a run of ``steps`` steps of ``dt`` over ``what`` is refused, or
+    None when it takes at most ``MAX_STEPS``. ``steps`` is the count as a
+    float, before any ``int()``, so a count that overflowed to inf, or is
+    nan, is refused too."""
+    if steps <= MAX_STEPS:
+        return None
+    return (f"{what} is {steps:.3e} steps of dt = {dt:.3e} s, more than the "
+            f"cap of {MAX_STEPS:.0e} steps")
 
 
 @dataclass
@@ -69,22 +92,14 @@ def net_gain_slope(g0_12: float, v1: float, v2: float, Gamma: float,
                    kappa2: float, omega1: float, pump_power_W: float) -> float:
     """The signal's nominal net power slope G_B P1 - kappa2 / v2 (1/m) at
     pump power P1, by which :func:`run_two_branch_gain` sizes its domain.
-    Raises ``ValueError`` unless it is positive: a signal that does not
-    grow gives no slope to measure."""
+    Raises :class:`InputError` naming ``g0_12, kappa2`` unless it is
+    positive: a signal that does not grow gives no slope to measure."""
     slope = brillouin_gain(g0_12, v1, v2, Gamma, omega1) * pump_power_W - kappa2 / v2
     if not slope > 0:
-        raise ValueError(f"net gain G_B P1 - kappa2 / v2 must be positive for a "
-                         f"slope measurement, got {slope:.3e} /m")
+        raise InputError([("g0_12, kappa2", f"net gain G_B P1 - kappa2 / v2 must "
+                                            f"be positive for a slope measurement, "
+                                            f"got {slope:.3e} /m")])
     return slope
-
-
-def _capped_steps(steps: float, dt: float) -> int:
-    """A run's whole step count ``steps`` (a float) as an int; raises
-    ``ValueError`` when it is more than ``MAX_STEPS`` (or not a number)."""
-    if not steps <= MAX_STEPS:
-        raise ValueError(f"the run takes {steps:.3e} steps of dt = {dt:.3e} s, "
-                         f"more than the cap of {MAX_STEPS:.0e} steps")
-    return int(steps)
 
 
 def two_branch_gain_plan(g0_12: float, v1: float, v2: float, vb: float,
@@ -93,9 +108,8 @@ def two_branch_gain_plan(g0_12: float, v1: float, v2: float, vb: float,
                          n_points: int = 256, target_efolds: float = 6.0,
                          direction: int = +1) -> tuple:
     """The system, dt and step count of :func:`run_two_branch_gain` with
-    these arguments. Raises ``ValueError`` where the run would: a signal
-    that does not grow, a bad ``direction``, or more than ``MAX_STEPS``
-    steps."""
+    these arguments. Raises :class:`InputError` for a signal that does not
+    grow, a bad ``direction`` or more than ``MAX_STEPS`` steps."""
     alpha1_in = np.sqrt(pump_power_W / (HBAR * omega1))
     slope_pred_nominal = net_gain_slope(g0_12, v1, v2, Gamma, kappa2, omega1,
                                         pump_power_W)
@@ -105,7 +119,7 @@ def two_branch_gain_plan(g0_12: float, v1: float, v2: float, vb: float,
 
     Omega_sym = 40.0 * Gamma  # frame bookkeeping scale; physics is resonant
     if direction not in (+1, -1):
-        raise ValueError("direction must be +1 (forward) or -1 (backward)")
+        raise InputError([("direction", "must be +1 (forward) or -1 (backward)")])
     inlet1 = 8
     inlet2 = 8 if direction > 0 else int(0.86 * n_points)
     drive1 = EndfireDrive(alpha_in=alpha1_in, inlet_cell=inlet1)
@@ -130,7 +144,11 @@ def two_branch_gain_plan(g0_12: float, v1: float, v2: float, vb: float,
     # not just a few transit times.
     settle = (N_TRANSITS * grid.length / min(v1, v2)
               + (6.0 * target_efolds + 8.0) / Gamma)
-    return system, dt, _capped_steps(np.ceil(settle / dt), dt)
+    steps = np.ceil(settle / dt)
+    problem = step_cap_problem("the run", steps, dt)
+    if problem:
+        raise InputError([(None, problem)])
+    return system, dt, int(steps)
 
 
 def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
@@ -182,7 +200,8 @@ def run_two_branch_gain(g0_12: float, v1: float, v2: float, vb: float,
         x=x, P1=P1, P2=P2, Pb=Pb, measured_power_slope=measured,
         predicted_power_slope=float(predicted), G_B=G_B,
         pump_power_W=P1_window, pump_depletion=depletion,
-        adiabatic_ratio=float((Gamma / vb) / max(gamma2, 1e-300)),
+        # no ratio without signal loss: inf, which report.json writes as null
+        adiabatic_ratio=float((Gamma / vb) / gamma2) if gamma2 > 0 else np.inf,
         window=(lo, hi), phonon_prediction_error=phonon_err,
         direction=direction)
 
@@ -209,27 +228,14 @@ class CombResult:
     Omega0: float
 
 
-def _comb_start(n_points: int, dx: float, v: float, Omega0: float, g0: float,
-                pump: float, seed_b: float, q_mode: int) -> tuple:
-    """The initial state, couplings, bands and dt of a comb run."""
-    grid = Grid1D(n_points, dx)
-    q = q_mode * grid.dk
-    couplings = CouplingSet.simple(g0)
-    disp = DispersionPair(DispersionSpec.linear(v), DispersionSpec.flat(Omega0))
-    a0 = np.full(n_points, pump, dtype=complex)
-    # seeded grating plus the adiabatic static displacement of the pump
-    b0 = seed_b * np.exp(1j * q * grid.x_axis) + g0 * pump ** 2 / Omega0
-    dt = 2.0 * np.pi / Omega0 / COMB_STEPS_PER_PERIOD
-    return FieldState(grid, a0, b0), couplings, disp, dt
-
-
-def comb_problems(n_points: int, dx: float, v: float, Omega0: float, g0: float,
-                  pump: float, seed_b: float, q_mode: int, n_orders: int,
-                  periods: float) -> list:
-    """(argument, message) for each input :func:`run_forward_comb` (which
-    takes the same arguments) refuses; empty when it takes them all. Its
-    dt, 1 / ``COMB_STEPS_PER_PERIOD`` of a phonon period, must meet the
-    stability bound of its initial state, which ``evolve`` checks."""
+def comb_plan(n_points: int, dx: float, v: float, Omega0: float, g0: float,
+              pump: float, seed_b: float, q_mode: int, n_orders: int,
+              periods: float) -> tuple:
+    """The initial state, couplings, bands, dt and step count of
+    :func:`run_forward_comb` with these arguments. Its dt is
+    1 / ``COMB_STEPS_PER_PERIOD`` of a phonon period and must meet the
+    stability bound of its initial state, which ``evolve`` checks. Raises
+    :class:`InputError` naming each input the run refuses."""
     problems = []
     if not 1 <= abs(q_mode) < n_points / 2:
         # mode 0 is a uniform offset, n_points / 2 the Nyquist mode, above it aliases
@@ -241,27 +247,35 @@ def comb_problems(n_points: int, dx: float, v: float, Omega0: float, g0: float,
     if n_orders > top:
         problems.append(("n_orders", f"must be at most {top}, below the records' "
                                      f"Nyquist of {nyquist:g} Omega0, got {n_orders}"))
+    dt = 2.0 * np.pi / Omega0 / COMB_STEPS_PER_PERIOD
     steps = periods * COMB_STEPS_PER_PERIOD
     amplitudes = steps / COMB_RECORD_EVERY * n_points  # the records' size
     if not periods >= 2:
         # the analysis takes whole phonon periods of the run's second half
         problems.append(("periods", f"must be at least 2, got {periods!r}"))
-    elif steps > MAX_STEPS:
-        problems.append(("periods", f"{periods:.3e} periods is {steps:.3e} steps, "
-                                    f"more than the cap of {MAX_STEPS:.0e} steps"))
+    elif cap := step_cap_problem(f"{periods:.3e} periods", steps, dt):
+        problems.append(("periods", cap))
     elif amplitudes > COMB_MAX_AMPLITUDES:
         problems.append(("periods", f"{periods:.3e} periods of {n_points} points "
                                     f"record {amplitudes:.3e} mode amplitudes, more "
                                     f"than the cap of {COMB_MAX_AMPLITUDES:.1e}, "
                                     "about 0.5 GB at the run's peak"))
-    state, couplings, disp, dt = _comb_start(n_points, dx, v, Omega0, g0, pump,
-                                             seed_b, q_mode)
+    grid = Grid1D(n_points, dx)
+    q = q_mode * grid.dk
+    couplings = CouplingSet.simple(g0)
+    disp = DispersionPair(DispersionSpec.linear(v), DispersionSpec.flat(Omega0))
+    a0 = np.full(n_points, pump, dtype=complex)
+    # seeded grating plus the adiabatic static displacement of the pump
+    b0 = seed_b * np.exp(1j * q * grid.x_axis) + g0 * pump ** 2 / Omega0
+    state = FieldState(grid, a0, b0)
     bound = stability_bound(state, couplings, disp, BathSpec())
     if dt > bound:
         problems.append(("Omega0", f"dt = {dt:.3e} s, 1/{COMB_STEPS_PER_PERIOD} of "
                                    f"a phonon period, exceeds the stability bound "
                                    f"{bound:.3e} s of the initial state"))
-    return problems
+    if problems:
+        raise InputError(problems)
+    return state, couplings, disp, dt, int(steps)
 
 
 def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
@@ -278,16 +292,11 @@ def run_forward_comb(n_points: int = 128, dx: float = 1.0, v: float = 0.05,
     in a band around each expected line. With one optical branch there is
     no Stokes/anti-Stokes asymmetry mechanism, so order-n line pairs must
     be symmetric in power. The run takes ``periods`` phonon periods of
-    ``COMB_STEPS_PER_PERIOD`` steps each; :func:`comb_problems` names the
-    inputs it refuses with ``ValueError``.
+    ``COMB_STEPS_PER_PERIOD`` steps each; :func:`comb_plan` names the
+    inputs it refuses.
     """
-    problems = comb_problems(n_points, dx, v, Omega0, g0, pump, seed_b, q_mode,
-                             n_orders, periods)
-    if problems:
-        raise ValueError("; ".join(f"{arg} {message}" for arg, message in problems))
-    state, couplings, disp, dt = _comb_start(n_points, dx, v, Omega0, g0, pump,
-                                             seed_b, q_mode)
-    n_steps = int(periods * COMB_STEPS_PER_PERIOD)
+    state, couplings, disp, dt, n_steps = comb_plan(
+        n_points, dx, v, Omega0, g0, pump, seed_b, q_mode, n_orders, periods)
     # analysis window: an integer number of phonon periods at the tail,
     # the last n_win of the run's records (the initial state's included)
     n_rec = 1 + -(-n_steps // COMB_RECORD_EVERY)
@@ -358,8 +367,12 @@ def swap_profile_plan(g12: float, v2: float, vb: float, gamma2: float,
                       seed_amplitude: float = 0.5,
                       span_decay_lengths: float = 5.0) -> tuple:
     """The system, initial state, dt and step count of
-    :func:`run_swap_profile` with these arguments. Raises ``ValueError``
-    for more than ``MAX_STEPS`` steps."""
+    :func:`run_swap_profile` with these arguments. Raises
+    :class:`InputError` when both decay rates, over whose mean the run
+    spans ``span_decay_lengths``, are zero, and for more than
+    ``MAX_STEPS`` steps."""
+    if gamma2 + gamma_b == 0:
+        raise InputError([("gamma2, gamma_b", "must not both be zero")])
     gamma_bar = 0.5 * (gamma2 + gamma_b)
     length = 1.4 * span_decay_lengths / gamma_bar
     grid = Grid1D(n_points, length / n_points)
@@ -384,8 +397,11 @@ def swap_profile_plan(g12: float, v2: float, vb: float, gamma2: float,
                                     np.zeros(n_points, complex)],
                              np.zeros(n_points, complex))
     dt = DT_MARGIN * dt_bound(system.bound_rates() + [abs(g12)])
-    n_steps = np.ceil(2.6 * grid.length / (min(v2, vb) * dt))
-    return system, state, dt, _capped_steps(n_steps, dt)
+    steps = np.ceil(2.6 * grid.length / (min(v2, vb) * dt))
+    problem = step_cap_problem("the run", steps, dt)
+    if problem:
+        raise InputError([(None, problem)])
+    return system, state, dt, int(steps)
 
 
 def run_swap_profile(g12: float, v2: float, vb: float, gamma2: float,
@@ -449,12 +465,40 @@ def _smooth_initial(length):
     return a0, b0
 
 
-def _study_references(kind: str, sizes, length: float, D2: float,
-                      g_cont: float, T: float, n_ref: int):
-    """The initial state, bands, coupling sets (pointwise first) and link
-    couplings of :func:`array_convergence_study`'s references, its step
-    count ceil(T / dt) as a float (inf when T / dt overflows) and its dt
-    before rounding to whole steps of ``T``."""
+def convergence_study_plan(kind: str, sizes, length: float, D2: float,
+                           g_cont: float, T: float, n_ref: int) -> tuple:
+    """The sizes (as ints), the references' initial state, bands, coupling
+    sets (pointwise first) and link couplings, and the dt and step count
+    of :func:`array_convergence_study` with these arguments. Raises
+    :class:`InputError` naming each input the study refuses."""
+    problems = []
+    if kind not in ("site", "link"):
+        problems.append(("kind", "must be 'site' or 'link'"))
+    problems += [(name, f"must be positive and finite, got {value!r}")
+                 for name, value in (("length", length), ("T", T))
+                 if not (value > 0 and np.isfinite(value))]
+    if not (D2 != 0 and np.isfinite(D2)):
+        # a flat band gives the lattice nothing to converge to
+        problems.append(("D2", f"must be nonzero and finite, got {D2!r}"))
+    if isinstance(n_ref, bool) or not isinstance(n_ref, Integral) or n_ref < 2 \
+            or not is_power_of_two(n_ref):
+        problems.append(("n_ref", f"must be a power of two of at least 2, "
+                                  f"got {n_ref!r}"))
+    elif any(isinstance(size, bool) or not float(size).is_integer()
+             for size in sizes):
+        problems.append(("sizes", f"must be whole numbers, got {tuple(sizes)!r}"))
+    else:
+        sizes = tuple(int(size) for size in sizes)
+        # a link phonon sits half a cell right of its site: on a reference
+        # point only when the cell holds an even number of them
+        top = n_ref // 2 if kind == "link" else n_ref
+        if len(set(sizes)) < 2 or any(size < 1 or size > top or n_ref % size
+                                      for size in sizes):
+            problems.append(("sizes", f"must be at least two distinct divisors "
+                                      f"of n_ref = {n_ref} of at most {top}, got "
+                                      f"{sizes!r}"))
+    if problems:
+        raise InputError(problems)
     a0_fn, b0_fn = _smooth_initial(length)
     ref_grid = Grid1D(n_ref, length / n_ref)
     disp_ref = DispersionPair(DispersionSpec.polynomial([0.0, 0.0, D2]),
@@ -469,41 +513,12 @@ def _study_references(kind: str, sizes, length: float, D2: float,
         if kind == "link" else [])
     dt = min(DT_MARGIN * min(stability_bound(initial, c, disp_ref, BathSpec())
                              for c in sets), T)
-    return initial, disp_ref, sets, g_links, np.ceil(T / dt), dt
-
-
-def convergence_study_problems(kind: str, sizes, length: float, D2: float,
-                               g_cont: float, T: float, n_ref: int) -> list:
-    """(argument, message) for each input :func:`array_convergence_study`
-    refuses; empty when it takes them all."""
-    problems = [(name, f"must be positive and finite, got {value!r}")
-                for name, value in (("length", length), ("T", T))
-                if not (value > 0 and np.isfinite(value))]
-    if not (D2 != 0 and np.isfinite(D2)):
-        # a flat band gives the lattice nothing to converge to
-        problems.append(("D2", f"must be nonzero and finite, got {D2!r}"))
-    if isinstance(n_ref, bool) or not isinstance(n_ref, Integral) or n_ref < 2 \
-            or not is_power_of_two(n_ref):
-        problems.append(("n_ref", f"must be a power of two of at least 2, "
-                                  f"got {n_ref!r}"))
-        return problems
-    # a link phonon sits half a cell right of its site: on a reference
-    # point only when the cell holds an even number of them
-    top = n_ref // 2 if kind == "link" else n_ref
-    bad = [size for size in sizes
-           if isinstance(size, bool) or not isinstance(size, Integral)
-           or size < 1 or size > top or n_ref % size]
-    if bad or len(set(sizes)) < 2:
-        problems.append(("sizes", f"must be at least two distinct divisors of "
-                                  f"n_ref = {n_ref} of at most {top}, got "
-                                  f"{tuple(sizes)!r}"))
-    if not problems:
-        *_, steps, dt = _study_references(kind, sizes, length, D2, g_cont, T, n_ref)
-        if steps > MAX_STEPS:
-            problems.append(("T", f"{T:.3e} s is {steps:.3e} steps of dt = "
-                                  f"{dt:.3e} s, more than the cap of "
-                                  f"{MAX_STEPS:.0e} steps"))
-    return problems
+    steps = np.ceil(T / dt)
+    cap = step_cap_problem(f"{T:.3e} s", steps, dt)
+    if cap:
+        raise InputError([("T", cap)])
+    n_steps = int(steps)
+    return sizes, initial, disp_ref, sets, g_links, T / n_steps, n_steps
 
 
 def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
@@ -529,21 +544,15 @@ def array_convergence_study(kind: str = "site", sizes=(32, 64, 128),
     step (no free-band term), capped at ``T``; the lattice runs take the
     same dt.
 
-    ``length`` and ``T`` must be positive and finite, ``D2`` nonzero and
-    finite, ``n_ref`` a power of two, ``sizes`` at least two distinct
-    divisors of ``n_ref``, below it for ``kind = "link"``, and ``T`` at
-    most ``MAX_STEPS`` steps; anything else raises ``ValueError`` naming
-    the argument.
+    ``kind`` must be "site" or "link", ``length`` and ``T`` positive and
+    finite, ``D2`` nonzero and finite, ``n_ref`` a power of two, ``sizes``
+    at least two distinct whole-number divisors of ``n_ref``, below it for
+    ``kind = "link"``, and ``T`` at most ``MAX_STEPS`` steps; anything else
+    raises :class:`InputError` naming the argument
+    (:func:`convergence_study_plan`).
     """
-    if kind not in ("site", "link"):
-        raise ValueError("kind must be 'site' or 'link'")
-    problems = convergence_study_problems(kind, sizes, length, D2, g_cont, T, n_ref)
-    if problems:
-        raise ValueError("; ".join(f"{arg} {message}" for arg, message in problems))
-    initial, disp_ref, (pointwise, *link_sets), g_links, steps, dt = \
-        _study_references(kind, sizes, length, D2, g_cont, T, n_ref)
-    n_steps = int(steps)
-    dt = T / n_steps
+    sizes, initial, disp_ref, (pointwise, *link_sets), g_links, dt, n_steps = \
+        convergence_study_plan(kind, sizes, length, D2, g_cont, T, n_ref)
 
     ref = evolve(initial, pointwise, disp_ref, dt=dt, n_steps=n_steps).final_state
     if kind == "link":

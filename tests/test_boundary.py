@@ -168,6 +168,25 @@ class TestInjection:
             DepositPlan(grid64, DispersionSpec.linear(C), drive, 0.0,
                         1e-3).apply(st.a, st.time)
 
+    @pytest.mark.parametrize("k_dx", [np.pi / 3 + 1e-3, 2 * np.pi / 3, 2.5, np.pi,
+                                      -2.5])
+    def test_carrier_whose_kernel_response_is_below_half_rejected(self, k_dx):
+        # the 5-cell Hann window's response is (1 + cos k dx)(1/2 + cos k dx)
+        # in magnitude: 0 at 2 pi / 3 and pi, half its k = 0 value at pi / 3
+        grid = Grid1D(64, 0.5)
+        drive = EndfireDrive(alpha_in=1.0, k_L=k_dx / grid.dx, inlet_cell=8)
+        with pytest.raises(BoundaryError, match="below 1/2"):
+            DepositPlan(grid, DispersionSpec.linear(C), drive, 0.0, 1e-3)
+
+    @pytest.mark.parametrize("k_dx", [0.0, 1.0, -1.0, np.pi / 3 - 1e-3])
+    def test_carrier_kernel_has_unit_response(self, k_dx):
+        grid = Grid1D(64, 0.5)
+        drive = EndfireDrive(alpha_in=1.0, k_L=k_dx / grid.dx, inlet_cell=8)
+        plan = DepositPlan(grid, DispersionSpec.linear(C), drive, 0.0, 1e-3)
+        cells = np.arange(64)[plan.kernel_cells]
+        response = np.sum(plan.kernel * np.exp(-1j * drive.k_L * cells * grid.dx))
+        assert abs(response - 1.0) < 1e-12
+
     def test_curved_dispersion_rejected_with_diagnostic(self, grid64):
         st = FieldState.vacuum(grid64)
         drive = EndfireDrive(alpha_in=1.0, inlet_cell=4)

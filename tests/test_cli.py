@@ -18,8 +18,9 @@ from cwom.cli.config import (RULES, SCENARIOS, SCHEMA, ConfigError, ScenarioConf
 from cwom.cli.main import main
 from cwom.cli.output import (read_snapshot, write_csv, write_json_report,
                              write_snapshot)
-from cwom.cli.scenarios import DEFAULTS, MAX_STEPS, resolve_config, run_scenario
+from cwom.cli.scenarios import DEFAULTS, resolve_config, run_scenario
 from cwom.dynamics.rng import MAX_SEED
+from cwom.experiments import MAX_STEPS
 
 GOOD_CONFIG = """
 # comment
@@ -602,8 +603,8 @@ efolds = 2.5
         assert csv[0] == "x [m],P1 [W],P2 [W],Pb [W]"
 
     def test_gain_without_signal_loss_reports_a_null_adiabatic_ratio(self, tmp_path):
-        # with kappa2 = 0 the ratio (Gamma / vb) / max(gamma2, 1e-300)
-        # overflows at vb = 0.001 m/s; report.json stays strict JSON
+        # with kappa2 = 0 there is no ratio (Gamma / vb) / gamma2: the run
+        # reports inf, which report.json writes as null
         cfg = tmp_path / "gain.cfg"
         cfg.write_text("[scenario]\nname = backward_gain\n[gain]\nvb = 0.001 m/s\n"
                        "n_points = 128\nefolds = 2.5\n")
@@ -612,6 +613,13 @@ efolds = 2.5
         report = read_report(out)
         assert report["adiabatic_ratio"] is None
         assert report["relative_mismatch"] < 0.05
+
+    def test_backward_gain_preset_reports_a_null_adiabatic_ratio(self, tmp_path):
+        # the preset sets kappa2 = 0
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "backward_gain", "--output", str(out)]) == 0
+        assert DEFAULTS["backward_gain"]["gain"]["kappa2"] == 0.0
+        assert read_report(out)["adiabatic_ratio"] is None
 
     def test_array_convergence_reports_fitted_order(self, tmp_path):
         cfg = tmp_path / "arr.cfg"
@@ -894,8 +902,8 @@ class TestCliRangeChecks:
         ("regime_sweep", "[sweep]\nstrong_ratio = -1",
          "[sweep] strong_ratio: must be positive, got -1.0"),
         ("comb", "[comb]\nperiods = 1e12",
-         "[comb] periods: 1.000e+12 periods is 4.000e+14 steps, more than the "
-         "cap of 1e+08 steps"),
+         "[comb] periods: 1.000e+12 periods is 4.000e+14 steps of dt = 1.571e-02 s, "
+         "more than the cap of 1e+08 steps"),
         ("regime_sweep", "[sweep]\npoints = 1000000000000",
          "[sweep] points: must be at most 1e+06, about 0.6 GB at the run's peak, "
          "got 1000000000000"),
@@ -919,16 +927,16 @@ class TestCliRangeChecks:
          "keep 1000001 records, more than the cap of 1e+06, about 0.5 GB at "
          "the run's peak"),
         ("backward_gain", "[gain]\ng0_12 = 1e-8 Hz*m^(1/2)",
-         "[gain] the run takes 2.362e+24 steps of dt = 2.387e-10 s, more than "
+         "[gain] the run is 2.362e+24 steps of dt = 2.387e-10 s, more than "
          "the cap of 1e+08 steps"),
         ("backward_gain", "[gain]\nGamma = 1.885e-3 /s",
-         "[gain] the run takes 1.713e+28 steps of dt = 9.913e-25 s, more than "
+         "[gain] the run is 1.713e+28 steps of dt = 9.913e-25 s, more than "
          "the cap of 1e+08 steps"),
         ("intermodal_swap", "[swap]\ng12 = 1e6 Hz",
-         "[swap] the run takes 1.618e+09 steps of dt = 4.500e-07 s, more than "
+         "[swap] the run is 1.618e+09 steps of dt = 4.500e-07 s, more than "
          "the cap of 1e+08 steps"),
         ("intermodal_swap", "[swap]\ng12 = 1e20 Hz",
-         "[swap] the run takes 1.618e+23 steps of dt = 4.500e-21 s, more than "
+         "[swap] the run is 1.618e+23 steps of dt = 4.500e-21 s, more than "
          "the cap of 1e+08 steps"),
         ("comb", "[comb]\nomega0 = 1e-6 rad/s",
          "[comb] omega0: dt = 1.571e+04 s, 1/400 of a phonon period, exceeds the "
@@ -936,6 +944,21 @@ class TestCliRangeChecks:
         ("comb", "[comb]\ng0 = 2e4 Hz*m^(1/2)",
          "[comb] omega0: dt = 1.571e-02 s, 1/400 of a phonon period, exceeds the "
          "stability bound 6.249e-10 s of the initial state"),
+        # t_total / dt overflows to inf before any int()
+        ("custom", "[integration]\ndt = 1e-10 s\nt_total = 1e300 s",
+         "[integration] t_total: 1.000e+300 s is inf steps of dt = 1.000e-10 s, "
+         "more than the cap of 1e+08 steps"),
+        # the drive kernel's response at k_L: 0 at |k_L| dx = 2 pi / 3, and
+        # below half its k = 0 value above pi / 3 (the preset's dx is 1 m)
+        ("custom", "[drive]\nk_L = 2.0943951023931953 rad/m",
+         "[drive] the drive kernel's response at k_L = 2.094e+00 rad/m is "),
+        ("custom", "[drive]\nk_L = 2.5 rad/m",
+         "[drive] the drive kernel's response at k_L = 2.500e+00 rad/m is "
+         "1.996e-02 of its k = 0 value, below 1/2; |k_L| dx must be at most "
+         "pi/3, got 2.500e+00"),
+        ("custom", "[drive]\nk_L = -1.05 rad/m",
+         "[drive] the drive kernel's response at k_L = -1.050e+00 rad/m is "
+         "4.980e-01 of its k = 0 value, below 1/2"),
     ], ids=["gain-n_points", "swap-n_points", "comb-n_points",
             "gain-n_points-small", "swap-n_points-small", "gain-direction",
             "comb-periods-neg", "comb-periods-short", "sweep-points",
@@ -958,7 +981,9 @@ class TestCliRangeChecks:
             "comb-records-above-cap", "custom-records-cap",
             "custom-records-above-cap", "gain-steps-cap-g0_12",
             "gain-steps-cap-Gamma", "swap-steps-cap", "swap-steps-overflow",
-            "comb-dt-omega0", "comb-dt-g0"])
+            "comb-dt-omega0", "comb-dt-g0", "custom-steps-overflow",
+            "drive-k_L-kernel-zero", "drive-k_L-kernel-small",
+            "drive-k_L-above-pi-over-3"])
     def test_preset_input_mistakes_exit_two(self, tmp_path, capsys, scenario,
                                             entry, message):
         # each once validated, then failed the run after writing its
